@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Discrete
+from .data import Dataset
 from .model import (
     COUNT_FLOOR,
     VAR_FLOOR,
     NBParams,
     StatsVector,
+    _feature_map,
     evaluate,
     param_map,
     prob_stat_map,
@@ -35,20 +36,13 @@ def project(stats: StatsVector) -> StatsVector:
     VAR_FLOOR.  Idempotent, and the identity on statistics of real data
     of at least one instance per class.
     """
-    out = stats.copy()
-    cls = out.class_block
-    np.maximum(cls, COUNT_FLOOR, out=cls)
-    for i, spec in enumerate(stats.schema.features):
-        block = out.feature_block(i)
-        if isinstance(spec, Discrete):
-            np.maximum(block, COUNT_FLOOR, out=block)
-        else:
-            s0 = np.maximum(block[:, 0], COUNT_FLOOR)
-            block[:, 0] = s0
-            # var >= VAR_FLOOR  <=>  s2 >= s0 * VAR_FLOOR + s1^2 / s0
-            s2_min = s0 * VAR_FLOOR + block[:, 1] ** 2 / s0
-            np.maximum(block[:, 2], s2_min, out=block[:, 2])
-    return out
+    fm = _feature_map(stats.schema)
+    S = stats.values[fm.index]  # (r, w) per-class rows, a copy
+    np.maximum(S, COUNT_FLOOR, out=S, where=fm.counts)
+    s0, s1 = S[:, fm.x0], S[:, fm.x1]
+    # var >= VAR_FLOOR  <=>  s2 >= s0 * VAR_FLOOR + s1^2 / s0
+    S[:, fm.x2] = np.maximum(S[:, fm.x2], s0 * VAR_FLOOR + s1**2 / s0)
+    return StatsVector(stats.schema, fm.flat(S))
 
 
 def rc_update(stats: StatsVector, dataset: Dataset, lr: float, params: NBParams) -> StatsVector:

@@ -43,9 +43,6 @@ OUTDIR_ENV = "RISKCAL_OUTDIR"
 
 SWEEP_AXES = ("n", "m_v", "iter", "delta", "topology", "partition", "fragmentation")
 
-_TOPOLOGY_RE = re.compile(r"^(tree|chain|full|tree\+\d+)$")
-
-
 class ConfigError(ValueError):
     """Bad configuration key, value or combination."""
 
@@ -69,7 +66,7 @@ class ExperimentConfig:
     seed: int = 0
     repetitions: int = 5
     ml_smoothing: float = 1.0
-    workers: int = 1
+    workers: int = 1  # checked, then ignored: rounds run serially
 
 
 def _parse_label_column(text: str):
@@ -150,8 +147,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"lr must be positive, got {cfg.lr}")
     if cfg.m0 != "heuristic" and not float(cfg.m0) > 0:
         raise ConfigError(f"m0 must be 'heuristic' or positive, got {cfg.m0}")
-    if not _TOPOLOGY_RE.fullmatch(cfg.topology):
-        raise ConfigError(f"unknown topology {cfg.topology!r}")
+    try:
+        RewireSchedule(cfg.topology)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     if cfg.topology != "full" and cfg.n < 2:
         raise ConfigError(f"topology {cfg.topology!r} needs n >= 2")
     if cfg.neighborhood not in ("open", "closed"):

@@ -70,13 +70,16 @@ def validate_instances(schema: FeatureSchema, X: np.ndarray) -> None:
         raise DataError(f"expected shape (m, {schema.d}), got {X.shape}")
     if not np.all(np.isfinite(X)):
         raise DataError("non-finite feature value")
-    for i, spec in enumerate(schema.features):
-        col = X[:, i]
-        if isinstance(spec, Discrete):
-            if not np.all(col == np.floor(col)):
-                raise DataError(f"feature {i}: non-integral code for discrete feature")
-            if col.size and (col.min() < 1 or col.max() > spec.cardinality):
-                raise DataError(f"feature {i}: code outside 1..{spec.cardinality}")
+    disc = [i for i, spec in enumerate(schema.features) if isinstance(spec, Discrete)]
+    if disc:
+        codes = X[:, disc]
+        cards = np.array([schema.features[i].cardinality for i in disc])
+        bad = (codes != np.floor(codes)) | (codes < 1) | (codes > cards)
+        # Report the first offending feature, fractional codes before range.
+        for j in np.flatnonzero(bad.any(axis=0))[:1]:
+            fractional = np.any(codes[:, j] != np.floor(codes[:, j]))
+            problem = "non-integral code for discrete feature" if fractional else f"code outside 1..{cards[j]}"
+            raise DataError(f"feature {disc[j]}: {problem}")
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,26 @@
 """Naive Bayes over mixed features, driven by additive sufficient statistics.
 
-A model is determined by one flat statistics vector per schema:
+Naive Bayes is an exponential family: its statistics are sums over
+instances of the per-class feature row
+
+    Phi(x) = [1 | onehot(code) per discrete feature | (1, x, x^2) per continuous feature]
+
+placed in the instance's class row, so labelled data and posterior
+weighted data both give the (r, w) matrix P^T Phi(X), with P the (m, r)
+one-hot labels or posteriors.  A flat vector of length r * w stores a
+fixed permutation of that matrix:
 
 * class block: r pseudo-counts, one per class,
 * each discrete feature: an (r, cardinality) block of joint pseudo-counts,
 * each continuous feature: an (r, 3) block of per-class moments
   (zeroth, first, second), i.e. weight, sum of x, sum of x^2.
 
-Statistics compose by plain addition and scalar multiplication, which is
-what lets local statistics be averaged across a network.  Parameters are
-the closed-form maximum likelihood mapping from statistics: categorical
-tables by row normalization, Gaussians by moment matching
+One cached map per schema fixes the columns of Phi, their flat positions
+and their names.  Statistics compose by plain addition and scalar
+multiplication, which is what lets local statistics be averaged across a
+network.  Parameters are the closed-form maximum likelihood mapping from
+statistics: categorical tables by row normalization, Gaussians by moment
+matching
 
     mu = s1 / s0,    var = s2 / s0 - mu^2.
 
@@ -25,7 +35,7 @@ from math import log, pi
 
 import numpy as np
 
-from .data import Continuous, Dataset, Discrete, FeatureSchema, validate_instances
+from .data import Dataset, Discrete, FeatureSchema, validate_instances
 
 # Smallest admissible count / zeroth moment after projection.
 COUNT_FLOOR = 1e-9
@@ -35,20 +45,87 @@ VAR_FLOOR = 1e-6
 _LOG_2PI = log(2.0 * pi)
 
 
-@lru_cache(maxsize=None)
-def _layout(schema: FeatureSchema) -> tuple[tuple[int, ...], int]:
-    """Block start offsets (one per feature, plus the total length)."""
-    r = schema.class_cardinality
-    starts = []
-    pos = r
-    for spec in schema.features:
-        starts.append(pos)
-        pos += r * spec.cardinality if isinstance(spec, Discrete) else r * 3
-    return tuple(starts), pos
+class _FeatureMap:
+    """The columns of Phi for one schema and their flat positions.
+
+    Column 0 is the constant (class) column.  ``cont``, ``x0``, ``x1``
+    and ``x2`` hold one entry per continuous feature; ``onehot``,
+    ``cell_feature`` and ``cell_code`` one per discrete (feature, code)
+    cell; both in schema order.
+    """
+
+    def __init__(self, schema: FeatureSchema) -> None:
+        r = schema.class_cardinality
+        ys = range(1, r + 1)
+        self.blocks = []  # flat start and width of each feature block
+        self.param_cols = []  # columns each NBParams block is computed in
+        names, param_names = [f"class[{y}]" for y in ys], [f"class_prob[{y}]" for y in ys]
+        base, cont, x0, onehot, cell_feature, cell_code = [1.0], [], [], [], [], []
+        w = 1
+        for i, spec in enumerate(schema.features):
+            if isinstance(spec, Discrete):
+                c = spec.cardinality
+                onehot += range(w, w + c)
+                cell_feature += [i] * c
+                cell_code += range(1, c + 1)
+                self.param_cols.append(np.arange(w, w + c))
+                base += [1.0 / c] * c
+                names += [f"feature[{i}].count[{y}][{k}]" for y in ys for k in range(1, c + 1)]
+                param_names += [f"feature[{i}].prob[{y}][{k}]" for y in ys for k in range(1, c + 1)]
+            else:
+                c = 3
+                cont.append(i)
+                x0.append(w)
+                self.param_cols.append(np.arange(w + 1, w + 3))
+                base += [1.0, 0.0, 1.0]
+                names += [f"feature[{i}].moment[{y}][{j}]" for y in ys for j in range(3)]
+                param_names += [f"feature[{i}].{p}[{y}]" for y in ys for p in ("mean", "var")]
+            # r flat entries for every column before this block
+            self.blocks.append((r * w, c))
+            w += c
+
+        self.index = np.empty((r, w), dtype=np.int64)  # flat position of (class, column)
+        self.index[:, 0] = np.arange(r)
+        for start, c in self.blocks:
+            self.index[:, start // r : start // r + c] = start + np.arange(r * c).reshape(r, c)
+        self.names = tuple(names)  # StatsVector components, flat order
+        self.param_names = tuple(param_names)  # NBParams components, block order
+        self.base = np.array(base)  # uniform_init row per unit of class mass
+        self.cont = np.array(cont, dtype=np.int64)
+        self.x0 = np.array(x0, dtype=np.int64)  # zeroth moment, x and x^2 columns
+        self.x1, self.x2 = self.x0 + 1, self.x0 + 2
+        self.counts = np.ones(w, dtype=bool)  # constant, one-hot and zeroth-moment columns
+        self.counts[self.x1] = self.counts[self.x2] = False
+        self.onehot = np.array(onehot, dtype=np.int64)
+        self.cell_feature = np.array(cell_feature, dtype=np.int64)
+        self.cell_code = np.array(cell_code, dtype=np.float64)
+        # same_feature[k, j]: one-hot columns k and j belong to one feature
+        self.same_feature = (self.cell_feature[:, None] == self.cell_feature).astype(np.float64)
+
+    def phi(self, X: np.ndarray) -> np.ndarray:
+        """Feature rows Phi(x) of a validated (m, d) matrix; shape (m, w)."""
+        m = X.shape[0]
+        out = np.zeros((m, self.index.shape[1]))
+        out[:, 0] = 1.0
+        out[:, self.x0] = 1.0
+        xc = X[:, self.cont]
+        out[:, self.x1] = xc
+        out[:, self.x2] = xc * xc
+        out[:, self.onehot] = X[:, self.cell_feature] == self.cell_code
+        return out
+
+    def flat(self, rows: np.ndarray) -> np.ndarray:
+        """Flat statistics vector of (r, w) per-class rows; values[index] inverts it."""
+        out = np.empty(self.index.size)
+        out[self.index] = rows
+        return out
+
+
+_feature_map = lru_cache(maxsize=None)(_FeatureMap)
 
 
 def stats_length(schema: FeatureSchema) -> int:
-    return _layout(schema)[1]
+    return _feature_map(schema).index.size
 
 
 @dataclass
@@ -74,11 +151,9 @@ class StatsVector:
         return self.values[: self.schema.class_cardinality]
 
     def feature_block(self, i: int) -> np.ndarray:
-        starts, total = _layout(self.schema)
+        start, width = _feature_map(self.schema).blocks[i]
         r = self.schema.class_cardinality
-        end = starts[i + 1] if i + 1 < len(starts) else total
-        width = (end - starts[i]) // r
-        return self.values[starts[i] : end].reshape(r, width)
+        return self.values[start : start + r * width].reshape(r, width)
 
     @property
     def ess(self) -> float:
@@ -107,19 +182,9 @@ class StatsVector:
 
     def to_text(self) -> str:
         """Full-precision key/value dump, one component per line."""
+        names = _feature_map(self.schema).names
         lines = [f"ess = {self.ess!r}"]
-        for y, v in enumerate(self.class_block, start=1):
-            lines.append(f"class[{y}] = {float(v)!r}")
-        for i, spec in enumerate(self.schema.features):
-            block = self.feature_block(i)
-            if isinstance(spec, Discrete):
-                for y in range(block.shape[0]):
-                    for k in range(block.shape[1]):
-                        lines.append(f"feature[{i}].count[{y + 1}][{k + 1}] = {float(block[y, k])!r}")
-            else:
-                for y in range(block.shape[0]):
-                    for j in range(3):
-                        lines.append(f"feature[{i}].moment[{y + 1}][{j}] = {float(block[y, j])!r}")
+        lines += [f"{name} = {float(v)!r}" for name, v in zip(names, self.values)]
         return "\n".join(lines) + "\n"
 
 
@@ -141,20 +206,15 @@ class NBParams:
     feature_params: tuple[np.ndarray, ...]
 
     def to_text(self) -> str:
-        lines = []
-        for y, v in enumerate(self.class_probs, start=1):
-            lines.append(f"class_prob[{y}] = {float(v)!r}")
-        for i, spec in enumerate(self.schema.features):
-            block = self.feature_params[i]
-            if isinstance(spec, Discrete):
-                for y in range(block.shape[0]):
-                    for k in range(block.shape[1]):
-                        lines.append(f"feature[{i}].prob[{y + 1}][{k + 1}] = {float(block[y, k])!r}")
-            else:
-                for y in range(block.shape[0]):
-                    lines.append(f"feature[{i}].mean[{y + 1}] = {float(block[y, 0])!r}")
-                    lines.append(f"feature[{i}].var[{y + 1}] = {float(block[y, 1])!r}")
-        return "\n".join(lines) + "\n"
+        names = _feature_map(self.schema).param_names
+        values = np.concatenate([self.class_probs, *(b.ravel() for b in self.feature_params)])
+        return "".join(f"{name} = {float(v)!r}\n" for name, v in zip(names, values))
+
+
+def _accumulate(schema: FeatureSchema, P: np.ndarray, X: np.ndarray) -> StatsVector:
+    """Statistics P^T Phi(X) of weighted instances: row k of P spreads instance k over classes."""
+    fm = _feature_map(schema)
+    return StatsVector(schema, fm.flat(P.T @ fm.phi(X)))
 
 
 def stat_map_instance(x, y: int, schema: FeatureSchema) -> StatsVector:
@@ -169,39 +229,15 @@ def stat_map_instance(x, y: int, schema: FeatureSchema) -> StatsVector:
     y = int(y)
     if not 1 <= y <= schema.class_cardinality:
         raise ValueError(f"label {y} outside 1..{schema.class_cardinality}")
-    out = zero_stats(schema)
-    out.class_block[y - 1] = 1.0
-    for i, spec in enumerate(schema.features):
-        block = out.feature_block(i)
-        if isinstance(spec, Discrete):
-            block[y - 1, int(x[0, i]) - 1] = 1.0
-        else:
-            block[y - 1, 0] = 1.0
-            block[y - 1, 1] = x[0, i]
-            block[y - 1, 2] = x[0, i] ** 2
-    return out
+    return _accumulate(schema, np.eye(schema.class_cardinality)[[y - 1]], x)
 
 
 def stat_map_dataset(dataset: Dataset) -> StatsVector:
     """Sum of instance statistics over a dataset; ess equals its size."""
     if dataset.m == 0:
         raise ValueError("empty dataset has no statistics")
-    schema = dataset.schema
-    r = schema.class_cardinality
-    out = zero_stats(schema)
-    y0 = dataset.y - 1
-    out.class_block[:] = np.bincount(y0, minlength=r)
-    for i, spec in enumerate(schema.features):
-        block = out.feature_block(i)
-        col = dataset.X[:, i]
-        if isinstance(spec, Discrete):
-            flat = y0 * spec.cardinality + (col.astype(np.int64) - 1)
-            block[:] = np.bincount(flat, minlength=r * spec.cardinality).reshape(r, spec.cardinality)
-        else:
-            block[:, 0] = np.bincount(y0, minlength=r)
-            block[:, 1] = np.bincount(y0, weights=col, minlength=r)
-            block[:, 2] = np.bincount(y0, weights=col * col, minlength=r)
-    return out
+    onehot = np.eye(dataset.schema.class_cardinality)[dataset.y - 1]
+    return _accumulate(dataset.schema, onehot, dataset.X)
 
 
 def prob_stat_map(X, params: NBParams) -> StatsVector:
@@ -213,26 +249,8 @@ def prob_stat_map(X, params: NBParams) -> StatsVector:
     instances because posteriors sum to one.
     """
     X = np.asarray(X, dtype=np.float64)
-    schema = params.schema
-    validate_instances(schema, X)
-    r = schema.class_cardinality
-    P = posterior_matrix(params, X)  # (m, r)
-    out = zero_stats(schema)
-    out.class_block[:] = P.sum(axis=0)
-    for i, spec in enumerate(schema.features):
-        block = out.feature_block(i)
-        col = X[:, i]
-        if isinstance(spec, Discrete):
-            codes = col.astype(np.int64) - 1
-            for k in range(spec.cardinality):
-                mask = codes == k
-                if mask.any():
-                    block[:, k] = P[mask].sum(axis=0)
-        else:
-            block[:, 0] = P.sum(axis=0)
-            block[:, 1] = P.T @ col
-            block[:, 2] = P.T @ (col * col)
-    return out
+    validate_instances(params.schema, X)
+    return _accumulate(params.schema, _posterior(params, X), X)
 
 
 def _log_joint_many(params_list, X: np.ndarray) -> np.ndarray:
@@ -271,11 +289,16 @@ def _softmax_last(logp: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=-1, keepdims=True)
 
 
+def _posterior(params: NBParams, X: np.ndarray) -> np.ndarray:
+    """posterior_matrix of an already validated X."""
+    return _softmax_last(_log_joint_many([params], X)[0])
+
+
 def posterior_matrix(params: NBParams, X) -> np.ndarray:
     """Posterior p(y | x) for each row of X; shape (m, r), rows sum to 1."""
     X = np.asarray(X, dtype=np.float64)
     validate_instances(params.schema, X)
-    return _softmax_last(_log_joint_many([params], X)[0])
+    return _posterior(params, X)
 
 
 def posterior(params: NBParams, x) -> np.ndarray:
@@ -302,25 +325,20 @@ def param_map(stats: StatsVector) -> NBParams:
     Requires projected statistics: every count and zeroth moment at
     least COUNT_FLOOR.  Variances are floored at VAR_FLOOR.
     """
-    schema = stats.schema
-    cls = stats.class_block
-    if cls.min() < COUNT_FLOOR:
+    fm = _feature_map(stats.schema)
+    S = stats.values[fm.index]  # (r, w) per-class rows
+    if S[:, fm.counts].min() < COUNT_FLOOR:
         raise ValueError("statistics below the count floor; project before mapping to parameters")
-    feature_params = []
-    for i, spec in enumerate(schema.features):
-        block = stats.feature_block(i)
-        if isinstance(spec, Discrete):
-            if block.min() < COUNT_FLOOR:
-                raise ValueError("statistics below the count floor; project before mapping to parameters")
-            feature_params.append(block / block.sum(axis=1, keepdims=True))
-        else:
-            s0, s1, s2 = block[:, 0], block[:, 1], block[:, 2]
-            if s0.min() < COUNT_FLOOR:
-                raise ValueError("statistics below the count floor; project before mapping to parameters")
-            mu = s1 / s0
-            var = np.maximum(s2 / s0 - mu * mu, VAR_FLOOR)
-            feature_params.append(np.column_stack([mu, var]))
-    return NBParams(schema, cls / cls.sum(), tuple(feature_params))
+    # Parameters take the columns of the statistics they come from.
+    theta = np.empty_like(S)
+    cells = S[:, fm.onehot]
+    theta[:, fm.onehot] = cells / (cells @ fm.same_feature)
+    s0, s1, s2 = S[:, fm.x0], S[:, fm.x1], S[:, fm.x2]
+    mu = s1 / s0
+    theta[:, fm.x1] = mu
+    theta[:, fm.x2] = np.maximum(s2 / s0 - mu * mu, VAR_FLOOR)
+    cls = S[:, 0]
+    return NBParams(stats.schema, cls / cls.sum(), tuple(theta.take(c, axis=1) for c in fm.param_cols))
 
 
 def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
@@ -336,18 +354,8 @@ def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
     m0 = float(m0)
     if not m0 > 0:
         raise ValueError(f"initial mass must be positive, got {m0}")
-    r = schema.class_cardinality
-    out = zero_stats(schema)
-    out.class_block[:] = m0 / r
-    for i, spec in enumerate(schema.features):
-        block = out.feature_block(i)
-        if isinstance(spec, Discrete):
-            block[:] = m0 / (r * spec.cardinality)
-        else:
-            block[:, 0] = m0 / r
-            block[:, 1] = 0.0
-            block[:, 2] = m0 / r
-    return out
+    fm = _feature_map(schema)
+    return StatsVector(schema, fm.flat((m0 / schema.class_cardinality) * fm.base))
 
 
 # Models evaluated together per batch; bounds the (K, m, r) temporaries.

@@ -108,21 +108,23 @@ def adjacency(graph: Graph) -> dict[int, list[int]]:
     return {v: sorted(nbrs) for v, nbrs in adj.items()}
 
 
-_TOPOLOGY_RE = re.compile(r"^tree\+(\d+)$")
+def _parse_topology(spec: str) -> tuple[str, int | None]:
+    """Split a topology spec into its base graph and the K of 'tree+K' (None without '+')."""
+    if not re.fullmatch(r"tree|chain|full|tree\+\d+", spec):
+        raise ValueError(f"unknown topology {spec!r}")
+    base, plus, extra = spec.partition("+")
+    return base, int(extra) if plus else None
 
 
 def build_topology(spec: str, n: int, rng: np.random.Generator) -> Graph:
     """Build 'tree', 'chain', 'full' or 'tree+K' (tree plus K random edges)."""
-    if spec == "tree":
-        return random_tree(n, rng)
-    if spec == "chain":
+    base, extra = _parse_topology(spec)
+    if base == "chain":
         return chain(n)
-    if spec == "full":
+    if base == "full":
         return full_graph(n)
-    m = _TOPOLOGY_RE.match(spec)
-    if m:
-        return add_random_edges(random_tree(n, rng), int(m.group(1)), rng)
-    raise ValueError(f"unknown topology {spec!r}")
+    tree = random_tree(n, rng)
+    return tree if extra is None else add_random_edges(tree, extra, rng)
 
 
 @dataclass(frozen=True)
@@ -141,9 +143,8 @@ class RewireSchedule:
     def __post_init__(self) -> None:
         if self.period is not None and self.period < 1:
             raise ValueError(f"rewire period must be >= 1, got {self.period}")
-        if isinstance(self.topology, str) and self.topology not in ("tree", "chain", "full"):
-            if not _TOPOLOGY_RE.match(self.topology):
-                raise ValueError(f"unknown topology {self.topology!r}")
+        if isinstance(self.topology, str):
+            _parse_topology(self.topology)
 
     def initial(self, n: int, rng: np.random.Generator) -> Graph:
         if isinstance(self.topology, Graph):

@@ -10,7 +10,6 @@ pooled sample.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import nan
 
@@ -176,9 +175,9 @@ def run_crc(
     ``rng`` drives its randomness.  When ``global_train`` and
     ``global_test`` are given, metrics are recorded every round,
     compared against ``baseline`` (one (train_err, test_err) pair per
-    round) when supplied.  ``workers`` > 1 evaluates nodes of one round
-    in a thread pool; results do not depend on the worker count because
-    every node reads only round t-1 state.
+    round) when supplied.  ``workers`` is checked but otherwise ignored:
+    nodes are updated one after another, since a thread pool measured
+    slower than the serial loop.
     """
     n = len(local_datasets)
     if n < 1:
@@ -214,28 +213,19 @@ def run_crc(
     metrics: list[RoundMetrics] = []
     aggregates: list[list[StatsVector]] | None = [] if record_aggregates else None
 
-    def step(v: int) -> tuple[StatsVector, NBParams, StatsVector]:
-        agg = StatsVector(schema, S[nbr_index[v]].mean(axis=0))
-        params, stats = lrc(agg, local_datasets[v], iterations)
-        return agg, params, stats
-
     for t in range(1, t_max + 1):
         new_graph = rewire(schedule, t, graph, rng)
         if new_graph is not graph:
             graph = new_graph
             nbr_index = _neighbor_index(graph, neighborhood)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(step, range(n)))
-        else:
-            results = [step(v) for v in range(n)]
-        states = [
-            NodeState(v + 1, local_datasets[v], stats, params)
-            for v, (_, params, stats) in enumerate(results)
-        ]
+        aggs = [StatsVector(schema, S[idx].mean(axis=0)) for idx in nbr_index]
+        states = []
+        for v, (ds, agg) in enumerate(zip(local_datasets, aggs)):
+            params, stats = lrc(agg, ds, iterations)
+            states.append(NodeState(v + 1, ds, stats, params))
         S = np.stack([st.stats.values for st in states])
         if aggregates is not None:
-            aggregates.append([agg for agg, _, _ in results])
+            aggregates.append(aggs)
         if evaluating:
             per_round = baseline[t - 1] if baseline is not None else None
             metrics.append(evaluate_round(states, global_train, global_test, per_round, t))

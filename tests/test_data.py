@@ -161,6 +161,14 @@ def test_dataset_validation():
         Dataset(schema, [[1, 0.0]], [3])  # label out of range
     with pytest.raises(DataError):
         Dataset(schema, [[1, 0.0], [2, 0.0]], [1])  # length mismatch
+    # the first offending discrete feature is named, non-integral before range
+    three = FeatureSchema((Continuous(), Discrete(3), Discrete(2)), 2)
+    with pytest.raises(DataError, match=r"^feature 2: code outside 1\.\.2$"):
+        Dataset(three, [[0.5, 1, 2], [9.5, 3, 3]], [1, 2])
+    with pytest.raises(DataError, match=r"^feature 1: non-integral code"):
+        Dataset(three, [[0.5, 1, 0], [0.5, 2.5, 1]], [1, 2])
+    with pytest.raises(DataError, match=r"^feature 1: non-integral code"):
+        Dataset(three, [[0.5, 3.5, 1], [0.5, 0, 1]], [1, 2])
 
 
 def test_subset_picks_rows():

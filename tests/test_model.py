@@ -36,6 +36,36 @@ from riskcal.model import (
 
 TINY_SCHEMA = FeatureSchema((Discrete(3), Continuous()), 2)
 
+# Dump keys on mixed_schema(3), in the order the dump format fixes.
+STATS_KEYS = """
+ess class[1] class[2] class[3]
+feature[0].moment[1][0] feature[0].moment[1][1] feature[0].moment[1][2]
+feature[0].moment[2][0] feature[0].moment[2][1] feature[0].moment[2][2]
+feature[0].moment[3][0] feature[0].moment[3][1] feature[0].moment[3][2]
+feature[1].count[1][1] feature[1].count[1][2] feature[1].count[1][3]
+feature[1].count[2][1] feature[1].count[2][2] feature[1].count[2][3]
+feature[1].count[3][1] feature[1].count[3][2] feature[1].count[3][3]
+feature[2].moment[1][0] feature[2].moment[1][1] feature[2].moment[1][2]
+feature[2].moment[2][0] feature[2].moment[2][1] feature[2].moment[2][2]
+feature[2].moment[3][0] feature[2].moment[3][1] feature[2].moment[3][2]
+feature[3].count[1][1] feature[3].count[1][2]
+feature[3].count[2][1] feature[3].count[2][2]
+feature[3].count[3][1] feature[3].count[3][2]
+""".split()
+PARAM_KEYS = """
+class_prob[1] class_prob[2] class_prob[3]
+feature[0].mean[1] feature[0].var[1] feature[0].mean[2] feature[0].var[2]
+feature[0].mean[3] feature[0].var[3]
+feature[1].prob[1][1] feature[1].prob[1][2] feature[1].prob[1][3]
+feature[1].prob[2][1] feature[1].prob[2][2] feature[1].prob[2][3]
+feature[1].prob[3][1] feature[1].prob[3][2] feature[1].prob[3][3]
+feature[2].mean[1] feature[2].var[1] feature[2].mean[2] feature[2].var[2]
+feature[2].mean[3] feature[2].var[3]
+feature[3].prob[1][1] feature[3].prob[1][2]
+feature[3].prob[2][1] feature[3].prob[2][2]
+feature[3].prob[3][1] feature[3].prob[3][2]
+""".split()
+
 
 def test_stats_layout_length():
     # class block 2 + discrete 2*3 + continuous 2*3
@@ -301,3 +331,22 @@ def test_to_text_full_precision():
     assert value == s.feature_block(0)[0, 1]
     ptext = param_map(s).to_text()
     assert "class_prob[1] = " in ptext and "feature[1].count" not in ptext
+
+
+def test_to_text_line_order_on_mixed_schema():
+    rng = np.random.default_rng(12)
+    s = stat_map_dataset(random_dataset(mixed_schema(3), 30, rng))
+    p = param_map(s)
+    pairs = [ln.split(" = ") for ln in s.to_text().splitlines()]
+    assert [k for k, _ in pairs] == STATS_KEYS
+    assert [float(v) for _, v in pairs[1:]] == list(s.values)  # flat layout order
+    stats = {k: float(v) for k, v in pairs}
+    assert stats["feature[2].moment[2][1]"] == s.feature_block(2)[1, 1]
+    assert stats["feature[3].count[3][2]"] == s.feature_block(3)[2, 1]
+    pairs = [ln.split(" = ") for ln in p.to_text().splitlines()]
+    assert [k for k, _ in pairs] == PARAM_KEYS
+    params = {k: float(v) for k, v in pairs}
+    assert params["class_prob[3]"] == p.class_probs[2]
+    assert params["feature[0].var[2]"] == p.feature_params[0][1, 1]
+    assert params["feature[1].prob[2][3]"] == p.feature_params[1][1, 2]
+    assert params["feature[2].mean[3]"] == p.feature_params[2][2, 0]

@@ -95,8 +95,11 @@ def test_build_topology_variants():
     assert len(build_topology("chain", 12, rng).edges) == 11
     assert len(build_topology("full", 12, rng).edges) == 66
     assert len(build_topology("tree+8", 12, rng).edges) == 19
-    with pytest.raises(ValueError, match="unknown topology"):
-        build_topology("ring", 12, rng)
+    for spec in ("ring", "tree+5\n"):
+        with pytest.raises(ValueError, match="unknown topology"):
+            build_topology(spec, 12, rng)
+        with pytest.raises(ValueError, match="unknown topology"):
+            RewireSchedule(spec)
 
 
 def test_graph_validation():
