@@ -37,11 +37,11 @@ def project(stats: StatsVector) -> StatsVector:
     of at least one instance per class.
     """
     fm = _feature_map(stats.schema)
-    S = stats.values[fm.index]  # (r, w) per-class rows, a copy
+    S = stats.values[..., fm.index]  # (..., r, w) per-class rows, a copy
     np.maximum(S, COUNT_FLOOR, out=S, where=fm.counts)
-    s0, s1 = S[:, fm.x0], S[:, fm.x1]
+    s0, s1 = S[..., fm.x0], S[..., fm.x1]
     # var >= VAR_FLOOR  <=>  s2 >= s0 * VAR_FLOOR + s1^2 / s0
-    S[:, fm.x2] = np.maximum(S[:, fm.x2], s0 * VAR_FLOOR + s1**2 / s0)
+    S[..., fm.x2] = np.maximum(S[..., fm.x2], s0 * VAR_FLOOR + s1**2 / s0)
     return StatsVector(stats.schema, fm.flat(S))
 
 
@@ -129,7 +129,8 @@ def lrc(agg_stats: StatsVector, local_dataset: Dataset, iterations: int = 1) -> 
     the step has total mass zero, so the mass of ``agg_stats`` is
     conserved and acts as the inertia that turns aggregate mass into an
     effective local learning rate.  Returns the calibrated parameters
-    and the statistics that produced them.
+    and the statistics that produced them.  Stacked statistics (n, len)
+    and a stacked dataset (see Dataset) calibrate n nodes at once.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")

@@ -66,7 +66,7 @@ class ExperimentConfig:
     seed: int = 0
     repetitions: int = 5
     ml_smoothing: float = 1.0
-    workers: int = 1  # checked, then ignored: rounds run serially
+    workers: int = 1  # checked, then ignored: a round is whole-network array operations
 
 
 def _parse_label_column(text: str):
@@ -300,14 +300,6 @@ def _aggregate_rows(per_rep: list[list[RoundMetrics]]) -> list[list[float]]:
     return [[int(row[0])] + [float(v) for v in row[1:]] for row in mean]
 
 
-def _write_aggregate_csv(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        for row in rows:
-            writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
-
-
 def run_experiment(cfg: ExperimentConfig, outdir=".") -> ExperimentResult:
     """Run all repetitions of one experiment and write its artifacts.
 
@@ -350,7 +342,7 @@ def run_experiment(cfg: ExperimentConfig, outdir=".") -> ExperimentResult:
 
     agg_rows = _aggregate_rows(per_rep_metrics)
     agg_path = outdir / f"{stem}_aggregate.csv"
-    _write_aggregate_csv(agg_rows, agg_path)
+    write_metrics_csv(agg_rows, agg_path)
     cfg_path = outdir / f"{stem}_config.txt"
     cfg_path.write_text(config_to_text(cfg), encoding="utf-8")
     paths.extend([agg_path, cfg_path])
@@ -364,13 +356,7 @@ def _sweep_variant(cfg: ExperimentConfig, axis: str, text: str) -> ExperimentCon
         if total % n != 0:
             raise ConfigError(f"fragmentation {n} does not divide {total} total instances")
         return replace(cfg, n=n, m_v=total // n)
-    if axis in ("n", "m_v", "iter"):
-        return replace(cfg, **{axis: int(text)})
-    if axis == "delta":
-        return replace(cfg, delta=_parse_delta(text))
-    if axis in ("topology", "partition"):
-        return replace(cfg, **{axis: text})
-    raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    return replace(cfg, **{axis: _PARSERS[axis](text)})
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values: list[str], outdir=".") -> Path:

@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from math import prod
 from pathlib import Path
 
 import numpy as np
 
 # Columns with at most this many distinct values are treated as discrete.
 DISCRETE_LIMIT = 10
+# Largest magnitude whose square is finite in float64.
+_ROOT_MAX = np.sqrt(np.finfo(np.float64).max)
 
 
 class DataError(ValueError):
@@ -65,11 +68,14 @@ class FeatureSchema:
 
 
 def validate_instances(schema: FeatureSchema, X: np.ndarray) -> None:
-    """Check a feature matrix against a schema, raising on any violation."""
-    if X.ndim != 2 or X.shape[1] != schema.d:
+    """Check a feature array (..., m, d) against a schema, raising on any violation."""
+    if X.ndim < 2 or X.shape[-1] != schema.d:
         raise DataError(f"expected shape (m, {schema.d}), got {X.shape}")
-    if not np.all(np.isfinite(X)):
+    # One pass flags nan, inf and values whose square, held by the statistics, overflows.
+    huge = not np.abs(X).max(initial=0.0) <= _ROOT_MAX
+    if huge and not np.all(np.isfinite(X)):
         raise DataError("non-finite feature value")
+    X = X.reshape(prod(X.shape[:-1]), schema.d)  # instances of every stacked dataset
     disc = [i for i, spec in enumerate(schema.features) if isinstance(spec, Discrete)]
     if disc:
         codes = X[:, disc]
@@ -80,11 +86,14 @@ def validate_instances(schema: FeatureSchema, X: np.ndarray) -> None:
             fractional = np.any(codes[:, j] != np.floor(codes[:, j]))
             problem = "non-integral code for discrete feature" if fractional else f"code outside 1..{cards[j]}"
             raise DataError(f"feature {disc[j]}: {problem}")
+    if huge:  # valid discrete codes are far below the bound
+        j = np.argmax((np.abs(X) > _ROOT_MAX).any(axis=0))
+        raise DataError(f"feature {j}: value too large, its square overflows")
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix and 1-based labels bound to a schema."""
+    """Feature matrix and 1-based labels bound to a schema; X (n, m, d), y (n, m) stack n same-size datasets."""
 
     schema: FeatureSchema
     X: np.ndarray
@@ -96,14 +105,14 @@ class Dataset:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         validate_instances(self.schema, X)
-        if y.ndim != 1 or y.shape[0] != X.shape[0]:
-            raise DataError(f"labels shape {y.shape} does not match {X.shape[0]} instances")
+        if y.shape != X.shape[:-1]:
+            raise DataError(f"labels shape {y.shape} does not match {X.shape[-2]} instances")
         if y.size and (y.min() < 1 or y.max() > self.schema.class_cardinality):
             raise DataError(f"label outside 1..{self.schema.class_cardinality}")
 
     @property
     def m(self) -> int:
-        return self.X.shape[0]
+        return self.X.shape[-2]
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)

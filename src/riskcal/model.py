@@ -26,6 +26,9 @@ matching
 
 Posteriors are evaluated in log space with max subtraction; zero
 probabilities are allowed and yield exact 0/1 posteriors.
+
+Every mapping also takes a leading node axis (statistics (n, len),
+datasets X (n, m, d)), so one node and n same-size nodes share one code path.
 """
 from __future__ import annotations
 
@@ -103,21 +106,20 @@ class _FeatureMap:
         self.same_feature = (self.cell_feature[:, None] == self.cell_feature).astype(np.float64)
 
     def phi(self, X: np.ndarray) -> np.ndarray:
-        """Feature rows Phi(x) of a validated (m, d) matrix; shape (m, w)."""
-        m = X.shape[0]
-        out = np.zeros((m, self.index.shape[1]))
-        out[:, 0] = 1.0
-        out[:, self.x0] = 1.0
-        xc = X[:, self.cont]
-        out[:, self.x1] = xc
-        out[:, self.x2] = xc * xc
-        out[:, self.onehot] = X[:, self.cell_feature] == self.cell_code
+        """Feature rows Phi(x) of a validated (..., m, d) array; shape (..., m, w)."""
+        out = np.zeros(X.shape[:-1] + (self.index.shape[1],))
+        out[..., 0] = 1.0
+        out[..., self.x0] = 1.0
+        xc = X[..., self.cont]
+        out[..., self.x1] = xc
+        out[..., self.x2] = xc * xc
+        out[..., self.onehot] = X[..., self.cell_feature] == self.cell_code
         return out
 
     def flat(self, rows: np.ndarray) -> np.ndarray:
-        """Flat statistics vector of (r, w) per-class rows; values[index] inverts it."""
-        out = np.empty(self.index.size)
-        out[self.index] = rows
+        """Flat statistics of (..., r, w) per-class rows; values[..., index] inverts it."""
+        out = np.empty(rows.shape[:-2] + (self.index.size,))
+        out[..., self.index] = rows
         return out
 
 
@@ -133,8 +135,9 @@ class StatsVector:
     """Flat additive statistics for one schema.
 
     ``values`` is a float64 vector laid out as class block, then one
-    block per feature in schema order.  Block accessors return writable
-    views into the flat array.
+    block per feature in schema order; an optional leading node axis,
+    ``values`` of shape (n, len), holds one vector per node.  Block
+    accessors return writable views into the flat array.
     """
 
     schema: FeatureSchema
@@ -142,26 +145,23 @@ class StatsVector:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (stats_length(self.schema),):
+        if v.shape[-1:] != (stats_length(self.schema),):
             raise ValueError(f"expected {stats_length(self.schema)} components, got {v.shape}")
         self.values = v
 
     @property
     def class_block(self) -> np.ndarray:
-        return self.values[: self.schema.class_cardinality]
+        return self.values[..., : self.schema.class_cardinality]
 
     def feature_block(self, i: int) -> np.ndarray:
         start, width = _feature_map(self.schema).blocks[i]
         r = self.schema.class_cardinality
-        return self.values[start : start + r * width].reshape(r, width)
+        return self.values[..., start : start + r * width].reshape(self.values.shape[:-1] + (r, width))
 
     @property
     def ess(self) -> float:
-        """Equivalent sample size: total mass in the class block."""
+        """Equivalent sample size: total mass in the class block, of all nodes when stacked."""
         return float(self.class_block.sum())
-
-    def copy(self) -> "StatsVector":
-        return StatsVector(self.schema, self.values.copy())
 
     def _check_schema(self, other: "StatsVector") -> None:
         if self.schema != other.schema:
@@ -198,7 +198,7 @@ class NBParams:
 
     Discrete features carry an (r, cardinality) table of conditional
     probabilities; continuous features an (r, 2) block with means in
-    column 0 and variances in column 1.
+    column 0 and variances in column 1, all with an optional node axis.
     """
 
     schema: FeatureSchema
@@ -214,7 +214,7 @@ class NBParams:
 def _accumulate(schema: FeatureSchema, P: np.ndarray, X: np.ndarray) -> StatsVector:
     """Statistics P^T Phi(X) of weighted instances: row k of P spreads instance k over classes."""
     fm = _feature_map(schema)
-    return StatsVector(schema, fm.flat(P.T @ fm.phi(X)))
+    return StatsVector(schema, fm.flat(np.swapaxes(P, -1, -2) @ fm.phi(X)))
 
 
 def stat_map_instance(x, y: int, schema: FeatureSchema) -> StatsVector:
@@ -253,31 +253,26 @@ def prob_stat_map(X, params: NBParams) -> StatsVector:
     return _accumulate(params.schema, _posterior(params, X), X)
 
 
-def _log_joint_many(params_list, X: np.ndarray) -> np.ndarray:
-    """Log joint log p(y) + sum_i log p(x_i | y) for a batch of models.
+def _log_joint(params: NBParams, X: np.ndarray) -> np.ndarray:
+    """Log joint log p(y) + sum_i log p(x_i | y) of the rows of X.
 
-    Returns shape (n_models, m, r).  Zero probabilities produce -inf,
-    which flows through argmax and softmax exactly.
+    ``params`` and X (..., m, d) may both carry leading axes, which
+    broadcast: the result has shape (..., m, r).  Zero probabilities
+    produce -inf, which flows through argmax and softmax exactly.
     """
-    K = len(params_list)
-    m = X.shape[0]
-    schema = params_list[0].schema
-    r = schema.class_cardinality
-    out = np.empty((K, m, r), dtype=np.float64)
     with np.errstate(divide="ignore"):
-        cp = np.log(np.stack([p.class_probs for p in params_list]))  # (K, r)
-        out[:] = cp[:, None, :]
-        for i, spec in enumerate(schema.features):
-            col = X[:, i]
+        cp = np.log(params.class_probs)[..., None, :]  # (..., 1, r)
+        out = np.empty(np.broadcast_shapes(cp.shape, X.shape[:-1] + (1,)))
+        out[...] = cp
+        for i, (spec, block) in enumerate(zip(params.schema.features, params.feature_params)):
+            col = X[..., i, None]  # (..., m, 1)
             if isinstance(spec, Discrete):
-                tables = np.log(np.stack([p.feature_params[i] for p in params_list]))  # (K, r, c)
-                codes = col.astype(np.int64) - 1
-                out += tables[:, :, codes].transpose(0, 2, 1)
+                tables = np.log(np.swapaxes(block, -1, -2))  # (..., c, r)
+                out += np.take_along_axis(tables, col.astype(np.int64) - 1, axis=-2)
             else:
-                block = np.stack([p.feature_params[i] for p in params_list])  # (K, r, 2)
-                mu = block[:, None, :, 0]
-                var = block[:, None, :, 1]
-                diff = col[None, :, None] - mu
+                mu = block[..., None, :, 0]
+                var = block[..., None, :, 1]
+                diff = col - mu
                 out += -0.5 * (diff * diff / var + np.log(var) + _LOG_2PI)
     return out
 
@@ -291,7 +286,7 @@ def _softmax_last(logp: np.ndarray) -> np.ndarray:
 
 def _posterior(params: NBParams, X: np.ndarray) -> np.ndarray:
     """posterior_matrix of an already validated X."""
-    return _softmax_last(_log_joint_many([params], X)[0])
+    return _softmax_last(_log_joint(params, X))
 
 
 def posterior_matrix(params: NBParams, X) -> np.ndarray:
@@ -311,7 +306,7 @@ def predict_matrix(params: NBParams, X) -> np.ndarray:
     """Most probable class per row, ties resolved to the lowest index."""
     X = np.asarray(X, dtype=np.float64)
     validate_instances(params.schema, X)
-    return np.argmax(_log_joint_many([params], X)[0], axis=-1).astype(np.int64) + 1
+    return np.argmax(_log_joint(params, X), axis=-1).astype(np.int64) + 1
 
 
 def predict(params: NBParams, x) -> int:
@@ -326,19 +321,20 @@ def param_map(stats: StatsVector) -> NBParams:
     least COUNT_FLOOR.  Variances are floored at VAR_FLOOR.
     """
     fm = _feature_map(stats.schema)
-    S = stats.values[fm.index]  # (r, w) per-class rows
-    if S[:, fm.counts].min() < COUNT_FLOOR:
+    S = stats.values[..., fm.index]  # (..., r, w) per-class rows
+    if S[..., fm.counts].min() < COUNT_FLOOR:
         raise ValueError("statistics below the count floor; project before mapping to parameters")
     # Parameters take the columns of the statistics they come from.
     theta = np.empty_like(S)
-    cells = S[:, fm.onehot]
-    theta[:, fm.onehot] = cells / (cells @ fm.same_feature)
-    s0, s1, s2 = S[:, fm.x0], S[:, fm.x1], S[:, fm.x2]
+    cells = S[..., fm.onehot]
+    theta[..., fm.onehot] = cells / (cells @ fm.same_feature)
+    s0, s1, s2 = S[..., fm.x0], S[..., fm.x1], S[..., fm.x2]
     mu = s1 / s0
-    theta[:, fm.x1] = mu
-    theta[:, fm.x2] = np.maximum(s2 / s0 - mu * mu, VAR_FLOOR)
-    cls = S[:, 0]
-    return NBParams(stats.schema, cls / cls.sum(), tuple(theta.take(c, axis=1) for c in fm.param_cols))
+    theta[..., fm.x1] = mu
+    theta[..., fm.x2] = np.maximum(s2 / s0 - mu * mu, VAR_FLOOR)
+    cls = S[..., 0]
+    probs = cls / cls.sum(axis=-1, keepdims=True)
+    return NBParams(stats.schema, probs, tuple(theta.take(c, axis=-1) for c in fm.param_cols))
 
 
 def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
@@ -387,7 +383,9 @@ def evaluate_many(params_list, dataset: Dataset) -> tuple[np.ndarray, np.ndarray
     rows = np.arange(dataset.m)
     for lo in range(0, len(params_list), _EVAL_CHUNK):
         chunk = params_list[lo : lo + _EVAL_CHUNK]
-        logj = _log_joint_many(chunk, dataset.X)  # (K, m, r)
+        batch = NBParams(dataset.schema, np.stack([p.class_probs for p in chunk]),
+                         tuple(map(np.stack, zip(*(p.feature_params for p in chunk)))))
+        logj = _log_joint(batch, dataset.X[None])  # (K, m, r)
         pred = logj.argmax(axis=-1)
         err01[lo : lo + len(chunk)] = (pred != y0[None, :]).mean(axis=1)
         post = _softmax_last(logj)

@@ -75,16 +75,20 @@ def add_random_edges(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
     """Add k distinct absent edges chosen uniformly at random."""
     if k < 0:
         raise ValueError(f"edge count must be nonnegative, got {k}")
-    absent = sorted(
-        (u, v)
-        for u in range(1, graph.n + 1)
-        for v in range(u + 1, graph.n + 1)
-        if (u, v) not in graph.edges
-    )
-    if k > len(absent):
-        raise ValueError(f"cannot add {k} edges, only {len(absent)} absent")
-    picked = rng.choice(len(absent), size=k, replace=False)
-    return Graph(graph.n, graph.edges | {absent[int(i)] for i in picked})
+    n = graph.n
+    # Pick i is the i-th absent pair in lexicographic order, found by rank arithmetic
+    # without listing the absent pairs: 0-based (u, v) has rank row_start[u] + v - u - 1.
+    row_start = np.arange(n) * (2 * n - np.arange(n) - 1) // 2
+    u, v = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2).T - 1
+    present = np.sort(row_start[u] + v - u - 1)
+    absent = n * (n - 1) // 2 - len(present)
+    if k > absent:
+        raise ValueError(f"cannot add {k} edges, only {absent} absent")
+    picked = rng.choice(absent, size=k, replace=False)
+    # present[j] - j absent ranks lie below present[j]: skip those with at most i.
+    rank = picked + np.searchsorted(present - np.arange(len(present)), picked, side="right")
+    a = np.searchsorted(row_start, rank, side="right") - 1
+    return Graph(n, graph.edges | set(zip((a + 1).tolist(), (rank - row_start[a] + a + 2).tolist())))
 
 
 def neighbors(graph: Graph, v: int, mode: str = "open") -> set[int]:
@@ -97,15 +101,6 @@ def neighbors(graph: Graph, v: int, mode: str = "open") -> set[int]:
     if mode == "closed":
         out.add(v)
     return out
-
-
-def adjacency(graph: Graph) -> dict[int, list[int]]:
-    """Sorted open neighbor lists for every node."""
-    adj: dict[int, list[int]] = {v: [] for v in range(1, graph.n + 1)}
-    for u, v in graph.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return {v: sorted(nbrs) for v, nbrs in adj.items()}
 
 
 def _parse_topology(spec: str) -> tuple[str, int | None]:

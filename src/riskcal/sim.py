@@ -3,9 +3,12 @@
 Every node starts from the same uniform statistics of mass m0.  One
 round is, for every node simultaneously: average the statistics of the
 neighborhood as of the previous round (synchronous barrier), then
-calibrate the average against the node's local data.  Per-round metrics
-compare the node models with centralized baselines trained on the
-pooled sample.
+calibrate the average against the node's local data.  The network state
+is one (n, len) array of statistics, so a round is one neighborhood
+average of the whole array plus one ``lrc`` call per group of nodes of
+one local size, their datasets stacked along a leading node axis.
+Per-round metrics compare the node models with centralized baselines
+trained on the pooled sample.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .model import (
     stat_map_dataset,
     uniform_init,
 )
-from .network import Graph, RewireSchedule, adjacency, rewire
+from .network import Graph, RewireSchedule, rewire
 
 
 def m0_heuristic(m: float, lr: float, n: int) -> float:
@@ -143,15 +146,18 @@ class CRCResult:
     aggregates: list[list[StatsVector]] | None
 
 
-def _neighbor_index(graph: Graph, neighborhood: str) -> list[np.ndarray]:
-    adj = adjacency(graph)
-    index = []
-    for v in range(1, graph.n + 1):
-        ids = adj[v] if neighborhood == "open" else sorted(adj[v] + [v])
-        if not ids:
-            raise ValueError(f"node {v} has no neighbors; open aggregation is undefined")
-        index.append(np.asarray(ids, dtype=np.int64) - 1)
-    return index
+def _average(S: np.ndarray, graph: Graph, neighborhood: str) -> np.ndarray:
+    """Neighborhood means of the node rows of S, neighbors summed in increasing id order."""
+    u, v = np.array(sorted(graph.edges), dtype=np.int64).reshape(-1, 2).T - 1
+    total, degree = np.zeros_like(S), np.bincount(np.r_[u, v], minlength=graph.n)
+    np.add.at(total, v, S[u])  # lower neighbors: edges are sorted by (u, v)
+    if neighborhood == "closed":
+        total += S
+        degree += 1
+    np.add.at(total, u, S[v])  # higher neighbors
+    for lonely in np.flatnonzero(degree == 0)[:1]:
+        raise ValueError(f"node {lonely + 1} has no neighbors; open aggregation is undefined")
+    return total / degree[:, None]
 
 
 def run_crc(
@@ -176,8 +182,7 @@ def run_crc(
     ``global_test`` are given, metrics are recorded every round,
     compared against ``baseline`` (one (train_err, test_err) pair per
     round) when supplied.  ``workers`` is checked but otherwise ignored:
-    nodes are updated one after another, since a thread pool measured
-    slower than the serial loop.
+    a round is whole-network array operations, not per-node tasks.
     """
     n = len(local_datasets)
     if n < 1:
@@ -201,31 +206,34 @@ def run_crc(
     if rng is None:
         rng = np.random.default_rng(0)
     graph = schedule.initial(n, rng)
-    nbr_index = _neighbor_index(graph, neighborhood)
 
-    init = uniform_init(schema, m0)
-    states = [
-        NodeState(v + 1, ds, init.copy(), param_map(project(init)))
-        for v, ds in enumerate(local_datasets)
+    # Nodes of one local size calibrate together, against their datasets stacked.
+    sizes = np.array([ds.m for ds in local_datasets])
+    groups = [np.flatnonzero(sizes == m) for m in sorted(set(sizes.tolist()))]
+    stacked = [
+        Dataset(schema, np.stack([local_datasets[v].X for v in g]), np.stack([local_datasets[v].y for v in g]))
+        for g in groups
     ]
-    S = np.stack([st.stats.values for st in states])  # (n, len)
+    S = np.tile(uniform_init(schema, m0).values, (n, 1))  # (n, len), node v in row v - 1
 
     metrics: list[RoundMetrics] = []
     aggregates: list[list[StatsVector]] | None = [] if record_aggregates else None
 
     for t in range(1, t_max + 1):
-        new_graph = rewire(schedule, t, graph, rng)
-        if new_graph is not graph:
-            graph = new_graph
-            nbr_index = _neighbor_index(graph, neighborhood)
-        aggs = [StatsVector(schema, S[idx].mean(axis=0)) for idx in nbr_index]
-        states = []
-        for v, (ds, agg) in enumerate(zip(local_datasets, aggs)):
-            params, stats = lrc(agg, ds, iterations)
-            states.append(NodeState(v + 1, ds, stats, params))
-        S = np.stack([st.stats.values for st in states])
+        graph = rewire(schedule, t, graph, rng)
+        agg = _average(S, graph, neighborhood)
+        S = np.empty_like(agg)  # a fresh array: earlier states keep their values
+        for g, ds in zip(groups, stacked):
+            S[g] = lrc(StatsVector(schema, agg[g]), ds, iterations)[1].values
         if aggregates is not None:
-            aggregates.append(aggs)
+            aggregates.append([StatsVector(schema, a) for a in agg])
+        if evaluating or t == t_max:
+            P = param_map(StatsVector(schema, S))  # node v + 1's model: row v of every array
+            states = [
+                NodeState(v + 1, ds, StatsVector(schema, S[v]),
+                          NBParams(schema, P.class_probs[v], tuple(b[v] for b in P.feature_params)))
+                for v, ds in enumerate(local_datasets)
+            ]
         if evaluating:
             per_round = baseline[t - 1] if baseline is not None else None
             metrics.append(evaluate_round(states, global_train, global_test, per_round, t))

@@ -169,6 +169,17 @@ def test_dataset_validation():
         Dataset(three, [[0.5, 1, 0], [0.5, 2.5, 1]], [1, 2])
     with pytest.raises(DataError, match=r"^feature 1: non-integral code"):
         Dataset(three, [[0.5, 3.5, 1], [0.5, 0, 1]], [1, 2])
+    # n same-size datasets stacked on a leading axis
+    stacked = Dataset(schema, [[[1, 0.5], [3, -2.0]], [[2, 0.0], [1, 1.0]]], [[1, 2], [2, 2]])
+    assert stacked.m == 2
+    with pytest.raises(DataError, match=r"^feature 0: code outside 1\.\.3$"):
+        Dataset(schema, [[[1, 0.5]], [[4, 0.5]]], [[1], [1]])
+    with pytest.raises(DataError, match="labels shape"):
+        Dataset(schema, [[[1, 0.5]], [[2, 0.5]]], [1, 1])
+    # a continuous value whose square overflows would turn the statistics into inf/nan
+    Dataset(schema, [[1, 1e154], [2, -1e154]], [1, 2])
+    with pytest.raises(DataError, match=r"^feature 1: value too large"):
+        Dataset(schema, [[1, 0.5], [2, -2e154]], [1, 2])
 
 
 def test_subset_picks_rows():

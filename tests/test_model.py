@@ -320,6 +320,27 @@ def test_evaluate_many_matches_singles_across_chunks():
         assert abs(soft[k] - s) < 1e-13 * max(s, 1.0)
 
 
+def test_leading_node_axis_matches_per_node_calls():
+    # n same-size datasets stacked on a leading axis run through the same functions.
+    rng = np.random.default_rng(11)
+    schema = mixed_schema(3)
+    parts = [random_dataset(schema, 25, rng) for _ in range(4)]
+    stacked = Dataset(schema, np.stack([d.X for d in parts]), np.stack([d.y for d in parts]))
+    assert stacked.m == 25
+    labelled = stat_map_dataset(stacked)
+    stats = StatsVector(schema, labelled.values + uniform_init(schema, 5.0).values)
+    params = param_map(stats)
+    expected = prob_stat_map(stacked.X, params)
+    for v, ds in enumerate(parts):
+        single = StatsVector(schema, stats.values[v])
+        assert np.array_equal(stats.feature_block(1)[v], single.feature_block(1))
+        np.testing.assert_allclose(labelled.values[v], stat_map_dataset(ds).values, rtol=1e-13)
+        p = param_map(single)
+        for got, want in zip([params.class_probs, *params.feature_params], [p.class_probs, *p.feature_params]):
+            np.testing.assert_allclose(got[v], want, rtol=1e-13)
+        np.testing.assert_allclose(expected.values[v], prob_stat_map(ds.X, p).values, rtol=1e-13)
+
+
 def test_to_text_full_precision():
     rng = np.random.default_rng(10)
     ds = random_dataset(mixed_schema(), 30, rng)

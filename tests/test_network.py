@@ -9,7 +9,6 @@ from riskcal.network import (
     Graph,
     RewireSchedule,
     add_random_edges,
-    adjacency,
     build_topology,
     chain,
     full_graph,
@@ -70,6 +69,29 @@ def test_add_random_edges():
         add_random_edges(full_graph(5), 1, np.random.default_rng(0))
 
 
+def test_add_random_edges_matches_absent_pair_enumeration():
+    # Reference: list every absent pair in lexicographic order, index it by the same draw.
+    def enumerated(graph, k, rng):
+        absent = sorted(
+            (u, v) for u in range(1, graph.n + 1) for v in range(u + 1, graph.n + 1)
+            if (u, v) not in graph.edges
+        )
+        picked = rng.choice(len(absent), size=k, replace=False)
+        return graph.edges | {absent[int(i)] for i in picked}
+
+    for n in (2, 3, 5, 8, 13, 21):
+        for seed in range(4):
+            base = random_tree(n, np.random.default_rng(seed))
+            free = n * (n - 1) // 2 - (n - 1)
+            for k in sorted({0, min(1, free), free // 2, free}):
+                got = add_random_edges(base, k, np.random.default_rng(seed + 50))
+                assert got.edges == enumerated(base, k, np.random.default_rng(seed + 50))
+    dense = add_random_edges(chain(9), 20, np.random.default_rng(1))
+    assert dense.edges == enumerated(chain(9), 20, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        add_random_edges(chain(3), -1, np.random.default_rng(0))
+
+
 def test_neighbors_open_and_closed():
     g = chain(4)
     assert neighbors(g, 2, "open") == {1, 3}
@@ -81,12 +103,6 @@ def test_neighbors_open_and_closed():
         neighbors(g, 5, "open")
     with pytest.raises(ValueError):
         neighbors(g, 1, "semi")
-
-
-def test_adjacency_sorted():
-    g = Graph(4, frozenset({(1, 4), (1, 2), (2, 4)}))
-    adj = adjacency(g)
-    assert adj == {1: [2, 4], 2: [1, 4], 3: [], 4: [1, 2]}
 
 
 def test_build_topology_variants():

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import mixed_schema, random_dataset
-from riskcal.calibration import rc
+from riskcal.calibration import lrc, rc
 from riskcal.data import Continuous, Dataset, FeatureSchema
-from riskcal.model import NBParams, param_map, stat_map_dataset, uniform_init
-from riskcal.network import RewireSchedule, chain, full_graph
+from riskcal.model import NBParams, StatsVector, param_map, stat_map_dataset, uniform_init
+from riskcal.network import RewireSchedule, chain, full_graph, neighbors, rewire
 from riskcal.sim import (
     METRICS_COLUMNS,
     NodeState,
@@ -128,6 +128,39 @@ def test_rewiring_changes_the_run():
         for a, b in zip(static.states, dynamic.states)
     ]
     assert max(diffs) > 0
+
+
+def test_rounds_match_a_per_node_reference_loop():
+    # Reference: every node averages its neighborhood and calibrates, one node at a time.
+    schema = mixed_schema(3)
+    rng = np.random.default_rng(13)
+    locals_ = [random_dataset(schema, m, rng) for m in (12, 20, 12, 15, 20, 12, 9, 15)]
+    n, m0, t_max, iterations = len(locals_), 150.0, 5, 2
+    schedule = RewireSchedule("tree+3", period=2)
+    for neighborhood in ("open", "closed"):
+        res = run_crc(
+            locals_, schedule, m0=m0, t_max=t_max, iterations=iterations,
+            neighborhood=neighborhood, rng=np.random.default_rng(14), record_aggregates=True,
+        )
+        graph_rng = np.random.default_rng(14)
+        graph = schedule.initial(n, graph_rng)
+        graphs = {graph.edges}
+        stats = [uniform_init(schema, m0)] * n
+        for t in range(1, t_max + 1):
+            graph = rewire(schedule, t, graph, graph_rng)
+            graphs.add(graph.edges)
+            aggs = [
+                np.mean([stats[u - 1].values for u in sorted(neighbors(graph, v, neighborhood))], axis=0)
+                for v in range(1, n + 1)
+            ]
+            stats = [lrc(StatsVector(schema, a), ds, iterations)[1] for a, ds in zip(aggs, locals_)]
+            for got, want in zip(res.aggregates[t - 1], aggs):
+                np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0)
+        assert len(graphs) == 3  # rewired at rounds 2 and 4
+        for st, want in zip(res.states, stats):
+            assert st.stats.values.shape == want.values.shape and isinstance(st.stats.ess, float)
+            np.testing.assert_allclose(st.stats.values, want.values, rtol=1e-12, atol=0)
+            assert max_rel_dev(st.params, param_map(want)) < 1e-12
 
 
 def test_evaluate_round_hand_example():
