@@ -9,12 +9,11 @@ applies the full step, with the aggregated mass acting as inertia.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_table
 from .model import (
     COUNT_FLOOR,
     VAR_FLOOR,
@@ -92,11 +91,7 @@ class RCTrace:
         return self.records[-1]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "soft_err", "err01"])
-            for rec in self.records:
-                writer.writerow([rec.t, repr(rec.soft_err), repr(rec.err01)])
+        write_table(path, ["t", "soft_err", "err01"], ((r.t, r.soft_err, r.err01) for r in self.records))
 
 
 def rc(dataset: Dataset, lr: float, t_max: int, init: StatsVector) -> RCTrace:

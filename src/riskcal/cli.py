@@ -16,7 +16,6 @@ falling back to the RISKCAL_OUTDIR environment variable, then ".".
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import re
 import sys
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, infer_schema, load_csv, train_test_split, write_csv
+from .data import DataError, infer_schema, load_csv, train_test_split, write_csv, write_table
 from .model import evaluate, evaluate_many
 from .network import RewireSchedule, build_topology, write_edge_list
 from .partition import SPLITTERS, global_sample, local_datasets
@@ -286,14 +285,6 @@ def _run_repetition(cfg: ExperimentConfig, full, rep: int):
     return result, rc_trace, plan, baselines
 
 
-def _write_baselines_csv(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "train_err01", "test_err01"])
-        for name, tr, te in rows:
-            writer.writerow([name, repr(float(tr)), repr(float(te))])
-
-
 def _aggregate_rows(per_rep: list[list[RoundMetrics]]) -> list[list[float]]:
     data = np.array([[rm.as_row() for rm in rep] for rep in per_rep], dtype=np.float64)
     mean = data.mean(axis=0)  # (t_max, columns); column 0 is t itself
@@ -332,7 +323,7 @@ def run_experiment(cfg: ExperimentConfig, outdir=".") -> ExperimentResult:
         plan_path = outdir / f"{stem}_rep{rep}_plan.csv"
         plan.to_csv(plan_path)
         base_path = outdir / f"{stem}_rep{rep}_baselines.csv"
-        _write_baselines_csv(baselines, base_path)
+        write_table(base_path, ["model", "train_err01", "test_err01"], baselines)
         params_path = outdir / f"{stem}_rep{rep}_params.txt"
         with open(params_path, "w", encoding="utf-8") as fh:
             for st in result.states:
@@ -342,7 +333,7 @@ def run_experiment(cfg: ExperimentConfig, outdir=".") -> ExperimentResult:
 
     agg_rows = _aggregate_rows(per_rep_metrics)
     agg_path = outdir / f"{stem}_aggregate.csv"
-    write_metrics_csv(agg_rows, agg_path)
+    write_table(agg_path, METRICS_COLUMNS, agg_rows)
     cfg_path = outdir / f"{stem}_config.txt"
     cfg_path.write_text(config_to_text(cfg), encoding="utf-8")
     paths.extend([agg_path, cfg_path])
@@ -374,11 +365,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[str], outdir=".") -> Pa
         result = run_experiment(variant, outdir)
         rows.append([axis, text] + result.aggregate[-1])
     path = outdir / f"sweep_{axis}_{config_stem(cfg)}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "value", *METRICS_COLUMNS])
-        for row in rows:
-            writer.writerow(row[:2] + [row[2]] + [repr(float(v)) for v in row[3:]])
+    write_table(path, ["axis", "value", *METRICS_COLUMNS], rows)
     return path
 
 

@@ -177,46 +177,41 @@ def _parse_floats(tokens: tuple[str, ...]) -> list[float] | None:
         return None
 
 
-def _encode_categories(tokens, ordered_values, name: str) -> np.ndarray:
-    code = {v: k + 1 for k, v in enumerate(ordered_values)}
-    return np.array([code[t] for t in tokens], dtype=np.float64)
+def _parse_column(tokens: tuple[str, ...], name: str) -> tuple[list, set, bool]:
+    """Cells as finite floats if all parse, else as strings; their distinct values; whether numeric."""
+    values = _parse_floats(tokens)
+    if values is None:
+        return list(tokens), set(tokens), False
+    if not np.isfinite(values).all():
+        raise DataError(f"column {name!r}: non-finite value")
+    return values, set(values), True
+
+
+def _encode_categories(values: list, distinct: set) -> np.ndarray:
+    # Codes 1..k follow the sorted distinct values: numeric order for numbers.
+    code = {v: k + 1 for k, v in enumerate(sorted(distinct))}
+    return np.array([code[v] for v in values], dtype=np.float64)
 
 
 def _encode_label_column(tokens: tuple[str, ...], name: str) -> tuple[np.ndarray, int]:
-    values = _parse_floats(tokens)
-    if values is not None:
-        if not all(np.isfinite(values)):
-            raise DataError(f"column {name!r}: non-finite value")
-        distinct = sorted(set(values))
-        codes = _encode_categories(values, distinct, name)
-    else:
-        distinct = sorted(set(tokens))
-        codes = _encode_categories(tokens, distinct, name)
+    values, distinct, _ = _parse_column(tokens, name)
     if len(distinct) < 2:
         raise DataError(f"label column {name!r} has a single distinct value")
-    return codes.astype(np.int64), len(distinct)
+    return _encode_categories(values, distinct).astype(np.int64), len(distinct)
 
 
 def _encode_feature_column(tokens: tuple[str, ...], name: str) -> tuple[FeatureSpec, np.ndarray]:
-    values = _parse_floats(tokens)
-    if values is not None:
-        if not all(np.isfinite(values)):
-            raise DataError(f"column {name!r}: non-finite value")
-        distinct = sorted(set(values))
-        if len(distinct) == 1:
-            raise DataError(f"column {name!r} is constant; constant features are not supported")
-        if len(distinct) <= DISCRETE_LIMIT:
-            return Discrete(len(distinct)), _encode_categories(values, distinct, name)
-        return Continuous(), np.array(values, dtype=np.float64)
-    distinct = sorted(set(tokens))
+    values, distinct, numeric = _parse_column(tokens, name)
     if len(distinct) == 1:
         raise DataError(f"column {name!r} is constant; constant features are not supported")
-    if len(distinct) > DISCRETE_LIMIT:
+    if len(distinct) <= DISCRETE_LIMIT:
+        return Discrete(len(distinct)), _encode_categories(values, distinct)
+    if not numeric:
         raise DataError(
             f"column {name!r}: non-numeric value in a column with more than "
             f"{DISCRETE_LIMIT} distinct values (would be continuous)"
         )
-    return Discrete(len(distinct)), _encode_categories(tokens, distinct, name)
+    return Continuous(), np.array(values, dtype=np.float64)
 
 
 def infer_schema(table: RawTable) -> tuple[FeatureSchema, Dataset]:
@@ -267,6 +262,19 @@ def dataset_from_table(table: RawTable, schema: FeatureSchema) -> Dataset:
     return Dataset(schema, X, y.astype(np.int64))
 
 
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: the one place the package's CSV byte format is set.
+
+    Float cells, numpy float64 included, are written as ``repr(float(c))``,
+    full precision that reads back exactly; every other cell as the csv
+    module writes it (``str``).  UTF-8 with CRLF line ends.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows)
+
+
 def write_csv(dataset: Dataset, path) -> None:
     """Write a dataset as CSV: features f1..fd, label column 'y' last.
 
@@ -275,16 +283,11 @@ def write_csv(dataset: Dataset, path) -> None:
     the same schema via :func:`dataset_from_table`.
     """
     header = [f"f{i + 1}" for i in range(dataset.schema.d)] + ["y"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(dataset.m):
-            row = []
-            for i, spec in enumerate(dataset.schema.features):
-                v = dataset.X[k, i]
-                row.append(str(int(v)) if isinstance(spec, Discrete) else repr(float(v)))
-            row.append(str(int(dataset.y[k])))
-            writer.writerow(row)
+    columns = [
+        (dataset.X[:, i].astype(np.int64) if isinstance(spec, Discrete) else dataset.X[:, i]).tolist()
+        for i, spec in enumerate(dataset.schema.features)
+    ]
+    write_table(path, header, zip(*columns, dataset.y.tolist()))
 
 
 def train_test_split(

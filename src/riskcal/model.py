@@ -317,11 +317,13 @@ def predict(params: NBParams, x) -> int:
 def param_map(stats: StatsVector) -> NBParams:
     """Closed-form maximum likelihood parameters from statistics.
 
-    Requires projected statistics: every count and zeroth moment at
-    least COUNT_FLOOR.  Variances are floored at VAR_FLOOR.
+    Requires finite, projected statistics: every count and zeroth moment
+    at least COUNT_FLOOR.  Variances are floored at VAR_FLOOR.
     """
     fm = _feature_map(stats.schema)
     S = stats.values[..., fm.index]  # (..., r, w) per-class rows
+    if not np.isfinite(S).all():
+        raise ValueError("statistics are not all finite; feature sums overflowed or a value is nan")
     if S[..., fm.counts].min() < COUNT_FLOOR:
         raise ValueError("statistics below the count floor; project before mapping to parameters")
     # Parameters take the columns of the statistics they come from.

@@ -13,12 +13,11 @@ skew what each node sees:
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_table
 
 PARTITION_MODES = ("iid", "drift_x", "drift_y", "drift_xy")
 
@@ -47,12 +46,8 @@ class PartitionPlan:
 
     def to_csv(self, path) -> None:
         """Audit dump: one (node, global_index) row per assigned instance."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node", "global_index"])
-            for v, block in enumerate(self.assignment, start=1):
-                for g in block:
-                    writer.writerow([v, g])
+        rows = ((v, g) for v, block in enumerate(self.assignment, start=1) for g in block)
+        write_table(path, ["node", "global_index"], rows)
 
 
 def local_datasets(dataset: Dataset, plan: PartitionPlan) -> list[Dataset]:

@@ -12,14 +12,13 @@ trained on the pooled sample.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import nan
 
 import numpy as np
 
 from .calibration import RCTrace, lrc, project, rc
-from .data import Dataset
+from .data import Dataset, write_table
 from .model import (
     NBParams,
     StatsVector,
@@ -94,12 +93,7 @@ class RoundMetrics:
 
 def write_metrics_csv(metrics, path) -> None:
     """Metrics rows with full-precision floats; identical runs write identical bytes."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        for rm in metrics:
-            row = rm.as_row() if isinstance(rm, RoundMetrics) else list(rm)
-            writer.writerow([row[0]] + [repr(float(v)) for v in row[1:]])
+    write_table(path, METRICS_COLUMNS, (rm.as_row() for rm in metrics))
 
 
 def evaluate_round(
@@ -178,8 +172,8 @@ def run_crc(
     """Run t_max collaborative calibration rounds.
 
     ``schedule`` provides the (possibly rewired) communication graph;
-    ``rng`` drives its randomness.  When ``global_train`` and
-    ``global_test`` are given, metrics are recorded every round,
+    ``rng`` drives its randomness.  ``global_train`` and ``global_test``
+    come together or not at all; given, metrics are recorded every round,
     compared against ``baseline`` (one (train_err, test_err) pair per
     round) when supplied.  ``workers`` is checked but otherwise ignored:
     a round is whole-network array operations, not per-node tasks.
@@ -201,7 +195,9 @@ def run_crc(
             raise ValueError("empty local dataset")
     if baseline is not None and len(baseline) < t_max:
         raise ValueError(f"baseline has {len(baseline)} rounds, need {t_max}")
-    evaluating = global_train is not None and global_test is not None
+    evaluating = global_train is not None
+    if evaluating != (global_test is not None):
+        raise ValueError("give both global_train and global_test, or neither")
 
     if rng is None:
         rng = np.random.default_rng(0)

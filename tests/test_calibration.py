@@ -157,6 +157,10 @@ def test_rc_validates_arguments():
         rc(ds, 0.05, 0, init)
     with pytest.raises(ValueError):
         rc(ds, 0.0, 5, init)
+    # Valid instances whose per-class sums of x^2 overflow.
+    huge = Dataset(FeatureSchema((Continuous(),), 2), np.full((400, 1), 1e153), np.repeat([1, 2], 200))
+    with pytest.raises(ValueError, match="not all finite"):
+        rc(huge, 0.05, 3, uniform_init(huge.schema, 400.0))
 
 
 def test_rc_trace_csv(tmp_path):

@@ -1,6 +1,8 @@
 """Config parsing, experiment artifacts and the command line."""
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,18 @@ def gen_dataset(tmp_path, m=900, kind="blobs", seed=0):
                "--out", str(out)])
     assert rc == 0
     return out
+
+
+def assert_cells_exact(path):
+    """Every numeric cell of a written CSV is an integer literal or a float at repr precision."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for cell in (c for row in rows for c in row):
+        try:
+            value = float(cell)
+        except ValueError:
+            continue  # a text cell such as a model or axis name
+        assert cell.lstrip("-").isdigit() or repr(value) == cell, (path.name, cell)
 
 
 def tiny_config(tmp_path, **extra):
@@ -172,6 +186,12 @@ def test_run_experiment_artifacts(tmp_path):
     agg_last = [float(x) for x in agg[-1].split(",")]
     want = np.mean(rep_rows, axis=0)
     assert np.allclose(agg_last, want, rtol=1e-12, atol=1e-15)
+    baselines = (outdir / f"{stem}_rep0_baselines.csv").read_text().splitlines()
+    assert baselines[0] == "model,train_err01,test_err01"
+    assert [line.split(",")[0] for line in baselines[1:]] == ["ml", "rc"]
+    for p in result.paths:
+        if p.suffix == ".csv":
+            assert_cells_exact(p)
     # config echo parses back to the exact configuration
     assert parse_config(outdir / f"{stem}_config.txt", {}) == cfg
 
@@ -194,6 +214,16 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert "final round" in captured.out
 
     rc = main(["run", "--dataset", str(tmp_path / "missing.csv"), "--outdir", str(out)])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+    # Every value is below the validation bound, but sums of x^2 overflow.
+    huge = tmp_path / "huge.csv"
+    huge.write_text("x,y\n" + "".join(f"{1e154 + k * 5e150!r},{k % 2 + 1}\n" for k in range(400)))
+    rc = main([
+        "run", "--dataset", str(huge), "--n", "4", "--m_v", "50", "--t_max", "2",
+        "--repetitions", "1", "--test_size", "100", "--outdir", str(out),
+    ])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 
@@ -233,6 +263,8 @@ def test_sweep_summary(tmp_path):
     assert len(lines) == 3
     assert lines[1].split(",")[:2] == ["iter", "1"]
     assert lines[2].split(",")[:2] == ["iter", "2"]
+    for p in out.glob("*.csv"):
+        assert_cells_exact(p)
 
 
 def test_sweep_fragmentation_keeps_total(tmp_path):

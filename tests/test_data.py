@@ -16,6 +16,7 @@ from riskcal.data import (
     load_csv,
     train_test_split,
     write_csv,
+    write_table,
 )
 
 
@@ -132,6 +133,17 @@ def test_infer_schema_non_finite_rejected(tmp_path):
     p = write(tmp_path, "f,y\nnan,a\n2.5,b\n1.0,a\n" + "\n".join(f"{v}.5,b" for v in range(12)) + "\n")
     with pytest.raises(DataError, match="non-finite"):
         infer_schema(load_csv(p, "y"))
+    # Non-finite is reported before constant, for features and labels alike.
+    for text in ("f,y\nnan,a\nnan,b\n", "f,y\n1,inf\n2,inf\n"):
+        with pytest.raises(DataError, match="non-finite"):
+            infer_schema(load_csv(write(tmp_path, text), "y"))
+
+
+def test_write_table_cell_format(tmp_path):
+    p = tmp_path / "table.csv"
+    rows = [[3, np.int64(-4), "ml", 0.25, np.float64(0.1), float("nan")], (1, 2, "a b", -0.0, 1e-300, 2.0)]
+    write_table(p, ["i", "i64", "s", "f", "f64", "nan"], rows)
+    assert p.read_bytes() == b"i,i64,s,f,f64,nan\r\n3,-4,ml,0.25,0.1,nan\r\n1,2,a b,-0.0,1e-300,2.0\r\n"
 
 
 def test_round_trip_write_load(tmp_path):

@@ -13,6 +13,7 @@ from conftest import (
     random_params,
     scalar_posterior,
 )
+from riskcal.calibration import project
 from riskcal.data import Continuous, Dataset, Discrete, FeatureSchema
 from riskcal.model import (
     COUNT_FLOOR,
@@ -162,6 +163,21 @@ def test_param_map_rejects_unprojected():
     s.feature_block(1)[:, 0] = 1.0
     with pytest.raises(ValueError, match="project"):
         param_map(s)
+
+
+def test_param_map_rejects_non_finite_statistics():
+    # Every value passes validation, but the per-class sums of x^2 overflow.
+    schema = FeatureSchema((Continuous(),), 2)
+    ds = Dataset(schema, np.full((400, 1), 1e153), np.repeat([1, 2], 200))
+    with pytest.raises(ValueError, match="not all finite"):
+        param_map(project(stat_map_dataset(ds)))
+    nan_count = uniform_init(TINY_SCHEMA, 10.0)
+    nan_count.class_block[0] = np.nan  # nan < COUNT_FLOOR is False
+    inf_square = uniform_init(TINY_SCHEMA, 10.0)
+    inf_square.feature_block(1)[0, 2] = np.inf
+    for s in (nan_count, inf_square):
+        with pytest.raises(ValueError, match="not all finite"):
+            param_map(s)
 
 
 def test_param_map_scaling_invariance():

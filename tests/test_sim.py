@@ -228,6 +228,9 @@ def test_run_crc_validation():
     with pytest.raises(ValueError, match="baseline"):
         run_crc(locals_, sched, m0=10.0, t_max=3, baseline=[(0.1, 0.1)],
                 global_train=locals_[0], global_test=locals_[1])
+    for pooled in ({"global_train": locals_[0]}, {"global_test": locals_[1]}):
+        with pytest.raises(ValueError, match="both global_train and global_test"):
+            run_crc(locals_, sched, m0=10.0, t_max=2, **pooled)
 
 
 def test_run_baseline_ml_matches_hand_computation():
