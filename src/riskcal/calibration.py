@@ -39,8 +39,10 @@ def project(stats: StatsVector) -> StatsVector:
     S = stats.values[..., fm.index]  # (..., r, w) per-class rows, a copy
     np.maximum(S, COUNT_FLOOR, out=S, where=fm.counts)
     s0, s1 = S[..., fm.x0], S[..., fm.x1]
-    # var >= VAR_FLOOR  <=>  s2 >= s0 * VAR_FLOOR + s1^2 / s0
-    S[..., fm.x2] = np.maximum(S[..., fm.x2], s0 * VAR_FLOOR + s1**2 / s0)
+    # var >= VAR_FLOOR  <=>  s2 >= s0 * VAR_FLOOR + s1^2 / s0.  s1^2 can overflow
+    # where s2 did not; the inf it leaves is refused by param_map.
+    with np.errstate(over="ignore"):
+        S[..., fm.x2] = np.maximum(S[..., fm.x2], s0 * VAR_FLOOR + s1**2 / s0)
     return StatsVector(stats.schema, fm.flat(S))
 
 

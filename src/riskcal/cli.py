@@ -4,9 +4,9 @@ Subcommands:
 
 * ``run``       collaborative calibration experiment from a config file
 * ``sweep``     repeat ``run`` along one config axis, summarizing final rounds
-* ``baseline``  centralized reference models only (rc or ml)
+* ``baseline``  centralized reference model of repetition 0 only (rc or ml)
 * ``gengraph``  write a communication graph as an edge list
-* ``gendata``   write a synthetic dataset as CSV
+* ``gendata``   write a synthetic dataset as CSV, one per ``synth.GENERATORS`` kind
 
 Configuration is a flat text file of ``key = value`` lines; ``#`` starts
 a comment line.  Every key can also be given as a command line flag of
@@ -24,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, infer_schema, load_csv, train_test_split, write_csv, write_table
+from .data import DataError, Dataset, infer_schema, load_csv, train_test_split, write_csv, write_table
 from .model import evaluate, evaluate_many
-from .network import RewireSchedule, build_topology, write_edge_list
+from .network import RewireSchedule, _parse_topology, build_topology, write_edge_list
 from .partition import SPLITTERS, global_sample, local_datasets
 from .sim import (
     METRICS_COLUMNS,
@@ -36,7 +36,7 @@ from .sim import (
     run_crc,
     write_metrics_csv,
 )
-from .synth import categorical_mixture, gaussian_blobs, mixed_dataset
+from .synth import GENERATORS
 
 OUTDIR_ENV = "RISKCAL_OUTDIR"
 
@@ -147,11 +147,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.m0 != "heuristic" and not float(cfg.m0) > 0:
         raise ConfigError(f"m0 must be 'heuristic' or positive, got {cfg.m0}")
     try:
-        RewireSchedule(cfg.topology)
+        _, extra = _parse_topology(cfg.topology)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     if cfg.topology != "full" and cfg.n < 2:
         raise ConfigError(f"topology {cfg.topology!r} needs n >= 2")
+    absent = (cfg.n - 1) * (cfg.n - 2) // 2  # pairs a spanning tree leaves absent
+    if extra is not None and extra > absent:
+        raise ConfigError(f"cannot add {extra} edges, only {absent} absent")
     if cfg.neighborhood not in ("open", "closed"):
         raise ConfigError(f"neighborhood must be 'open' or 'closed', got {cfg.neighborhood!r}")
     if cfg.partition not in SPLITTERS:
@@ -237,28 +240,39 @@ class ExperimentResult:
     final_metrics: list[RoundMetrics]
 
 
-def _rep_rngs(seed: int, rep: int) -> tuple[np.random.Generator, ...]:
+def _load_dataset(cfg: ExperimentConfig) -> Dataset:
+    if cfg.dataset is None:
+        raise ConfigError("no dataset configured")
+    _, full = infer_schema(load_csv(cfg.dataset, cfg.label_column))
+    return full
+
+
+def _prepare_repetition(cfg: ExperimentConfig, full: Dataset, rep: int):
+    """Train/test split, partition plan, pooled sample and graph stream of repetition rep."""
     # Independent substreams per repetition: split, partition, graph.
-    return tuple(
-        np.random.default_rng(np.random.SeedSequence([seed, rep, j])) for j in range(3)
+    split_rng, part_rng, graph_rng = (
+        np.random.default_rng(np.random.SeedSequence([cfg.seed, rep, j])) for j in range(3)
+    )
+    train, test = train_test_split(full, resolved_train_size(cfg), cfg.test_size, split_rng)
+    plan = SPLITTERS[cfg.partition](train, cfg.n, cfg.m_v, part_rng)
+    return train, test, plan, global_sample(train, plan), graph_rng
+
+
+def _baseline(cfg: ExperimentConfig, kind: str, gtrain: Dataset):
+    return run_baseline(
+        kind, gtrain, lr=cfg.lr, t_max=cfg.t_max,
+        init_ess=cfg.lr * cfg.n * resolved_m0(cfg), smoothing=cfg.ml_smoothing,
     )
 
 
-def _run_repetition(cfg: ExperimentConfig, full, rep: int):
-    split_rng, part_rng, graph_rng = _rep_rngs(cfg.seed, rep)
-    train, test = train_test_split(full, resolved_train_size(cfg), cfg.test_size, split_rng)
-    plan = SPLITTERS[cfg.partition](train, cfg.n, cfg.m_v, part_rng)
-    locals_ = local_datasets(train, plan)
-    gtrain = global_sample(train, plan)
-    m0 = resolved_m0(cfg)
+def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int):
+    train, test, plan, gtrain, graph_rng = _prepare_repetition(cfg, full, rep)
 
-    ml_params, _ = run_baseline("ml", gtrain, smoothing=cfg.ml_smoothing)
+    ml_params, _ = _baseline(cfg, "ml", gtrain)
     ml_train = evaluate(ml_params, gtrain)
     ml_test = evaluate(ml_params, test)
 
-    rc_params, rc_trace = run_baseline(
-        "rc", gtrain, lr=cfg.lr, t_max=cfg.t_max, init_ess=cfg.lr * cfg.n * m0
-    )
+    _, rc_trace = _baseline(cfg, "rc", gtrain)
     rc_test01, _ = evaluate_many([rec.params for rec in rc_trace.records], test)
     per_round = [
         (rc_trace.records[t].err01, float(rc_test01[t])) for t in range(1, cfg.t_max + 1)
@@ -266,9 +280,9 @@ def _run_repetition(cfg: ExperimentConfig, full, rep: int):
 
     schedule = RewireSchedule(cfg.topology, cfg.delta)
     result = run_crc(
-        locals_,
+        local_datasets(train, plan),
         schedule,
-        m0=m0,
+        m0=resolved_m0(cfg),
         t_max=cfg.t_max,
         iterations=cfg.iter,
         neighborhood=cfg.neighborhood,
@@ -300,12 +314,9 @@ def run_experiment(cfg: ExperimentConfig, outdir=".") -> ExperimentResult:
     exact configuration used.  Fully deterministic given the config.
     """
     validate_config(cfg)
-    if cfg.dataset is None:
-        raise ConfigError("no dataset configured")
+    full = _load_dataset(cfg)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    table = load_csv(cfg.dataset, cfg.label_column)
-    _, full = infer_schema(table)
 
     stem = config_stem(cfg)
     paths: list[Path] = []
@@ -346,25 +357,23 @@ def _sweep_variant(cfg: ExperimentConfig, axis: str, text: str) -> ExperimentCon
         total = cfg.n * cfg.m_v
         if total % n != 0:
             raise ConfigError(f"fragmentation {n} does not divide {total} total instances")
-        return replace(cfg, n=n, m_v=total // n)
-    return replace(cfg, **{axis: _PARSERS[axis](text)})
+        variant = replace(cfg, n=n, m_v=total // n)
+    else:
+        variant = replace(cfg, **{axis: _PARSERS[axis](text)})
+    validate_config(variant)
+    return variant
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values: list[str], outdir=".") -> Path:
-    """Run one experiment per axis value; summarize final-round aggregates."""
+    """Validate every axis value, then run one experiment each; summarize final-round aggregates."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep needs at least one value")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for text in values:
-        variant = _sweep_variant(cfg, axis, text)
-        validate_config(variant)
-        result = run_experiment(variant, outdir)
-        rows.append([axis, text] + result.aggregate[-1])
-    path = outdir / f"sweep_{axis}_{config_stem(cfg)}.csv"
+    variants = [_sweep_variant(cfg, axis, text) for text in values]
+    rows = [[axis, text] + run_experiment(variant, outdir).aggregate[-1]
+            for text, variant in zip(values, variants)]
+    path = Path(outdir) / f"sweep_{axis}_{config_stem(cfg)}.csv"
     write_table(path, ["axis", "value", *METRICS_COLUMNS], rows)
     return path
 
@@ -415,19 +424,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config, _collect_overrides(args))
-    if cfg.dataset is None:
-        raise ConfigError("no dataset configured")
+    _, test, _, gtrain, _ = _prepare_repetition(cfg, _load_dataset(cfg), 0)
+    params, trace = _baseline(cfg, args.kind, gtrain)
+    tr01, _ = evaluate(params, gtrain)
+    te01, _ = evaluate(params, test)
     outdir = Path(_resolve_outdir(args))
     outdir.mkdir(parents=True, exist_ok=True)
-    table = load_csv(cfg.dataset, cfg.label_column)
-    _, full = infer_schema(table)
-    split_rng, _, _ = _rep_rngs(cfg.seed, 0)
-    train, test = train_test_split(full, resolved_train_size(cfg), cfg.test_size, split_rng)
-    params, trace = run_baseline(
-        args.kind, train, lr=cfg.lr, t_max=cfg.t_max, smoothing=cfg.ml_smoothing
-    )
-    tr01, _ = evaluate(params, train)
-    te01, _ = evaluate(params, test)
     stem = f"{config_stem(cfg)}_baseline_{args.kind}"
     params_path = outdir / f"{stem}_params.txt"
     params_path.write_text(params.to_text(), encoding="utf-8")
@@ -451,26 +453,10 @@ def _cmd_gengraph(args: argparse.Namespace) -> int:
 
 
 def _cmd_gendata(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    if args.kind == "blobs":
-        ds = gaussian_blobs(args.m, d=args.d, r=args.r, separation=args.separation, rng=rng)
-    elif args.kind == "categorical":
-        ds = categorical_mixture(
-            args.m, d=args.d, r=args.r, cardinality=args.cardinality, skew=args.skew, rng=rng
-        )
-    elif args.kind == "mixed":
-        ds = mixed_dataset(
-            args.m,
-            d_continuous=args.d_continuous,
-            d_discrete=args.d_discrete,
-            r=args.r,
-            cardinality=args.cardinality,
-            separation=args.separation,
-            skew=args.skew,
-            rng=rng,
-        )
-    else:
-        raise ConfigError(f"unknown dataset kind {args.kind!r}")
+    generate = GENERATORS[args.kind]
+    # Every keyword parameter with a default (all but rng) is the flag of the same name.
+    knobs = {name: getattr(args, name) for name in generate.__kwdefaults__}
+    ds = generate(args.m, rng=np.random.default_rng(args.seed), **knobs)
     outdir = Path(_resolve_outdir(args))
     outdir.mkdir(parents=True, exist_ok=True)
     out = Path(args.out) if args.out else outdir / f"{args.kind}_m{args.m}_seed{args.seed}.csv"
@@ -510,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.set_defaults(func=_cmd_gengraph)
 
     p_data = sub.add_parser("gendata", help="generate a synthetic dataset")
-    p_data.add_argument("--kind", required=True, choices=["blobs", "categorical", "mixed"])
+    p_data.add_argument("--kind", required=True, choices=list(GENERATORS))
     p_data.add_argument("--m", type=int, required=True)
     p_data.add_argument("--d", type=int, default=2)
     p_data.add_argument("--r", type=int, default=2)

@@ -44,6 +44,7 @@ from .data import Dataset, Discrete, FeatureSchema, validate_instances
 COUNT_FLOOR = 1e-9
 # Smallest admissible Gaussian variance.
 VAR_FLOOR = 1e-6
+_NOT_FINITE = "statistics are not all finite; feature sums overflowed or a value is nan"
 
 _LOG_2PI = log(2.0 * pi)
 
@@ -214,7 +215,11 @@ class NBParams:
 def _accumulate(schema: FeatureSchema, P: np.ndarray, X: np.ndarray) -> StatsVector:
     """Statistics P^T Phi(X) of weighted instances: row k of P spreads instance k over classes."""
     fm = _feature_map(schema)
-    return StatsVector(schema, fm.flat(np.swapaxes(P, -1, -2) @ fm.phi(X)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = np.swapaxes(P, -1, -2) @ fm.phi(X)
+    if not np.isfinite(S).all():
+        raise ValueError(_NOT_FINITE)
+    return StatsVector(schema, fm.flat(S))
 
 
 def stat_map_instance(x, y: int, schema: FeatureSchema) -> StatsVector:
@@ -323,7 +328,7 @@ def param_map(stats: StatsVector) -> NBParams:
     fm = _feature_map(stats.schema)
     S = stats.values[..., fm.index]  # (..., r, w) per-class rows
     if not np.isfinite(S).all():
-        raise ValueError("statistics are not all finite; feature sums overflowed or a value is nan")
+        raise ValueError(_NOT_FINITE)
     if S[..., fm.counts].min() < COUNT_FLOOR:
         raise ValueError("statistics below the count floor; project before mapping to parameters")
     # Parameters take the columns of the statistics they come from.

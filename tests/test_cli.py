@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import csv
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from riskcal.cli import (
     resolved_train_size,
     run_experiment,
     sweep,
+    validate_config,
 )
 from riskcal.data import infer_schema, load_csv
 from riskcal.network import read_edge_list
@@ -217,15 +220,22 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 
-    # Every value is below the validation bound, but sums of x^2 overflow.
+    # Every value is below the validation bound, but sums of x^2 overflow (1e154),
+    # or only the squared sums of x that projection forms (8.6e152): the run
+    # fails with its error line alone, no numpy warning first.
     huge = tmp_path / "huge.csv"
-    huge.write_text("x,y\n" + "".join(f"{1e154 + k * 5e150!r},{k % 2 + 1}\n" for k in range(400)))
-    rc = main([
-        "run", "--dataset", str(huge), "--n", "4", "--m_v", "50", "--t_max", "2",
-        "--repetitions", "1", "--test_size", "100", "--outdir", str(out),
-    ])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    for x in (1e154, 8.6e152):
+        huge.write_text("x,y\n" + "".join(f"{x + k * 1e-4 * x!r},{k % 2 + 1}\n" for k in range(400)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([
+                "run", "--dataset", str(huge), "--n", "4", "--m_v", "50", "--t_max", "2",
+                "--repetitions", "1", "--test_size", "100", "--outdir", str(out),
+            ])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: statistics are not all finite; feature sums overflowed or a value is nan"
+        ]
 
 
 def test_cli_outdir_env_var(tmp_path, monkeypatch):
@@ -241,17 +251,25 @@ def test_cli_outdir_env_var(tmp_path, monkeypatch):
 
 
 def test_cli_baseline(tmp_path, capsys):
-    ds = gen_dataset(tmp_path)
+    # baseline is repetition 0 of run: pooled n * m_v sample out of a larger
+    # train split, drift_y blocks, initial mass lr * n * m0 from an explicit m0.
+    keys = dict(dataset=str(gen_dataset(tmp_path)), n="4", m_v="25", t_max="5", test_size="150",
+                m0="7", train_size="300", partition="drift_y")
+    flags = [arg for key, value in keys.items() for arg in (f"--{key}", value)]
+    stem = config_stem(parse_config(None, keys))
+    assert main(["run", *flags, "--repetitions", "1", "--outdir", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "run" / f"{stem}_rep0_baselines.csv", newline="") as fh:
+        rows = {row[0]: row[1:] for row in list(csv.reader(fh))[1:]}
     out = tmp_path / "base"
-    rc = main([
-        "baseline", "--kind", "rc", "--dataset", str(ds), "--n", "4", "--m_v", "25",
-        "--t_max", "5", "--test_size", "150", "--outdir", str(out),
-    ])
-    assert rc == 0
-    assert "train_err=" in capsys.readouterr().out
-    names = {p.name for p in out.iterdir()}
-    assert any(name.endswith("_trace.csv") for name in names)
-    assert any(name.endswith("_params.txt") for name in names)
+    for kind in ("ml", "rc"):
+        assert main(["baseline", "--kind", kind, *flags, "--outdir", str(out)]) == 0
+        train, test = (f"{float(v):.4f}" for v in rows[kind])
+        assert capsys.readouterr().out.splitlines()[0] == f"{kind}: train_err={train} test_err={test}"
+        assert (out / f"{stem}_baseline_{kind}_params.txt").exists()
+    trace = (out / f"{stem}_baseline_rc_trace.csv").read_bytes()
+    assert trace == (tmp_path / "run" / f"{stem}_rep0_rc_trace.csv").read_bytes()
+    assert not (out / f"{stem}_baseline_ml_trace.csv").exists()
 
 
 def test_sweep_summary(tmp_path):
@@ -278,6 +296,21 @@ def test_sweep_fragmentation_keeps_total(tmp_path):
     assert any("_n6_mv20_" in s for s in stems)
     with pytest.raises(ConfigError, match="divide"):
         sweep(cfg, "fragmentation", ["7"], out)
+
+
+def test_sweep_validates_every_value_before_running(tmp_path):
+    cfg = tiny_config(tmp_path, n=4, m_v=25, repetitions=1, t_max=2)
+    out = tmp_path / "sweep"
+    out.mkdir()
+    # A tree on 4 nodes leaves (4 - 1)(4 - 2)/2 = 3 pairs absent.
+    validate_config(replace(cfg, topology="tree+3"))
+    for values, message in (
+        (["tree", "tree+5"], "cannot add 5 edges, only 3 absent"),
+        (["tree", "ring"], "unknown topology 'ring'"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            sweep(cfg, "topology", values, out)
+        assert not any(out.iterdir())
 
 
 def test_sweep_bad_axis(tmp_path):
