@@ -47,8 +47,8 @@ print(f"\n{'round':>5}  max relative parameter deviation across nodes")
 for t in range(1, t_max + 1):
     ref = trace.records[t - 1].params
     worst = 0.0
-    for agg in res.aggregates[t - 1]:
-        got = param_map(agg)
+    for v in range(1, n + 1):
+        got = param_map(res.aggregates[t - 1][v - 1])  # node v's average
         for a, b in zip([got.class_probs, *got.feature_params], [ref.class_probs, *ref.feature_params]):
             denom = np.where(np.abs(b) > 0, np.abs(b), 1.0)
             worst = max(worst, float(np.max(np.abs(a - b) / denom)))

@@ -72,24 +72,6 @@ def _parse_label_column(text: str):
     return int(text) if re.fullmatch(r"-?\d+", text) else text
 
 
-def _parse_m0(text: str):
-    if text == "heuristic":
-        return "heuristic"
-    return float(text)
-
-
-def _parse_delta(text: str):
-    if text in ("inf", "infinite", "none"):
-        return None
-    return int(text)
-
-
-def _parse_train_size(text: str):
-    if text == "auto":
-        return None
-    return int(text)
-
-
 _PARSERS = {
     "dataset": str,
     "label_column": _parse_label_column,
@@ -98,28 +80,42 @@ _PARSERS = {
     "t_max": int,
     "iter": int,
     "lr": float,
-    "m0": _parse_m0,
+    "m0": float,
     "topology": str,
     "neighborhood": str,
     "partition": str,
-    "delta": _parse_delta,
-    "train_size": _parse_train_size,
+    "delta": int,
+    "train_size": int,
     "test_size": int,
     "seed": int,
     "repetitions": int,
     "ml_smoothing": float,
     "workers": int,
 }
+# Words a key takes in place of a number; the first one of a value is written.
+_WORDS = {
+    "m0": {"heuristic": "heuristic"},
+    "delta": {"inf": None, "infinite": None, "none": None},
+    "train_size": {"auto": None},
+}
+
+
+def _parse_value(key: str, text: str, where: str):
+    """The value ``text`` gives ``key`` (or the sweep axis ``fragmentation``)."""
+    text = text.strip()
+    if text in _WORDS.get(key, {}):
+        return _WORDS[key][text]
+    parse = int if key == "fragmentation" else _PARSERS[key]
+    try:
+        return parse(text)
+    except ValueError as e:
+        raise ConfigError(f"{where}: bad value for {key!r}: {text!r}") from e
 
 
 def _format_value(key: str, value) -> str:
-    if key == "delta":
-        return "inf" if value is None else str(value)
-    if key == "train_size":
-        return "auto" if value is None else str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    if value is None:
+        return next(word for word, v in _WORDS[key].items() if v is None)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
@@ -142,10 +138,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"t_max must be >= 1, got {cfg.t_max}")
     if cfg.iter < 1:
         raise ConfigError(f"iter must be >= 1, got {cfg.iter}")
-    if not cfg.lr > 0:
-        raise ConfigError(f"lr must be positive, got {cfg.lr}")
-    if cfg.m0 != "heuristic" and not float(cfg.m0) > 0:
-        raise ConfigError(f"m0 must be 'heuristic' or positive, got {cfg.m0}")
+    if not 0 < cfg.lr < np.inf:
+        raise ConfigError(f"lr must be positive and finite, got {cfg.lr}")
+    if cfg.m0 != "heuristic" and not 0 < float(cfg.m0) < np.inf:
+        raise ConfigError(f"m0 must be 'heuristic' or positive and finite, got {cfg.m0}")
     try:
         _, extra = _parse_topology(cfg.topology)
     except ValueError as e:
@@ -169,8 +165,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"test_size must be >= 1, got {cfg.test_size}")
     if cfg.repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {cfg.repetitions}")
-    if cfg.ml_smoothing < 0:
-        raise ConfigError(f"ml_smoothing must be nonnegative, got {cfg.ml_smoothing}")
+    if not 0 <= cfg.ml_smoothing < np.inf:
+        raise ConfigError(f"ml_smoothing must be nonnegative and finite, got {cfg.ml_smoothing}")
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
 
@@ -187,10 +183,7 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> Experime
         key = key.strip()
         if key not in _PARSERS:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        try:
-            values[key] = _PARSERS[key](text.strip())
-        except ValueError as e:
-            raise ConfigError(f"{where}: bad value for {key!r}: {text.strip()!r}") from e
+        values[key] = _parse_value(key, text, where)
 
     if path is not None:
         p = Path(path)
@@ -352,14 +345,14 @@ def run_experiment(cfg: ExperimentConfig, outdir=".") -> ExperimentResult:
 
 
 def _sweep_variant(cfg: ExperimentConfig, axis: str, text: str) -> ExperimentConfig:
+    value = _parse_value(axis, text, "sweep")
     if axis == "fragmentation":
-        n = int(text)
         total = cfg.n * cfg.m_v
-        if total % n != 0:
-            raise ConfigError(f"fragmentation {n} does not divide {total} total instances")
-        variant = replace(cfg, n=n, m_v=total // n)
+        if value < 1 or total % value != 0:
+            raise ConfigError(f"fragmentation must be >= 1 and divide {total} total instances, got {value}")
+        variant = replace(cfg, n=value, m_v=total // value)
     else:
-        variant = replace(cfg, **{axis: _PARSERS[axis](text)})
+        variant = replace(cfg, **{axis: value})
     validate_config(variant)
     return variant
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import log, pi
+from math import inf, log, pi
 
 import numpy as np
 
@@ -164,6 +164,10 @@ class StatsVector:
         """Equivalent sample size: total mass in the class block, of all nodes when stacked."""
         return float(self.class_block.sum())
 
+    def __getitem__(self, key) -> "StatsVector":
+        """Node v + 1's statistics (``S[v]``) or a stacked slice, as views."""
+        return StatsVector(self.schema, self.values[key])
+
     def _check_schema(self, other: "StatsVector") -> None:
         if self.schema != other.schema:
             raise ValueError("schema mismatch between statistics vectors")
@@ -200,11 +204,23 @@ class NBParams:
     Discrete features carry an (r, cardinality) table of conditional
     probabilities; continuous features an (r, 2) block with means in
     column 0 and variances in column 1, all with an optional node axis.
+    Stacked along that axis, the parameters act as a sequence of models:
+    ``len(P)`` is the node count, ``P[v]`` node v + 1's model and
+    ``P[lo:hi]`` a stacked slice, all views.
     """
 
     schema: FeatureSchema
     class_probs: np.ndarray
     feature_params: tuple[np.ndarray, ...]
+
+    def __len__(self) -> int:
+        if self.class_probs.ndim != 2:
+            raise TypeError("only stacked parameters have a length")
+        return self.class_probs.shape[0]
+
+    def __getitem__(self, key) -> "NBParams":
+        len(self)  # a single model has no node axis to index
+        return NBParams(self.schema, self.class_probs[key], tuple(b[key] for b in self.feature_params))
 
     def to_text(self) -> str:
         names = _feature_map(self.schema).param_names
@@ -355,8 +371,8 @@ def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
     c * uniform_init(m0) componentwise.
     """
     m0 = float(m0)
-    if not m0 > 0:
-        raise ValueError(f"initial mass must be positive, got {m0}")
+    if not 0 < m0 < inf:
+        raise ValueError(f"initial mass must be positive and finite, got {m0}")
     fm = _feature_map(schema)
     return StatsVector(schema, fm.flat((m0 / schema.class_cardinality) * fm.base))
 
@@ -371,30 +387,33 @@ def evaluate(params: NBParams, dataset: Dataset) -> tuple[float, float]:
     return float(err01[0]), float(soft[0])
 
 
-def evaluate_many(params_list, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate many models on one dataset in a single vectorized pass.
+def evaluate_many(models, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate many models on one dataset, ``_EVAL_CHUNK`` models per vectorized pass.
 
-    Returns two arrays of length len(params_list): mean 0-1 errors and
-    mean soft errors.  Much faster than per-model evaluation when a
-    network of models is scored each round.
+    ``models`` is one stacked NBParams, such as a network's batched
+    ``param_map``, or a list of single models, which is stacked once.
+    Returns two arrays of length len(models): mean 0-1 errors and mean
+    soft errors.
     """
     if dataset.m == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    params_list = list(params_list)
-    for p in params_list:
-        if p.schema != dataset.schema:
+    if not isinstance(models, NBParams):
+        models = list(models)
+        if any(p.schema != dataset.schema for p in models):
             raise ValueError("schema mismatch between model and dataset")
-    err01 = np.empty(len(params_list))
-    soft = np.empty(len(params_list))
+        models = NBParams(dataset.schema, np.stack([p.class_probs for p in models]),
+                          tuple(map(np.stack, zip(*(p.feature_params for p in models)))))
+    elif models.schema != dataset.schema:
+        raise ValueError("schema mismatch between model and dataset")
+    err01 = np.empty(len(models))
+    soft = np.empty(len(models))
     y0 = dataset.y - 1
     rows = np.arange(dataset.m)
-    for lo in range(0, len(params_list), _EVAL_CHUNK):
-        chunk = params_list[lo : lo + _EVAL_CHUNK]
-        batch = NBParams(dataset.schema, np.stack([p.class_probs for p in chunk]),
-                         tuple(map(np.stack, zip(*(p.feature_params for p in chunk)))))
-        logj = _log_joint(batch, dataset.X[None])  # (K, m, r)
+    for lo in range(0, len(models), _EVAL_CHUNK):
+        hi = lo + _EVAL_CHUNK
+        logj = _log_joint(models[lo:hi], dataset.X[None])  # (K, m, r)
         pred = logj.argmax(axis=-1)
-        err01[lo : lo + len(chunk)] = (pred != y0[None, :]).mean(axis=1)
+        err01[lo:hi] = (pred != y0[None, :]).mean(axis=1)
         post = _softmax_last(logj)
-        soft[lo : lo + len(chunk)] = (1.0 - post[:, rows, y0]).mean(axis=1)
+        soft[lo:hi] = (1.0 - post[:, rows, y0]).mean(axis=1)
     return err01, soft

@@ -132,24 +132,23 @@ def split_iid(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> P
     return _blocks(take, "iid", n, m_v)
 
 
-def split_drift_x(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> PartitionPlan:
-    take = _draw(dataset, n, m_v, rng)
-    Z = _standardize(dataset.X[take])
-    proj = Z @ first_principal_component(dataset.X[take])
-    order = take[np.argsort(proj, kind="stable")]
-    return _blocks(order, "drift_x", n, m_v)
+def _along_component(dataset: Dataset, take: np.ndarray) -> np.ndarray:
+    """``take`` sorted along the first principal component of its rows; ties keep draw order."""
+    proj = _standardize(dataset.X[take]) @ first_principal_component(dataset.X[take])
+    return take[np.argsort(proj, kind="stable")]
 
 
-def _class_pools(y: np.ndarray, take: np.ndarray, r: int) -> list[list[int]]:
-    labels = y[take]
-    return [[int(g) for g in take[labels == c]] for c in range(1, r + 1)]
+def _deal_by_class(dataset: Dataset, order: np.ndarray, mode: str, n: int, m_v: int) -> PartitionPlan:
+    """Deal ``order``'s class pools, each in ``order``'s order, into n blocks.
 
-
-def _deal_by_class(pools: list[list[int]], n: int, m_v: int, r: int) -> list[list[int]]:
-    # Node v prefers class ((v - 1) mod r) + 1 and tops up cyclically
-    # from the next non-empty pool.
+    Node v prefers class ((v - 1) mod r) + 1 and tops up cyclically from
+    the next non-empty pool.
+    """
+    r = dataset.schema.class_cardinality
+    labels = dataset.y[order]
+    pools = [[int(g) for g in order[labels == c]] for c in range(1, r + 1)]
     cursor = [0] * r
-    blocks: list[list[int]] = []
+    blocks: list[tuple[int, ...]] = []
     for v in range(1, n + 1):
         block: list[int] = []
         c = (v - 1) % r
@@ -159,28 +158,20 @@ def _deal_by_class(pools: list[list[int]], n: int, m_v: int, r: int) -> list[lis
                 cursor[c] += 1
             else:
                 c = (c + 1) % r
-        blocks.append(block)
-    return blocks
+        blocks.append(tuple(block))
+    return PartitionPlan(mode, n, m_v, tuple(blocks))
+
+
+def split_drift_x(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> PartitionPlan:
+    return _blocks(_along_component(dataset, _draw(dataset, n, m_v, rng)), "drift_x", n, m_v)
 
 
 def split_drift_y(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> PartitionPlan:
-    take = _draw(dataset, n, m_v, rng)
-    r = dataset.schema.class_cardinality
-    pools = _class_pools(dataset.y, take, r)
-    blocks = _deal_by_class(pools, n, m_v, r)
-    return PartitionPlan("drift_y", n, m_v, tuple(tuple(b) for b in blocks))
+    return _deal_by_class(dataset, _draw(dataset, n, m_v, rng), "drift_y", n, m_v)
 
 
 def split_drift_xy(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> PartitionPlan:
-    take = _draw(dataset, n, m_v, rng)
-    r = dataset.schema.class_cardinality
-    Z = _standardize(dataset.X[take])
-    proj = Z @ first_principal_component(dataset.X[take])
-    rank = {int(g): p for g, p in zip(take, proj)}
-    pools = _class_pools(dataset.y, take, r)
-    pools = [sorted(pool, key=lambda g: rank[g]) for pool in pools]
-    blocks = _deal_by_class(pools, n, m_v, r)
-    return PartitionPlan("drift_xy", n, m_v, tuple(tuple(b) for b in blocks))
+    return _deal_by_class(dataset, _along_component(dataset, _draw(dataset, n, m_v, rng)), "drift_xy", n, m_v)
 
 
 SPLITTERS = {

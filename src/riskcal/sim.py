@@ -7,8 +7,9 @@ calibrate the average against the node's local data.  The network state
 is one (n, len) array of statistics, so a round is one neighborhood
 average of the whole array plus one ``lrc`` call per group of nodes of
 one local size, their datasets stacked along a leading node axis.
-Per-round metrics compare the node models with centralized baselines
-trained on the pooled sample.
+Per-round metrics score the batched models of that array, one row per
+node, against centralized baselines trained on the pooled sample; the
+per-node ``NodeState``s are made once, for the result.
 """
 from __future__ import annotations
 
@@ -43,10 +44,9 @@ def m0_heuristic(m: float, lr: float, n: int) -> float:
 
 @dataclass
 class NodeState:
-    """One node after a round: its data, statistics and model."""
+    """One node after the last round: its statistics and model."""
 
     node: int
-    dataset: Dataset
     stats: StatsVector
     params: NBParams
 
@@ -97,14 +97,13 @@ def write_metrics_csv(metrics, path) -> None:
 
 
 def evaluate_round(
-    states: list[NodeState],
+    params: NBParams,
     global_train: Dataset,
     global_test: Dataset,
     baseline: tuple[float, float] | None = None,
     t: int = 0,
 ) -> RoundMetrics:
-    """Score every node's model on the pooled train and test sets."""
-    params = [st.params for st in states]
+    """Score every node's model, stacked in ``params``, on the pooled train and test sets."""
     tr01, tr_soft = evaluate_many(params, global_train)
     te01, _ = evaluate_many(params, global_test)
     rc_tr, rc_te = baseline if baseline is not None else (nan, nan)
@@ -130,14 +129,16 @@ def evaluate_round(
 class CRCResult:
     """Everything a collaborative run produced.
 
-    ``aggregates``, when recorded, holds for each round t the averaged
-    neighborhood statistics each node calibrated from (the state just
-    before the local step).
+    ``states`` holds node v's final statistics and model at index v - 1.
+    ``aggregates``, when recorded, holds for each round t one stacked
+    (n, len) ``StatsVector`` of the averaged neighborhood statistics the
+    nodes calibrated from (the state just before the local step);
+    ``aggregates[t - 1][v - 1]`` is node v's.
     """
 
     metrics: list[RoundMetrics]
     states: list[NodeState]
-    aggregates: list[list[StatsVector]] | None
+    aggregates: list[StatsVector] | None
 
 
 def _average(S: np.ndarray, graph: Graph, neighborhood: str) -> np.ndarray:
@@ -213,7 +214,7 @@ def run_crc(
     S = np.tile(uniform_init(schema, m0).values, (n, 1))  # (n, len), node v in row v - 1
 
     metrics: list[RoundMetrics] = []
-    aggregates: list[list[StatsVector]] | None = [] if record_aggregates else None
+    aggregates: list[StatsVector] | None = [] if record_aggregates else None
 
     for t in range(1, t_max + 1):
         graph = rewire(schedule, t, graph, rng)
@@ -222,17 +223,14 @@ def run_crc(
         for g, ds in zip(groups, stacked):
             S[g] = lrc(StatsVector(schema, agg[g]), ds, iterations)[1].values
         if aggregates is not None:
-            aggregates.append([StatsVector(schema, a) for a in agg])
+            aggregates.append(StatsVector(schema, agg))
         if evaluating or t == t_max:
-            P = param_map(StatsVector(schema, S))  # node v + 1's model: row v of every array
-            states = [
-                NodeState(v + 1, ds, StatsVector(schema, S[v]),
-                          NBParams(schema, P.class_probs[v], tuple(b[v] for b in P.feature_params)))
-                for v, ds in enumerate(local_datasets)
-            ]
+            P = param_map(StatsVector(schema, S))  # node v + 1's model: P[v]
         if evaluating:
             per_round = baseline[t - 1] if baseline is not None else None
-            metrics.append(evaluate_round(states, global_train, global_test, per_round, t))
+            metrics.append(evaluate_round(P, global_train, global_test, per_round, t))
+    stats = StatsVector(schema, S)
+    states = [NodeState(v + 1, stats[v], P[v]) for v in range(n)]
     return CRCResult(metrics, states, aggregates)
 
 

@@ -3,14 +3,53 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Continuous, Dataset, Discrete, FeatureSchema
+from .data import DISCRETE_LIMIT, Continuous, Dataset, Discrete, FeatureSchema
 
 
 def _balanced_labels(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
     # Near-equal class counts, shuffled so row order is exchangeable.
+    if m < r:
+        raise ValueError(f"need at least {r} instances for {r} classes")
     y = np.arange(m) % r + 1
     rng.shuffle(y)
     return y.astype(np.int64)
+
+
+def _blob_columns(y: np.ndarray, d: int, r: int, separation: float, rng: np.random.Generator) -> np.ndarray:
+    """Unit-variance Gaussian columns, class centers ``separation`` apart.
+
+    Class centers sit along the diagonal direction, symmetric about the
+    origin, so the columns are roughly centered and unit scale.
+    """
+    direction = np.ones(d) / np.sqrt(d)
+    offsets = np.arange(r) - (r - 1) / 2.0
+    centers = separation * offsets[:, None] * direction[None, :]  # (r, d)
+    return rng.standard_normal((len(y), d)) + centers[y - 1]
+
+
+def _categorical_columns(
+    y: np.ndarray, d: int, r: int, cardinality: int, skew: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Categorical columns whose preferred value rotates with the class.
+
+    For class y and column i the value ((y - 1 + i) mod cardinality) + 1
+    receives probability skew + (1 - skew)/cardinality; the rest share
+    the remainder uniformly.
+    """
+    if not 0.0 <= skew < 1.0:
+        raise ValueError(f"skew must be in [0, 1), got {skew}")
+    # More codes would reload from a CSV as a continuous column.
+    if not 2 <= cardinality <= DISCRETE_LIMIT:
+        raise ValueError(f"cardinality must be in 2..{DISCRETE_LIMIT}, got {cardinality}")
+    X = np.empty((len(y), d), dtype=np.float64)
+    base = (1.0 - skew) / cardinality
+    for c in range(1, r + 1):
+        mask = y == c
+        for i in range(d):
+            probs = np.full(cardinality, base)
+            probs[(c - 1 + i) % cardinality] += skew
+            X[mask, i] = rng.choice(cardinality, size=int(mask.sum()), p=probs) + 1
+    return X
 
 
 def gaussian_blobs(
@@ -21,20 +60,10 @@ def gaussian_blobs(
     separation: float = 4.0,
     rng: np.random.Generator,
 ) -> Dataset:
-    """Unit-variance Gaussian classes spaced ``separation`` apart.
-
-    Class centers sit along the diagonal direction, symmetric about the
-    origin, so the data is roughly centered and unit scale.
-    """
-    if m < r:
-        raise ValueError(f"need at least {r} instances for {r} classes")
+    """Unit-variance Gaussian classes spaced ``separation`` apart."""
     y = _balanced_labels(m, r, rng)
-    direction = np.ones(d) / np.sqrt(d)
-    offsets = np.arange(r) - (r - 1) / 2.0
-    centers = separation * offsets[:, None] * direction[None, :]  # (r, d)
-    X = rng.standard_normal((m, d)) + centers[y - 1]
-    schema = FeatureSchema(tuple(Continuous() for _ in range(d)), r)
-    return Dataset(schema, X, y)
+    X = _blob_columns(y, d, r, separation, rng)
+    return Dataset(FeatureSchema((Continuous(),) * d, r), X, y)
 
 
 def categorical_mixture(
@@ -46,27 +75,10 @@ def categorical_mixture(
     skew: float = 0.7,
     rng: np.random.Generator,
 ) -> Dataset:
-    """Categorical features whose preferred value rotates with the class.
-
-    For class y and feature i the value ((y - 1 + i) mod cardinality) + 1
-    receives probability skew + (1 - skew)/cardinality; the rest share
-    the remainder uniformly.
-    """
-    if not 0.0 <= skew < 1.0:
-        raise ValueError(f"skew must be in [0, 1), got {skew}")
-    if cardinality < 2:
-        raise ValueError(f"cardinality must be >= 2, got {cardinality}")
+    """Categorical features whose preferred value rotates with the class."""
     y = _balanced_labels(m, r, rng)
-    X = np.empty((m, d), dtype=np.float64)
-    base = (1.0 - skew) / cardinality
-    for c in range(1, r + 1):
-        mask = y == c
-        for i in range(d):
-            probs = np.full(cardinality, base)
-            probs[(c - 1 + i) % cardinality] += skew
-            X[mask, i] = rng.choice(cardinality, size=int(mask.sum()), p=probs) + 1
-    schema = FeatureSchema(tuple(Discrete(cardinality) for _ in range(d)), r)
-    return Dataset(schema, X, y)
+    X = _categorical_columns(y, d, r, cardinality, skew, rng)
+    return Dataset(FeatureSchema((Discrete(cardinality),) * d, r), X, y)
 
 
 def mixed_dataset(
@@ -84,23 +96,9 @@ def mixed_dataset(
     if d_continuous < 1 or d_discrete < 1:
         raise ValueError("need at least one feature of each kind")
     y = _balanced_labels(m, r, rng)
-    direction = np.ones(d_continuous) / np.sqrt(d_continuous)
-    offsets = np.arange(r) - (r - 1) / 2.0
-    centers = separation * offsets[:, None] * direction[None, :]
-    Xc = rng.standard_normal((m, d_continuous)) + centers[y - 1]
-    Xd = np.empty((m, d_discrete), dtype=np.float64)
-    base = (1.0 - skew) / cardinality
-    for c in range(1, r + 1):
-        mask = y == c
-        for i in range(d_discrete):
-            probs = np.full(cardinality, base)
-            probs[(c - 1 + i) % cardinality] += skew
-            Xd[mask, i] = rng.choice(cardinality, size=int(mask.sum()), p=probs) + 1
-    schema = FeatureSchema(
-        tuple(Continuous() for _ in range(d_continuous))
-        + tuple(Discrete(cardinality) for _ in range(d_discrete)),
-        r,
-    )
+    Xc = _blob_columns(y, d_continuous, r, separation, rng)
+    Xd = _categorical_columns(y, d_discrete, r, cardinality, skew, rng)
+    schema = FeatureSchema((Continuous(),) * d_continuous + (Discrete(cardinality),) * d_discrete, r)
     return Dataset(schema, np.column_stack([Xc, Xd]), y)
 
 

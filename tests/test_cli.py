@@ -102,6 +102,10 @@ def test_parse_config_bad_values(tmp_path):
         parse_config(None, {"n": "many"})
     with pytest.raises(ConfigError, match="positive"):
         parse_config(None, {"lr": "0"})
+    for key in ("lr", "m0", "ml_smoothing"):
+        for text in ("inf", "nan"):
+            with pytest.raises(ConfigError, match=f"{key} must be .* finite"):
+                parse_config(None, {key: text})
     with pytest.raises(ConfigError, match="topology"):
         parse_config(None, {"topology": "moebius"})
     with pytest.raises(ConfigError, match="delta"):
@@ -138,6 +142,11 @@ def test_gendata_writes_loadable_csv(tmp_path):
     schema, ds = infer_schema(load_csv(out, "y"))
     assert ds.m == 120
     assert schema.d == 4
+    # Eleven codes would reload as a continuous column.
+    wide = tmp_path / "wide.csv"
+    assert main(["gendata", "--kind", "categorical", "--m", "120", "--cardinality", "11",
+                 "--out", str(wide)]) == 1
+    assert not wide.exists()
 
 
 def test_gendata_deterministic(tmp_path):
@@ -310,6 +319,13 @@ def test_sweep_validates_every_value_before_running(tmp_path):
     ):
         with pytest.raises(ConfigError, match=message):
             sweep(cfg, "topology", values, out)
+        assert not any(out.iterdir())
+    for axis, values, message in (
+        ("fragmentation", ["2", "0"], "fragmentation must be >= 1 and divide 100 total instances, got 0"),
+        ("n", ["4", "x"], "bad value for 'n': 'x'"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            sweep(cfg, axis, values, out)
         assert not any(out.iterdir())
 
 

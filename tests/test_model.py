@@ -208,8 +208,9 @@ def test_uniform_init_values_and_homogeneity():
             assert np.allclose(block[:, 1], 1.0, rtol=1e-15)
     double = uniform_init(schema, 1800.0)
     assert np.allclose(double.values, (2.0 * s).values, rtol=1e-15, atol=0)
-    with pytest.raises(ValueError):
-        uniform_init(schema, 0.0)
+    for bad in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="initial mass must be positive and finite"):
+            uniform_init(schema, bad)
 
 
 def test_uniform_init_posterior_uniform():
@@ -334,6 +335,20 @@ def test_evaluate_many_matches_singles_across_chunks():
         assert err01[k] == e
         # batch shape may change the summation order by an ulp
         assert abs(soft[k] - s) < 1e-13 * max(s, 1.0)
+    # The same models stacked on a node axis: a sequence of views, scored bit for bit alike.
+    stacked = NBParams(schema, np.stack([p.class_probs for p in models]),
+                       tuple(map(np.stack, zip(*(p.feature_params for p in models)))))
+    assert len(stacked) == 130 and len(stacked[60:70]) == 10
+    for k in (0, 64, 129):
+        view = stacked[k]
+        assert np.shares_memory(view.class_probs, stacked.class_probs)
+        for got, want in zip([view.class_probs, *view.feature_params],
+                             [models[k].class_probs, *models[k].feature_params]):
+            assert np.array_equal(got, want)
+    got01, got_soft = evaluate_many(stacked, ds)
+    assert np.array_equal(got01, err01) and np.array_equal(got_soft, soft)
+    with pytest.raises(TypeError):
+        len(models[0])
 
 
 def test_leading_node_axis_matches_per_node_calls():

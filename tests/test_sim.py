@@ -11,7 +11,6 @@ from riskcal.model import NBParams, StatsVector, param_map, stat_map_dataset, un
 from riskcal.network import RewireSchedule, chain, full_graph, neighbors, rewire
 from riskcal.sim import (
     METRICS_COLUMNS,
-    NodeState,
     evaluate_round,
     m0_heuristic,
     run_baseline,
@@ -164,21 +163,20 @@ def test_rounds_match_a_per_node_reference_loop():
 
 
 def test_evaluate_round_hand_example():
-    # model A always predicts class 1, model B classifies by the feature
     schema = FeatureSchema((Continuous(),), 2)
     X = np.zeros((100, 1))
-    X[:40, 0] = 5.0  # rows model B puts in class 2
+    X[:40, 0] = 5.0  # rows node 2 puts in class 2
     y = np.ones(100, dtype=np.int64)
-    y[:10] = 2  # model A errs exactly on these; B errs on rows 10..39
+    y[:10] = 2  # node 1 errs exactly on these; node 2 errs on rows 10..39
     ds = Dataset(schema, X, y)
 
-    always_one = NBParams(schema, np.array([0.9, 0.1]), (np.array([[0.0, 1.0], [0.0, 1.0]]),))
-    by_feature = NBParams(schema, np.array([0.5, 0.5]), (np.array([[0.0, 1.0], [5.0, 1.0]]),))
-    states = [
-        NodeState(1, ds, uniform_init(schema, 1.0), always_one),
-        NodeState(2, ds, uniform_init(schema, 1.0), by_feature),
-    ]
-    rm = evaluate_round(states, ds, ds, baseline=(0.05, 0.07), t=3)
+    # node 1's model always predicts class 1, node 2's classifies by the feature
+    params = NBParams(
+        schema,
+        np.array([[0.9, 0.1], [0.5, 0.5]]),
+        (np.array([[[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [5.0, 1.0]]]),),
+    )
+    rm = evaluate_round(params, ds, ds, baseline=(0.05, 0.07), t=3)
     assert rm.node_train_errs == (0.1, 0.3)
     assert rm.train_err_mean == 0.2
     assert abs(rm.train_err_std - 0.1) < 1e-12

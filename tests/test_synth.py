@@ -55,3 +55,10 @@ def test_generator_validation():
         categorical_mixture(10, skew=1.0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         categorical_mixture(10, cardinality=1, rng=np.random.default_rng(0))
+    # mixed_dataset and categorical_mixture share the checks of their columns and labels
+    with pytest.raises(ValueError, match="skew"):
+        mixed_dataset(10, skew=1.5, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="cardinality"):
+        mixed_dataset(10, cardinality=1, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least 2 instances"):
+        categorical_mixture(1, rng=np.random.default_rng(0))
