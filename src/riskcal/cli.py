@@ -153,6 +153,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"cannot add {extra} edges, only {absent} absent")
     if cfg.neighborhood not in ("open", "closed"):
         raise ConfigError(f"neighborhood must be 'open' or 'closed', got {cfg.neighborhood!r}")
+    if cfg.neighborhood == "open" and cfg.n < 2:
+        raise ConfigError("neighborhood 'open' needs n >= 2: a lone node has no neighbors")
     if cfg.partition not in SPLITTERS:
         raise ConfigError(f"unknown partition {cfg.partition!r}")
     if cfg.delta is not None and cfg.delta < 1:
@@ -307,7 +309,10 @@ def run_experiment(cfg: ExperimentConfig, outdir=".") -> ExperimentResult:
     exact configuration used.  Fully deterministic given the config.
     """
     validate_config(cfg)
-    full = _load_dataset(cfg)
+    return _write_experiment(cfg, _load_dataset(cfg), outdir)
+
+
+def _write_experiment(cfg: ExperimentConfig, full: Dataset, outdir) -> ExperimentResult:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -358,13 +363,16 @@ def _sweep_variant(cfg: ExperimentConfig, axis: str, text: str) -> ExperimentCon
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values: list[str], outdir=".") -> Path:
-    """Validate every axis value, then run one experiment each; summarize final-round aggregates."""
+    """Check every axis value against config and data, then run one experiment each; summarize final rounds."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep needs at least one value")
     variants = [_sweep_variant(cfg, axis, text) for text in values]
-    rows = [[axis, text] + run_experiment(variant, outdir).aggregate[-1]
+    full = _load_dataset(cfg)  # no axis changes the dataset
+    for variant in variants:  # data errors (too few rows for a split or plan) come before any run
+        _prepare_repetition(variant, full, 0)
+    rows = [[axis, text] + _write_experiment(variant, full, outdir).aggregate[-1]
             for text, variant in zip(values, variants)]
     path = Path(outdir) / f"sweep_{axis}_{config_stem(cfg)}.csv"
     write_table(path, ["axis", "value", *METRICS_COLUMNS], rows)

@@ -58,6 +58,8 @@ class FeatureSchema:
     def __post_init__(self) -> None:
         if self.class_cardinality < 2:
             raise DataError(f"need at least 2 classes, got {self.class_cardinality}")
+        if not self.features:
+            raise DataError("need at least one feature")
         for spec in self.features:
             if not isinstance(spec, (Discrete, Continuous)):
                 raise DataError(f"bad feature spec: {spec!r}")
@@ -235,7 +237,7 @@ def infer_schema(table: RawTable) -> tuple[FeatureSchema, Dataset]:
         specs.append(spec)
         columns.append(col)
     schema = FeatureSchema(tuple(specs), r)
-    X = np.column_stack(columns) if columns else np.empty((len(table.rows), 0))
+    X = np.column_stack(columns)
     return schema, Dataset(schema, X, y)
 
 

@@ -1,74 +1,83 @@
 """Communication graphs: generation, neighborhoods, dynamics.
 
-Nodes are 1-based.  Edges are undirected and stored as (u, v) pairs
-with u < v.  Generators only produce connected graphs.
+Nodes are 1-based and edges undirected.  A ``Graph`` holds its edges as
+sorted, distinct (u, v) rows with u < v: the one edge order that every
+consumer reads.  Generators only produce connected graphs.
 """
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
+    """n nodes and ``pairs``, the (E, 2) int64 edge rows (u, v), 1 <= u < v <= n, sorted, distinct.
+
+    Built from an array or any iterable of pairs; a repeated pair is one edge.
+    Graphs compare and hash by identity: compare ``pairs`` or ``edges`` instead.
+    """
+
     n: int
-    edges: frozenset[tuple[int, int]]
+    pairs: np.ndarray
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"graph needs at least one node, got n={self.n}")
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
+        pairs = self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs)
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        u, v = pairs.T
+        for i in np.flatnonzero((u < 1) | (u >= v) | (v > self.n))[:1]:
+            raise ValueError(f"bad edge ({u[i]}, {v[i]}) for n={self.n}")
+        key = np.sort(u * (self.n + 1) + v)  # (u, v) in lexicographic order, repeats adjacent
+        pairs = np.column_stack(np.divmod(key[np.diff(key, prepend=-1) != 0], self.n + 1))
+        pairs.setflags(write=False)
+        object.__setattr__(self, "pairs", pairs)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as a set of (u, v) tuples."""
+        return frozenset(map(tuple, self.pairs.tolist()))
 
     def sparseness(self) -> float:
         """Edge count over the n(n-1)/2 possible edges."""
         if self.n < 2:
             return 0.0
-        return len(self.edges) / (self.n * (self.n - 1) / 2)
-
-
-def _edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+        return len(self.pairs) / (self.n * (self.n - 1) / 2)
 
 
 def random_tree(n: int, rng: np.random.Generator) -> Graph:
     """Uniformly random labelled tree, decoded from a random Pruefer sequence."""
     if n < 2:
         raise ValueError(f"a tree needs n >= 2, got {n}")
-    if n == 2:
-        return Graph(2, frozenset({(1, 2)}))
-    seq = [int(s) for s in rng.integers(1, n + 1, size=n - 2)]
-    degree = [1] * (n + 1)
-    for s in seq:
-        degree[s] += 1
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for s in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append(_edge(leaf, s))
+    seq = rng.integers(1, n + 1, size=n - 2)
+    # Linear-time decode: node seq[i] is joined to leaf[i], the smallest leaf at step i.
+    degree = (np.bincount(seq, minlength=n + 1) + 1).tolist()
+    leaf = ptr = degree.index(1, 1)
+    leaves = []
+    for s in seq.tolist():
+        leaves.append(leaf)
         degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append(_edge(u, v))
-    return Graph(n, frozenset(edges))
+        if degree[s] == 1 and s < ptr:
+            leaf = s
+        else:
+            ptr = leaf = degree.index(1, ptr + 1)
+    leaves.append(leaf)  # the last two nodes left are this leaf and n
+    return Graph(n, np.sort(np.column_stack([leaves, np.r_[seq, n]]), axis=1))  # rows as (min, max)
 
 
 def chain(n: int) -> Graph:
     if n < 2:
         raise ValueError(f"a chain needs n >= 2, got {n}")
-    return Graph(n, frozenset((v, v + 1) for v in range(1, n)))
+    return Graph(n, np.column_stack([np.arange(1, n), np.arange(2, n + 1)]))
 
 
 def full_graph(n: int) -> Graph:
-    return Graph(n, frozenset((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)))
+    return Graph(n, np.column_stack(np.triu_indices(n, 1)) + 1)
 
 
 def add_random_edges(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
@@ -79,16 +88,17 @@ def add_random_edges(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
     # Pick i is the i-th absent pair in lexicographic order, found by rank arithmetic
     # without listing the absent pairs: 0-based (u, v) has rank row_start[u] + v - u - 1.
     row_start = np.arange(n) * (2 * n - np.arange(n) - 1) // 2
-    u, v = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2).T - 1
-    present = np.sort(row_start[u] + v - u - 1)
+    u, v = graph.pairs.T - 1
+    present = row_start[u] + v - u - 1  # increasing: the pairs are sorted
     absent = n * (n - 1) // 2 - len(present)
     if k > absent:
         raise ValueError(f"cannot add {k} edges, only {absent} absent")
-    picked = rng.choice(absent, size=k, replace=False)
+    picked = np.sort(rng.choice(absent, size=k, replace=False))  # sorted: faster lookups, same set
     # present[j] - j absent ranks lie below present[j]: skip those with at most i.
     rank = picked + np.searchsorted(present - np.arange(len(present)), picked, side="right")
     a = np.searchsorted(row_start, rank, side="right") - 1
-    return Graph(n, graph.edges | set(zip((a + 1).tolist(), (rank - row_start[a] + a + 2).tolist())))
+    added = np.column_stack([a + 1, rank - row_start[a] + a + 2])
+    return Graph(n, np.concatenate([graph.pairs, added]))
 
 
 def neighbors(graph: Graph, v: int, mode: str = "open") -> set[int]:
@@ -97,7 +107,7 @@ def neighbors(graph: Graph, v: int, mode: str = "open") -> set[int]:
         raise ValueError(f"node {v} outside 1..{graph.n}")
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
-    out = {b if a == v else a for a, b in graph.edges if v in (a, b)}
+    out = set(graph.pairs[(graph.pairs == v).any(axis=1)].ravel().tolist()) - {v}  # ids on v's edges
     if mode == "closed":
         out.add(v)
     return out
@@ -161,16 +171,13 @@ def rewire(schedule: RewireSchedule, t: int, current: Graph, rng: np.random.Gene
 
 
 def write_edge_list(graph: Graph, path) -> None:
-    """One 'u v' pair per line, 1-based, sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v in sorted(graph.edges):
-            fh.write(f"{u} {v}\n")
+    """One 'u v' pair per line, 1-based, in the graph's sorted order."""
+    np.savetxt(path, graph.pairs, fmt="%d")
 
 
 def read_edge_list(path, n: int | None = None) -> Graph:
     """Inverse of write_edge_list; n defaults to the largest node id seen."""
-    edges = set()
-    top = 0
+    edges = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -181,6 +188,6 @@ def read_edge_list(path, n: int | None = None) -> Graph:
         u, v = int(parts[0]), int(parts[1])
         if u == v:
             raise ValueError(f"{path}: line {lineno}: self-loop {u}")
-        edges.add(_edge(u, v))
-        top = max(top, u, v)
-    return Graph(n if n is not None else top, frozenset(edges))
+        edges.append((u, v))
+    pairs = np.sort(np.array(edges, dtype=np.int64).reshape(-1, 2), axis=1)  # each pair as (min, max)
+    return Graph(n if n is not None else int(pairs.max(initial=0)), pairs)

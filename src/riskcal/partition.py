@@ -22,32 +22,35 @@ from .data import Dataset, write_table
 PARTITION_MODES = ("iid", "drift_x", "drift_y", "drift_xy")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartitionPlan:
-    """Which global training indices each node owns."""
+    """Which global training indices each node owns: node v's block is row v - 1 of ``assignment``.
+
+    ``assignment`` is held as an (n, m_v) int64 array.  Plans compare by identity.
+    """
 
     mode: str
     n: int
     m_v: int
-    assignment: tuple[tuple[int, ...], ...]
+    assignment: np.ndarray
 
     def __post_init__(self) -> None:
         if self.mode not in PARTITION_MODES:
             raise ValueError(f"unknown partition mode {self.mode!r}")
         if len(self.assignment) != self.n:
             raise ValueError(f"expected {self.n} blocks, got {len(self.assignment)}")
-        seen: set[int] = set()
-        for block in self.assignment:
-            if len(block) != self.m_v:
-                raise ValueError(f"block size {len(block)} != m_v {self.m_v}")
-            seen.update(block)
-        if len(seen) != self.n * self.m_v:
+        for size in (len(block) for block in self.assignment if len(block) != self.m_v):
+            raise ValueError(f"block size {size} != m_v {self.m_v}")
+        assignment = np.array(self.assignment, dtype=np.int64).reshape(self.n, self.m_v)
+        if np.any(np.diff(np.sort(assignment, axis=None)) == 0):
             raise ValueError("blocks overlap")
+        assignment.setflags(write=False)
+        object.__setattr__(self, "assignment", assignment)
 
     def to_csv(self, path) -> None:
         """Audit dump: one (node, global_index) row per assigned instance."""
-        rows = ((v, g) for v, block in enumerate(self.assignment, start=1) for g in block)
-        write_table(path, ["node", "global_index"], rows)
+        nodes = np.repeat(np.arange(1, self.n + 1), self.m_v)
+        write_table(path, ["node", "global_index"], zip(nodes.tolist(), self.assignment.ravel().tolist()))
 
 
 def local_datasets(dataset: Dataset, plan: PartitionPlan) -> list[Dataset]:
@@ -56,8 +59,7 @@ def local_datasets(dataset: Dataset, plan: PartitionPlan) -> list[Dataset]:
 
 def global_sample(dataset: Dataset, plan: PartitionPlan) -> Dataset:
     """Union of all blocks in sorted index order: the pooled training set."""
-    idx = np.sort(np.concatenate([np.asarray(b, dtype=np.int64) for b in plan.assignment]))
-    return dataset.subset(idx)
+    return dataset.subset(np.sort(plan.assignment, axis=None))
 
 
 def _standardize(X: np.ndarray) -> np.ndarray:
@@ -120,16 +122,8 @@ def _draw(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> np.nd
     return rng.choice(dataset.m, size=n * m_v, replace=False)
 
 
-def _blocks(order: np.ndarray, mode: str, n: int, m_v: int) -> PartitionPlan:
-    assignment = tuple(
-        tuple(int(g) for g in order[v * m_v : (v + 1) * m_v]) for v in range(n)
-    )
-    return PartitionPlan(mode, n, m_v, assignment)
-
-
 def split_iid(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> PartitionPlan:
-    take = _draw(dataset, n, m_v, rng)
-    return _blocks(take, "iid", n, m_v)
+    return PartitionPlan("iid", n, m_v, _draw(dataset, n, m_v, rng).reshape(n, m_v))
 
 
 def _along_component(dataset: Dataset, take: np.ndarray) -> np.ndarray:
@@ -146,24 +140,21 @@ def _deal_by_class(dataset: Dataset, order: np.ndarray, mode: str, n: int, m_v: 
     """
     r = dataset.schema.class_cardinality
     labels = dataset.y[order]
-    pools = [[int(g) for g in order[labels == c]] for c in range(1, r + 1)]
-    cursor = [0] * r
-    blocks: list[tuple[int, ...]] = []
-    for v in range(1, n + 1):
-        block: list[int] = []
-        c = (v - 1) % r
-        while len(block) < m_v:
-            if cursor[c] < len(pools[c]):
-                block.append(pools[c][cursor[c]])
-                cursor[c] += 1
-            else:
-                c = (c + 1) % r
-        blocks.append(tuple(block))
-    return PartitionPlan(mode, n, m_v, tuple(blocks))
+    pools = [order[labels == c] for c in range(1, r + 1)]
+    blocks = np.empty((n, m_v), dtype=np.int64)
+    for v in range(n):
+        c, filled = v % r, 0
+        while filled < m_v:  # take what is left of pool c, then move on to the next pool
+            take, pools[c] = pools[c][: m_v - filled], pools[c][m_v - filled :]
+            blocks[v, filled : filled + len(take)] = take
+            filled += len(take)
+            c = (c + 1) % r
+    return PartitionPlan(mode, n, m_v, blocks)
 
 
 def split_drift_x(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> PartitionPlan:
-    return _blocks(_along_component(dataset, _draw(dataset, n, m_v, rng)), "drift_x", n, m_v)
+    order = _along_component(dataset, _draw(dataset, n, m_v, rng))
+    return PartitionPlan("drift_x", n, m_v, order.reshape(n, m_v))
 
 
 def split_drift_y(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> PartitionPlan:

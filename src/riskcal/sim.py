@@ -143,7 +143,7 @@ class CRCResult:
 
 def _average(S: np.ndarray, graph: Graph, neighborhood: str) -> np.ndarray:
     """Neighborhood means of the node rows of S, neighbors summed in increasing id order."""
-    u, v = np.array(sorted(graph.edges), dtype=np.int64).reshape(-1, 2).T - 1
+    u, v = graph.pairs.T - 1
     total, degree = np.zeros_like(S), np.bincount(np.r_[u, v], minlength=graph.n)
     np.add.at(total, v, S[u])  # lower neighbors: edges are sorted by (u, v)
     if neighborhood == "closed":

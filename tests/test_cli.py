@@ -21,7 +21,7 @@ from riskcal.cli import (
     sweep,
     validate_config,
 )
-from riskcal.data import infer_schema, load_csv
+from riskcal.data import DataError, infer_schema, load_csv
 from riskcal.network import read_edge_list
 from riskcal.sim import METRICS_COLUMNS
 
@@ -108,6 +108,9 @@ def test_parse_config_bad_values(tmp_path):
                 parse_config(None, {key: text})
     with pytest.raises(ConfigError, match="topology"):
         parse_config(None, {"topology": "moebius"})
+    with pytest.raises(ConfigError, match="neighborhood 'open' needs n >= 2"):
+        parse_config(None, {"topology": "full", "neighborhood": "open", "n": "1"})
+    parse_config(None, {"topology": "full", "neighborhood": "closed", "n": "1"})
     with pytest.raises(ConfigError, match="delta"):
         parse_config(None, {"delta": "0"})
     with pytest.raises(ConfigError, match="train_size"):
@@ -147,6 +150,11 @@ def test_gendata_writes_loadable_csv(tmp_path):
     assert main(["gendata", "--kind", "categorical", "--m", "120", "--cardinality", "11",
                  "--out", str(wide)]) == 1
     assert not wide.exists()
+    # A label-only CSV would train a chance-level model.
+    for kind in ("blobs", "categorical"):
+        empty = tmp_path / f"{kind}_d0.csv"
+        assert main(["gendata", "--kind", kind, "--m", "120", "--d", "0", "--out", str(empty)]) == 1
+        assert not empty.exists()
 
 
 def test_gendata_deterministic(tmp_path):
@@ -327,6 +335,14 @@ def test_sweep_validates_every_value_before_running(tmp_path):
         with pytest.raises(ConfigError, match=message):
             sweep(cfg, axis, values, out)
         assert not any(out.iterdir())
+    # Checks against the data run before the first experiment too (the CSV has 900 rows).
+    with pytest.raises(DataError, match="train 1000 \\+ test 200 exceeds 900"):
+        sweep(replace(cfg, test_size=200), "m_v", ["25", "250"], out)
+    assert not any(out.iterdir())
+    open_cfg = replace(cfg, topology="full", neighborhood="open")
+    with pytest.raises(ConfigError, match="neighborhood 'open' needs n >= 2"):
+        sweep(open_cfg, "n", ["4", "1"], out)
+    assert not any(out.iterdir())
 
 
 def test_sweep_bad_axis(tmp_path):

@@ -129,6 +129,13 @@ def test_infer_schema_single_class_rejected(tmp_path):
         infer_schema(load_csv(p, "y"))
 
 
+def test_schema_needs_a_feature(tmp_path):
+    with pytest.raises(DataError, match="need at least one feature"):
+        FeatureSchema((), 2)
+    with pytest.raises(DataError, match="need at least one feature"):
+        infer_schema(load_csv(write(tmp_path, "y\n1\n2\n1\n"), "y"))  # a label-only CSV
+
+
 def test_infer_schema_non_finite_rejected(tmp_path):
     p = write(tmp_path, "f,y\nnan,a\n2.5,b\n1.0,a\n" + "\n".join(f"{v}.5,b" for v in range(12)) + "\n")
     with pytest.raises(DataError, match="non-finite"):

@@ -28,6 +28,24 @@ def test_random_tree_edge_count_and_connectivity():
         assert bfs_connected(n, g.edges)
 
 
+def test_random_tree_matches_textbook_pruefer_decode():
+    # Reference: repeatedly join the smallest remaining leaf to the next sequence entry.
+    def decoded(n, seq):
+        degree = {v: 1 + seq.count(v) for v in range(1, n + 1)}
+        edges = set()
+        for s in seq:
+            leaf = min(v for v, d in degree.items() if d == 1)
+            edges.add((min(leaf, s), max(leaf, s)))
+            del degree[leaf]
+            degree[s] -= 1
+        return frozenset(edges | {tuple(sorted(degree))})
+
+    for n in range(2, 41):
+        for seed in range(5):
+            seq = np.random.default_rng(seed).integers(1, n + 1, size=n - 2).tolist()
+            assert random_tree(n, np.random.default_rng(seed)).edges == decoded(n, seq)
+
+
 def test_random_tree_deterministic_and_varied():
     a = random_tree(30, np.random.default_rng(1))
     b = random_tree(30, np.random.default_rng(1))
@@ -119,12 +137,21 @@ def test_build_topology_variants():
 
 
 def test_graph_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bad edge \(1, 4\) for n=3"):
         Graph(3, frozenset({(1, 4)}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bad edge \(2, 2\) for n=3"):
         Graph(3, frozenset({(2, 2)}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bad edge \(3, 1\) for n=3"):  # the first bad row
+        Graph(3, np.array([[1, 2], [3, 1], [0, 2]]))
+    with pytest.raises(ValueError, match="at least one node"):
         Graph(0, frozenset())
+    g = Graph(5, [(4, 5), (1, 3), (2, 4), (1, 3), (1, 2), (4, 5)])
+    assert g.pairs.dtype == np.int64
+    assert g.pairs.tolist() == [[1, 2], [1, 3], [2, 4], [4, 5]]
+    assert g.edges == frozenset({(1, 2), (1, 3), (2, 4), (4, 5)})
+    assert g.sparseness() == 4 / 10
+    assert Graph(3, []).pairs.shape == (0, 2)
+    assert Graph(3, np.array([[2, 3], [1, 3]])).pairs.tolist() == [[1, 3], [2, 3]]
 
 
 def test_rewire_schedule():
@@ -148,6 +175,7 @@ def test_rewire_schedule():
     c = fixed.initial(6, rng)
     assert c.edges == chain(6).edges
     assert rewire(fixed, 2, c, rng) is c  # fixed graphs never change
+    assert fixed in {fixed}  # hashable: a Graph hashes by identity
 
     with pytest.raises(ValueError):
         RewireSchedule("tree", period=0)
@@ -171,6 +199,9 @@ def test_edge_list_round_trip(tmp_path):
     assert back.edges == g.edges and back.n == 15
     with_n = read_edge_list(p, n=20)
     assert with_n.n == 20
+    p.write_text("2 1\n1 2\n\n3 2\n")  # either orientation; a repeated pair is one edge
+    both = read_edge_list(p)
+    assert both.n == 3 and both.pairs.tolist() == [[1, 2], [2, 3]]
 
 
 def test_read_edge_list_errors(tmp_path):

@@ -40,7 +40,7 @@ def test_splitters_common_contract(mode):
     assert all(0 <= g < ds.m for g in flat)
     # deterministic under the same seed
     again = SPLITTERS[mode](ds, n, m_v, np.random.default_rng(1))
-    assert again.assignment == plan.assignment
+    assert np.array_equal(again.assignment, plan.assignment)
     # materialization
     locs = local_datasets(ds, plan)
     assert all(loc.m == m_v for loc in locs)
@@ -137,10 +137,22 @@ def test_first_principal_component_degenerate_inputs():
 def test_partition_plan_validation():
     with pytest.raises(ValueError, match="overlap"):
         PartitionPlan("iid", 2, 2, ((0, 1), (1, 2)))
-    with pytest.raises(ValueError, match="block size"):
+    with pytest.raises(ValueError, match="overlap"):
+        PartitionPlan("iid", 2, 3, np.array([[5, 0, 9], [3, 9, 1]]))
+    with pytest.raises(ValueError, match=r"block size 1 != m_v 2"):
         PartitionPlan("iid", 2, 2, ((0, 1), (2,)))
+    with pytest.raises(ValueError, match=r"block size 3 != m_v 2"):
+        PartitionPlan("iid", 2, 2, np.arange(6).reshape(2, 3))
+    with pytest.raises(ValueError, match="expected 2 blocks, got 1"):
+        PartitionPlan("iid", 2, 2, ((0, 1),))
     with pytest.raises(ValueError, match="unknown partition"):
         PartitionPlan("weird", 1, 2, ((0, 1),))
+    plan = PartitionPlan("iid", 2, 3, ((4, 0, 2), (1, 3, 5)))
+    assert plan.assignment.shape == (2, 3) and plan.assignment.dtype == np.int64
+    assert plan.assignment.tolist() == [[4, 0, 2], [1, 3, 5]]
+    for mode in SPLITTERS:
+        split = SPLITTERS[mode](blob_dataset(m=100), 4, 5, np.random.default_rng(0))
+        assert split.assignment.shape == (4, 5) and split.assignment.dtype == np.int64
 
 
 def test_partition_plan_csv(tmp_path):
