@@ -1,8 +1,8 @@
 """Statistics vectors and the classifiers they define.
 
-A labeled dataset is reduced to one flat vector of sufficient
-statistics: class counts, per-class cell counts for discrete features,
-and per-class (mass, sum, sum of squares) triples for continuous ones.
+A labeled dataset is reduced to one vector of sufficient statistics,
+one row per class: the class count, the cell counts of each discrete
+feature, then the (sum, sum of squares) pair of each continuous one.
 Parameters are a closed-form function of that vector, and the posterior
 is computed from the parameters in log space.
 """

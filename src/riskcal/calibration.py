@@ -30,20 +30,21 @@ from .model import (
 def project(stats: StatsVector) -> StatsVector:
     """Pull statistics back into the region where parameters exist.
 
-    Counts and zeroth moments are floored at COUNT_FLOOR; second moments
-    are raised just enough that every implied variance is at least
+    Counts, class masses included, are floored at COUNT_FLOOR; sums of
+    x^2 are raised just enough that every implied variance is at least
     VAR_FLOOR.  Idempotent, and the identity on statistics of real data
     of at least one instance per class.
     """
     fm = _feature_map(stats.schema)
-    S = stats.values[..., fm.index]  # (..., r, w) per-class rows, a copy
-    np.maximum(S, COUNT_FLOOR, out=S, where=fm.counts)
-    s0, s1 = S[..., fm.x0], S[..., fm.x1]
+    S = stats.rows.copy()
+    counts = S[..., : fm.moments]  # class masses and one-hot cells
+    np.maximum(counts, COUNT_FLOOR, out=counts)
+    s0, s = S[..., :1], fm.pairs(S)  # s holds (s1, s2) pairs
     # var >= VAR_FLOOR  <=>  s2 >= s0 * VAR_FLOOR + s1^2 / s0.  s1^2 can overflow
     # where s2 did not; the inf it leaves is refused by param_map.
     with np.errstate(over="ignore"):
-        S[..., fm.x2] = np.maximum(S[..., fm.x2], s0 * VAR_FLOOR + s1**2 / s0)
-    return StatsVector(stats.schema, fm.flat(S))
+        np.maximum(s[..., 1], s0 * VAR_FLOOR + s[..., 0] ** 2 / s0, out=s[..., 1])
+    return StatsVector(stats.schema, S.reshape(stats.values.shape))
 
 
 def rc_update(stats: StatsVector, dataset: Dataset, lr: float, params: NBParams) -> StatsVector:
@@ -119,15 +120,15 @@ def rc(dataset: Dataset, lr: float, t_max: int, init: StatsVector) -> RCTrace:
     return RCTrace(records)
 
 
-def lrc(agg_stats: StatsVector, local_dataset: Dataset, iterations: int = 1) -> tuple[NBParams, StatsVector]:
+def lrc(agg_stats: StatsVector, local_dataset: Dataset, iterations: int = 1) -> StatsVector:
     """Local calibration of aggregated statistics against local data.
 
     Applies the full (unscaled) calibration step ``iterations`` times:
     the step has total mass zero, so the mass of ``agg_stats`` is
     conserved and acts as the inertia that turns aggregate mass into an
-    effective local learning rate.  Returns the calibrated parameters
-    and the statistics that produced them.  Stacked statistics (n, len)
-    and a stacked dataset (see Dataset) calibrate n nodes at once.
+    effective local learning rate.  Returns the calibrated statistics;
+    ``param_map`` of them is the calibrated model.  Stacked statistics
+    (n, len) and a stacked dataset (see Dataset) calibrate n nodes at once.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -138,4 +139,4 @@ def lrc(agg_stats: StatsVector, local_dataset: Dataset, iterations: int = 1) -> 
     for _ in range(iterations):
         params = param_map(stats)
         stats = project(stats + local - prob_stat_map(local_dataset.X, params))
-    return param_map(stats), stats
+    return stats

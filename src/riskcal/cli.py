@@ -369,6 +369,10 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[str], outdir=".") -> Pa
     if not values:
         raise ConfigError("sweep needs at least one value")
     variants = [_sweep_variant(cfg, axis, text) for text in values]
+    for k, variant in enumerate(variants):
+        if variant in variants[:k]:
+            first = values[variants.index(variant)]
+            raise ConfigError(f"sweep values {first!r} and {values[k]!r} give one experiment")
     full = _load_dataset(cfg)  # no axis changes the dataset
     for variant in variants:  # data errors (too few rows for a split or plan) come before any run
         _prepare_repetition(variant, full, 0)
@@ -455,8 +459,9 @@ def _cmd_gengraph(args: argparse.Namespace) -> int:
 
 def _cmd_gendata(args: argparse.Namespace) -> int:
     generate = GENERATORS[args.kind]
-    # Every keyword parameter with a default (all but rng) is the flag of the same name.
-    knobs = {name: getattr(args, name) for name in generate.__kwdefaults__}
+    # Every keyword parameter with a default (all but rng) is the flag of the same name;
+    # a flag not given leaves the generator's own default.
+    knobs = {name: getattr(args, name) for name in generate.__kwdefaults__ if getattr(args, name) is not None}
     ds = generate(args.m, rng=np.random.default_rng(args.seed), **knobs)
     outdir = Path(_resolve_outdir(args))
     outdir.mkdir(parents=True, exist_ok=True)
@@ -499,13 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_data = sub.add_parser("gendata", help="generate a synthetic dataset")
     p_data.add_argument("--kind", required=True, choices=list(GENERATORS))
     p_data.add_argument("--m", type=int, required=True)
-    p_data.add_argument("--d", type=int, default=2)
-    p_data.add_argument("--r", type=int, default=2)
-    p_data.add_argument("--cardinality", type=int, default=4)
-    p_data.add_argument("--separation", type=float, default=4.0)
-    p_data.add_argument("--skew", type=float, default=0.7)
-    p_data.add_argument("--d_continuous", type=int, default=2)
-    p_data.add_argument("--d_discrete", type=int, default=2)
+    p_data.add_argument("--d", type=int)
+    p_data.add_argument("--r", type=int)
+    p_data.add_argument("--cardinality", type=int)
+    p_data.add_argument("--separation", type=float)
+    p_data.add_argument("--skew", type=float)
+    p_data.add_argument("--d_continuous", type=int)
+    p_data.add_argument("--d_discrete", type=int)
     p_data.add_argument("--seed", type=int, default=0)
     p_data.add_argument("--out", default=None)
     p_data.add_argument("--outdir", default=None)

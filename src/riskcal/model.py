@@ -3,24 +3,21 @@
 Naive Bayes is an exponential family: its statistics are sums over
 instances of the per-class feature row
 
-    Phi(x) = [1 | onehot(code) per discrete feature | (1, x, x^2) per continuous feature]
+    Phi(x) = [1 | onehot(code) per discrete feature | (x, x^2) per continuous feature]
 
-placed in the instance's class row, so labelled data and posterior
-weighted data both give the (r, w) matrix P^T Phi(X), with P the (m, r)
-one-hot labels or posteriors.  A flat vector of length r * w stores a
-fixed permutation of that matrix:
+(each group in schema order) placed in the instance's class row, so
+labelled data and posterior weighted data both give the (r, w) matrix
+P^T Phi(X), with P the (m, r) one-hot labels or posteriors.  That
+matrix, raveled row-major, is the statistics vector: each class row
+holds the class mass, the joint counts of every discrete cell and the
+sums of x and x^2 of every continuous feature; its class mass is the
+s0 of those moments.  Counts and moments each fill one run of columns.
 
-* class block: r pseudo-counts, one per class,
-* each discrete feature: an (r, cardinality) block of joint pseudo-counts,
-* each continuous feature: an (r, 3) block of per-class moments
-  (zeroth, first, second), i.e. weight, sum of x, sum of x^2.
-
-One cached map per schema fixes the columns of Phi, their flat positions
-and their names.  Statistics compose by plain addition and scalar
-multiplication, which is what lets local statistics be averaged across a
-network.  Parameters are the closed-form maximum likelihood mapping from
-statistics: categorical tables by row normalization, Gaussians by moment
-matching
+One cached map per schema fixes the columns of Phi and their names.
+Statistics compose by plain addition and scalar multiplication, which
+is what lets local statistics be averaged across a network.  Parameters
+are the closed-form maximum likelihood mapping from statistics:
+categorical tables by row normalization, Gaussians by moment matching
 
     mu = s1 / s0,    var = s2 / s0 - mu^2.
 
@@ -40,7 +37,7 @@ import numpy as np
 
 from .data import Dataset, Discrete, FeatureSchema, validate_instances
 
-# Smallest admissible count / zeroth moment after projection.
+# Smallest admissible count (class mass or cell count) after projection.
 COUNT_FLOOR = 1e-9
 # Smallest admissible Gaussian variance.
 VAR_FLOOR = 1e-6
@@ -50,77 +47,65 @@ _LOG_2PI = log(2.0 * pi)
 
 
 class _FeatureMap:
-    """The columns of Phi for one schema and their flat positions.
+    """The columns of Phi for one schema and their names.
 
-    Column 0 is the constant (class) column.  ``cont``, ``x0``, ``x1``
-    and ``x2`` hold one entry per continuous feature; ``onehot``,
-    ``cell_feature`` and ``cell_code`` one per discrete (feature, code)
-    cell; both in schema order.
+    Column 0 is the constant (class) column, then come the one-hot cells
+    of the discrete features and from column ``moments`` on the (x, x^2)
+    pairs of the continuous features, each group in schema order;
+    feature i owns the columns ``blocks[i]``.  ``cont`` lists the
+    continuous features; ``cell_feature`` and ``cell_code`` hold one
+    entry per one-hot cell.
     """
 
     def __init__(self, schema: FeatureSchema) -> None:
-        r = schema.class_cardinality
-        ys = range(1, r + 1)
-        self.blocks = []  # flat start and width of each feature block
-        self.param_cols = []  # columns each NBParams block is computed in
-        names, param_names = [f"class[{y}]" for y in ys], [f"class_prob[{y}]" for y in ys]
-        base, cont, x0, onehot, cell_feature, cell_code = [1.0], [], [], [], [], []
-        w = 1
-        for i, spec in enumerate(schema.features):
-            if isinstance(spec, Discrete):
-                c = spec.cardinality
-                onehot += range(w, w + c)
+        features = schema.features
+        ys = range(1, schema.class_cardinality + 1)
+        self.blocks = [None] * len(features)  # column slice of each feature
+        cols, base, cont, cell_feature, cell_code = ["class[{y}]"], [1.0], [], [], []
+        # Discrete features first, then continuous ones; a stable sort keeps schema order.
+        for i in sorted(range(len(features)), key=lambda i: not isinstance(features[i], Discrete)):
+            w = len(base)
+            if isinstance(features[i], Discrete):
+                c = features[i].cardinality
                 cell_feature += [i] * c
                 cell_code += range(1, c + 1)
-                self.param_cols.append(np.arange(w, w + c))
                 base += [1.0 / c] * c
-                names += [f"feature[{i}].count[{y}][{k}]" for y in ys for k in range(1, c + 1)]
-                param_names += [f"feature[{i}].prob[{y}][{k}]" for y in ys for k in range(1, c + 1)]
+                cols += [f"feature[{i}].count[{{y}}][{k}]" for k in range(1, c + 1)]
             else:
-                c = 3
                 cont.append(i)
-                x0.append(w)
-                self.param_cols.append(np.arange(w + 1, w + 3))
-                base += [1.0, 0.0, 1.0]
-                names += [f"feature[{i}].moment[{y}][{j}]" for y in ys for j in range(3)]
+                base += [0.0, 1.0]
+                cols += [f"feature[{i}].moment[{{y}}][{j}]" for j in (1, 2)]
+            self.blocks[i] = slice(w, len(base))
+        param_names = [f"class_prob[{y}]" for y in ys]
+        for i, spec in enumerate(features):
+            if isinstance(spec, Discrete):
+                param_names += [f"feature[{i}].prob[{y}][{k}]" for y in ys for k in range(1, spec.cardinality + 1)]
+            else:
                 param_names += [f"feature[{i}].{p}[{y}]" for y in ys for p in ("mean", "var")]
-            # r flat entries for every column before this block
-            self.blocks.append((r * w, c))
-            w += c
 
-        self.index = np.empty((r, w), dtype=np.int64)  # flat position of (class, column)
-        self.index[:, 0] = np.arange(r)
-        for start, c in self.blocks:
-            self.index[:, start // r : start // r + c] = start + np.arange(r * c).reshape(r, c)
-        self.names = tuple(names)  # StatsVector components, flat order
+        self.width = len(base)
+        self.moments = 1 + len(cell_code)  # first (x, x^2) column
+        self.names = tuple(col.format(y=y) for y in ys for col in cols)  # StatsVector components
         self.param_names = tuple(param_names)  # NBParams components, block order
         self.base = np.array(base)  # uniform_init row per unit of class mass
         self.cont = np.array(cont, dtype=np.int64)
-        self.x0 = np.array(x0, dtype=np.int64)  # zeroth moment, x and x^2 columns
-        self.x1, self.x2 = self.x0 + 1, self.x0 + 2
-        self.counts = np.ones(w, dtype=bool)  # constant, one-hot and zeroth-moment columns
-        self.counts[self.x1] = self.counts[self.x2] = False
-        self.onehot = np.array(onehot, dtype=np.int64)
         self.cell_feature = np.array(cell_feature, dtype=np.int64)
         self.cell_code = np.array(cell_code, dtype=np.float64)
-        # same_feature[k, j]: one-hot columns k and j belong to one feature
+        # same_feature[k, j]: one-hot cells k and j belong to one feature
         self.same_feature = (self.cell_feature[:, None] == self.cell_feature).astype(np.float64)
+
+    def pairs(self, A: np.ndarray) -> np.ndarray:
+        """(..., q, 2) view of the (x, x^2) columns of (..., w) rows A, q continuous features."""
+        return A[..., self.moments :].reshape(A.shape[:-1] + (len(self.cont), 2))
 
     def phi(self, X: np.ndarray) -> np.ndarray:
         """Feature rows Phi(x) of a validated (..., m, d) array; shape (..., m, w)."""
-        out = np.zeros(X.shape[:-1] + (self.index.shape[1],))
+        out = np.zeros(X.shape[:-1] + (self.width,))
         out[..., 0] = 1.0
-        out[..., self.x0] = 1.0
-        xc = X[..., self.cont]
-        out[..., self.x1] = xc
-        out[..., self.x2] = xc * xc
-        out[..., self.onehot] = X[..., self.cell_feature] == self.cell_code
-        return out
-
-    def flat(self, rows: np.ndarray) -> np.ndarray:
-        """Flat statistics of (..., r, w) per-class rows; values[..., index] inverts it."""
-        out = np.empty(rows.shape[:-2] + (self.index.size,))
-        out[..., self.index] = rows
+        out[..., 1 : self.moments] = X[..., self.cell_feature] == self.cell_code
+        xc, pairs = X[..., self.cont], self.pairs(out)
+        pairs[..., 0] = xc
+        pairs[..., 1] = xc * xc
         return out
 
 
@@ -128,17 +113,17 @@ _feature_map = lru_cache(maxsize=None)(_FeatureMap)
 
 
 def stats_length(schema: FeatureSchema) -> int:
-    return _feature_map(schema).index.size
+    return schema.class_cardinality * _feature_map(schema).width
 
 
 @dataclass
 class StatsVector:
-    """Flat additive statistics for one schema.
+    """Additive statistics P^T Phi for one schema.
 
-    ``values`` is a float64 vector laid out as class block, then one
-    block per feature in schema order; an optional leading node axis,
-    ``values`` of shape (n, len), holds one vector per node.  Block
-    accessors return writable views into the flat array.
+    ``values`` is the (r, w) matrix P^T Phi raveled row-major into a
+    float64 vector: class 1's row, then class 2's.  An optional leading
+    node axis, ``values`` of shape (n, len), holds one vector per node.
+    ``rows`` and the block accessors return writable views into it.
     """
 
     schema: FeatureSchema
@@ -151,13 +136,18 @@ class StatsVector:
         self.values = v
 
     @property
+    def rows(self) -> np.ndarray:
+        """The (..., r, w) matrix P^T Phi: one row per class."""
+        return self.values.reshape(self.values.shape[:-1] + (self.schema.class_cardinality, -1))
+
+    @property
     def class_block(self) -> np.ndarray:
-        return self.values[..., : self.schema.class_cardinality]
+        """Class masses (..., r), the constant column; the s0 of every moment."""
+        return self.rows[..., 0]
 
     def feature_block(self, i: int) -> np.ndarray:
-        start, width = _feature_map(self.schema).blocks[i]
-        r = self.schema.class_cardinality
-        return self.values[..., start : start + r * width].reshape(self.values.shape[:-1] + (r, width))
+        """Feature i's (..., r, c) cell counts, or (..., r, 2) sums of x and x^2."""
+        return self.rows[..., _feature_map(self.schema).blocks[i]]
 
     @property
     def ess(self) -> float:
@@ -186,7 +176,7 @@ class StatsVector:
     __rmul__ = __mul__
 
     def to_text(self) -> str:
-        """Full-precision key/value dump, one component per line."""
+        """Full-precision key/value dump, one component per line, in storage order."""
         names = _feature_map(self.schema).names
         lines = [f"ess = {self.ess!r}"]
         lines += [f"{name} = {float(v)!r}" for name, v in zip(names, self.values)]
@@ -230,20 +220,19 @@ class NBParams:
 
 def _accumulate(schema: FeatureSchema, P: np.ndarray, X: np.ndarray) -> StatsVector:
     """Statistics P^T Phi(X) of weighted instances: row k of P spreads instance k over classes."""
-    fm = _feature_map(schema)
     with np.errstate(over="ignore", invalid="ignore"):
-        S = np.swapaxes(P, -1, -2) @ fm.phi(X)
+        S = np.swapaxes(P, -1, -2) @ _feature_map(schema).phi(X)
     if not np.isfinite(S).all():
         raise ValueError(_NOT_FINITE)
-    return StatsVector(schema, fm.flat(S))
+    return StatsVector(schema, S.reshape(S.shape[:-2] + (-1,)))
 
 
 def stat_map_instance(x, y: int, schema: FeatureSchema) -> StatsVector:
     """Statistics of a single labelled instance.
 
-    One unit of class mass on label y; for discrete features one unit on
-    the observed (y, value) cell; for continuous features the moment
-    triple (1, x, x^2) in class y's row.
+    Class y's row is Phi(x): one unit of class mass, one unit on the
+    observed cell of each discrete feature, and (x, x^2) for each
+    continuous feature; the other rows are zero.
     """
     x = np.asarray(x, dtype=np.float64).reshape(1, -1)
     validate_instances(schema, x)
@@ -338,34 +327,33 @@ def predict(params: NBParams, x) -> int:
 def param_map(stats: StatsVector) -> NBParams:
     """Closed-form maximum likelihood parameters from statistics.
 
-    Requires finite, projected statistics: every count and zeroth moment
-    at least COUNT_FLOOR.  Variances are floored at VAR_FLOOR.
+    Requires finite, projected statistics: every count, class masses
+    included, at least COUNT_FLOOR.  Variances are floored at VAR_FLOOR.
     """
     fm = _feature_map(stats.schema)
-    S = stats.values[..., fm.index]  # (..., r, w) per-class rows
+    S = stats.rows
     if not np.isfinite(S).all():
         raise ValueError(_NOT_FINITE)
-    if S[..., fm.counts].min() < COUNT_FLOOR:
+    if S[..., : fm.moments].min() < COUNT_FLOOR:
         raise ValueError("statistics below the count floor; project before mapping to parameters")
     # Parameters take the columns of the statistics they come from.
     theta = np.empty_like(S)
-    cells = S[..., fm.onehot]
-    theta[..., fm.onehot] = cells / (cells @ fm.same_feature)
-    s0, s1, s2 = S[..., fm.x0], S[..., fm.x1], S[..., fm.x2]
-    mu = s1 / s0
-    theta[..., fm.x1] = mu
-    theta[..., fm.x2] = np.maximum(s2 / s0 - mu * mu, VAR_FLOOR)
+    cells = S[..., 1 : fm.moments]
+    theta[..., 1 : fm.moments] = cells / (cells @ fm.same_feature)
+    s0, s, t = S[..., :1], fm.pairs(S), fm.pairs(theta)  # t holds (mu, var) pairs
+    mu = np.divide(s[..., 0], s0, out=t[..., 0])
+    np.maximum(s[..., 1] / s0 - mu * mu, VAR_FLOOR, out=t[..., 1])
     cls = S[..., 0]
     probs = cls / cls.sum(axis=-1, keepdims=True)
-    return NBParams(stats.schema, probs, tuple(theta.take(c, axis=-1) for c in fm.param_cols))
+    return NBParams(stats.schema, probs, tuple(theta[..., sl] for sl in fm.blocks))
 
 
 def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
     """Statistics of total mass m0 whose model is maximally uninformative.
 
     Class mass m0/r per class; discrete cells m0/(r * cardinality), so
-    every conditional table is uniform; continuous moments
-    (m0/r, 0, m0/r), giving mean 0 and variance 1 for every class.  The
+    every conditional table is uniform; continuous sums (0, m0/r) of x
+    and x^2, giving mean 0 and variance 1 for every class.  The
     resulting posterior is uniform for every instance, and the
     construction is homogeneous: uniform_init(c * m0) equals
     c * uniform_init(m0) componentwise.
@@ -373,12 +361,13 @@ def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
     m0 = float(m0)
     if not 0 < m0 < inf:
         raise ValueError(f"initial mass must be positive and finite, got {m0}")
-    fm = _feature_map(schema)
-    return StatsVector(schema, fm.flat((m0 / schema.class_cardinality) * fm.base))
+    r = schema.class_cardinality
+    return StatsVector(schema, np.tile((m0 / r) * _feature_map(schema).base, r))
 
 
-# Models evaluated together per batch; bounds the (K, m, r) temporaries.
-_EVAL_CHUNK = 64
+# Models evaluated together per batch; bounds the (K, m, r) temporaries, which at
+# 64 models and 1000 rows were big enough to be paged in afresh for every batch.
+_EVAL_CHUNK = 16
 
 
 def evaluate(params: NBParams, dataset: Dataset) -> tuple[float, float]:

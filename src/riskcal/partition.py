@@ -42,6 +42,8 @@ class PartitionPlan:
         for size in (len(block) for block in self.assignment if len(block) != self.m_v):
             raise ValueError(f"block size {size} != m_v {self.m_v}")
         assignment = np.array(self.assignment, dtype=np.int64).reshape(self.n, self.m_v)
+        if np.any(assignment < 0):
+            raise ValueError(f"negative index {assignment.min()}")
         if np.any(np.diff(np.sort(assignment, axis=None)) == 0):
             raise ValueError("blocks overlap")
         assignment.setflags(write=False)

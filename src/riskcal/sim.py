@@ -221,7 +221,7 @@ def run_crc(
         agg = _average(S, graph, neighborhood)
         S = np.empty_like(agg)  # a fresh array: earlier states keep their values
         for g, ds in zip(groups, stacked):
-            S[g] = lrc(StatsVector(schema, agg[g]), ds, iterations)[1].values
+            S[g] = lrc(StatsVector(schema, agg[g]), ds, iterations).values
         if aggregates is not None:
             aggregates.append(StatsVector(schema, agg))
         if evaluating or t == t_max:

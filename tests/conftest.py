@@ -52,37 +52,41 @@ def fraction_posterior(params: NBParams, x) -> list[Fraction]:
 def brute_force_prob_stats(params: NBParams, X, exact: bool) -> np.ndarray:
     """Double sum over (instance, class) of posterior-weighted statistics.
 
-    Accumulates into the library's flat layout but computes every weight
-    independently: exact Fractions for discrete-only schemas, scalar
-    floats otherwise.  Returns the flat vector as float64.
+    Accumulates into the library's row-major (class, column) layout, with
+    its own column offsets (class mass, then every discrete feature's
+    cells, then every continuous feature's (x, x^2) pair), but computes
+    every weight independently: exact Fractions for discrete-only schemas,
+    scalar floats otherwise.  Returns the flat vector as float64.
     """
     schema = params.schema
     r = schema.class_cardinality
-    from riskcal.model import stats_length, zero_stats
+    from riskcal.model import stats_length
 
     if exact:
         acc: list = [Fraction(0)] * stats_length(schema)
     else:
         acc = [0.0] * stats_length(schema)
-    starts = []
-    pos = r
-    for spec in schema.features:
-        starts.append(pos)
-        pos += r * spec.cardinality if isinstance(spec, Discrete) else r * 3
+    starts = {}
+    w = 1  # column 0 is the class mass
+    for discrete in (True, False):
+        for i, spec in enumerate(schema.features):
+            if isinstance(spec, Discrete) == discrete:
+                starts[i] = w
+                w += spec.cardinality if discrete else 2
+    assert r * w == stats_length(schema)
     for row in np.asarray(X, dtype=np.float64):
         post = fraction_posterior(params, row) if exact else scalar_posterior(params, row)
         for yi in range(r):
-            w = post[yi]
-            acc[yi] += w
+            wt = post[yi]
+            acc[yi * w] += wt
             for i, spec in enumerate(schema.features):
-                base = starts[i]
+                base = yi * w + starts[i]
                 if isinstance(spec, Discrete):
-                    acc[base + yi * spec.cardinality + int(row[i]) - 1] += w
+                    acc[base + int(row[i]) - 1] += wt
                 else:
                     xi = Fraction(float(row[i])) if exact else float(row[i])
-                    acc[base + yi * 3 + 0] += w
-                    acc[base + yi * 3 + 1] += w * xi
-                    acc[base + yi * 3 + 2] += w * xi * xi
+                    acc[base + 0] += wt * xi
+                    acc[base + 1] += wt * xi * xi
     return np.array([float(v) for v in acc])
 
 

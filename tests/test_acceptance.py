@@ -263,7 +263,7 @@ def test_criterion_05_updates_conserve_equivalent_sample_size():
             s = project(raw)
         if not clean:
             continue
-        _, out_stats = lrc(agg, ds, iters)
+        out_stats = lrc(agg, ds, iters)
         worst = max(worst, abs(out_stats.ess - agg.ess) / agg.ess)
         checked["local rounds"] += 1
 
@@ -328,7 +328,7 @@ def test_criterion_06_perfectly_fitted_statistics_are_a_fixed_point():
             out = rc_update(stats, ds, lr, params)
             worst_move = max(worst_move, float(np.max(np.abs(out.values - stats.values))))
         for iters in (1, 3):
-            _, out_stats = lrc(stats, ds, iters)
+            out_stats = lrc(stats, ds, iters)
             worst_move = max(worst_move, float(np.max(np.abs(out_stats.values - stats.values))))
     ok = worst_soft < 1e-12 and worst_move < 1e-12
     verdict(

@@ -43,13 +43,13 @@ def test_project_raises_second_moment_to_variance_floor():
     schema = FeatureSchema((Continuous(),), 2)
     s = zero_stats(schema)
     s.class_block[:] = [4.0, 4.0]
-    s.feature_block(0)[:] = [[4.0, 8.0, 16.0], [4.0, 0.0, 4.0]]  # row 0 variance 0
+    s.feature_block(0)[:] = [[8.0, 16.0], [0.0, 4.0]]  # row 0 variance 0
     out = project(s)
     p = param_map(out)
     assert p.feature_params[0][0, 1] >= VAR_FLOOR
     assert p.feature_params[0][0, 1] <= VAR_FLOOR * (1 + 1e-9)
     # row 1 already has variance 1 and must be untouched
-    assert np.array_equal(out.feature_block(0)[1], [4.0, 0.0, 4.0])
+    assert np.array_equal(out.feature_block(0)[1], [0.0, 4.0])
 
 
 def test_project_idempotent_bitwise():
@@ -101,7 +101,7 @@ def test_fixed_point_of_rc_update_and_lrc():
     assert soft < 1e-12  # premise: perfect soft fit
     out = rc_update(stats, ds, 0.7, params)
     assert np.max(np.abs(out.values - stats.values)) <= 1e-12
-    _, lrc_stats = lrc(stats, ds, iterations=3)
+    lrc_stats = lrc(stats, ds, iterations=3)
     assert np.max(np.abs(lrc_stats.values - stats.values)) <= 1e-12
 
 
@@ -183,11 +183,11 @@ def test_lrc_conserves_mass_and_composes():
     schema = mixed_schema()
     ds = random_dataset(schema, 40, rng)
     agg = uniform_init(schema, 800.0) + 0.25 * stat_map_dataset(ds)
-    params1, s1 = lrc(agg, ds, iterations=1)
+    s1 = lrc(agg, ds, iterations=1)
     assert abs(s1.ess - agg.ess) < 1e-9 * agg.ess
     # two iterations equal one iteration applied twice
-    _, s2 = lrc(agg, ds, iterations=2)
-    _, s2_by_composition = lrc(s1, ds, iterations=1)
+    s2 = lrc(agg, ds, iterations=2)
+    s2_by_composition = lrc(s1, ds, iterations=1)
     assert np.array_equal(s2.values, s2_by_composition.values)
     with pytest.raises(ValueError):
         lrc(agg, ds, iterations=0)
@@ -200,7 +200,7 @@ def test_lrc_inertia_shrinks_step():
     moves = []
     for m0 in (100.0, 10000.0):
         init = uniform_init(ds.schema, m0)
-        params, _ = lrc(init, ds, iterations=1)
+        params = param_map(lrc(init, ds, iterations=1))
         base = param_map(project(init))
         moves.append(np.max(np.abs(params.class_probs - base.class_probs)))
     assert moves[1] < moves[0] * 0.1

@@ -21,9 +21,10 @@ from riskcal.cli import (
     sweep,
     validate_config,
 )
-from riskcal.data import DataError, infer_schema, load_csv
+from riskcal.data import DataError, infer_schema, load_csv, write_csv
 from riskcal.network import read_edge_list
 from riskcal.sim import METRICS_COLUMNS
+from riskcal.synth import GENERATORS
 
 
 def gen_dataset(tmp_path, m=900, kind="blobs", seed=0):
@@ -155,6 +156,14 @@ def test_gendata_writes_loadable_csv(tmp_path):
         empty = tmp_path / f"{kind}_d0.csv"
         assert main(["gendata", "--kind", kind, "--m", "120", "--d", "0", "--out", str(empty)]) == 1
         assert not empty.exists()
+
+
+def test_gendata_defaults_are_the_generators(tmp_path):
+    for kind, m, seed in (("blobs", 50, 4), ("categorical", 60, 5), ("mixed", 70, 6)):
+        want = tmp_path / f"{kind}_want.csv"
+        write_csv(GENERATORS[kind](m, rng=np.random.default_rng(seed)), want)
+        got = gen_dataset(tmp_path, m=m, kind=kind, seed=seed)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_gendata_deterministic(tmp_path):
@@ -331,6 +340,8 @@ def test_sweep_validates_every_value_before_running(tmp_path):
     for axis, values, message in (
         ("fragmentation", ["2", "0"], "fragmentation must be >= 1 and divide 100 total instances, got 0"),
         ("n", ["4", "x"], "bad value for 'n': 'x'"),
+        ("n", ["4", "4"], "sweep values '4' and '4' give one experiment"),
+        ("fragmentation", ["2", "4", "02"], "sweep values '2' and '02' give one experiment"),
     ):
         with pytest.raises(ConfigError, match=message):
             sweep(cfg, axis, values, out)

@@ -37,21 +37,19 @@ from riskcal.model import (
 
 TINY_SCHEMA = FeatureSchema((Discrete(3), Continuous()), 2)
 
-# Dump keys on mixed_schema(3), in the order the dump format fixes.
+# Dump keys on mixed_schema(3), in the order the dump format fixes: class rows,
+# each with the class mass, the discrete cells, then the continuous pairs.
 STATS_KEYS = """
-ess class[1] class[2] class[3]
-feature[0].moment[1][0] feature[0].moment[1][1] feature[0].moment[1][2]
-feature[0].moment[2][0] feature[0].moment[2][1] feature[0].moment[2][2]
-feature[0].moment[3][0] feature[0].moment[3][1] feature[0].moment[3][2]
-feature[1].count[1][1] feature[1].count[1][2] feature[1].count[1][3]
-feature[1].count[2][1] feature[1].count[2][2] feature[1].count[2][3]
-feature[1].count[3][1] feature[1].count[3][2] feature[1].count[3][3]
-feature[2].moment[1][0] feature[2].moment[1][1] feature[2].moment[1][2]
-feature[2].moment[2][0] feature[2].moment[2][1] feature[2].moment[2][2]
-feature[2].moment[3][0] feature[2].moment[3][1] feature[2].moment[3][2]
+ess
+class[1] feature[1].count[1][1] feature[1].count[1][2] feature[1].count[1][3]
 feature[3].count[1][1] feature[3].count[1][2]
+feature[0].moment[1][1] feature[0].moment[1][2] feature[2].moment[1][1] feature[2].moment[1][2]
+class[2] feature[1].count[2][1] feature[1].count[2][2] feature[1].count[2][3]
 feature[3].count[2][1] feature[3].count[2][2]
+feature[0].moment[2][1] feature[0].moment[2][2] feature[2].moment[2][1] feature[2].moment[2][2]
+class[3] feature[1].count[3][1] feature[1].count[3][2] feature[1].count[3][3]
 feature[3].count[3][1] feature[3].count[3][2]
+feature[0].moment[3][1] feature[0].moment[3][2] feature[2].moment[3][1] feature[2].moment[3][2]
 """.split()
 PARAM_KEYS = """
 class_prob[1] class_prob[2] class_prob[3]
@@ -69,8 +67,8 @@ feature[3].prob[3][1] feature[3].prob[3][2]
 
 
 def test_stats_layout_length():
-    # class block 2 + discrete 2*3 + continuous 2*3
-    assert stats_length(TINY_SCHEMA) == 2 + 6 + 6
+    # two class rows of: class mass, 3 cells, sums of x and x^2
+    assert stats_length(TINY_SCHEMA) == 2 * (1 + 3 + 2)
 
 
 def test_stat_map_instance_hand_values():
@@ -80,8 +78,10 @@ def test_stat_map_instance_hand_values():
     disc = s.feature_block(0)
     assert disc[1, 1] == 1.0 and disc.sum() == 1.0
     cont = s.feature_block(1)
-    assert list(cont[1]) == [1.0, 0.5, 0.25]
-    assert list(cont[0]) == [0.0, 0.0, 0.0]
+    assert list(cont[1]) == [0.5, 0.25]
+    assert list(cont[0]) == [0.0, 0.0]
+    assert list(s.rows[1]) == [1.0, 0.0, 1.0, 0.0, 0.5, 0.25]  # class 2's row is Phi(x)
+    assert list(s.rows[0]) == [0.0] * 6
 
 
 def test_stat_map_instance_validates():
@@ -137,11 +137,11 @@ def test_param_map_hand_values():
     s = zero_stats(TINY_SCHEMA)
     s.class_block[:] = [8.0, 8.0]
     s.feature_block(0)[:] = [[2.0, 6.0, 8.0], [4.0, 4.0, 8.0]]
-    s.feature_block(1)[:] = [[4.0, 6.0, 13.0], [8.0, 0.0, 8.0]]
+    s.feature_block(1)[:] = [[12.0, 26.0], [0.0, 8.0]]
     p = param_map(s)
     assert list(p.class_probs) == [0.5, 0.5]
     assert np.allclose(p.feature_params[0][0], [0.125, 0.375, 0.5], rtol=0, atol=0)
-    # mu = 6/4, var = 13/4 - 1.5^2 = 1.0
+    # mu = 12/8, var = 26/8 - 1.5^2 = 1.0
     assert p.feature_params[1][0, 0] == 1.5
     assert p.feature_params[1][0, 1] == 1.0
     assert p.feature_params[1][1, 0] == 0.0
@@ -151,7 +151,7 @@ def test_param_map_hand_values():
 def test_param_map_floors_variance():
     s = zero_stats(FeatureSchema((Continuous(),), 2))
     s.class_block[:] = [2.0, 2.0]
-    s.feature_block(0)[:] = [[2.0, 2.0, 2.0], [2.0, 0.0, 2.0]]  # row 0: mu=1, var=0
+    s.feature_block(0)[:] = [[2.0, 2.0], [0.0, 2.0]]  # row 0: mu=1, var=0
     p = param_map(s)
     assert p.feature_params[0][0, 1] == VAR_FLOOR
 
@@ -160,7 +160,6 @@ def test_param_map_rejects_unprojected():
     s = zero_stats(TINY_SCHEMA)
     s.class_block[:] = [1.0, 0.0]  # below the count floor
     s.feature_block(0)[:] = 1.0
-    s.feature_block(1)[:, 0] = 1.0
     with pytest.raises(ValueError, match="project"):
         param_map(s)
 
@@ -174,7 +173,7 @@ def test_param_map_rejects_non_finite_statistics():
     nan_count = uniform_init(TINY_SCHEMA, 10.0)
     nan_count.class_block[0] = np.nan  # nan < COUNT_FLOOR is False
     inf_square = uniform_init(TINY_SCHEMA, 10.0)
-    inf_square.feature_block(1)[0, 2] = np.inf
+    inf_square.feature_block(1)[0, 1] = np.inf
     for s in (nan_count, inf_square):
         with pytest.raises(ValueError, match="not all finite"):
             param_map(s)
@@ -380,7 +379,7 @@ def test_to_text_full_precision():
     assert text.startswith("ess = 30.0\n")
     line = [ln for ln in text.splitlines() if ln.startswith("feature[0].moment[1][1]")][0]
     value = float(line.split(" = ")[1])
-    assert value == s.feature_block(0)[0, 1]
+    assert value == s.feature_block(0)[0, 0]
     ptext = param_map(s).to_text()
     assert "class_prob[1] = " in ptext and "feature[1].count" not in ptext
 
@@ -391,9 +390,10 @@ def test_to_text_line_order_on_mixed_schema():
     p = param_map(s)
     pairs = [ln.split(" = ") for ln in s.to_text().splitlines()]
     assert [k for k, _ in pairs] == STATS_KEYS
-    assert [float(v) for _, v in pairs[1:]] == list(s.values)  # flat layout order
+    assert [float(v) for _, v in pairs[1:]] == list(s.values)  # storage order
     stats = {k: float(v) for k, v in pairs}
-    assert stats["feature[2].moment[2][1]"] == s.feature_block(2)[1, 1]
+    assert stats["class[2]"] == s.class_block[1]
+    assert stats["feature[2].moment[2][1]"] == s.feature_block(2)[1, 0]
     assert stats["feature[3].count[3][2]"] == s.feature_block(3)[2, 1]
     pairs = [ln.split(" = ") for ln in p.to_text().splitlines()]
     assert [k for k, _ in pairs] == PARAM_KEYS

@@ -147,6 +147,8 @@ def test_partition_plan_validation():
         PartitionPlan("iid", 2, 2, ((0, 1),))
     with pytest.raises(ValueError, match="unknown partition"):
         PartitionPlan("weird", 1, 2, ((0, 1),))
+    with pytest.raises(ValueError, match="negative index -1"):  # row 9 of 10 rows, twice
+        PartitionPlan("iid", 1, 2, ((-1, 9),))
     plan = PartitionPlan("iid", 2, 3, ((4, 0, 2), (1, 3, 5)))
     assert plan.assignment.shape == (2, 3) and plan.assignment.dtype == np.int64
     assert plan.assignment.tolist() == [[4, 0, 2], [1, 3, 5]]

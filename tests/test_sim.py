@@ -152,7 +152,7 @@ def test_rounds_match_a_per_node_reference_loop():
                 np.mean([stats[u - 1].values for u in sorted(neighbors(graph, v, neighborhood))], axis=0)
                 for v in range(1, n + 1)
             ]
-            stats = [lrc(StatsVector(schema, a), ds, iterations)[1] for a, ds in zip(aggs, locals_)]
+            stats = [lrc(StatsVector(schema, a), ds, iterations) for a, ds in zip(aggs, locals_)]
             for got, want in zip(res.aggregates[t - 1], aggs):
                 np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0)
         assert len(graphs) == 3  # rewired at rounds 2 and 4
