@@ -460,8 +460,12 @@ def _cmd_gengraph(args: argparse.Namespace) -> int:
 def _cmd_gendata(args: argparse.Namespace) -> int:
     generate = GENERATORS[args.kind]
     # Every keyword parameter with a default (all but rng) is the flag of the same name;
-    # a flag not given leaves the generator's own default.
-    knobs = {name: getattr(args, name) for name in generate.__kwdefaults__ if getattr(args, name) is not None}
+    # a flag not given leaves the generator's own default, and one of another kind is refused.
+    given = {name for g in GENERATORS.values() for name in g.__kwdefaults__ if getattr(args, name) is not None}
+    foreign = sorted(given - generate.__kwdefaults__.keys())
+    if foreign:
+        raise ConfigError(f"--kind {args.kind} does not take " + ", ".join(f"--{name}" for name in foreign))
+    knobs = {name: getattr(args, name) for name in given}
     ds = generate(args.m, rng=np.random.default_rng(args.seed), **knobs)
     outdir = Path(_resolve_outdir(args))
     outdir.mkdir(parents=True, exist_ok=True)

@@ -22,7 +22,10 @@ categorical tables by row normalization, Gaussians by moment matching
     mu = s1 / s0,    var = s2 / s0 - mu^2.
 
 Posteriors are evaluated in log space with max subtraction; zero
-probabilities are allowed and yield exact 0/1 posteriors.
+probabilities are allowed and yield exact 0/1 posteriors.  The log joint
+is class-major, (..., r, m): one row of m instances per class, so the
+argmax, the max and the softmax sum each run over r rows of contiguous
+data, and the posterior is P^T itself, ready for P^T Phi.
 
 Every mapping also takes a leading node axis (statistics (n, len),
 datasets X (n, m, d)), so one node and n same-size nodes share one code path.
@@ -218,10 +221,10 @@ class NBParams:
         return "".join(f"{name} = {float(v)!r}\n" for name, v in zip(names, values))
 
 
-def _accumulate(schema: FeatureSchema, P: np.ndarray, X: np.ndarray) -> StatsVector:
-    """Statistics P^T Phi(X) of weighted instances: row k of P spreads instance k over classes."""
+def _accumulate(schema: FeatureSchema, PT: np.ndarray, X: np.ndarray) -> StatsVector:
+    """Statistics P^T Phi(X) of weighted instances: column k of P^T spreads instance k over classes."""
     with np.errstate(over="ignore", invalid="ignore"):
-        S = np.swapaxes(P, -1, -2) @ _feature_map(schema).phi(X)
+        S = PT @ _feature_map(schema).phi(X)
     if not np.isfinite(S).all():
         raise ValueError(_NOT_FINITE)
     return StatsVector(schema, S.reshape(S.shape[:-2] + (-1,)))
@@ -239,7 +242,7 @@ def stat_map_instance(x, y: int, schema: FeatureSchema) -> StatsVector:
     y = int(y)
     if not 1 <= y <= schema.class_cardinality:
         raise ValueError(f"label {y} outside 1..{schema.class_cardinality}")
-    return _accumulate(schema, np.eye(schema.class_cardinality)[[y - 1]], x)
+    return _accumulate(schema, np.eye(schema.class_cardinality)[[y - 1]].T, x)
 
 
 def stat_map_dataset(dataset: Dataset) -> StatsVector:
@@ -247,7 +250,7 @@ def stat_map_dataset(dataset: Dataset) -> StatsVector:
     if dataset.m == 0:
         raise ValueError("empty dataset has no statistics")
     onehot = np.eye(dataset.schema.class_cardinality)[dataset.y - 1]
-    return _accumulate(dataset.schema, onehot, dataset.X)
+    return _accumulate(dataset.schema, np.swapaxes(onehot, -1, -2), dataset.X)
 
 
 def prob_stat_map(X, params: NBParams) -> StatsVector:
@@ -264,46 +267,72 @@ def prob_stat_map(X, params: NBParams) -> StatsVector:
 
 
 def _log_joint(params: NBParams, X: np.ndarray) -> np.ndarray:
-    """Log joint log p(y) + sum_i log p(x_i | y) of the rows of X.
+    """Class-major log joint log p(y) + sum_i log p(x_i | y) of the rows of X.
 
     ``params`` and X (..., m, d) may both carry leading axes, which
-    broadcast: the result has shape (..., m, r).  Zero probabilities
-    produce -inf, which flows through argmax and softmax exactly.
+    broadcast: the result has shape (..., r, m), row y holding class
+    y + 1's log joint of every instance.  Zero probabilities produce
+    -inf, which flows through the class maximum and softmax exactly.
     """
     with np.errstate(divide="ignore"):
-        cp = np.log(params.class_probs)[..., None, :]  # (..., 1, r)
-        out = np.empty(np.broadcast_shapes(cp.shape, X.shape[:-1] + (1,)))
+        cp = np.log(params.class_probs)[..., :, None]  # (..., r, 1)
+        out = np.empty(np.broadcast_shapes(cp.shape, X.shape[:-2] + (1, X.shape[-2])))
         out[...] = cp
         for i, (spec, block) in enumerate(zip(params.schema.features, params.feature_params)):
-            col = X[..., i, None]  # (..., m, 1)
+            col = X[..., None, :, i]  # (..., 1, m)
             if isinstance(spec, Discrete):
-                tables = np.log(np.swapaxes(block, -1, -2))  # (..., c, r)
-                out += np.take_along_axis(tables, col.astype(np.int64) - 1, axis=-2)
+                out += np.take_along_axis(np.log(block), col.astype(np.int64) - 1, axis=-1)
             else:
-                mu = block[..., None, :, 0]
-                var = block[..., None, :, 1]
-                diff = col - mu
-                out += -0.5 * (diff * diff / var + np.log(var) + _LOG_2PI)
+                mu = block[..., :, 0, None]  # (..., r, 1)
+                var = block[..., :, 1, None]
+                # -0.5 * ((x - mu)^2 / var + log(var) + log(2 pi)), in one temporary
+                term = col - mu
+                term *= term
+                term /= var
+                term += np.log(var)
+                term += _LOG_2PI
+                term *= -0.5
+                out += term
     return out
 
 
-def _softmax_last(logp: np.ndarray) -> np.ndarray:
-    mx = logp.max(axis=-1, keepdims=True)
-    # All -inf rows cannot occur: class priors are positive after projection.
-    z = np.exp(logp - mx)
-    return z / z.sum(axis=-1, keepdims=True)
+def _top_class(logj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Most probable class index (0-based) and its log joint, per instance of a (..., r, m) log joint.
+
+    One strict compare per class, so ties go to the lowest class, as with np.argmax.
+    """
+    top = logj[..., 0, :].copy()
+    arg = np.zeros(top.shape, dtype=np.int64)
+    for y in range(1, logj.shape[-2]):
+        row = logj[..., y, :]
+        arg[row > top] = y
+        np.maximum(top, row, out=top)
+    return arg, top
+
+
+def _softmax_classes(logj: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Posteriors from a (..., r, m) log joint and its class maximum ``top``, computed in logj's memory."""
+    # All -inf columns cannot occur: class priors are positive after projection.
+    logj -= top[..., None, :]
+    z = np.exp(logj, out=logj)
+    z /= z.sum(axis=-2, keepdims=True)
+    return z
 
 
 def _posterior(params: NBParams, X: np.ndarray) -> np.ndarray:
-    """posterior_matrix of an already validated X."""
-    return _softmax_last(_log_joint(params, X))
+    """Class-major posteriors P^T, (..., r, m), of an already validated X."""
+    logj = _log_joint(params, X)
+    return _softmax_classes(logj, logj.max(axis=-2))
 
 
 def posterior_matrix(params: NBParams, X) -> np.ndarray:
-    """Posterior p(y | x) for each row of X; shape (m, r), rows sum to 1."""
+    """Posterior p(y | x) for each row of X; shape (..., m, r), rows sum to 1.
+
+    The result is a transposed view of the class-major posteriors.
+    """
     X = np.asarray(X, dtype=np.float64)
     validate_instances(params.schema, X)
-    return _posterior(params, X)
+    return np.swapaxes(_posterior(params, X), -1, -2)
 
 
 def posterior(params: NBParams, x) -> np.ndarray:
@@ -316,7 +345,7 @@ def predict_matrix(params: NBParams, X) -> np.ndarray:
     """Most probable class per row, ties resolved to the lowest index."""
     X = np.asarray(X, dtype=np.float64)
     validate_instances(params.schema, X)
-    return np.argmax(_log_joint(params, X), axis=-1).astype(np.int64) + 1
+    return _top_class(_log_joint(params, X))[0] + 1
 
 
 def predict(params: NBParams, x) -> int:
@@ -365,8 +394,9 @@ def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
     return StatsVector(schema, np.tile((m0 / r) * _feature_map(schema).base, r))
 
 
-# Models evaluated together per batch; bounds the (K, m, r) temporaries, which at
-# 64 models and 1000 rows were big enough to be paged in afresh for every batch.
+# Models evaluated together per batch; bounds the class-major (K, r, m)
+# temporaries, which at 64 models and 1000 rows were big enough to be paged in
+# afresh for every batch.
 _EVAL_CHUNK = 16
 
 
@@ -400,9 +430,10 @@ def evaluate_many(models, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     rows = np.arange(dataset.m)
     for lo in range(0, len(models), _EVAL_CHUNK):
         hi = lo + _EVAL_CHUNK
-        logj = _log_joint(models[lo:hi], dataset.X[None])  # (K, m, r)
-        pred = logj.argmax(axis=-1)
-        err01[lo:hi] = (pred != y0[None, :]).mean(axis=1)
-        post = _softmax_last(logj)
-        soft[lo:hi] = (1.0 - post[:, rows, y0]).mean(axis=1)
+        logj = _log_joint(models[lo:hi], dataset.X[None])  # (K, r, m)
+        pred, top = _top_class(logj)
+        err01[lo:hi] = (pred != y0).mean(axis=1)
+        post = _softmax_classes(logj, top)
+        # The gather is laid out instance-major, so the mean adds instances in row order.
+        soft[lo:hi] = (1.0 - post[:, y0, rows]).mean(axis=1)
     return err01, soft

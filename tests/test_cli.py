@@ -166,6 +166,16 @@ def test_gendata_defaults_are_the_generators(tmp_path):
         assert got.read_bytes() == want.read_bytes()
 
 
+def test_gendata_refuses_flags_of_another_kind(tmp_path, capsys):
+    out = tmp_path / "blobs.csv"
+    assert main(["gendata", "--kind", "blobs", "--m", "20", "--skew", "0.9", "--cardinality", "7",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --kind blobs does not take --cardinality, --skew\n"
+    assert not out.exists()
+    # A flag every kind shares is still taken.
+    assert main(["gendata", "--kind", "blobs", "--m", "20", "--r", "3", "--out", str(out)]) == 0
+
+
 def test_gendata_deterministic(tmp_path):
     a = gen_dataset(tmp_path, m=60, kind="categorical", seed=5)
     b_path = tmp_path / "again.csv"

@@ -16,6 +16,7 @@ from conftest import (
 from riskcal.calibration import project
 from riskcal.data import Continuous, Dataset, Discrete, FeatureSchema
 from riskcal.model import (
+    _EVAL_CHUNK,
     COUNT_FLOOR,
     VAR_FLOOR,
     NBParams,
@@ -64,6 +65,12 @@ feature[3].prob[1][1] feature[3].prob[1][2]
 feature[3].prob[2][1] feature[3].prob[2][2]
 feature[3].prob[3][1] feature[3].prob[3][2]
 """.split()
+
+
+def stack_params(models) -> NBParams:
+    """Single models stacked on a leading node axis."""
+    return NBParams(models[0].schema, np.stack([p.class_probs for p in models]),
+                    tuple(map(np.stack, zip(*(p.feature_params for p in models)))))
 
 
 def test_stats_layout_length():
@@ -335,8 +342,7 @@ def test_evaluate_many_matches_singles_across_chunks():
         # batch shape may change the summation order by an ulp
         assert abs(soft[k] - s) < 1e-13 * max(s, 1.0)
     # The same models stacked on a node axis: a sequence of views, scored bit for bit alike.
-    stacked = NBParams(schema, np.stack([p.class_probs for p in models]),
-                       tuple(map(np.stack, zip(*(p.feature_params for p in models)))))
+    stacked = stack_params(models)
     assert len(stacked) == 130 and len(stacked[60:70]) == 10
     for k in (0, 64, 129):
         view = stacked[k]
@@ -348,6 +354,58 @@ def test_evaluate_many_matches_singles_across_chunks():
     assert np.array_equal(got01, err01) and np.array_equal(got_soft, soft)
     with pytest.raises(TypeError):
         len(models[0])
+
+
+def test_evaluate_many_ties_and_zero_probabilities_against_oracle():
+    # Classes that share every parameter tie exactly; zero cells give -inf log joints.
+    rng = np.random.default_rng(12)
+    schema = FeatureSchema((Discrete(3), Continuous(), Discrete(2)), 3)
+    ds = random_dataset(schema, 60, rng)
+
+    def profile(with_zero):
+        """One class's prior weight and feature blocks."""
+        t1, t2 = rng.uniform(0.2, 1.0, 3), rng.uniform(0.2, 1.0, 2)
+        if with_zero:
+            t1[rng.integers(3)] = 0.0
+        gauss = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)])
+        return rng.uniform(0.5, 1.0), t1 / t1.sum(), gauss, t2 / t2.sum()
+
+    models = []
+    for k in range(_EVAL_CHUNK + 5):  # crosses a chunk boundary
+        zeroed, positive = profile(True), profile(False)
+        classes = [(zeroed, positive, zeroed), (positive, zeroed, zeroed),
+                   (zeroed, zeroed, positive), (positive,) * 3][k % 4]
+        w = np.array([c[0] for c in classes])
+        models.append(NBParams(schema, w / w.sum(), tuple(np.array([c[i] for c in classes]) for i in (1, 2, 3))))
+    wrong, soft_sum = np.zeros(len(models)), np.zeros(len(models))
+    ties = zeros = 0
+    for k, params in enumerate(models):
+        for x, y in zip(ds.X, ds.y):
+            post = scalar_posterior(params, x)
+            pred = post.index(max(post)) + 1  # the lowest of tied classes, as np.argmax
+            ties += post.count(max(post)) > 1
+            zeros += 0.0 in post
+            wrong[k] += pred != y
+            soft_sum[k] += 1.0 - post[y - 1]
+    assert ties and zeros
+    err01, soft = evaluate_many(models, ds)
+    assert np.array_equal(err01, wrong / ds.m)
+    np.testing.assert_allclose(soft, soft_sum / ds.m, rtol=0, atol=1e-13)
+    got01, got_soft = evaluate_many(stack_params(models), ds)
+    assert np.array_equal(got01, err01) and np.array_equal(got_soft, soft)
+
+
+def test_posterior_and_predict_matrix_take_a_leading_node_axis():
+    rng = np.random.default_rng(13)
+    schema = mixed_schema(3)
+    X = np.stack([random_dataset(schema, 25, rng).X for _ in range(4)])  # (n, m, d)
+    models = [random_params(schema, rng) for _ in range(4)]
+    post = posterior_matrix(stack_params(models), X)
+    labels = predict_matrix(stack_params(models), X)
+    assert post.shape == (4, 25, 3) and labels.shape == (4, 25)
+    for v, params in enumerate(models):
+        assert np.array_equal(post[v], posterior_matrix(params, X[v]))
+        assert np.array_equal(labels[v], predict_matrix(params, X[v]))
 
 
 def test_leading_node_axis_matches_per_node_calls():
