@@ -20,6 +20,7 @@ from .model import (
     StatsVector,
     evaluate,
     evaluate_many,
+    evaluate_train_test,
     param_map,
     posterior,
     posterior_matrix,

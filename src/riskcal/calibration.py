@@ -20,7 +20,7 @@ from .model import (
     NBParams,
     StatsVector,
     _feature_map,
-    evaluate,
+    evaluate_many,
     param_map,
     prob_stat_map,
     stat_map_dataset,
@@ -101,23 +101,22 @@ def rc(dataset: Dataset, lr: float, t_max: int, init: StatsVector) -> RCTrace:
     """Centralized risk calibration for t_max iterations.
 
     Records soft and 0-1 training error at every iteration including the
-    initialization.  The final record holds the model after the last
-    iteration; ``trace.best`` marks the lowest soft error seen.
+    initialization, scoring all t_max + 1 models in one ``evaluate_many``
+    call after the last iteration.  The final record holds the model
+    after the last iteration; ``trace.best`` marks the lowest soft error
+    seen.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    stats = project(init)
-    params = param_map(stats)
-    err01, soft = evaluate(params, dataset)
-    records = [RCRecord(0, soft, err01, params, stats)]
-    for t in range(1, t_max + 1):
-        stats = rc_update(stats, dataset, lr, params)
-        params = param_map(stats)
-        err01, soft = evaluate(params, dataset)
-        records.append(RCRecord(t, soft, err01, params, stats))
-    return RCTrace(records)
+    stats = [project(init)]
+    params = [param_map(stats[0])]
+    for _ in range(t_max):
+        stats.append(rc_update(stats[-1], dataset, lr, params[-1]))
+        params.append(param_map(stats[-1]))
+    err01, soft = evaluate_many(params, dataset)
+    return RCTrace([RCRecord(t, float(soft[t]), float(err01[t]), params[t], stats[t]) for t in range(t_max + 1)])
 
 
 def lrc(agg_stats: StatsVector, local_dataset: Dataset, iterations: int = 1) -> StatsVector:

@@ -22,10 +22,27 @@ categorical tables by row normalization, Gaussians by moment matching
     mu = s1 / s0,    var = s2 / s0 - mu^2.
 
 Posteriors are evaluated in log space with max subtraction; zero
-probabilities are allowed and yield exact 0/1 posteriors.  The log joint
-is class-major, (..., r, m): one row of m instances per class, so the
-argmax, the max and the softmax sum each run over r rows of contiguous
-data, and the posterior is P^T itself, ready for P^T Phi.
+probabilities are allowed and yield exact 0/1 posteriors, and an
+instance with probability zero under every class is refused.  The log
+joint is class-major, (..., r, m): one row of m instances per class, so
+the argmax, the max and the softmax sum each run over r rows of
+contiguous data, and the posterior is P^T itself, ready for P^T Phi.
+
+The log joint has two code paths, because their traffic differs.
+Scoring (``evaluate_many``, ``evaluate_train_test``) runs K models over
+one shared dataset.  There the Gaussian part of log p(x, y) is linear in
+the feature rows Phi(x - c) = [1 | x - c | (x - c)^2], with c the mean
+of the scored rows' continuous columns, so all K models take one GEMM
+W(theta) Phi(x - c)^T with the weight rows
+
+    log p(y) - 1/2 sum((mu - c)^2 / var + log var + log 2 pi),   (mu - c) / var,   -1 / (2 var),
+
+and discrete features add their exact gathers of log theta.  Training
+(``prob_stat_map``) and ``posterior_matrix`` and ``predict_matrix`` run
+each node over its own rows, with no operand to share, and keep the
+per-element form -1/2 ((x - mu)^2 / var + log var + log 2 pi): training
+feeds back into the state, and ill-conditioned calibration rounds
+amplify the GEMM's last-bit differences.
 
 Every mapping also takes a leading node axis (statistics (n, len),
 datasets X (n, m, d)), so one node and n same-size nodes share one code path.
@@ -55,21 +72,22 @@ class _FeatureMap:
     Column 0 is the constant (class) column, then come the one-hot cells
     of the discrete features and from column ``moments`` on the (x, x^2)
     pairs of the continuous features, each group in schema order;
-    feature i owns the columns ``blocks[i]``.  ``cont`` lists the
-    continuous features; ``cell_feature`` and ``cell_code`` hold one
-    entry per one-hot cell.
+    feature i owns the columns ``blocks[i]``.  ``disc`` and ``cont`` list
+    the discrete and the continuous features; ``cell_feature`` and
+    ``cell_code`` hold one entry per one-hot cell.
     """
 
     def __init__(self, schema: FeatureSchema) -> None:
         features = schema.features
         ys = range(1, schema.class_cardinality + 1)
         self.blocks = [None] * len(features)  # column slice of each feature
-        cols, base, cont, cell_feature, cell_code = ["class[{y}]"], [1.0], [], [], []
+        cols, base, disc, cont, cell_feature, cell_code = ["class[{y}]"], [1.0], [], [], [], []
         # Discrete features first, then continuous ones; a stable sort keeps schema order.
         for i in sorted(range(len(features)), key=lambda i: not isinstance(features[i], Discrete)):
             w = len(base)
             if isinstance(features[i], Discrete):
                 c = features[i].cardinality
+                disc.append(i)
                 cell_feature += [i] * c
                 cell_code += range(1, c + 1)
                 base += [1.0 / c] * c
@@ -91,6 +109,7 @@ class _FeatureMap:
         self.names = tuple(col.format(y=y) for y in ys for col in cols)  # StatsVector components
         self.param_names = tuple(param_names)  # NBParams components, block order
         self.base = np.array(base)  # uniform_init row per unit of class mass
+        self.disc = np.array(disc, dtype=np.int64)
         self.cont = np.array(cont, dtype=np.int64)
         self.cell_feature = np.array(cell_feature, dtype=np.int64)
         self.cell_code = np.array(cell_code, dtype=np.float64)
@@ -267,12 +286,14 @@ def prob_stat_map(X, params: NBParams) -> StatsVector:
 
 
 def _log_joint(params: NBParams, X: np.ndarray) -> np.ndarray:
-    """Class-major log joint log p(y) + sum_i log p(x_i | y) of the rows of X.
+    """Class-major log joint log p(y) + sum_i log p(x_i | y) of the rows of X, term by term.
 
     ``params`` and X (..., m, d) may both carry leading axes, which
     broadcast: the result has shape (..., r, m), row y holding class
     y + 1's log joint of every instance.  Zero probabilities produce
     -inf, which flows through the class maximum and softmax exactly.
+    This is the training path; scoring many models over one dataset
+    uses ``_scoring_log_joint``.
     """
     with np.errstate(divide="ignore"):
         cp = np.log(params.class_probs)[..., :, None]  # (..., r, 1)
@@ -296,6 +317,15 @@ def _log_joint(params: NBParams, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_possible(top: np.ndarray) -> np.ndarray:
+    """Refuse an instance whose class maximum ``top`` (..., m) is -inf: zero probability under every class."""
+    if top.min(initial=inf) == -inf:
+        *model, row = np.unravel_index(np.argmin(top), top.shape)
+        of = f" of model {model[-1]}" if model else ""
+        raise ValueError(f"row {row} has probability zero under every class{of}; its posterior is undefined")
+    return top
+
+
 def _top_class(logj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Most probable class index (0-based) and its log joint, per instance of a (..., r, m) log joint.
 
@@ -307,12 +337,12 @@ def _top_class(logj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         row = logj[..., y, :]
         arg[row > top] = y
         np.maximum(top, row, out=top)
-    return arg, top
+    return arg, _require_possible(top)
 
 
 def _softmax_classes(logj: np.ndarray, top: np.ndarray) -> np.ndarray:
     """Posteriors from a (..., r, m) log joint and its class maximum ``top``, computed in logj's memory."""
-    # All -inf columns cannot occur: class priors are positive after projection.
+    # A -inf top would make its column 0/0: callers pass a top checked by _require_possible.
     logj -= top[..., None, :]
     z = np.exp(logj, out=logj)
     z /= z.sum(axis=-2, keepdims=True)
@@ -322,7 +352,7 @@ def _softmax_classes(logj: np.ndarray, top: np.ndarray) -> np.ndarray:
 def _posterior(params: NBParams, X: np.ndarray) -> np.ndarray:
     """Class-major posteriors P^T, (..., r, m), of an already validated X."""
     logj = _log_joint(params, X)
-    return _softmax_classes(logj, logj.max(axis=-2))
+    return _softmax_classes(logj, _require_possible(logj.max(axis=-2)))
 
 
 def posterior_matrix(params: NBParams, X) -> np.ndarray:
@@ -400,6 +430,110 @@ def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
 _EVAL_CHUNK = 16
 
 
+def _scoring_rows(schema: FeatureSchema, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What every scored model shares of the (m, d) rows X.
+
+    Returns the shift c (q,), the mean of the q continuous columns; the
+    (1 + 2q, m) feature rows Phi(x - c)^T, a row of ones, then x - c,
+    then (x - c)^2, one row per continuous feature; and the (p, m)
+    0-based codes of the p discrete features, in schema order.
+    """
+    fm = _feature_map(schema)
+    q = len(fm.cont)
+    u = X[:, fm.cont]
+    c = u.mean(axis=0)
+    u -= c
+    phiT = np.empty((1 + 2 * q, len(X)))
+    phiT[0] = 1.0
+    phiT[1 : 1 + q] = u.T
+    np.square(phiT[1 : 1 + q], out=phiT[1 + q :])
+    codes = X[:, fm.disc].T.astype(np.int64) - 1
+    return c, phiT, codes
+
+
+def _scoring_log_joint(models: NBParams, c: np.ndarray, phiT: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Class-major log joint (K, r, m) of K stacked models over ``_scoring_rows``' shared rows.
+
+    The Gaussian terms and the class prior are one flat (K r, w) @ (w, m)
+    GEMM with the weights W(theta) of the module docstring.  Only the
+    class constant can be -inf, from a zero prior; such a class row is
+    set to -inf after the GEMM instead of going through it: with a -inf
+    weight, OpenBLAS's dgemm (0.3.31, Haswell kernels) raised the
+    floating-point invalid flag even where its result was right.
+    Discrete features add exact gathers of log theta.
+    """
+    fm = _feature_map(models.schema)
+    K, r = models.class_probs.shape
+    q = len(fm.cont)
+    mv = np.empty((K, r, q, 2))  # (mu, var) of each continuous feature
+    for j, i in enumerate(fm.cont):
+        mv[:, :, j] = models.feature_params[i]
+    a, inv = mv[..., 0] - c, 1.0 / mv[..., 1]
+    W = np.empty((K, r, 1 + 2 * q))
+    with np.errstate(divide="ignore"):
+        W[..., 0] = np.log(models.class_probs)
+        W[..., 0] -= 0.5 * (a * a * inv + np.log(mv[..., 1]) + _LOG_2PI).sum(axis=-1)
+        W[..., 1 : 1 + q] = a * inv
+        W[..., 1 + q :] = -0.5 * inv
+        zero_prior = np.isneginf(W[..., 0])
+        W[zero_prior, 0] = 0.0
+        logj = (W.reshape(K * r, -1) @ phiT).reshape(K, r, -1)
+        logj[zero_prior] = -inf
+        for i, col in zip(fm.disc, codes):
+            logj += np.log(models.feature_params[i])[:, :, col]
+    return logj
+
+
+def _stacked(models, schema: FeatureSchema) -> NBParams:
+    """Models to score as one stacked NBParams: stacked already, or a list of single models."""
+    if isinstance(models, NBParams):
+        if models.class_probs.ndim != 2:
+            raise TypeError("a single model has no node axis to score along; pass [params] or stacked parameters")
+        if models.schema != schema:
+            raise ValueError("schema mismatch between model and dataset")
+        return models
+    models = list(models)
+    if any(p.schema != schema for p in models):
+        raise ValueError("schema mismatch between model and dataset")
+    if not models:  # an empty stack, shaped as any other
+        r = schema.class_cardinality
+        return NBParams(schema, np.empty((0, r)),
+                        tuple(np.empty((0, r, b.stop - b.start)) for b in _feature_map(schema).blocks))
+    return NBParams(schema, np.stack([p.class_probs for p in models]),
+                    tuple(map(np.stack, zip(*(p.feature_params for p in models)))))
+
+
+def _evaluate(models, datasets: list[Dataset]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Mean 0-1 errors on each dataset and mean soft errors on the first one.
+
+    The datasets' rows are scored together, ``_EVAL_CHUNK`` models per
+    pass; error messages number them as one table, in dataset order.
+    """
+    for ds in datasets:
+        if ds.m == 0:
+            raise ValueError("cannot evaluate on an empty dataset")
+    schema = datasets[0].schema
+    models = _stacked(models, schema)
+    X = datasets[0].X if len(datasets) == 1 else np.concatenate([ds.X for ds in datasets])
+    shared = _scoring_rows(schema, X)
+    bounds = np.cumsum([0] + [ds.m for ds in datasets])
+    y0 = np.concatenate([ds.y for ds in datasets]) - 1
+    m = datasets[0].m
+    rows = np.arange(m)
+    err01 = [np.empty(len(models)) for _ in datasets]
+    soft = np.empty(len(models))
+    for lo in range(0, len(models), _EVAL_CHUNK):
+        hi = lo + _EVAL_CHUNK
+        logj = _scoring_log_joint(models[lo:hi], *shared)  # (K, r, rows)
+        pred, top = _top_class(logj)
+        for e, a, b in zip(err01, bounds, bounds[1:]):
+            e[lo:hi] = (pred[:, a:b] != y0[a:b]).mean(axis=1)
+        post = _softmax_classes(logj[..., :m], top[:, :m])
+        # The gather is laid out instance-major, so the mean adds instances in row order.
+        soft[lo:hi] = (1.0 - post[:, y0[:m], rows]).mean(axis=1)
+    return err01, soft
+
+
 def evaluate(params: NBParams, dataset: Dataset) -> tuple[float, float]:
     """Mean 0-1 error and mean soft error (1 - posterior of true class)."""
     err01, soft = evaluate_many([params], dataset)
@@ -414,26 +548,19 @@ def evaluate_many(models, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     Returns two arrays of length len(models): mean 0-1 errors and mean
     soft errors.
     """
-    if dataset.m == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    if not isinstance(models, NBParams):
-        models = list(models)
-        if any(p.schema != dataset.schema for p in models):
-            raise ValueError("schema mismatch between model and dataset")
-        models = NBParams(dataset.schema, np.stack([p.class_probs for p in models]),
-                          tuple(map(np.stack, zip(*(p.feature_params for p in models)))))
-    elif models.schema != dataset.schema:
-        raise ValueError("schema mismatch between model and dataset")
-    err01 = np.empty(len(models))
-    soft = np.empty(len(models))
-    y0 = dataset.y - 1
-    rows = np.arange(dataset.m)
-    for lo in range(0, len(models), _EVAL_CHUNK):
-        hi = lo + _EVAL_CHUNK
-        logj = _log_joint(models[lo:hi], dataset.X[None])  # (K, r, m)
-        pred, top = _top_class(logj)
-        err01[lo:hi] = (pred != y0).mean(axis=1)
-        post = _softmax_classes(logj, top)
-        # The gather is laid out instance-major, so the mean adds instances in row order.
-        soft[lo:hi] = (1.0 - post[:, y0, rows]).mean(axis=1)
+    (err01,), soft = _evaluate(models, [dataset])
     return err01, soft
+
+
+def evaluate_train_test(models, train: Dataset, test: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Train 0-1 and soft errors and test 0-1 errors of many models, train and test scored in one pass.
+
+    Takes ``models`` as ``evaluate_many`` does, and gives the same errors
+    up to the last bits of the soft errors (the shift c of the scoring
+    rows is the mean of train and test together); no test soft error is
+    computed.  Error messages number test rows after the train rows.
+    """
+    if train.schema != test.schema:
+        raise ValueError("schema mismatch between train and test sets")
+    (train01, test01), train_soft = _evaluate(models, [train, test])
+    return train01, train_soft, test01

@@ -23,7 +23,7 @@ from .data import Dataset, write_table
 from .model import (
     NBParams,
     StatsVector,
-    evaluate_many,
+    evaluate_train_test,
     param_map,
     stat_map_dataset,
     uniform_init,
@@ -103,9 +103,8 @@ def evaluate_round(
     baseline: tuple[float, float] | None = None,
     t: int = 0,
 ) -> RoundMetrics:
-    """Score every node's model, stacked in ``params``, on the pooled train and test sets."""
-    tr01, tr_soft = evaluate_many(params, global_train)
-    te01, _ = evaluate_many(params, global_test)
+    """Score every node's model, stacked in ``params``, on the pooled train and test sets, in one pass."""
+    tr01, tr_soft, te01 = evaluate_train_test(params, global_train, global_test)
     rc_tr, rc_te = baseline if baseline is not None else (nan, nan)
     tr_mean = float(tr01.mean())
     te_mean = float(te01.mean())

@@ -130,6 +130,23 @@ def test_rc_trace_structure_and_errors():
         assert abs(rec.soft_err - soft_sum / ds.m) < 1e-10
 
 
+def test_rc_scores_its_history_as_per_iteration_evaluation(tmp_path):
+    # One evaluate_many call over all iterates, across chunk boundaries, equals scoring each alone.
+    rng = np.random.default_rng(14)
+    ds = random_dataset(mixed_schema(3), 120, rng)
+    trace = rc(ds, 0.05, 40, uniform_init(ds.schema, float(ds.m)))
+    singles = [evaluate(rec.params, ds) for rec in trace.records]
+    assert [rec.err01 for rec in trace.records] == [e for e, _ in singles]
+    np.testing.assert_allclose([rec.soft_err for rec in trace.records], [s for _, s in singles], rtol=1e-13, atol=0)
+    assert trace.best_index == int(np.argmin([s for _, s in singles]))
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [int(t) for t, _, _ in rows] == list(range(41))
+    assert [float(e) for _, _, e in rows] == [e for e, _ in singles]
+    np.testing.assert_allclose([float(s) for _, s, _ in rows], [s for _, s in singles], rtol=1e-13, atol=0)
+
+
 def test_rc_improves_on_separable_data():
     rng = np.random.default_rng(5)
     schema = FeatureSchema((Continuous(), Continuous()), 2)

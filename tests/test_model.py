@@ -23,6 +23,7 @@ from riskcal.model import (
     StatsVector,
     evaluate,
     evaluate_many,
+    evaluate_train_test,
     param_map,
     posterior,
     posterior_matrix,
@@ -393,6 +394,122 @@ def test_evaluate_many_ties_and_zero_probabilities_against_oracle():
     np.testing.assert_allclose(soft, soft_sum / ds.m, rtol=0, atol=1e-13)
     got01, got_soft = evaluate_many(stack_params(models), ds)
     assert np.array_equal(got01, err01) and np.array_equal(got_soft, soft)
+
+
+def affine_models(schema, count, rng, scale, shift):
+    """Models with exact class ties, zero cells and zero class priors, continuous features at scale * x + shift.
+
+    Classes that share a profile tie exactly.  In every model one class,
+    or all of them, has no zero cell, so no instance is impossible; every
+    fifth model gives a class prior zero, never that class's alone.
+    """
+    r = schema.class_cardinality
+
+    def profile(with_zero):
+        blocks = []
+        for spec in schema.features:
+            if isinstance(spec, Discrete):
+                t = rng.uniform(0.2, 1.0, spec.cardinality)
+                if with_zero:
+                    t[rng.integers(spec.cardinality)] = 0.0
+                blocks.append(t / t.sum())
+            else:
+                blocks.append(np.array([scale * rng.uniform(-1.0, 1.0) + shift, scale**2 * rng.uniform(0.5, 2.0)]))
+        return rng.uniform(0.5, 1.0), blocks
+
+    models = []
+    for k in range(count):
+        zeroed, positive = profile(True), profile(False)
+        classes = [positive if k % (r + 1) in (y, r) else zeroed for y in range(r)]
+        w = np.array([c[0] for c in classes])
+        if k % 5 == 0:
+            w[(k + 1) % (r + 1) % r] = 0.0
+        blocks = tuple(np.array([c[1][i] for c in classes]) for i in range(schema.d))
+        models.append(NBParams(schema, w / w.sum(), blocks))
+    return models
+
+
+def affine_dataset(schema, m, rng, scale, shift):
+    ds = random_dataset(schema, m, rng)
+    X = ds.X.copy()
+    cont = [i for i, spec in enumerate(schema.features) if not isinstance(spec, Discrete)]
+    X[:, cont] = scale * X[:, cont] + shift
+    return Dataset(schema, X, ds.y)
+
+
+def oracle_errors(models, ds):
+    """Per-model 0-1 and soft errors from scalar_posterior, ties to the lowest class.
+
+    Also counts the rows whose top classes tie and those with a zero posterior.
+    """
+    err01, soft = np.zeros(len(models)), np.zeros(len(models))
+    ties = zeros = 0
+    for k, params in enumerate(models):
+        for x, y in zip(ds.X, ds.y):
+            post = scalar_posterior(params, x)
+            err01[k] += post.index(max(post)) + 1 != y
+            soft[k] += 1.0 - post[y - 1]
+            ties += post.count(max(post)) > 1
+            zeros += 0.0 in post
+    return err01 / ds.m, soft / ds.m, ties, zeros
+
+
+@pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (1.0, 1000.0), (1e4, 1e5)])
+@pytest.mark.parametrize("schema", [mixed_schema(3), FeatureSchema((Continuous(), Continuous()), 2)],
+                         ids=["mixed_r3", "continuous"])
+def test_scoring_gemm_against_scalar_oracle(schema, scale, shift):
+    # The scoring log joint shifts the rows by their mean: far-off and wide features must score as near ones.
+    rng = np.random.default_rng(21)
+    ds = affine_dataset(schema, 60, rng, scale, shift)
+    for count in (_EVAL_CHUNK, 2 * _EVAL_CHUNK + 1):  # a full chunk; two chunk boundaries
+        models = affine_models(schema, count, rng, scale, shift)
+        want01, want_soft, ties, zeros = oracle_errors(models, ds)
+        assert ties and zeros
+        err01, soft = evaluate_many(models, ds)
+        assert np.array_equal(err01, want01)
+        np.testing.assert_allclose(soft, want_soft, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (1e4, 1e5)])
+def test_evaluate_train_test_matches_separate_calls(scale, shift):
+    rng = np.random.default_rng(22)
+    schema = mixed_schema(3)
+    train, test = (affine_dataset(schema, m, rng, scale, shift) for m in (70, 30))
+    models = stack_params(affine_models(schema, 2 * _EVAL_CHUNK + 3, rng, scale, shift))
+    train01, train_soft, test01 = evaluate_train_test(models, train, test)
+    want01, want_soft = evaluate_many(models, train)
+    assert np.array_equal(train01, want01)
+    assert np.array_equal(test01, evaluate_many(models, test)[0])
+    np.testing.assert_allclose(train_soft, want_soft, rtol=1e-13, atol=0)
+
+
+def test_instance_impossible_under_every_class_is_refused():
+    # Cell 2 of the discrete feature has probability zero in both classes.
+    schema = FeatureSchema((Discrete(2), Continuous()), 2)
+    params = NBParams(schema, np.array([0.5, 0.5]),
+                      (np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 1.0]])))
+    X = np.array([[1.0, 0.3], [1.0, -0.2], [2.0, 0.1], [2.0, 0.0]])
+    ds = Dataset(schema, X, np.array([1, 2, 1, 2]))
+    with pytest.raises(ValueError, match="row 2 has probability zero under every class of model 0"):
+        evaluate_many([params], ds)
+    with pytest.raises(ValueError, match="row 2 has probability zero under every class"):
+        posterior_matrix(params, X)
+    with pytest.raises(ValueError, match="row 2 has probability zero under every class"):
+        predict_matrix(params, X)
+    assert np.array_equal(predict_matrix(params, X[:2]), [1, 1])
+
+
+def test_evaluate_many_takes_an_empty_list_and_refuses_a_single_model():
+    rng = np.random.default_rng(23)
+    schema = mixed_schema(3)
+    ds = random_dataset(schema, 20, rng)
+    params = random_params(schema, rng)
+    empty = stack_params([params])[:0]
+    for models in ([], empty):
+        err01, soft = evaluate_many(models, ds)
+        assert err01.shape == soft.shape == (0,)
+    with pytest.raises(TypeError, match=r"pass \[params\] or stacked parameters"):
+        evaluate_many(params, ds)
 
 
 def test_posterior_and_predict_matrix_take_a_leading_node_axis():
