@@ -410,11 +410,11 @@ def _resolve_outdir(args: argparse.Namespace) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config, _collect_overrides(args))
     result = run_experiment(cfg, _resolve_outdir(args))
-    final = result.aggregate[-1]
+    final = dict(zip(METRICS_COLUMNS, result.aggregate[-1]))
     print(f"wrote {len(result.paths)} files, stem {config_stem(cfg)}")
     print(
-        f"final round {final[0]}: test_err_mean={final[3]:.4f} "
-        f"rc_test_err={final[7]:.4f} test_gap={final[9]:.4f}"
+        f"final round {final['t']}: test_err_mean={final['test_err_mean']:.4f} "
+        f"rc_test_err={final['rc_test_err']:.4f} test_gap={final['test_gap']:.4f}"
     )
     return 0
 
@@ -508,13 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_data = sub.add_parser("gendata", help="generate a synthetic dataset")
     p_data.add_argument("--kind", required=True, choices=list(GENERATORS))
     p_data.add_argument("--m", type=int, required=True)
-    p_data.add_argument("--d", type=int)
-    p_data.add_argument("--r", type=int)
-    p_data.add_argument("--cardinality", type=int)
-    p_data.add_argument("--separation", type=float)
-    p_data.add_argument("--skew", type=float)
-    p_data.add_argument("--d_continuous", type=int)
-    p_data.add_argument("--d_discrete", type=int)
+    # One flag per generator keyword, typed by its default; not given, it stays None.
+    knobs = {name: type(v) for g in GENERATORS.values() for name, v in g.__kwdefaults__.items()}
+    for name, kind in knobs.items():
+        p_data.add_argument(f"--{name}", type=kind)
     p_data.add_argument("--seed", type=int, default=0)
     p_data.add_argument("--out", default=None)
     p_data.add_argument("--outdir", default=None)

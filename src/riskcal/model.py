@@ -30,19 +30,20 @@ contiguous data, and the posterior is P^T itself, ready for P^T Phi.
 
 The log joint has two code paths, because their traffic differs.
 Scoring (``evaluate_many``, ``evaluate_train_test``) runs K models over
-one shared dataset.  There the Gaussian part of log p(x, y) is linear in
-the feature rows Phi(x - c) = [1 | x - c | (x - c)^2], with c the mean
-of the scored rows' continuous columns, so all K models take one GEMM
-W(theta) Phi(x - c)^T with the weight rows
-
-    log p(y) - 1/2 sum((mu - c)^2 / var + log var + log 2 pi),   (mu - c) / var,   -1 / (2 var),
-
-and discrete features add their exact gathers of log theta.  Training
-(``prob_stat_map``) and ``posterior_matrix`` and ``predict_matrix`` run
-each node over its own rows, with no operand to share, and keep the
-per-element form -1/2 ((x - mu)^2 / var + log var + log 2 pi): training
-feeds back into the state, and ill-conditioned calibration rounds
-amplify the GEMM's last-bit differences.
+one shared dataset.  There log p(x, y) is linear in the statistics' own
+feature rows Phi(x - c), whose continuous pairs hold (x - c, (x - c)^2),
+with c the mean of the scored rows' continuous columns.  So all K models
+take one GEMM W(theta) Phi(x - c)^T, with W in the same columns: per
+class, the constant column holds
+log p(y) - 1/2 sum((mu - c)^2 / var + log var + log 2 pi), each one-hot
+cell log theta, and each continuous pair ((mu - c) / var, -1 / (2 var)).
+A zero probability, of a class or of a cell, is a -inf weight, and every
+row whose Phi meets one scores -inf.  Training (``prob_stat_map``) and
+``posterior_matrix`` and ``predict_matrix`` run each node over its own
+rows, with no operand to share, and keep the per-element form
+-1/2 ((x - mu)^2 / var + log var + log 2 pi): training feeds back into
+the state, and ill-conditioned calibration rounds amplify the GEMM's
+last-bit differences.
 
 Every mapping also takes a leading node axis (statistics (n, len),
 datasets X (n, m, d)), so one node and n same-size nodes share one code path.
@@ -72,22 +73,21 @@ class _FeatureMap:
     Column 0 is the constant (class) column, then come the one-hot cells
     of the discrete features and from column ``moments`` on the (x, x^2)
     pairs of the continuous features, each group in schema order;
-    feature i owns the columns ``blocks[i]``.  ``disc`` and ``cont`` list
-    the discrete and the continuous features; ``cell_feature`` and
-    ``cell_code`` hold one entry per one-hot cell.
+    feature i owns the columns ``blocks[i]``.  ``cont`` lists the
+    continuous features; ``cell_feature`` and ``cell_code`` hold one
+    entry per one-hot cell.
     """
 
     def __init__(self, schema: FeatureSchema) -> None:
         features = schema.features
         ys = range(1, schema.class_cardinality + 1)
         self.blocks = [None] * len(features)  # column slice of each feature
-        cols, base, disc, cont, cell_feature, cell_code = ["class[{y}]"], [1.0], [], [], [], []
+        cols, base, cont, cell_feature, cell_code = ["class[{y}]"], [1.0], [], [], []
         # Discrete features first, then continuous ones; a stable sort keeps schema order.
         for i in sorted(range(len(features)), key=lambda i: not isinstance(features[i], Discrete)):
             w = len(base)
             if isinstance(features[i], Discrete):
                 c = features[i].cardinality
-                disc.append(i)
                 cell_feature += [i] * c
                 cell_code += range(1, c + 1)
                 base += [1.0 / c] * c
@@ -109,7 +109,6 @@ class _FeatureMap:
         self.names = tuple(col.format(y=y) for y in ys for col in cols)  # StatsVector components
         self.param_names = tuple(param_names)  # NBParams components, block order
         self.base = np.array(base)  # uniform_init row per unit of class mass
-        self.disc = np.array(disc, dtype=np.int64)
         self.cont = np.array(cont, dtype=np.int64)
         self.cell_feature = np.array(cell_feature, dtype=np.int64)
         self.cell_code = np.array(cell_code, dtype=np.float64)
@@ -120,12 +119,18 @@ class _FeatureMap:
         """(..., q, 2) view of the (x, x^2) columns of (..., w) rows A, q continuous features."""
         return A[..., self.moments :].reshape(A.shape[:-1] + (len(self.cont), 2))
 
-    def phi(self, X: np.ndarray) -> np.ndarray:
-        """Feature rows Phi(x) of a validated (..., m, d) array; shape (..., m, w)."""
+    def phi(self, X: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
+        """Feature rows Phi(x) of a validated (..., m, d) array; shape (..., m, w).
+
+        With ``shift`` c (q,), the continuous pairs hold (x - c, (x - c)^2)
+        instead; X itself is never written.
+        """
         out = np.zeros(X.shape[:-1] + (self.width,))
         out[..., 0] = 1.0
         out[..., 1 : self.moments] = X[..., self.cell_feature] == self.cell_code
-        xc, pairs = X[..., self.cont], self.pairs(out)
+        xc, pairs = X[..., self.cont], self.pairs(out)  # xc is a gathered copy
+        if shift is not None:
+            xc -= shift
         pairs[..., 0] = xc
         pairs[..., 1] = xc * xc
         return out
@@ -317,19 +322,24 @@ def _log_joint(params: NBParams, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_possible(top: np.ndarray) -> np.ndarray:
-    """Refuse an instance whose class maximum ``top`` (..., m) is -inf: zero probability under every class."""
+def _require_possible(top: np.ndarray, first: int = 0) -> np.ndarray:
+    """Refuse an instance whose class maximum ``top`` (..., m) is -inf: zero probability under every class.
+
+    ``first`` numbers the first model of ``top`` in the error message, when
+    ``top`` is one slice of a larger stack.
+    """
     if top.min(initial=inf) == -inf:
         *model, row = np.unravel_index(np.argmin(top), top.shape)
-        of = f" of model {model[-1]}" if model else ""
+        of = f" of model {first + model[-1]}" if model else ""
         raise ValueError(f"row {row} has probability zero under every class{of}; its posterior is undefined")
     return top
 
 
-def _top_class(logj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _top_class(logj: np.ndarray, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Most probable class index (0-based) and its log joint, per instance of a (..., r, m) log joint.
 
-    One strict compare per class, so ties go to the lowest class, as with np.argmax.
+    One strict compare per class, so ties go to the lowest class, as with
+    np.argmax.  ``first`` is passed on to ``_require_possible``.
     """
     top = logj[..., 0, :].copy()
     arg = np.zeros(top.shape, dtype=np.int64)
@@ -337,7 +347,7 @@ def _top_class(logj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         row = logj[..., y, :]
         arg[row > top] = y
         np.maximum(top, row, out=top)
-    return arg, _require_possible(top)
+    return arg, _require_possible(top, first)
 
 
 def _softmax_classes(logj: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -430,58 +440,37 @@ def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
 _EVAL_CHUNK = 16
 
 
-def _scoring_rows(schema: FeatureSchema, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What every scored model shares of the (m, d) rows X.
+def _scoring_log_joint(models: NBParams, c: np.ndarray, phiT: np.ndarray) -> np.ndarray:
+    """Class-major log joint (K, r, m) of K stacked models over the shared (w, m) rows Phi(x - c)^T.
 
-    Returns the shift c (q,), the mean of the q continuous columns; the
-    (1 + 2q, m) feature rows Phi(x - c)^T, a row of ones, then x - c,
-    then (x - c)^2, one row per continuous feature; and the (p, m)
-    0-based codes of the p discrete features, in schema order.
-    """
-    fm = _feature_map(schema)
-    q = len(fm.cont)
-    u = X[:, fm.cont]
-    c = u.mean(axis=0)
-    u -= c
-    phiT = np.empty((1 + 2 * q, len(X)))
-    phiT[0] = 1.0
-    phiT[1 : 1 + q] = u.T
-    np.square(phiT[1 : 1 + q], out=phiT[1 + q :])
-    codes = X[:, fm.disc].T.astype(np.int64) - 1
-    return c, phiT, codes
-
-
-def _scoring_log_joint(models: NBParams, c: np.ndarray, phiT: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Class-major log joint (K, r, m) of K stacked models over ``_scoring_rows``' shared rows.
-
-    The Gaussian terms and the class prior are one flat (K r, w) @ (w, m)
-    GEMM with the weights W(theta) of the module docstring.  Only the
-    class constant can be -inf, from a zero prior; such a class row is
-    set to -inf after the GEMM instead of going through it: with a -inf
+    One flat (K r, w) @ (w, m) GEMM with the weights W(theta) of the
+    module docstring, in the columns of Phi.  A zero probability, of a
+    class or of a cell, is a -inf weight: it enters the GEMM as 0, and
+    the rows whose Phi meets it, found by a second product of the 0/1
+    mask of such weights with Phi^T, are set to -inf.  With a -inf
     weight, OpenBLAS's dgemm (0.3.31, Haswell kernels) raised the
     floating-point invalid flag even where its result was right.
-    Discrete features add exact gathers of log theta.
     """
     fm = _feature_map(models.schema)
     K, r = models.class_probs.shape
-    q = len(fm.cont)
-    mv = np.empty((K, r, q, 2))  # (mu, var) of each continuous feature
-    for j, i in enumerate(fm.cont):
-        mv[:, :, j] = models.feature_params[i]
-    a, inv = mv[..., 0] - c, 1.0 / mv[..., 1]
-    W = np.empty((K, r, 1 + 2 * q))
+    W = np.empty((K, r, fm.width))
+    for sl, block in zip(fm.blocks, models.feature_params):
+        W[..., sl] = block  # theta in the columns of its statistics, as param_map lays it out
+    t = fm.pairs(W)  # (mu, var) pairs
+    a, inv = t[..., 0] - c, 1.0 / t[..., 1]
     with np.errstate(divide="ignore"):
         W[..., 0] = np.log(models.class_probs)
-        W[..., 0] -= 0.5 * (a * a * inv + np.log(mv[..., 1]) + _LOG_2PI).sum(axis=-1)
-        W[..., 1 : 1 + q] = a * inv
-        W[..., 1 + q :] = -0.5 * inv
-        zero_prior = np.isneginf(W[..., 0])
-        W[zero_prior, 0] = 0.0
-        logj = (W.reshape(K * r, -1) @ phiT).reshape(K, r, -1)
-        logj[zero_prior] = -inf
-        for i, col in zip(fm.disc, codes):
-            logj += np.log(models.feature_params[i])[:, :, col]
-    return logj
+        W[..., 0] -= 0.5 * (a * a * inv + np.log(t[..., 1]) + _LOG_2PI).sum(axis=-1)
+        np.log(W[..., 1 : fm.moments], out=W[..., 1 : fm.moments])
+    t[..., 0] = a * inv
+    t[..., 1] = -0.5 * inv
+    W = W.reshape(K * r, -1)
+    zero = np.isneginf(W)
+    W[zero] = 0.0
+    logj = W @ phiT
+    if zero.any():
+        logj[zero.astype(np.float64) @ phiT > 0] = -inf
+    return logj.reshape(K, r, -1)
 
 
 def _stacked(models, schema: FeatureSchema) -> NBParams:
@@ -515,7 +504,9 @@ def _evaluate(models, datasets: list[Dataset]) -> tuple[list[np.ndarray], np.nda
     schema = datasets[0].schema
     models = _stacked(models, schema)
     X = datasets[0].X if len(datasets) == 1 else np.concatenate([ds.X for ds in datasets])
-    shared = _scoring_rows(schema, X)
+    fm = _feature_map(schema)
+    c = X[:, fm.cont].mean(axis=0)
+    phiT = np.ascontiguousarray(fm.phi(X, c).T)
     bounds = np.cumsum([0] + [ds.m for ds in datasets])
     y0 = np.concatenate([ds.y for ds in datasets]) - 1
     m = datasets[0].m
@@ -524,8 +515,8 @@ def _evaluate(models, datasets: list[Dataset]) -> tuple[list[np.ndarray], np.nda
     soft = np.empty(len(models))
     for lo in range(0, len(models), _EVAL_CHUNK):
         hi = lo + _EVAL_CHUNK
-        logj = _scoring_log_joint(models[lo:hi], *shared)  # (K, r, rows)
-        pred, top = _top_class(logj)
+        logj = _scoring_log_joint(models[lo:hi], c, phiT)  # (K, r, rows)
+        pred, top = _top_class(logj, lo)
         for e, a, b in zip(err01, bounds, bounds[1:]):
             e[lo:hi] = (pred[:, a:b] != y0[a:b]).mean(axis=1)
         post = _softmax_classes(logj[..., :m], top[:, :m])

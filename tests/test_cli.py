@@ -11,6 +11,7 @@ import pytest
 from riskcal.cli import (
     ConfigError,
     ExperimentConfig,
+    build_parser,
     config_stem,
     config_to_text,
     main,
@@ -166,6 +167,16 @@ def test_gendata_defaults_are_the_generators(tmp_path):
         assert got.read_bytes() == want.read_bytes()
 
 
+def test_gendata_flags_are_the_generator_keywords():
+    # Each keyword of any generator is a flag that parses to its default's type.
+    parser = build_parser()
+    for kind, generate in GENERATORS.items():
+        for name, default in generate.__kwdefaults__.items():
+            args = parser.parse_args(["gendata", "--kind", kind, "--m", "10", f"--{name}", str(default)])
+            value = getattr(args, name)
+            assert type(value) is type(default) and value == default, (kind, name)
+
+
 def test_gendata_refuses_flags_of_another_kind(tmp_path, capsys):
     out = tmp_path / "blobs.csv"
     assert main(["gendata", "--kind", "blobs", "--m", "20", "--skew", "0.9", "--cardinality", "7",
@@ -251,6 +262,13 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert any(p.suffix == ".csv" for p in out.iterdir())
     captured = capsys.readouterr()
     assert "final round" in captured.out
+    # The printed values are the aggregate CSV's last row, read by column name.
+    (agg,) = out.glob("*_aggregate.csv")
+    with open(agg, newline="", encoding="utf-8") as fh:
+        final = list(csv.DictReader(fh))[-1]
+    names = ("test_err_mean", "rc_test_err", "test_gap")
+    want = f"final round {final['t']}: " + " ".join(f"{c}={float(final[c]):.4f}" for c in names)
+    assert want in captured.out.splitlines()
 
     rc = main(["run", "--dataset", str(tmp_path / "missing.csv"), "--outdir", str(out)])
     assert rc == 1

@@ -455,10 +455,12 @@ def oracle_errors(models, ds):
 
 
 @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (1.0, 1000.0), (1e4, 1e5)])
-@pytest.mark.parametrize("schema", [mixed_schema(3), FeatureSchema((Continuous(), Continuous()), 2)],
-                         ids=["mixed_r3", "continuous"])
+@pytest.mark.parametrize("schema", [mixed_schema(3), FeatureSchema((Continuous(), Continuous()), 2),
+                                    FeatureSchema((Discrete(3), Discrete(2)), 3)],
+                         ids=["mixed_r3", "continuous", "discrete"])
 def test_scoring_gemm_against_scalar_oracle(schema, scale, shift):
     # The scoring log joint shifts the rows by their mean: far-off and wide features must score as near ones.
+    # With no continuous feature the shift is empty and every weight is a log theta or log prior.
     rng = np.random.default_rng(21)
     ds = affine_dataset(schema, 60, rng, scale, shift)
     for count in (_EVAL_CHUNK, 2 * _EVAL_CHUNK + 1):  # a full chunk; two chunk boundaries
@@ -475,12 +477,15 @@ def test_evaluate_train_test_matches_separate_calls(scale, shift):
     rng = np.random.default_rng(22)
     schema = mixed_schema(3)
     train, test = (affine_dataset(schema, m, rng, scale, shift) for m in (70, 30))
+    given = train.X.tobytes(), test.X.tobytes()
     models = stack_params(affine_models(schema, 2 * _EVAL_CHUNK + 3, rng, scale, shift))
     train01, train_soft, test01 = evaluate_train_test(models, train, test)
     want01, want_soft = evaluate_many(models, train)
     assert np.array_equal(train01, want01)
     assert np.array_equal(test01, evaluate_many(models, test)[0])
     np.testing.assert_allclose(train_soft, want_soft, rtol=1e-13, atol=0)
+    # The scoring rows are shifted copies: the caller's rows keep every bit.
+    assert (train.X.tobytes(), test.X.tobytes()) == given
 
 
 def test_instance_impossible_under_every_class_is_refused():
@@ -492,6 +497,10 @@ def test_instance_impossible_under_every_class_is_refused():
     ds = Dataset(schema, X, np.array([1, 2, 1, 2]))
     with pytest.raises(ValueError, match="row 2 has probability zero under every class of model 0"):
         evaluate_many([params], ds)
+    # Models are numbered in the whole stack, not within their chunk.
+    ok = NBParams(schema, params.class_probs, (np.full((2, 2), 0.5), params.feature_params[1]))
+    with pytest.raises(ValueError, match=f"row 2 has probability zero under every class of model {2 * _EVAL_CHUNK};"):
+        evaluate_many([ok] * (2 * _EVAL_CHUNK) + [params], ds)
     with pytest.raises(ValueError, match="row 2 has probability zero under every class"):
         posterior_matrix(params, X)
     with pytest.raises(ValueError, match="row 2 has probability zero under every class"):
