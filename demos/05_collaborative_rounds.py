@@ -11,9 +11,12 @@ from riskcal import (
     METRICS_COLUMNS,
     RewireSchedule,
     evaluate,
+    evaluate_many,
+    evaluate_round,
     gaussian_blobs,
     local_datasets,
     m0_heuristic,
+    param_map,
     run_baseline,
     run_crc,
     split_iid,
@@ -32,14 +35,20 @@ m0 = m0_heuristic(train.m, lr, n)
 print(f"{n} nodes x {m_v} instances, aggregate mass m0 = {m0:.0f}")
 
 rc_params, rc_trace = run_baseline("rc", train, lr=lr, t_max=t_max)
-baseline = []
-for rec in rc_trace.records[1:]:
-    te, _ = evaluate(rec.params, test)
-    baseline.append((rec.err01, te))
+rc_test, _ = evaluate_many([rec.params for rec in rc_trace.records[1:]], test)
+baseline = [(rec.err01, float(te)) for rec, te in zip(rc_trace.records[1:], rc_test)]
 
 ml_params, _ = run_baseline("ml", train)
 ml_test, _ = evaluate(ml_params, test)
 print(f"maximum likelihood test error: {ml_test:.4f}")
+
+# The round loop only simulates; metrics observe it through the on_round hook.
+metrics = []
+
+
+def score(t, aggregate, stats):
+    metrics.append(evaluate_round(param_map(stats), train, test, baseline[t - 1], t))
+
 
 result = run_crc(
     parts,
@@ -47,14 +56,12 @@ result = run_crc(
     m0=m0,
     t_max=t_max,
     rng=np.random.default_rng(9),
-    global_train=train,
-    global_test=test,
-    baseline=baseline,
+    on_round=score,
 )
 
 idx = {name: k for k, name in enumerate(METRICS_COLUMNS)}
 print(f"{'t':>3} {'test_mean':>10} {'test_std':>9} {'rc_test':>8} {'test_gap':>9}")
-for row in (result.metrics[0], result.metrics[3], result.metrics[7], result.metrics[-1]):
+for row in (metrics[0], metrics[3], metrics[7], metrics[-1]):
     vals = row.as_row()
     print(
         f"{vals[idx['t']]:3.0f} {vals[idx['test_err_mean']]:10.4f} "
@@ -62,5 +69,5 @@ for row in (result.metrics[0], result.metrics[3], result.metrics[7], result.metr
         f"{vals[idx['test_gap']]:9.4f}"
     )
 
-per_node = [evaluate(st.params, test)[0] for st in result.states]
+per_node, _ = evaluate_many([st.params for st in result.states], test)
 print("final per-node test errors:", np.round(per_node, 4))

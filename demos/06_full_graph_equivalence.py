@@ -34,12 +34,13 @@ for size in sizes:
 print("per-node class counts:", [tuple(np.bincount(p.y, minlength=3)[1:]) for p in parts])
 
 m0 = m0_heuristic(pool.m, lr, n)
-res = run_crc(
+aggregates = []  # round t's stacked neighborhood averages at index t - 1
+run_crc(
     parts,
     RewireSchedule(full_graph(n)),
     m0=m0,
     t_max=t_max,
-    record_aggregates=True,
+    on_round=lambda t, aggregate, stats: aggregates.append(aggregate),
 )
 trace = rc(arranged, lr, t_max, uniform_init(pool.schema, float(pool.m)))
 
@@ -48,7 +49,7 @@ for t in range(1, t_max + 1):
     ref = trace.records[t - 1].params
     worst = 0.0
     for v in range(1, n + 1):
-        got = param_map(res.aggregates[t - 1][v - 1])  # node v's average
+        got = param_map(aggregates[t - 1][v - 1])  # node v's average
         for a, b in zip([got.class_probs, *got.feature_params], [ref.class_probs, *ref.feature_params]):
             denom = np.where(np.abs(b) > 0, np.abs(b), 1.0)
             worst = max(worst, float(np.max(np.abs(a - b) / denom)))

@@ -9,7 +9,7 @@ import numpy as np
 
 from riskcal import (
     RewireSchedule,
-    evaluate,
+    evaluate_many,
     gaussian_blobs,
     local_datasets,
     m0_heuristic,
@@ -32,13 +32,10 @@ for period in (None, 8, 2):
         m0=m0,
         t_max=t_max,
         rng=np.random.default_rng(1),
-        global_train=train,
-        global_test=test,
     )
-    final = res.metrics[-1]
     label = "static" if period is None else f"every {period} rounds"
-    errs = [evaluate(st.params, test)[0] for st in res.states]
+    errs, _ = evaluate_many([st.params for st in res.states], test)  # the last round's models only
     print(
-        f"tree rewired {label:15}: mean test {final.test_err_mean:.4f}  "
-        f"std {final.test_err_std:.4f}  spread {max(errs) - min(errs):.4f}"
+        f"tree rewired {label:15}: mean test {errs.mean():.4f}  "
+        f"std {errs.std():.4f}  spread {errs.max() - errs.min():.4f}"
     )

@@ -25,12 +25,13 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, Dataset, infer_schema, load_csv, train_test_split, write_csv, write_table
-from .model import evaluate, evaluate_many
+from .model import evaluate, evaluate_many, param_map
 from .network import RewireSchedule, _parse_topology, build_topology, write_edge_list
 from .partition import SPLITTERS, global_sample, local_datasets
 from .sim import (
     METRICS_COLUMNS,
     RoundMetrics,
+    evaluate_round,
     m0_heuristic,
     run_baseline,
     run_crc,
@@ -191,7 +192,7 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> Experime
         p = Path(path)
         if not p.is_file():
             raise ConfigError(f"no such config file: {path}")
-        for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+        for lineno, line in enumerate(p.read_text(encoding="utf-8-sig").splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -273,25 +274,27 @@ def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int):
         (rc_trace.records[t].err01, float(rc_test01[t])) for t in range(1, cfg.t_max + 1)
     ]
 
-    schedule = RewireSchedule(cfg.topology, cfg.delta)
+    metrics: list[RoundMetrics] = []
+
+    def score(t, aggregate, stats):
+        metrics.append(evaluate_round(param_map(stats), gtrain, test, per_round[t - 1], t))
+
     result = run_crc(
         local_datasets(train, plan),
-        schedule,
+        RewireSchedule(cfg.topology, cfg.delta),
         m0=resolved_m0(cfg),
         t_max=cfg.t_max,
         iterations=cfg.iter,
         neighborhood=cfg.neighborhood,
         rng=graph_rng,
-        global_train=gtrain,
-        global_test=test,
-        baseline=per_round,
         workers=cfg.workers,
+        on_round=score,
     )
     baselines = [
         ("ml", ml_train[0], ml_test[0]),
         ("rc", rc_trace.final.err01, float(rc_test01[-1])),
     ]
-    return result, rc_trace, plan, baselines
+    return result, metrics, rc_trace, plan, baselines
 
 
 def _aggregate_rows(per_rep: list[list[RoundMetrics]]) -> list[list[float]]:
@@ -321,12 +324,12 @@ def _write_experiment(cfg: ExperimentConfig, full: Dataset, outdir) -> Experimen
     per_rep_metrics: list[list[RoundMetrics]] = []
     final_metrics: list[RoundMetrics] = []
     for rep in range(cfg.repetitions):
-        result, rc_trace, plan, baselines = _run_repetition(cfg, full, rep)
-        per_rep_metrics.append(result.metrics)
-        final_metrics.append(result.metrics[-1])
+        result, metrics, rc_trace, plan, baselines = _run_repetition(cfg, full, rep)
+        per_rep_metrics.append(metrics)
+        final_metrics.append(metrics[-1])
 
         metrics_path = outdir / f"{stem}_rep{rep}_metrics.csv"
-        write_metrics_csv(result.metrics, metrics_path)
+        write_metrics_csv(metrics, metrics_path)
         trace_path = outdir / f"{stem}_rep{rep}_rc_trace.csv"
         rc_trace.to_csv(trace_path)
         plan_path = outdir / f"{stem}_rep{rep}_plan.csv"

@@ -140,7 +140,7 @@ def load_csv(path, label_column: int | str) -> RawTable:
     p = Path(path)
     if not p.is_file():
         raise DataError(f"no such file: {path}")
-    with open(p, newline="", encoding="utf-8") as fh:
+    with open(p, newline="", encoding="utf-8-sig") as fh:  # -sig drops a leading byte order mark
         reader = csv.reader(fh)
         try:
             header = [c.strip() for c in next(reader)]

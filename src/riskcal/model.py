@@ -204,6 +204,8 @@ class StatsVector:
 
     def to_text(self) -> str:
         """Full-precision key/value dump, one component per line, in storage order."""
+        if self.values.ndim != 1:
+            raise TypeError("to_text dumps one node's statistics; index one node first: S[v]")
         names = _feature_map(self.schema).names
         lines = [f"ess = {self.ess!r}"]
         lines += [f"{name} = {float(v)!r}" for name, v in zip(names, self.values)]
@@ -240,6 +242,8 @@ class NBParams:
         return NBParams(self.schema, self.class_probs[key], tuple(b[key] for b in self.feature_params))
 
     def to_text(self) -> str:
+        if self.class_probs.ndim != 1:
+            raise TypeError("to_text dumps one model; index one node first: P[v]")
         names = _feature_map(self.schema).param_names
         values = np.concatenate([self.class_probs, *(b.ravel() for b in self.feature_params)])
         return "".join(f"{name} = {float(v)!r}\n" for name, v in zip(names, values))

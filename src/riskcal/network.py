@@ -178,7 +178,7 @@ def write_edge_list(graph: Graph, path) -> None:
 def read_edge_list(path, n: int | None = None) -> Graph:
     """Inverse of write_edge_list; n defaults to the largest node id seen."""
     edges = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

@@ -7,12 +7,15 @@ calibrate the average against the node's local data.  The network state
 is one (n, len) array of statistics, so a round is one neighborhood
 average of the whole array plus one ``lrc`` call per group of nodes of
 one local size, their datasets stacked along a leading node axis.
-Per-round metrics score the batched models of that array, one row per
-node, against centralized baselines trained on the pooled sample; the
+The loop only simulates: whatever observes a round (per-round metrics,
+recorded aggregates) attaches through ``run_crc``'s ``on_round`` hook.
+``evaluate_round`` scores the batched models of one round, one row per
+node, against a centralized baseline trained on the pooled sample.  The
 per-node ``NodeState``s are made once, for the result.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from math import nan
 
@@ -126,18 +129,9 @@ def evaluate_round(
 
 @dataclass
 class CRCResult:
-    """Everything a collaborative run produced.
+    """Everything a collaborative run produced: ``states`` holds node v's final statistics and model at index v - 1."""
 
-    ``states`` holds node v's final statistics and model at index v - 1.
-    ``aggregates``, when recorded, holds for each round t one stacked
-    (n, len) ``StatsVector`` of the averaged neighborhood statistics the
-    nodes calibrated from (the state just before the local step);
-    ``aggregates[t - 1][v - 1]`` is node v's.
-    """
-
-    metrics: list[RoundMetrics]
     states: list[NodeState]
-    aggregates: list[StatsVector] | None
 
 
 def _average(S: np.ndarray, graph: Graph, neighborhood: str) -> np.ndarray:
@@ -163,20 +157,19 @@ def run_crc(
     iterations: int = 1,
     neighborhood: str = "closed",
     rng: np.random.Generator | None = None,
-    global_train: Dataset | None = None,
-    global_test: Dataset | None = None,
-    baseline: list[tuple[float, float]] | None = None,
     workers: int = 1,
-    record_aggregates: bool = False,
+    on_round: Callable[[int, StatsVector, StatsVector], object] | None = None,
 ) -> CRCResult:
     """Run t_max collaborative calibration rounds.
 
     ``schedule`` provides the (possibly rewired) communication graph;
-    ``rng`` drives its randomness.  ``global_train`` and ``global_test``
-    come together or not at all; given, metrics are recorded every round,
-    compared against ``baseline`` (one (train_err, test_err) pair per
-    round) when supplied.  ``workers`` is checked but otherwise ignored:
-    a round is whole-network array operations, not per-node tasks.
+    ``rng`` drives its randomness.  ``on_round(t, aggregate, stats)``,
+    when given, is called after round t's local step with two stacked
+    (n, len) ``StatsVector``s: the neighborhood averages the nodes
+    calibrated from and their calibrated statistics, row v - 1 node v's.
+    Both arrays are fresh each round, so a callback may keep them.
+    ``workers`` is checked but otherwise ignored: a round is
+    whole-network array operations, not per-node tasks.
     """
     n = len(local_datasets)
     if n < 1:
@@ -193,11 +186,6 @@ def run_crc(
             raise ValueError("all local datasets must share one schema")
         if ds.m == 0:
             raise ValueError("empty local dataset")
-    if baseline is not None and len(baseline) < t_max:
-        raise ValueError(f"baseline has {len(baseline)} rounds, need {t_max}")
-    evaluating = global_train is not None
-    if evaluating != (global_test is not None):
-        raise ValueError("give both global_train and global_test, or neither")
 
     if rng is None:
         rng = np.random.default_rng(0)
@@ -212,25 +200,17 @@ def run_crc(
     ]
     S = np.tile(uniform_init(schema, m0).values, (n, 1))  # (n, len), node v in row v - 1
 
-    metrics: list[RoundMetrics] = []
-    aggregates: list[StatsVector] | None = [] if record_aggregates else None
-
     for t in range(1, t_max + 1):
         graph = rewire(schedule, t, graph, rng)
         agg = _average(S, graph, neighborhood)
         S = np.empty_like(agg)  # a fresh array: earlier states keep their values
         for g, ds in zip(groups, stacked):
             S[g] = lrc(StatsVector(schema, agg[g]), ds, iterations).values
-        if aggregates is not None:
-            aggregates.append(StatsVector(schema, agg))
-        if evaluating or t == t_max:
-            P = param_map(StatsVector(schema, S))  # node v + 1's model: P[v]
-        if evaluating:
-            per_round = baseline[t - 1] if baseline is not None else None
-            metrics.append(evaluate_round(P, global_train, global_test, per_round, t))
+        if on_round is not None:
+            on_round(t, StatsVector(schema, agg), StatsVector(schema, S))
     stats = StatsVector(schema, S)
-    states = [NodeState(v + 1, stats[v], P[v]) for v in range(n)]
-    return CRCResult(metrics, states, aggregates)
+    P = param_map(stats)  # node v + 1's model: P[v]
+    return CRCResult([NodeState(v + 1, stats[v], P[v]) for v in range(n)])
 
 
 def run_baseline(

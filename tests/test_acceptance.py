@@ -129,17 +129,18 @@ def theorem_runs():
                     at += size
                 m = arranged.m
                 m0 = m / (lr * n)
-                res = run_crc(
+                aggregates = []
+                run_crc(
                     locals_,
                     RewireSchedule(full_graph(n)),
                     m0=m0,
                     t_max=t_max,
                     iterations=1,
                     neighborhood="closed",
-                    record_aggregates=True,
+                    on_round=lambda t, aggregate, stats: aggregates.append(aggregate),
                 )
                 trace = rc(arranged, lr, t_max, uniform_init(schema, lr * n * m0))
-                cases.append((f"n={n} lr={lr} {style}", res.aggregates, trace, m, m0, n))
+                cases.append((f"n={n} lr={lr} {style}", aggregates, trace, m, m0, n))
     return time.perf_counter() - start, cases
 
 

@@ -99,6 +99,12 @@ def test_parse_config_unknown_key(tmp_path):
         parse_config(None, {"friction": "9"})
 
 
+def test_parse_config_drops_a_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.cfg"
+    p.write_text("\ufeffn = 4\nm_v = 25\n", encoding="utf-8")
+    assert parse_config(p, {}) == ExperimentConfig(n=4, m_v=25)
+
+
 def test_parse_config_bad_values(tmp_path):
     with pytest.raises(ConfigError, match="bad value"):
         parse_config(None, {"n": "many"})

@@ -34,6 +34,15 @@ def test_load_csv_basic(tmp_path):
     assert table.rows == (("1", "cat", "0"), ("2", "dog", "1"))
 
 
+def test_load_csv_drops_a_byte_order_mark(tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with a BOM; it must not stick to the first header cell.
+    p = write(tmp_path, "\ufeffy,f1,f2\n1,0.5,2\n2,1.5,3\n")
+    table = load_csv(p, "y")
+    assert table.header == ("y", "f1", "f2")
+    assert table.label_index == 0
+    assert table.rows == (("1", "0.5", "2"), ("2", "1.5", "3"))
+
+
 def test_load_csv_label_by_index(tmp_path):
     p = write(tmp_path, "a,b,y\n1,cat,0\n2,dog,1\n")
     assert load_csv(p, 0).label_index == 0

@@ -586,3 +586,17 @@ def test_to_text_line_order_on_mixed_schema():
     assert params["feature[0].var[2]"] == p.feature_params[0][1, 1]
     assert params["feature[1].prob[2][3]"] == p.feature_params[1][1, 2]
     assert params["feature[2].mean[3]"] == p.feature_params[2][2, 0]
+
+
+def test_to_text_refuses_stacked_objects():
+    rng = np.random.default_rng(13)
+    schema = mixed_schema(2)
+    nodes = [project(stat_map_dataset(random_dataset(schema, 10, rng))) for _ in range(3)]
+    S = StatsVector(schema, np.stack([s.values for s in nodes]))
+    P = param_map(S)
+    with pytest.raises(TypeError, match=r"index one node first: S\[v\]"):
+        S.to_text()
+    with pytest.raises(TypeError, match=r"index one node first: P\[v\]"):
+        P.to_text()
+    assert S[1].to_text() == nodes[1].to_text()
+    assert P[1].to_text() == param_map(nodes[1]).to_text()

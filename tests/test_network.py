@@ -204,6 +204,12 @@ def test_edge_list_round_trip(tmp_path):
     assert both.n == 3 and both.pairs.tolist() == [[1, 2], [2, 3]]
 
 
+def test_read_edge_list_drops_a_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.txt"
+    p.write_text("\ufeff1 2\n2 3\n", encoding="utf-8")
+    assert read_edge_list(p).pairs.tolist() == [[1, 2], [2, 3]]
+
+
 def test_read_edge_list_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("1 2 3\n")

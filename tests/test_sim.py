@@ -7,8 +7,8 @@ import pytest
 from conftest import mixed_schema, random_dataset
 from riskcal.calibration import lrc, rc
 from riskcal.data import Continuous, Dataset, FeatureSchema
-from riskcal.model import NBParams, StatsVector, param_map, stat_map_dataset, uniform_init
-from riskcal.network import RewireSchedule, chain, full_graph, neighbors, rewire
+from riskcal.model import NBParams, StatsVector, param_map, stat_map_dataset, stats_length, uniform_init
+from riskcal.network import Graph, RewireSchedule, build_topology, chain, full_graph, neighbors, rewire
 from riskcal.sim import (
     METRICS_COLUMNS,
     evaluate_round,
@@ -23,6 +23,16 @@ def make_locals(schema, n, m_v, seed):
     rng = np.random.default_rng(seed)
     pool = random_dataset(schema, n * m_v, rng)
     return [pool.subset(range(v * m_v, (v + 1) * m_v)) for v in range(n)], pool
+
+
+def scorer(train, test, baseline):
+    """An on_round hook that appends each round's metrics to the returned list."""
+    metrics = []
+
+    def on_round(t, aggregate, stats):
+        metrics.append(evaluate_round(param_map(stats), train, test, baseline[t - 1], t))
+
+    return metrics, on_round
 
 
 def test_m0_heuristic_reference_values():
@@ -53,19 +63,20 @@ def test_full_graph_matches_centralized_calibration():
     locals_, pool = make_locals(schema, n, m_v, seed=0)
     m = n * m_v
     m0 = m0_heuristic(m, lr, n)
-    res = run_crc(
+    aggregates = []
+    run_crc(
         locals_,
         RewireSchedule(full_graph(n)),
         m0=m0,
         t_max=t_max,
         neighborhood="closed",
-        record_aggregates=True,
+        on_round=lambda t, aggregate, stats: aggregates.append(aggregate),
     )
     trace = rc(pool, lr, t_max, uniform_init(schema, float(m)))
     for t in range(1, t_max + 1):
         ref = param_map(trace.records[t - 1].stats)
         for v in range(n):
-            got = param_map(res.aggregates[t - 1][v])
+            got = param_map(aggregates[t - 1][v])
             assert max_rel_dev(got, ref) < 1e-9
 
 
@@ -94,21 +105,39 @@ def test_worker_count_does_not_change_results():
     schema = mixed_schema(2)
     locals_, pool = make_locals(schema, 6, 25, seed=4)
     test = random_dataset(schema, 60, np.random.default_rng(5))
-    kwargs = dict(
-        m0=500.0,
-        t_max=5,
-        iterations=2,
-        global_train=pool,
-        global_test=test,
-        baseline=[(0.1, 0.2)] * 5,
-        rng=None,
-    )
-    a = run_crc(locals_, RewireSchedule(chain(6)), workers=1, **kwargs)
-    b = run_crc(locals_, RewireSchedule(chain(6)), workers=6, **kwargs)
+    kwargs = dict(m0=500.0, t_max=5, iterations=2, rng=None)
+    metrics_a, hook_a = scorer(pool, test, [(0.1, 0.2)] * 5)
+    metrics_b, hook_b = scorer(pool, test, [(0.1, 0.2)] * 5)
+    a = run_crc(locals_, RewireSchedule(chain(6)), workers=1, on_round=hook_a, **kwargs)
+    b = run_crc(locals_, RewireSchedule(chain(6)), workers=6, on_round=hook_b, **kwargs)
     for sa, sb in zip(a.states, b.states):
         assert np.array_equal(sa.stats.values, sb.stats.values)
-    for ra, rb in zip(a.metrics, b.metrics):
+    for ra, rb in zip(metrics_a, metrics_b):
         assert ra.as_row() == rb.as_row()
+
+
+def test_on_round_hook_contract():
+    schema = mixed_schema(2)
+    locals_, _ = make_locals(schema, 6, 15, seed=15)
+    kwargs = dict(m0=200.0, t_max=5, iterations=2, neighborhood="open")
+    seen, kept, copies = [], [], []
+
+    def on_round(t, aggregate, stats):
+        assert aggregate.values.shape == stats.values.shape == (6, stats_length(schema))
+        seen.append(t)
+        kept.append((aggregate, stats))
+        copies.append((aggregate.values.copy(), stats.values.copy()))
+
+    res = run_crc(locals_, RewireSchedule("tree", period=2), rng=np.random.default_rng(16),
+                  on_round=on_round, **kwargs)
+    assert seen == [1, 2, 3, 4, 5]
+    final = np.stack([st.stats.values for st in res.states])
+    assert np.array_equal(kept[-1][1].values, final)
+    for (aggregate, stats), (agg_copy, stats_copy) in zip(kept, copies):  # fresh arrays each round
+        assert np.array_equal(aggregate.values, agg_copy)
+        assert np.array_equal(stats.values, stats_copy)
+    plain = run_crc(locals_, RewireSchedule("tree", period=2), rng=np.random.default_rng(16), **kwargs)
+    assert np.array_equal(np.stack([st.stats.values for st in plain.states]), final)
 
 
 def test_rewiring_changes_the_run():
@@ -137,9 +166,11 @@ def test_rounds_match_a_per_node_reference_loop():
     n, m0, t_max, iterations = len(locals_), 150.0, 5, 2
     schedule = RewireSchedule("tree+3", period=2)
     for neighborhood in ("open", "closed"):
+        aggregates = []
         res = run_crc(
             locals_, schedule, m0=m0, t_max=t_max, iterations=iterations,
-            neighborhood=neighborhood, rng=np.random.default_rng(14), record_aggregates=True,
+            neighborhood=neighborhood, rng=np.random.default_rng(14),
+            on_round=lambda t, aggregate, stats: aggregates.append(aggregate),
         )
         graph_rng = np.random.default_rng(14)
         graph = schedule.initial(n, graph_rng)
@@ -153,13 +184,63 @@ def test_rounds_match_a_per_node_reference_loop():
                 for v in range(1, n + 1)
             ]
             stats = [lrc(StatsVector(schema, a), ds, iterations) for a, ds in zip(aggs, locals_)]
-            for got, want in zip(res.aggregates[t - 1], aggs):
+            for got, want in zip(aggregates[t - 1], aggs):
                 np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0)
         assert len(graphs) == 3  # rewired at rounds 2 and 4
         for st, want in zip(res.states, stats):
             assert st.stats.values.shape == want.values.shape and isinstance(st.stats.ess, float)
             np.testing.assert_allclose(st.stats.values, want.values, rtol=1e-12, atol=0)
             assert max_rel_dev(st.params, param_map(want)) < 1e-12
+
+
+# Metamorphic checks: symmetries of the method must hold to rounding, node by node.
+# m0 = 60 > m_v = 20 keeps every class mass above the floor, where the map is well conditioned.
+META_N, META_MV, META_M0, META_ROUNDS = 30, 20, 60.0, 10
+
+
+def meta_setup(split):
+    schema = mixed_schema(3)
+    rng = np.random.default_rng(20)
+    pool = random_dataset(schema, META_N * META_MV, rng)
+    if split == "classsorted":
+        pool = pool.subset(np.argsort(pool.y, kind="stable"))
+    locals_ = [pool.subset(range(v * META_MV, (v + 1) * META_MV)) for v in range(META_N)]
+    return locals_, build_topology("tree+5", META_N, rng)
+
+
+def meta_final(locals_, graph):
+    res = run_crc(locals_, RewireSchedule(graph), m0=META_M0, t_max=META_ROUNDS)
+    final = np.stack([st.stats.values for st in res.states])
+    for st in res.states:  # no floor fired: the local steps conserved every node's mass
+        assert abs(st.stats.ess - META_M0) <= 1e-9
+    return final
+
+
+def assert_node_close(got, want, tol=1e-12):
+    scale = np.max(np.abs(want), axis=1)
+    assert np.all(np.max(np.abs(got - want), axis=1) <= tol * scale)
+
+
+@pytest.mark.parametrize("split", ["iid", "classsorted"])
+def test_relabelling_nodes_permutes_the_final_statistics(split):
+    locals_, graph = meta_setup(split)
+    want = meta_final(locals_, graph)
+    perm = np.random.default_rng(21).permutation(META_N)  # new node i + 1 is old node perm[i] + 1
+    new_id = np.empty(META_N, dtype=np.int64)
+    new_id[perm] = np.arange(1, META_N + 1)
+    relabelled = Graph(META_N, np.sort(new_id[graph.pairs - 1], axis=1))
+    got = meta_final([locals_[v] for v in perm], relabelled)
+    assert_node_close(got, want[perm])
+
+
+@pytest.mark.parametrize("split", ["iid", "classsorted"])
+def test_row_order_within_nodes_does_not_change_the_final_statistics(split):
+    locals_, graph = meta_setup(split)
+    want = meta_final(locals_, graph)
+    rng = np.random.default_rng(22)
+    shuffled = [ds.subset(rng.permutation(ds.m)) for ds in locals_]
+    assert any(not np.array_equal(a.y, b.y) for a, b in zip(shuffled, locals_))
+    assert_node_close(meta_final(shuffled, graph), want)
 
 
 def test_evaluate_round_hand_example():
@@ -190,15 +271,12 @@ def test_metrics_csv_format(tmp_path):
     schema = mixed_schema(2)
     locals_, pool = make_locals(schema, 3, 20, seed=8)
     test = random_dataset(schema, 30, np.random.default_rng(9))
-    baseline = [(0.1, 0.2)] * 4
-    res = run_crc(
-        locals_, RewireSchedule(full_graph(3)), m0=100.0, t_max=4,
-        global_train=pool, global_test=test, baseline=baseline,
-    )
-    assert [rm.t for rm in res.metrics] == [1, 2, 3, 4]
-    assert all(rm.rc_train_err == 0.1 for rm in res.metrics)
+    metrics, on_round = scorer(pool, test, [(0.1, 0.2)] * 4)
+    run_crc(locals_, RewireSchedule(full_graph(3)), m0=100.0, t_max=4, on_round=on_round)
+    assert [rm.t for rm in metrics] == [1, 2, 3, 4]
+    assert all(rm.rc_train_err == 0.1 for rm in metrics)
     p = tmp_path / "metrics.csv"
-    write_metrics_csv(res.metrics, p)
+    write_metrics_csv(metrics, p)
     lines = p.read_text().strip().splitlines()
     assert lines[0] == ",".join(METRICS_COLUMNS)
     assert len(lines) == 5
@@ -223,12 +301,6 @@ def test_run_crc_validation():
     with pytest.raises(ValueError, match="no neighbors"):
         run_crc([locals_[0]], RewireSchedule(full_graph(1)), m0=10.0, t_max=2,
                 neighborhood="open")
-    with pytest.raises(ValueError, match="baseline"):
-        run_crc(locals_, sched, m0=10.0, t_max=3, baseline=[(0.1, 0.1)],
-                global_train=locals_[0], global_test=locals_[1])
-    for pooled in ({"global_train": locals_[0]}, {"global_test": locals_[1]}):
-        with pytest.raises(ValueError, match="both global_train and global_test"):
-            run_crc(locals_, sched, m0=10.0, t_max=2, **pooled)
 
 
 def test_run_baseline_ml_matches_hand_computation():
