@@ -10,6 +10,7 @@ import numpy as np
 from riskcal import (
     METRICS_COLUMNS,
     RewireSchedule,
+    Scorer,
     evaluate,
     evaluate_many,
     evaluate_round,
@@ -43,11 +44,12 @@ ml_test, _ = evaluate(ml_params, test)
 print(f"maximum likelihood test error: {ml_test:.4f}")
 
 # The round loop only simulates; metrics observe it through the on_round hook.
-metrics = []
+# One Scorer keeps the pooled sets' scoring rows and work buffers for every round.
+metrics, pooled = [], Scorer([train, test])
 
 
 def score(t, aggregate, stats):
-    metrics.append(evaluate_round(param_map(stats), train, test, baseline[t - 1], t))
+    metrics.append(evaluate_round(param_map(stats), pooled, baseline[t - 1], t))
 
 
 result = run_crc(

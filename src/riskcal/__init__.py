@@ -17,6 +17,7 @@ from .model import (
     COUNT_FLOOR,
     VAR_FLOOR,
     NBParams,
+    Scorer,
     StatsVector,
     evaluate,
     evaluate_many,

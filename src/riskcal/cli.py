@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, Dataset, infer_schema, load_csv, train_test_split, write_csv, write_table
-from .model import evaluate, evaluate_many, param_map
+from .model import Scorer, evaluate_many, evaluate_train_test, param_map
 from .network import RewireSchedule, _parse_topology, build_topology, write_edge_list
 from .partition import SPLITTERS, global_sample, local_datasets
 from .sim import (
@@ -264,9 +264,9 @@ def _baseline(cfg: ExperimentConfig, kind: str, gtrain: Dataset):
 def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int):
     train, test, plan, gtrain, graph_rng = _prepare_repetition(cfg, full, rep)
 
+    scorer = Scorer([gtrain, test])  # the pooled sets, scored every round
     ml_params, _ = _baseline(cfg, "ml", gtrain)
-    ml_train = evaluate(ml_params, gtrain)
-    ml_test = evaluate(ml_params, test)
+    (ml_train, ml_test), _ = scorer([ml_params])
 
     _, rc_trace = _baseline(cfg, "rc", gtrain)
     rc_test01, _ = evaluate_many([rec.params for rec in rc_trace.records], test)
@@ -277,7 +277,7 @@ def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int):
     metrics: list[RoundMetrics] = []
 
     def score(t, aggregate, stats):
-        metrics.append(evaluate_round(param_map(stats), gtrain, test, per_round[t - 1], t))
+        metrics.append(evaluate_round(param_map(stats), scorer, per_round[t - 1], t))
 
     result = run_crc(
         local_datasets(train, plan),
@@ -291,7 +291,7 @@ def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int):
         on_round=score,
     )
     baselines = [
-        ("ml", ml_train[0], ml_test[0]),
+        ("ml", float(ml_train[0]), float(ml_test[0])),
         ("rc", rc_trace.final.err01, float(rc_test01[-1])),
     ]
     return result, metrics, rc_trace, plan, baselines
@@ -434,8 +434,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config, _collect_overrides(args))
     _, test, _, gtrain, _ = _prepare_repetition(cfg, _load_dataset(cfg), 0)
     params, trace = _baseline(cfg, args.kind, gtrain)
-    tr01, _ = evaluate(params, gtrain)
-    te01, _ = evaluate(params, test)
+    (tr01,), _, (te01,) = evaluate_train_test([params], gtrain, test)
     outdir = Path(_resolve_outdir(args))
     outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{config_stem(cfg)}_baseline_{args.kind}"

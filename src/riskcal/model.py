@@ -29,12 +29,15 @@ the argmax, the max and the softmax sum each run over r rows of
 contiguous data, and the posterior is P^T itself, ready for P^T Phi.
 
 The log joint has two code paths, because their traffic differs.
-Scoring (``evaluate_many``, ``evaluate_train_test``) runs K models over
-one shared dataset.  There log p(x, y) is linear in the statistics' own
-feature rows Phi(x - c), whose continuous pairs hold (x - c, (x - c)^2),
-with c the mean of the scored rows' continuous columns.  So all K models
-take one GEMM W(theta) Phi(x - c)^T, with W in the same columns: per
-class, the constant column holds
+Scoring runs K models over shared datasets, fixed for a run: a
+``Scorer`` is built once from them and called on stack after stack of
+models (``evaluate_many`` and ``evaluate_train_test`` are one-shot
+scorers).  It keeps the scoring rows and the work buffers of one pass,
+so calling it again pages in no fresh log joint.  There log p(x, y) is
+linear in the statistics' own feature rows Phi(x - c), whose continuous
+pairs hold (x - c, (x - c)^2), with c the mean of the scored rows'
+continuous columns.  So all K models take one GEMM W(theta) Phi(x - c)^T,
+with W in the same columns: per class, the constant column holds
 log p(y) - 1/2 sum((mu - c)^2 / var + log var + log 2 pi), each one-hot
 cell log theta, and each continuous pair ((mu - c) / var, -1 / (2 var)).
 A zero probability, of a class or of a cell, is a -inf weight, and every
@@ -339,34 +342,37 @@ def _require_possible(top: np.ndarray, first: int = 0) -> np.ndarray:
     return top
 
 
-def _top_class(logj: np.ndarray, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _top_class(logj: np.ndarray, first: int = 0, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Most probable class index (0-based) and its log joint, per instance of a (..., r, m) log joint.
 
     One strict compare per class, so ties go to the lowest class, as with
-    np.argmax.  ``first`` is passed on to ``_require_possible``.
+    np.argmax.  ``out``, when given, is an (arg, top, hit) triple of
+    (..., m) buffers to work in, arg and hit of one integer dtype that
+    holds r - 1; arg and top are returned.  ``first`` is passed on to
+    ``_require_possible``.
     """
-    top = logj[..., 0, :].copy()
-    arg = np.zeros(top.shape, dtype=np.int64)
+    if out is None:
+        shape = logj.shape[:-2] + logj.shape[-1:]
+        out = np.empty(shape, dtype=np.int64), np.empty(shape), np.empty(shape, dtype=np.int64)
+    arg, top, hit = out
+    arg.fill(0)
+    np.copyto(top, logj[..., 0, :])
     for y in range(1, logj.shape[-2]):
         row = logj[..., y, :]
-        arg[row > top] = y
+        # arg < y so far: a strict win sets arg to max(arg, y * win), with no data-dependent branch.
+        np.greater(row, top, out=hit)
+        np.maximum(arg, np.multiply(hit, y, out=hit), out=arg)
         np.maximum(top, row, out=top)
     return arg, _require_possible(top, first)
 
 
-def _softmax_classes(logj: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Posteriors from a (..., r, m) log joint and its class maximum ``top``, computed in logj's memory."""
-    # A -inf top would make its column 0/0: callers pass a top checked by _require_possible.
-    logj -= top[..., None, :]
+def _posterior(params: NBParams, X: np.ndarray) -> np.ndarray:
+    """Class-major posteriors P^T, (..., r, m), of an already validated X, computed in the log joint's memory."""
+    logj = _log_joint(params, X)
+    logj -= _require_possible(logj.max(axis=-2))[..., None, :]  # a -inf top would make its column 0/0
     z = np.exp(logj, out=logj)
     z /= z.sum(axis=-2, keepdims=True)
     return z
-
-
-def _posterior(params: NBParams, X: np.ndarray) -> np.ndarray:
-    """Class-major posteriors P^T, (..., r, m), of an already validated X."""
-    logj = _log_joint(params, X)
-    return _softmax_classes(logj, _require_possible(logj.max(axis=-2)))
 
 
 def posterior_matrix(params: NBParams, X) -> np.ndarray:
@@ -438,22 +444,16 @@ def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
     return StatsVector(schema, np.tile((m0 / r) * _feature_map(schema).base, r))
 
 
-# Models evaluated together per batch; bounds the class-major (K, r, m)
-# temporaries, which at 64 models and 1000 rows were big enough to be paged in
-# afresh for every batch.
+# Models scored together per pass; a Scorer's work buffers hold one pass.
 _EVAL_CHUNK = 16
 
 
-def _scoring_log_joint(models: NBParams, c: np.ndarray, phiT: np.ndarray) -> np.ndarray:
-    """Class-major log joint (K, r, m) of K stacked models over the shared (w, m) rows Phi(x - c)^T.
+def _scoring_weights(models: NBParams, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights W(theta) (K r, w) of K stacked models over the rows Phi(x - c), and the mask of their zeros.
 
-    One flat (K r, w) @ (w, m) GEMM with the weights W(theta) of the
-    module docstring, in the columns of Phi.  A zero probability, of a
-    class or of a cell, is a -inf weight: it enters the GEMM as 0, and
-    the rows whose Phi meets it, found by a second product of the 0/1
-    mask of such weights with Phi^T, are set to -inf.  With a -inf
-    weight, OpenBLAS's dgemm (0.3.31, Haswell kernels) raised the
-    floating-point invalid flag even where its result was right.
+    W holds the weights of the module docstring, in the columns of Phi.
+    A zero probability, of a class or of a cell, is a -inf weight: it is
+    returned as 0, with the mask marking it.
     """
     fm = _feature_map(models.schema)
     K, r = models.class_probs.shape
@@ -471,10 +471,7 @@ def _scoring_log_joint(models: NBParams, c: np.ndarray, phiT: np.ndarray) -> np.
     W = W.reshape(K * r, -1)
     zero = np.isneginf(W)
     W[zero] = 0.0
-    logj = W @ phiT
-    if zero.any():
-        logj[zero.astype(np.float64) @ phiT > 0] = -inf
-    return logj.reshape(K, r, -1)
+    return W, zero
 
 
 def _stacked(models, schema: FeatureSchema) -> NBParams:
@@ -496,37 +493,86 @@ def _stacked(models, schema: FeatureSchema) -> NBParams:
                     tuple(map(np.stack, zip(*(p.feature_params for p in models)))))
 
 
-def _evaluate(models, datasets: list[Dataset]) -> tuple[list[np.ndarray], np.ndarray]:
-    """Mean 0-1 errors on each dataset and mean soft errors on the first one.
+class Scorer:
+    """Mean 0-1 errors of stacked models on fixed datasets, and mean soft errors on the first one.
 
-    The datasets' rows are scored together, ``_EVAL_CHUNK`` models per
-    pass; error messages number them as one table, in dataset order.
+    Built once from the datasets, a Scorer holds what every call shares:
+    the rows Phi(x - c)^T of all datasets, scored together (c is the
+    mean of their continuous columns), the labels, and work buffers for
+    one pass of ``_EVAL_CHUNK`` models.  Each pass is one GEMM
+    W(theta) Phi(x - c)^T into the log joint buffer, with the rows whose
+    Phi meets a -inf weight then set to -inf (OpenBLAS's dgemm, 0.3.31,
+    Haswell kernels, raised the floating-point invalid flag on a -inf
+    weight even where its result was right).  The argmax, the softmax
+    and the error counts then work in the buffers, so a call allocates
+    little besides its results and each pass's weights, unless a weight
+    is -inf.
+    Error messages number the rows as one table, in dataset order, and
+    the models in the whole stack.
     """
-    for ds in datasets:
-        if ds.m == 0:
-            raise ValueError("cannot evaluate on an empty dataset")
-    schema = datasets[0].schema
-    models = _stacked(models, schema)
-    X = datasets[0].X if len(datasets) == 1 else np.concatenate([ds.X for ds in datasets])
-    fm = _feature_map(schema)
-    c = X[:, fm.cont].mean(axis=0)
-    phiT = np.ascontiguousarray(fm.phi(X, c).T)
-    bounds = np.cumsum([0] + [ds.m for ds in datasets])
-    y0 = np.concatenate([ds.y for ds in datasets]) - 1
-    m = datasets[0].m
-    rows = np.arange(m)
-    err01 = [np.empty(len(models)) for _ in datasets]
-    soft = np.empty(len(models))
-    for lo in range(0, len(models), _EVAL_CHUNK):
-        hi = lo + _EVAL_CHUNK
-        logj = _scoring_log_joint(models[lo:hi], c, phiT)  # (K, r, rows)
-        pred, top = _top_class(logj, lo)
-        for e, a, b in zip(err01, bounds, bounds[1:]):
-            e[lo:hi] = (pred[:, a:b] != y0[a:b]).mean(axis=1)
-        post = _softmax_classes(logj[..., :m], top[:, :m])
-        # The gather is laid out instance-major, so the mean adds instances in row order.
-        soft[lo:hi] = (1.0 - post[:, y0[:m], rows]).mean(axis=1)
-    return err01, soft
+
+    def __init__(self, datasets: list[Dataset]) -> None:
+        schema = datasets[0].schema
+        for ds in datasets:
+            if ds.schema != schema:
+                raise ValueError("schema mismatch between the datasets to score")
+            if ds.m == 0:
+                raise ValueError("cannot evaluate on an empty dataset")
+        self.schema = schema
+        X = datasets[0].X if len(datasets) == 1 else np.concatenate([ds.X for ds in datasets])
+        fm = _feature_map(schema)
+        self.c = X[:, fm.cont].mean(axis=0)
+        self.phiT = np.ascontiguousarray(fm.phi(X, self.c).T)  # (w, M)
+        self.bounds = np.cumsum([0] + [ds.m for ds in datasets])
+        r, M, m = schema.class_cardinality, len(X), datasets[0].m
+        self.m = m  # rows that get soft errors
+        label = np.min_scalar_type(r - 1)  # class indices; they compare with no cast
+        y0 = np.concatenate([ds.y for ds in datasets]) - 1
+        self.y0 = y0.astype(label)
+        self.true_index = (y0[:m] * M + np.arange(m)).astype(np.intp)  # flat, in model 0's (r, M) log joint
+        self._logj = np.empty(_EVAL_CHUNK * r * M)  # flat, so a short pass is a contiguous prefix
+        self._top = np.empty((_EVAL_CHUNK, M))
+        self._arg = np.empty((_EVAL_CHUNK, M), dtype=label)
+        self._hit = np.empty((_EVAL_CHUNK, M), dtype=label)
+        self._total = np.empty((_EVAL_CHUNK, m))
+        # (m, K), instance-major, so that means add rows in order; flat, as _logj.
+        self._index = np.empty(m * _EVAL_CHUNK, dtype=np.intp)
+        self._true = np.empty(m * _EVAL_CHUNK)
+
+    def __call__(self, models) -> tuple[np.ndarray, np.ndarray]:
+        """(D, K) 0-1 errors, row d on dataset d, and (K,) soft errors of ``models``, fresh arrays.
+
+        ``models`` is one stacked NBParams or a list of single models.
+        """
+        models = _stacked(models, self.schema)
+        K, r = models.class_probs.shape
+        M, m = self.phiT.shape[1], self.m
+        err01 = np.empty((len(self.bounds) - 1, K))
+        soft = np.empty(K)
+        for lo in range(0, K, _EVAL_CHUNK):
+            hi = min(lo + _EVAL_CHUNK, K)
+            k = hi - lo
+            W, zero = _scoring_weights(models[lo:hi], self.c)
+            flat = self._logj[: k * r * M]
+            logj = np.matmul(W, self.phiT, out=flat.reshape(k * r, M))
+            if zero.any():
+                logj[zero.astype(np.float64) @ self.phiT > 0] = -inf
+            logj = logj.reshape(k, r, M)
+            arg, top = _top_class(logj, lo, (self._arg[:k], self._top[:k], self._hit[:k]))
+            for e, a, b in zip(err01, self.bounds, self.bounds[1:]):
+                wrong = np.not_equal(arg[:, a:b], self.y0[a:b], out=self._hit[:k, a:b])
+                e[lo:hi] = wrong.sum(axis=1) / (b - a)
+            # Soft errors: the softmax of the first dataset's rows, in place, read at the true class.
+            z = logj[..., :m]
+            z -= top[:, None, :m]  # top is finite: _require_possible checked it
+            np.exp(z, out=z)
+            total = np.sum(z, axis=1, out=self._total[:k])
+            index = np.add(self.true_index[:, None], np.arange(k) * (r * M), out=self._index[: m * k].reshape(m, k))
+            post = np.take(flat, index, out=self._true[: m * k].reshape(m, k), mode="clip")
+            post /= total.T
+            np.subtract(1.0, post, out=post)
+            np.mean(post, axis=0, out=soft[lo:hi])
+        return err01, soft
 
 
 def evaluate(params: NBParams, dataset: Dataset) -> tuple[float, float]:
@@ -541,9 +587,10 @@ def evaluate_many(models, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     ``models`` is one stacked NBParams, such as a network's batched
     ``param_map``, or a list of single models, which is stacked once.
     Returns two arrays of length len(models): mean 0-1 errors and mean
-    soft errors.
+    soft errors.  To score many stacks on one dataset, build one
+    ``Scorer([dataset])`` and call it.
     """
-    (err01,), soft = _evaluate(models, [dataset])
+    (err01,), soft = Scorer([dataset])(models)
     return err01, soft
 
 
@@ -554,8 +601,7 @@ def evaluate_train_test(models, train: Dataset, test: Dataset) -> tuple[np.ndarr
     up to the last bits of the soft errors (the shift c of the scoring
     rows is the mean of train and test together); no test soft error is
     computed.  Error messages number test rows after the train rows.
+    One ``Scorer([train, test])`` scores many stacks on the same sets.
     """
-    if train.schema != test.schema:
-        raise ValueError("schema mismatch between train and test sets")
-    (train01, test01), train_soft = _evaluate(models, [train, test])
+    (train01, test01), train_soft = Scorer([train, test])(models)
     return train01, train_soft, test01

@@ -10,7 +10,9 @@ one local size, their datasets stacked along a leading node axis.
 The loop only simulates: whatever observes a round (per-round metrics,
 recorded aggregates) attaches through ``run_crc``'s ``on_round`` hook.
 ``evaluate_round`` scores the batched models of one round, one row per
-node, against a centralized baseline trained on the pooled sample.  The
+node, against a centralized baseline trained on the pooled sample.  It
+takes a ``Scorer`` built once per run from the pooled train and test
+sets, so every round reuses their scoring rows and work buffers.  The
 per-node ``NodeState``s are made once, for the result.
 """
 from __future__ import annotations
@@ -25,8 +27,8 @@ from .calibration import RCTrace, lrc, project, rc
 from .data import Dataset, write_table
 from .model import (
     NBParams,
+    Scorer,
     StatsVector,
-    evaluate_train_test,
     param_map,
     stat_map_dataset,
     uniform_init,
@@ -101,13 +103,12 @@ def write_metrics_csv(metrics, path) -> None:
 
 def evaluate_round(
     params: NBParams,
-    global_train: Dataset,
-    global_test: Dataset,
+    scorer: Scorer,
     baseline: tuple[float, float] | None = None,
     t: int = 0,
 ) -> RoundMetrics:
-    """Score every node's model, stacked in ``params``, on the pooled train and test sets, in one pass."""
-    tr01, tr_soft, te01 = evaluate_train_test(params, global_train, global_test)
+    """Score every node's model, stacked in ``params``, with ``scorer``, a ``Scorer([train, test])`` of the pooled sets."""
+    (tr01, te01), tr_soft = scorer(params)
     rc_tr, rc_te = baseline if baseline is not None else (nan, nan)
     tr_mean = float(tr01.mean())
     te_mean = float(te01.mean())

@@ -1,6 +1,7 @@
 """Statistics maps, parameter mapping, posteriors and evaluation."""
 from __future__ import annotations
 
+import tracemalloc
 from math import exp
 
 import numpy as np
@@ -20,6 +21,7 @@ from riskcal.model import (
     COUNT_FLOOR,
     VAR_FLOOR,
     NBParams,
+    Scorer,
     StatsVector,
     evaluate,
     evaluate_many,
@@ -488,6 +490,56 @@ def test_evaluate_train_test_matches_separate_calls(scale, shift):
     assert (train.X.tobytes(), test.X.tobytes()) == given
 
 
+def test_reused_scorer_keeps_no_state_between_calls():
+    # A round's scorer is called every round: each call must score as a fresh one-shot call,
+    # and must not touch the arrays earlier calls returned, which RoundMetrics keep.
+    rng = np.random.default_rng(24)
+    schema = mixed_schema(3)
+    train, test = (random_dataset(schema, m, rng) for m in (70, 30))
+    first = stack_params(affine_models(schema, 2 * _EVAL_CHUNK + 3, rng, 1.0, 0.0))
+    stacks = [
+        first,
+        stack_params([random_params(schema, rng) for _ in range(5)]),
+        stack_params(affine_models(schema, 5, rng, 1.0, 0.0)),  # a zero class prior, zero cells; same size
+        first,
+    ]
+    assert (stacks[2].class_probs == 0).any() and (stacks[2].feature_params[1] == 0).any()
+    pooled, alone = Scorer([train, test]), Scorer([train])
+    returned, copies = [], []
+    for models in stacks:
+        ((train01, test01), train_soft), ((alone01,), alone_soft) = pooled(models), alone(models)
+        want01, want_soft, want_test01 = evaluate_train_test(models, train, test)
+        assert np.array_equal(train01, want01) and np.array_equal(test01, want_test01)
+        assert np.array_equal(train_soft, want_soft)
+        want01, want_soft = evaluate_many(models, train)
+        assert np.array_equal(alone01, want01) and np.array_equal(alone_soft, want_soft)
+        returned.append((train01, test01, train_soft, alone01, alone_soft))
+        copies.append([a.copy() for a in returned[-1]])
+    for arrays, saved in zip(returned, copies):
+        for a, b in zip(arrays, saved):
+            assert np.array_equal(a, b)
+
+
+def test_reused_scorer_allocates_less_than_one_log_joint():
+    # The scorer's work buffers hold a pass's log joint: a call allocates little besides its results and weights.
+    rng = np.random.default_rng(25)
+    schema = mixed_schema(2)
+    train, test = (random_dataset(schema, m, rng) for m in (2500, 1000))
+    models = stack_params([random_params(schema, rng) for _ in range(50)])
+    scorer = Scorer([train, test])
+    one_log_joint = _EVAL_CHUNK * schema.class_cardinality * (train.m + test.m) * 8
+    tracemalloc.start()
+    try:
+        scorer(models)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        scorer(models)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < one_log_joint
+
+
 def test_instance_impossible_under_every_class_is_refused():
     # Cell 2 of the discrete feature has probability zero in both classes.
     schema = FeatureSchema((Discrete(2), Continuous()), 2)
@@ -501,6 +553,21 @@ def test_instance_impossible_under_every_class_is_refused():
     ok = NBParams(schema, params.class_probs, (np.full((2, 2), 0.5), params.feature_params[1]))
     with pytest.raises(ValueError, match=f"row 2 has probability zero under every class of model {2 * _EVAL_CHUNK};"):
         evaluate_many([ok] * (2 * _EVAL_CHUNK) + [params], ds)
+    # Test rows are numbered after the train rows, by a one-shot and by a reused scorer.
+    train = Dataset(schema, X[:2], ds.y[:2])
+    pooled = Scorer([train, ds])
+    pooled([ok])
+    for k in (0, 1):  # the impossible row is row k of the test set
+        rows = [0, 0]
+        rows[k] = 2
+        test = Dataset(schema, X[rows], ds.y[rows])
+        with pytest.raises(ValueError, match=f"row {train.m + k} has probability zero under every class of model 0;"):
+            evaluate_train_test([params], train, test)
+    with pytest.raises(ValueError, match=f"row {train.m + 2} has probability zero under every class of model 1;"):
+        pooled([ok, params])
+    # A refused call leaves the scorer usable.
+    (train01, test01), soft = pooled([ok])
+    assert np.array_equal(train01, evaluate_many([ok], train)[0]) and np.array_equal(test01, evaluate_many([ok], ds)[0])
     with pytest.raises(ValueError, match="row 2 has probability zero under every class"):
         posterior_matrix(params, X)
     with pytest.raises(ValueError, match="row 2 has probability zero under every class"):

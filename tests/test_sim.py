@@ -7,7 +7,7 @@ import pytest
 from conftest import mixed_schema, random_dataset
 from riskcal.calibration import lrc, rc
 from riskcal.data import Continuous, Dataset, FeatureSchema
-from riskcal.model import NBParams, StatsVector, param_map, stat_map_dataset, stats_length, uniform_init
+from riskcal.model import NBParams, Scorer, StatsVector, param_map, stat_map_dataset, stats_length, uniform_init
 from riskcal.network import Graph, RewireSchedule, build_topology, chain, full_graph, neighbors, rewire
 from riskcal.sim import (
     METRICS_COLUMNS,
@@ -27,10 +27,10 @@ def make_locals(schema, n, m_v, seed):
 
 def scorer(train, test, baseline):
     """An on_round hook that appends each round's metrics to the returned list."""
-    metrics = []
+    metrics, pooled = [], Scorer([train, test])
 
     def on_round(t, aggregate, stats):
-        metrics.append(evaluate_round(param_map(stats), train, test, baseline[t - 1], t))
+        metrics.append(evaluate_round(param_map(stats), pooled, baseline[t - 1], t))
 
     return metrics, on_round
 
@@ -257,7 +257,7 @@ def test_evaluate_round_hand_example():
         np.array([[0.9, 0.1], [0.5, 0.5]]),
         (np.array([[[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [5.0, 1.0]]]),),
     )
-    rm = evaluate_round(params, ds, ds, baseline=(0.05, 0.07), t=3)
+    rm = evaluate_round(params, Scorer([ds, ds]), baseline=(0.05, 0.07), t=3)
     assert rm.node_train_errs == (0.1, 0.3)
     assert rm.train_err_mean == 0.2
     assert abs(rm.train_err_std - 0.1) < 1e-12
