@@ -32,16 +32,19 @@ The log joint has two code paths, because their traffic differs.
 Scoring runs K models over shared datasets, fixed for a run: a
 ``Scorer`` is built once from them and called on stack after stack of
 models (``evaluate_many`` and ``evaluate_train_test`` are one-shot
-scorers).  It keeps the scoring rows and the work buffers of one pass,
-so calling it again pages in no fresh log joint.  There log p(x, y) is
-linear in the statistics' own feature rows Phi(x - c), whose continuous
-pairs hold (x - c, (x - c)^2), with c the mean of the scored rows'
-continuous columns.  So all K models take one GEMM W(theta) Phi(x - c)^T,
+scorers).  It keeps the scoring rows, grouped by (dataset, class), and
+the work buffers of one pass.  There log p(x, y) is linear in the
+statistics' own feature rows Phi(x - c), whose continuous pairs hold
+(x - c, (x - c)^2), with c the mean of the scored rows' continuous
+columns.  So all K models take one GEMM L = W(theta) Phi(x - c)^T,
 with W in the same columns: per class, the constant column holds
 log p(y) - 1/2 sum((mu - c)^2 / var + log var + log 2 pi), each one-hot
 cell log theta, and each continuous pair ((mu - c) / var, -1 / (2 var)).
-A zero probability, of a class or of a cell, is a -inf weight, and every
-row whose Phi meets one scores -inf.  Training (``prob_stat_map``) and
+A zero probability, of a class or of a cell, is a -inf weight.  A row of
+true class y is then scored from d_c = L_c - L_y alone: it is wrong iff
+some d_c >= 0 with c < y or d_c > 0 with c > y (the argmax, ties to the
+lowest class), and its true-class posterior is 1 / (1 + sum_c exp(d_c)).
+Training (``prob_stat_map``) and
 ``posterior_matrix`` and ``predict_matrix`` run each node over its own
 rows, with no operand to share, and keep the per-element form
 -1/2 ((x - mu)^2 / var + log var + log 2 pi): training feeds back into
@@ -342,30 +345,6 @@ def _require_possible(top: np.ndarray, first: int = 0) -> np.ndarray:
     return top
 
 
-def _top_class(logj: np.ndarray, first: int = 0, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Most probable class index (0-based) and its log joint, per instance of a (..., r, m) log joint.
-
-    One strict compare per class, so ties go to the lowest class, as with
-    np.argmax.  ``out``, when given, is an (arg, top, hit) triple of
-    (..., m) buffers to work in, arg and hit of one integer dtype that
-    holds r - 1; arg and top are returned.  ``first`` is passed on to
-    ``_require_possible``.
-    """
-    if out is None:
-        shape = logj.shape[:-2] + logj.shape[-1:]
-        out = np.empty(shape, dtype=np.int64), np.empty(shape), np.empty(shape, dtype=np.int64)
-    arg, top, hit = out
-    arg.fill(0)
-    np.copyto(top, logj[..., 0, :])
-    for y in range(1, logj.shape[-2]):
-        row = logj[..., y, :]
-        # arg < y so far: a strict win sets arg to max(arg, y * win), with no data-dependent branch.
-        np.greater(row, top, out=hit)
-        np.maximum(arg, np.multiply(hit, y, out=hit), out=arg)
-        np.maximum(top, row, out=top)
-    return arg, _require_possible(top, first)
-
-
 def _posterior(params: NBParams, X: np.ndarray) -> np.ndarray:
     """Class-major posteriors P^T, (..., r, m), of an already validated X, computed in the log joint's memory."""
     logj = _log_joint(params, X)
@@ -395,7 +374,9 @@ def predict_matrix(params: NBParams, X) -> np.ndarray:
     """Most probable class per row, ties resolved to the lowest index."""
     X = np.asarray(X, dtype=np.float64)
     validate_instances(params.schema, X)
-    return _top_class(_log_joint(params, X))[0] + 1
+    logj = _log_joint(params, X)
+    _require_possible(logj.max(axis=-2))
+    return logj.argmax(axis=-2) + 1
 
 
 def predict(params: NBParams, x) -> int:
@@ -446,6 +427,8 @@ def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
 
 # Models scored together per pass; a Scorer's work buffers hold one pass.
 _EVAL_CHUNK = 16
+# No sum of the scoring GEMM overflows while its terms' magnitudes add up to less.
+_SAFE_LOG_JOINT = np.finfo(np.float64).max / 2
 
 
 def _scoring_weights(models: NBParams, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -497,18 +480,21 @@ class Scorer:
     """Mean 0-1 errors of stacked models on fixed datasets, and mean soft errors on the first one.
 
     Built once from the datasets, a Scorer holds what every call shares:
-    the rows Phi(x - c)^T of all datasets, scored together (c is the
-    mean of their continuous columns), the labels, and work buffers for
-    one pass of ``_EVAL_CHUNK`` models.  Each pass is one GEMM
-    W(theta) Phi(x - c)^T into the log joint buffer, with the rows whose
-    Phi meets a -inf weight then set to -inf (OpenBLAS's dgemm, 0.3.31,
-    Haswell kernels, raised the floating-point invalid flag on a -inf
-    weight even where its result was right).  The argmax, the softmax
-    and the error counts then work in the buffers, so a call allocates
-    little besides its results and each pass's weights, unless a weight
-    is -inf.
-    Error messages number the rows as one table, in dataset order, and
-    the models in the whole stack.
+    the rows Phi(x - c)^T of all datasets (c from the rows in table
+    order), stably sorted by (dataset, class) so that each segment of one
+    dataset's class y is a run of columns, and work buffers for one pass
+    of ``_EVAL_CHUNK`` models.  Each pass is one GEMM into the log joint
+    buffer L; each segment then writes d_c = L_c - L_y, c != y, into one
+    (k, r - 1, n) buffer and scores from it as the module docstring says;
+    an overflowing exp(d_c) gives posterior 0.  A zero weight enters the
+    GEMM as 0 (OpenBLAS's dgemm, 0.3.31, Haswell kernels, raised the
+    invalid flag on -inf even where its result was right), and the rows
+    that meet one get d_c = -inf as class c, and +inf against every other
+    class as the true class; so do log joints that overflow to -inf, which
+    a pass looks for only when |W| times the largest |Phi| nears the float
+    limit.  So a call allocates little besides its results and each
+    pass's weights, unless a weight is zero.  Error messages number the
+    rows as one table, in dataset order, and the models in the whole stack.
     """
 
     def __init__(self, datasets: list[Dataset]) -> None:
@@ -519,25 +505,21 @@ class Scorer:
             if ds.m == 0:
                 raise ValueError("cannot evaluate on an empty dataset")
         self.schema = schema
-        X = datasets[0].X if len(datasets) == 1 else np.concatenate([ds.X for ds in datasets])
-        fm = _feature_map(schema)
+        X = np.concatenate([ds.X for ds in datasets])
+        fm, r = _feature_map(schema), schema.class_cardinality
         self.c = X[:, fm.cont].mean(axis=0)
-        self.phiT = np.ascontiguousarray(fm.phi(X, self.c).T)  # (w, M)
-        self.bounds = np.cumsum([0] + [ds.m for ds in datasets])
-        r, M, m = schema.class_cardinality, len(X), datasets[0].m
-        self.m = m  # rows that get soft errors
-        label = np.min_scalar_type(r - 1)  # class indices; they compare with no cast
-        y0 = np.concatenate([ds.y for ds in datasets]) - 1
-        self.y0 = y0.astype(label)
-        self.true_index = (y0[:m] * M + np.arange(m)).astype(np.intp)  # flat, in model 0's (r, M) log joint
-        self._logj = np.empty(_EVAL_CHUNK * r * M)  # flat, so a short pass is a contiguous prefix
-        self._top = np.empty((_EVAL_CHUNK, M))
-        self._arg = np.empty((_EVAL_CHUNK, M), dtype=label)
-        self._hit = np.empty((_EVAL_CHUNK, M), dtype=label)
-        self._total = np.empty((_EVAL_CHUNK, m))
-        # (m, K), instance-major, so that means add rows in order; flat, as _logj.
-        self._index = np.empty(m * _EVAL_CHUNK, dtype=np.intp)
-        self._true = np.empty(m * _EVAL_CHUNK)
+        self.m = np.array([ds.m for ds in datasets])
+        group = np.repeat(np.arange(len(datasets)) * r, self.m) + np.concatenate([ds.y for ds in datasets]) - 1
+        self.order = np.argsort(group, kind="stable")  # table row of each scoring column
+        self.phiT = np.ascontiguousarray(fm.phi(X[self.order], self.c).T)  # (w, M)
+        self._phi_max = np.abs(self.phiT).max(axis=1)  # |L| <= |W| _phi_max
+        sizes = np.bincount(group, minlength=len(datasets) * r)
+        # (dataset, true class index, first column, end) of every nonempty segment
+        self.segments = [(s // r, s % r, e - n, e) for s, (n, e) in enumerate(zip(sizes, np.cumsum(sizes))) if n]
+        n = sizes.max()
+        self._logj = np.empty(_EVAL_CHUNK * r * len(X))  # flat, so that a short pass is a contiguous prefix
+        self._diff = np.empty(_EVAL_CHUNK * (r - 1) * n)  # flat, so that a segment is a contiguous prefix
+        self._wrong = np.empty((2, _EVAL_CHUNK * n), dtype=bool)
 
     def __call__(self, models) -> tuple[np.ndarray, np.ndarray]:
         """(D, K) 0-1 errors, row d on dataset d, and (K,) soft errors of ``models``, fresh arrays.
@@ -545,34 +527,46 @@ class Scorer:
         ``models`` is one stacked NBParams or a list of single models.
         """
         models = _stacked(models, self.schema)
-        K, r = models.class_probs.shape
-        M, m = self.phiT.shape[1], self.m
-        err01 = np.empty((len(self.bounds) - 1, K))
-        soft = np.empty(K)
+        (K, r), M = models.class_probs.shape, self.phiT.shape[1]
+        wrong = np.zeros((len(self.m), K), dtype=np.int64)
+        post = np.zeros(K)  # sums of the first dataset's true-class posteriors
         for lo in range(0, K, _EVAL_CHUNK):
             hi = min(lo + _EVAL_CHUNK, K)
             k = hi - lo
             W, zero = _scoring_weights(models[lo:hi], self.c)
-            flat = self._logj[: k * r * M]
-            logj = np.matmul(W, self.phiT, out=flat.reshape(k * r, M))
-            if zero.any():
-                logj[zero.astype(np.float64) @ self.phiT > 0] = -inf
+            logj = np.matmul(W, self.phiT, out=self._logj[: k * r * M].reshape(k * r, M))
+            with np.errstate(over="ignore"):  # an overflowing bound only fails the check
+                safe = (np.abs(W) @ self._phi_max).max() < _SAFE_LOG_JOINT
+            mask = None
+            if zero.any() or not safe:  # else no L is -inf
+                mask = (zero.astype(np.float64) @ self.phiT > 0) | np.isneginf(logj)
+                logj[mask] = 0.0  # finite, so differences make no nan before the mask sets them
+                mask = mask.reshape(k, r, M)
+                if (impossible := mask.all(axis=1)).any():  # refused in table order
+                    _require_possible(np.where(impossible[:, np.argsort(self.order)], -inf, 0.0), lo)
             logj = logj.reshape(k, r, M)
-            arg, top = _top_class(logj, lo, (self._arg[:k], self._top[:k], self._hit[:k]))
-            for e, a, b in zip(err01, self.bounds, self.bounds[1:]):
-                wrong = np.not_equal(arg[:, a:b], self.y0[a:b], out=self._hit[:k, a:b])
-                e[lo:hi] = wrong.sum(axis=1) / (b - a)
-            # Soft errors: the softmax of the first dataset's rows, in place, read at the true class.
-            z = logj[..., :m]
-            z -= top[:, None, :m]  # top is finite: _require_possible checked it
-            np.exp(z, out=z)
-            total = np.sum(z, axis=1, out=self._total[:k])
-            index = np.add(self.true_index[:, None], np.arange(k) * (r * M), out=self._index[: m * k].reshape(m, k))
-            post = np.take(flat, index, out=self._true[: m * k].reshape(m, k), mode="clip")
-            post /= total.T
-            np.subtract(1.0, post, out=post)
-            np.mean(post, axis=0, out=soft[lo:hi])
-        return err01, soft
+            for d, y, a, b in self.segments:
+                n = b - a
+                L, diff = logj[..., a:b], self._diff[: k * (r - 1) * n].reshape(k, r - 1, n)
+                np.subtract(L[:, :y], L[:, y, None], out=diff[:, :y])
+                np.subtract(L[:, y + 1 :], L[:, y, None], out=diff[:, y:])
+                if mask is not None:
+                    np.copyto(diff, inf, where=mask[:, y, None, a:b])
+                    np.copyto(diff, -inf, where=np.delete(mask[..., a:b], y, axis=1))
+                wrong_row, tie_or_win = (buf[: k * n].reshape(k, n) for buf in self._wrong)
+                beats = [np.greater_equal] * y + [np.greater] * (r - 1 - y)  # a lower class wins a tie
+                beats[0](diff[:, 0], 0.0, out=wrong_row)
+                for j in range(1, r - 1):
+                    wrong_row |= beats[j](diff[:, j], 0.0, out=tie_or_win)
+                wrong[d, lo:hi] += np.count_nonzero(wrong_row, axis=1)
+                if d == 0:
+                    with np.errstate(over="ignore"):
+                        total = np.exp(diff, out=diff)[:, 0]
+                    for j in range(1, r - 1):
+                        total += diff[:, j]
+                    total += 1.0
+                    post[lo:hi] += np.divide(1.0, total, out=total).sum(axis=1)
+        return wrong / self.m[:, None], 1.0 - post / self.m[0]
 
 
 def evaluate(params: NBParams, dataset: Dataset) -> tuple[float, float]:

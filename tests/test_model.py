@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 from math import exp
 
 import numpy as np
@@ -23,6 +24,8 @@ from riskcal.model import (
     NBParams,
     Scorer,
     StatsVector,
+    _feature_map,
+    _scoring_weights,
     evaluate,
     evaluate_many,
     evaluate_train_test,
@@ -538,6 +541,125 @@ def test_reused_scorer_allocates_less_than_one_log_joint():
     finally:
         tracemalloc.stop()
     assert peak < one_log_joint
+
+
+def gemm_reference(models, datasets):
+    """0-1 and soft errors read off the scoring GEMM's log joint L, in table order, as the argmax and softmax.
+
+    Ties go to the lowest class, as with np.argmax; soft errors are
+    1 - exp(L_y - top) / sum_c exp(L_c - top) on the first dataset.  Also
+    counts the rows whose top classes tie.
+    """
+    fm, (K, r) = _feature_map(models.schema), models.class_probs.shape
+    X = np.concatenate([ds.X for ds in datasets])
+    y0 = np.concatenate([ds.y for ds in datasets]) - 1
+    c = X[:, fm.cont].mean(axis=0)
+    phiT = np.ascontiguousarray(fm.phi(X, c).T)
+    L = np.empty((K, r, len(X)))
+    for lo in range(0, K, _EVAL_CHUNK):
+        W, zero = _scoring_weights(models[lo : lo + _EVAL_CHUNK], c)
+        chunk = W @ phiT
+        chunk[zero.astype(np.float64) @ phiT > 0] = -np.inf
+        L[lo : lo + _EVAL_CHUNK] = chunk.reshape(-1, r, len(X))
+    top = L.max(axis=1, keepdims=True)
+    wrong = L.argmax(axis=1) != y0
+    bounds = np.cumsum([0] + [ds.m for ds in datasets])
+    err01 = np.array([wrong[:, a:b].mean(axis=1) for a, b in zip(bounds, bounds[1:])])
+    m = datasets[0].m
+    z = np.exp(L[..., :m] - top[..., :m])
+    soft = (1.0 - np.take_along_axis(z, y0[None, None, :m], axis=1)[:, 0] / z.sum(axis=1)).mean(axis=1)
+    return err01, soft, int(((L == top).sum(axis=1) > 1).sum())
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("schema", [lambda r: FeatureSchema((Discrete(3), Discrete(2)), r),
+                                    lambda r: FeatureSchema((Continuous(), Continuous()), r), mixed_schema],
+                         ids=["discrete", "continuous", "mixed"])
+def test_scorer_is_the_argmax_and_softmax_of_the_scoring_gemm(schema, r):
+    # Scoring from true-class differences must give the argmax's 0-1 errors bit for bit, exact ties
+    # included: uniform_init's model ties every class, and classes sharing a profile tie, so the lowest
+    # tied class wins whether or not it is the true one.
+    rng = np.random.default_rng(26)
+    schema = schema(r)
+    train, test = (random_dataset(schema, m, rng) for m in (70, 30))
+    models = stack_params([param_map(uniform_init(schema, 10.0)),
+                           *affine_models(schema, _EVAL_CHUNK + 3, rng, 1.0, 0.0),
+                           *(random_params(schema, rng) for _ in range(3))])
+    want01, want_soft, ties = gemm_reference(models, [train, test])
+    assert ties > train.m + test.m  # every row of the uniform model, and more
+    err01, soft = Scorer([train, test])(models)
+    assert np.array_equal(err01, want01)
+    np.testing.assert_allclose(soft, want_soft, rtol=1e-13, atol=0)
+
+
+def test_scores_do_not_depend_on_row_order_within_a_dataset():
+    # Rows are grouped by class inside the scorer: a shuffled table must score alike.
+    rng = np.random.default_rng(27)
+    schema = mixed_schema(3)
+    train, test = (random_dataset(schema, m, rng) for m in (70, 30))
+    models = stack_params(affine_models(schema, 2 * _EVAL_CHUNK + 3, rng, 1.0, 0.0))
+    err01, soft = Scorer([train, test])(models)
+    shuffled = [Dataset(schema, ds.X[p], ds.y[p]) for ds in (train, test) for p in [rng.permutation(ds.m)]]
+    got01, got_soft = Scorer(shuffled)(models)
+    assert np.array_equal(got01, err01)
+    np.testing.assert_allclose(got_soft, soft, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_a_true_class_far_below_another_scores_soft_error_one(r):
+    # Means -5, 5 (and 0), variance 0.01: a row at another class's mean has a log joint at least
+    # 1250 below it, so exp(L_c - L_y) overflows to inf: posterior 0, with no RuntimeWarning.
+    schema = FeatureSchema((Continuous(),), r)
+    params = NBParams(schema, np.full(r, 1.0 / r), (np.column_stack([[-5.0, 5.0, 0.0][:r], np.full(r, 0.01)]),))
+    far = Dataset(schema, np.array([[5.0], [-5.0]]), np.array([1, 2]))  # each row at the other class's mean
+    near = Dataset(schema, np.array([[-5.0], [5.0]]), np.array([1, 2]))
+    mixed = Dataset(schema, np.array([[5.0], [5.0]]), np.array([1, 2]))  # one far row, one near row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (far01, near01), far_soft = Scorer([far, near])([params])
+        (near01_first, far01_test), near_soft = Scorer([near, far])([params])
+        (mixed01,), mixed_soft = Scorer([mixed])([params])
+    assert far01[0] == far01_test[0] == 1.0 and near01[0] == near01_first[0] == 0.0
+    assert far_soft[0] == 1.0 and near_soft[0] == 0.0
+    assert mixed01[0] == 0.5 and mixed_soft[0] == 0.5  # the far row's soft error is exactly 1
+
+
+def test_a_log_joint_overflowing_in_the_gemm_scores_as_a_zero_probability():
+    # Rows at +-1e153 (so c stays near 0): (x - c)^2 / (2 var) overflows to -inf under classes 1 and 2
+    # (variance 1e-6) with no zero weight, and is finite under class 3.  Such a class loses, and a row
+    # where every class overflows is refused.
+    schema = FeatureSchema((Continuous(),), 3)
+    params = NBParams(schema, np.full(3, 1.0 / 3), (np.array([[0.0, 1e-6], [0.0, 1e-6], [0.0, 1.0]]),))
+    train = Dataset(schema, np.array([[-1.0], [1e153], [0.5]]), np.array([2, 1, 3]))
+    test = Dataset(schema, np.array([[-1e153], [1.0], [-1.0]]), np.array([3, 3, 2]))
+    with warnings.catch_warnings(), np.errstate(over="ignore"):  # the GEMM's overflow warns
+        warnings.simplefilter("error")
+        want01, want_soft, _ = gemm_reference(stack_params([params]), [train, test])
+        err01, soft = Scorer([train, test])([params])
+        narrow = NBParams(schema, params.class_probs, (np.array([[0.0, 1e-6]] * 3),))
+        with pytest.raises(ValueError, match="row 1 has probability zero under every class of model 1;"):
+            evaluate_train_test([params, narrow], train, test)
+    assert np.array_equal(err01, want01) and np.array_equal(err01, [[2 / 3], [1 / 3]])
+    np.testing.assert_allclose(soft, want_soft, rtol=1e-13, atol=0)
+
+
+def test_refusal_names_the_lowest_impossible_table_row_after_grouping():
+    # Cell 2 has probability zero in both classes.  Impossible rows 1 (class 2) and 2 (class 1):
+    # grouped by class, row 2's column comes first, but row 1 is named.
+    schema = FeatureSchema((Discrete(2), Continuous()), 2)
+    params = NBParams(schema, np.array([0.5, 0.5]),
+                      (np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 1.0]])))
+    ok = NBParams(schema, params.class_probs, (np.full((2, 2), 0.5), params.feature_params[1]))
+    X, y = np.array([[1.0, 0.3], [2.0, 0.1], [2.0, 0.0], [1.0, -0.2]]), np.array([1, 2, 1, 2])
+    ds, train = Dataset(schema, X, y), Dataset(schema, X[[0, 3]], y[[0, 3]])
+    with pytest.raises(ValueError, match="row 1 has probability zero under every class of model 0;"):
+        evaluate_many([params], ds)
+    with pytest.raises(ValueError, match=f"row {train.m + 1} has probability zero under every class of model 0;"):
+        evaluate_train_test([params], train, ds)
+    pooled = Scorer([train, ds])
+    pooled([ok])
+    with pytest.raises(ValueError, match=f"row {train.m + 1} has probability zero under every class of model 1;"):
+        pooled([ok, params])
 
 
 def test_instance_impossible_under_every_class_is_refused():
