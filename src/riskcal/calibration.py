@@ -19,10 +19,12 @@ from .model import (
     VAR_FLOOR,
     NBParams,
     StatsVector,
+    _accumulate,
     _feature_map,
+    _posterior,
+    _Rows,
     evaluate_many,
     param_map,
-    prob_stat_map,
     stat_map_dataset,
 )
 
@@ -47,19 +49,20 @@ def project(stats: StatsVector) -> StatsVector:
     return StatsVector(stats.schema, S.reshape(stats.values.shape))
 
 
-def rc_update(stats: StatsVector, dataset: Dataset, lr: float, params: NBParams) -> StatsVector:
+def rc_update(stats: StatsVector, dataset: Dataset | LocalStep, lr: float, params: NBParams) -> StatsVector:
     """One calibration step at learning rate lr, followed by projection.
 
     Moves the statistics towards the labelled data and away from the
     model's own expectations: s + lr * (s(X, Y) - s(X, theta)).  With
-    lr = 0 the input is returned unchanged (up to projection).
+    lr = 0 the input is returned unchanged (up to projection).  ``dataset``
+    may also be a ``LocalStep`` built from it.
     """
     if lr < 0:
         raise ValueError(f"learning rate must be nonnegative, got {lr}")
     if stats.schema != dataset.schema or params.schema != dataset.schema:
         raise ValueError("schema mismatch")
-    step = stat_map_dataset(dataset) - prob_stat_map(dataset.X, params)
-    return project(stats + lr * step)
+    local = dataset if isinstance(dataset, LocalStep) else LocalStep(dataset)
+    return project(stats + lr * (local.labelled - local.expected(params)))
 
 
 @dataclass
@@ -110,17 +113,35 @@ def rc(dataset: Dataset, lr: float, t_max: int, init: StatsVector) -> RCTrace:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
+    local = LocalStep(dataset)
     stats = [project(init)]
     params = [param_map(stats[0])]
     for _ in range(t_max):
-        stats.append(rc_update(stats[-1], dataset, lr, params[-1]))
+        stats.append(rc_update(stats[-1], local, lr, params[-1]))
         params.append(param_map(stats[-1]))
     err01, soft = evaluate_many(params, dataset)
     return RCTrace([RCRecord(t, float(soft[t]), float(err01[t]), params[t], stats[t]) for t in range(t_max + 1)])
 
 
-def lrc(agg_stats: StatsVector, local_dataset: Dataset, iterations: int = 1) -> StatsVector:
-    """Local calibration of aggregated statistics against local data.
+class LocalStep:
+    """What every calibration step against one (stacked) local dataset shares, built once for many rounds.
+
+    The labelled statistics D, the rows Phi(X) and the log-joint rows Phi(X - c)^T, c each node's own mean.
+    """
+
+    def __init__(self, local_dataset: Dataset) -> None:
+        self.schema = local_dataset.schema
+        self.labelled = stat_map_dataset(local_dataset)  # refuses an empty dataset and non-finite sums
+        self.phi = _feature_map(self.schema).phi(local_dataset.X)
+        self.rows = _Rows(self.schema, local_dataset.X)
+
+    def expected(self, params: NBParams) -> StatsVector:
+        """``prob_stat_map`` of the local rows under ``params``."""
+        return _accumulate(self.schema, _posterior(params, self.rows), self.phi)
+
+
+def lrc(agg_stats: StatsVector, local_dataset: Dataset | LocalStep, iterations: int = 1) -> StatsVector:
+    """Local calibration of aggregated statistics against local data, or a ``LocalStep`` built from it.
 
     Applies the full (unscaled) calibration step ``iterations`` times:
     the step has total mass zero, so the mass of ``agg_stats`` is
@@ -133,9 +154,8 @@ def lrc(agg_stats: StatsVector, local_dataset: Dataset, iterations: int = 1) -> 
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if agg_stats.schema != local_dataset.schema:
         raise ValueError("schema mismatch")
-    local = stat_map_dataset(local_dataset)
+    local = local_dataset if isinstance(local_dataset, LocalStep) else LocalStep(local_dataset)
     stats = project(agg_stats)
     for _ in range(iterations):
-        params = param_map(stats)
-        stats = project(stats + local - prob_stat_map(local_dataset.X, params))
+        stats = project(stats + local.labelled - local.expected(param_map(stats)))
     return stats

@@ -21,35 +21,23 @@ categorical tables by row normalization, Gaussians by moment matching
 
     mu = s1 / s0,    var = s2 / s0 - mu^2.
 
-Posteriors are evaluated in log space with max subtraction; zero
-probabilities are allowed and yield exact 0/1 posteriors, and an
-instance with probability zero under every class is refused.  The log
-joint is class-major, (..., r, m): one row of m instances per class, so
-the argmax, the max and the softmax sum each run over r rows of
-contiguous data, and the posterior is P^T itself, ready for P^T Phi.
-
-The log joint has two code paths, because their traffic differs.
-Scoring runs K models over shared datasets, fixed for a run: a
-``Scorer`` is built once from them and called on stack after stack of
-models (``evaluate_many`` and ``evaluate_train_test`` are one-shot
-scorers).  It keeps the scoring rows, grouped by (dataset, class), and
-the work buffers of one pass.  There log p(x, y) is linear in the
+The log joint has one code path.  log p(x, y) is linear in the
 statistics' own feature rows Phi(x - c), whose continuous pairs hold
-(x - c, (x - c)^2), with c the mean of the scored rows' continuous
-columns.  So all K models take one GEMM L = W(theta) Phi(x - c)^T,
-with W in the same columns: per class, the constant column holds
+(x - c, (x - c)^2), so K models over m rows take one product
+L = W(theta) Phi(x - c)^T, class-major (..., r, m), with W in the same
+columns: per class, the constant column holds
 log p(y) - 1/2 sum((mu - c)^2 / var + log var + log 2 pi), each one-hot
 cell log theta, and each continuous pair ((mu - c) / var, -1 / (2 var)).
-A zero probability, of a class or of a cell, is a -inf weight.  A row of
-true class y is then scored from d_c = L_c - L_y alone: it is wrong iff
-some d_c >= 0 with c < y or d_c > 0 with c > y (the argmax, ties to the
-lowest class), and its true-class posterior is 1 / (1 + sum_c exp(d_c)).
-Training (``prob_stat_map``) and
-``posterior_matrix`` and ``predict_matrix`` run each node over its own
-rows, with no operand to share, and keep the per-element form
--1/2 ((x - mu)^2 / var + log var + log 2 pi): training feeds back into
-the state, and ill-conditioned calibration rounds amplify the GEMM's
-last-bit differences.
+L does not depend on c but its rounding does, by about eps times the
+terms' magnitudes, (x - c)^2 / var for a row x.  So each node's rows are
+shifted by their own mean (Chan, Golub & LeVeque's shifted sums), a
+``Scorer``'s by the mean of all its rows, and a (model, row) whose terms
+still cancel or overflow is formed again with the row itself as c.  A
+zero probability, or a class constant that overflows, is a -inf weight:
+every row that meets one gets L = -inf.  Posteriors are the softmax over
+the r class rows, P^T itself, ready for P^T Phi; zero probabilities
+yield exact 0/1 posteriors, and an instance impossible under every
+class is refused.
 
 Every mapping also takes a leading node axis (statistics (n, len),
 datasets X (n, m, d)), so one node and n same-size nodes share one code path.
@@ -128,8 +116,8 @@ class _FeatureMap:
     def phi(self, X: np.ndarray, shift: np.ndarray | None = None) -> np.ndarray:
         """Feature rows Phi(x) of a validated (..., m, d) array; shape (..., m, w).
 
-        With ``shift`` c (q,), the continuous pairs hold (x - c, (x - c)^2)
-        instead; X itself is never written.
+        With ``shift`` c, broadcast against the rows, the continuous pairs
+        hold (x - c, (x - c)^2) instead; X itself is never written.
         """
         out = np.zeros(X.shape[:-1] + (self.width,))
         out[..., 0] = 1.0
@@ -255,10 +243,10 @@ class NBParams:
         return "".join(f"{name} = {float(v)!r}\n" for name, v in zip(names, values))
 
 
-def _accumulate(schema: FeatureSchema, PT: np.ndarray, X: np.ndarray) -> StatsVector:
-    """Statistics P^T Phi(X) of weighted instances: column k of P^T spreads instance k over classes."""
+def _accumulate(schema: FeatureSchema, PT: np.ndarray, phi: np.ndarray) -> StatsVector:
+    """Statistics P^T Phi of weighted instances with rows ``phi``: column k of P^T spreads instance k over classes."""
     with np.errstate(over="ignore", invalid="ignore"):
-        S = PT @ _feature_map(schema).phi(X)
+        S = PT @ phi
     if not np.isfinite(S).all():
         raise ValueError(_NOT_FINITE)
     return StatsVector(schema, S.reshape(S.shape[:-2] + (-1,)))
@@ -276,7 +264,7 @@ def stat_map_instance(x, y: int, schema: FeatureSchema) -> StatsVector:
     y = int(y)
     if not 1 <= y <= schema.class_cardinality:
         raise ValueError(f"label {y} outside 1..{schema.class_cardinality}")
-    return _accumulate(schema, np.eye(schema.class_cardinality)[[y - 1]].T, x)
+    return _accumulate(schema, np.eye(schema.class_cardinality)[[y - 1]].T, _feature_map(schema).phi(x))
 
 
 def stat_map_dataset(dataset: Dataset) -> StatsVector:
@@ -284,7 +272,7 @@ def stat_map_dataset(dataset: Dataset) -> StatsVector:
     if dataset.m == 0:
         raise ValueError("empty dataset has no statistics")
     onehot = np.eye(dataset.schema.class_cardinality)[dataset.y - 1]
-    return _accumulate(dataset.schema, np.swapaxes(onehot, -1, -2), dataset.X)
+    return _accumulate(dataset.schema, np.swapaxes(onehot, -1, -2), _feature_map(dataset.schema).phi(dataset.X))
 
 
 def prob_stat_map(X, params: NBParams) -> StatsVector:
@@ -297,39 +285,7 @@ def prob_stat_map(X, params: NBParams) -> StatsVector:
     """
     X = np.asarray(X, dtype=np.float64)
     validate_instances(params.schema, X)
-    return _accumulate(params.schema, _posterior(params, X), X)
-
-
-def _log_joint(params: NBParams, X: np.ndarray) -> np.ndarray:
-    """Class-major log joint log p(y) + sum_i log p(x_i | y) of the rows of X, term by term.
-
-    ``params`` and X (..., m, d) may both carry leading axes, which
-    broadcast: the result has shape (..., r, m), row y holding class
-    y + 1's log joint of every instance.  Zero probabilities produce
-    -inf, which flows through the class maximum and softmax exactly.
-    This is the training path; scoring many models over one dataset
-    uses ``_scoring_log_joint``.
-    """
-    with np.errstate(divide="ignore"):
-        cp = np.log(params.class_probs)[..., :, None]  # (..., r, 1)
-        out = np.empty(np.broadcast_shapes(cp.shape, X.shape[:-2] + (1, X.shape[-2])))
-        out[...] = cp
-        for i, (spec, block) in enumerate(zip(params.schema.features, params.feature_params)):
-            col = X[..., None, :, i]  # (..., 1, m)
-            if isinstance(spec, Discrete):
-                out += np.take_along_axis(np.log(block), col.astype(np.int64) - 1, axis=-1)
-            else:
-                mu = block[..., :, 0, None]  # (..., r, 1)
-                var = block[..., :, 1, None]
-                # -0.5 * ((x - mu)^2 / var + log(var) + log(2 pi)), in one temporary
-                term = col - mu
-                term *= term
-                term /= var
-                term += np.log(var)
-                term += _LOG_2PI
-                term *= -0.5
-                out += term
-    return out
+    return _accumulate(params.schema, _posterior(params, _Rows(params.schema, X)), _feature_map(params.schema).phi(X))
 
 
 def _require_possible(top: np.ndarray, first: int = 0) -> np.ndarray:
@@ -345,9 +301,9 @@ def _require_possible(top: np.ndarray, first: int = 0) -> np.ndarray:
     return top
 
 
-def _posterior(params: NBParams, X: np.ndarray) -> np.ndarray:
-    """Class-major posteriors P^T, (..., r, m), of an already validated X, computed in the log joint's memory."""
-    logj = _log_joint(params, X)
+def _posterior(params: NBParams, rows: _Rows) -> np.ndarray:
+    """Class-major posteriors P^T (..., r, m) of ``params`` over ``rows``, in the memory of their log joint."""
+    logj = rows.log_joint(params)[0]
     logj -= _require_possible(logj.max(axis=-2))[..., None, :]  # a -inf top would make its column 0/0
     z = np.exp(logj, out=logj)
     z /= z.sum(axis=-2, keepdims=True)
@@ -361,27 +317,25 @@ def posterior_matrix(params: NBParams, X) -> np.ndarray:
     """
     X = np.asarray(X, dtype=np.float64)
     validate_instances(params.schema, X)
-    return np.swapaxes(_posterior(params, X), -1, -2)
+    return np.swapaxes(_posterior(params, _Rows(params.schema, X)), -1, -2)
 
 
 def posterior(params: NBParams, x) -> np.ndarray:
     """Posterior class distribution of a single instance."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return posterior_matrix(params, x)[0]
+    return posterior_matrix(params, np.reshape(x, (1, -1)))[0]
 
 
 def predict_matrix(params: NBParams, X) -> np.ndarray:
     """Most probable class per row, ties resolved to the lowest index."""
     X = np.asarray(X, dtype=np.float64)
     validate_instances(params.schema, X)
-    logj = _log_joint(params, X)
+    logj = _Rows(params.schema, X).log_joint(params)[0]
     _require_possible(logj.max(axis=-2))
     return logj.argmax(axis=-2) + 1
 
 
 def predict(params: NBParams, x) -> int:
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return int(predict_matrix(params, x)[0])
+    return int(predict_matrix(params, np.reshape(x, (1, -1)))[0])
 
 
 def param_map(stats: StatsVector) -> NBParams:
@@ -425,36 +379,87 @@ def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
     return StatsVector(schema, np.tile((m0 / r) * _feature_map(schema).base, r))
 
 
-# Models scored together per pass; a Scorer's work buffers hold one pass.
-_EVAL_CHUNK = 16
-# No sum of the scoring GEMM overflows while its terms' magnitudes add up to less.
-_SAFE_LOG_JOINT = np.finfo(np.float64).max / 2
+# The product is trusted where the magnitudes of its terms sum to at most this many times 1 + |L|.
+_CANCEL = 2.0**10
 
 
-def _scoring_weights(models: NBParams, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights W(theta) (K r, w) of K stacked models over the rows Phi(x - c), and the mask of their zeros.
+def _weights(models: NBParams, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights W(theta) (..., r, w) over rows Phi(x - c), models and c (..., 1, q) broadcast, and their -inf mask.
 
-    W holds the weights of the module docstring, in the columns of Phi.
-    A zero probability, of a class or of a cell, is a -inf weight: it is
-    returned as 0, with the mask marking it.
+    A -inf weight is returned as 0 (OpenBLAS's dgemm, 0.3.31, Haswell
+    kernels, raised the invalid flag on -inf even where its result was right).
     """
     fm = _feature_map(models.schema)
-    K, r = models.class_probs.shape
-    W = np.empty((K, r, fm.width))
+    W = np.empty(np.broadcast_shapes(models.class_probs.shape[:-1], np.shape(c)[:-2])
+                 + (models.schema.class_cardinality, fm.width))
     for sl, block in zip(fm.blocks, models.feature_params):
         W[..., sl] = block  # theta in the columns of its statistics, as param_map lays it out
     t = fm.pairs(W)  # (mu, var) pairs
     a, inv = t[..., 0] - c, 1.0 / t[..., 1]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         W[..., 0] = np.log(models.class_probs)
         W[..., 0] -= 0.5 * (a * a * inv + np.log(t[..., 1]) + _LOG_2PI).sum(axis=-1)
         np.log(W[..., 1 : fm.moments], out=W[..., 1 : fm.moments])
     t[..., 0] = a * inv
     t[..., 1] = -0.5 * inv
-    W = W.reshape(K * r, -1)
     zero = np.isneginf(W)
     W[zero] = 0.0
     return W, zero
+
+
+class _Rows:
+    """Validated rows X (..., m, d) as Phi(X - c)^T (..., w, m), c each leading slice's mean (..., 1, q)."""
+
+    def __init__(self, schema: FeatureSchema, X: np.ndarray) -> None:
+        fm = self.fm = _feature_map(schema)
+        self.xc = X[..., fm.cont]
+        self.c = self.xc.sum(axis=-2, keepdims=True) / max(X.shape[-2], 1)  # 0 over no rows
+        with np.errstate(over="ignore"):  # log_joint forms the rows of an infinite (x - c)^2 again
+            self.phiT = np.ascontiguousarray(np.swapaxes(fm.phi(X, self.c), -1, -2))
+        self.phi_max = np.abs(self.phiT).max(axis=-1, initial=0.0)  # sum |W| |Phi| <= |W| phi_max
+
+    def log_joint(self, models: NBParams, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+        """Log joint L (..., r, m) of ``models`` over the rows, leading axes broadcast, and its -inf mask or None.
+
+        ``out``, over shared rows, is a (K r, m) buffer.  A (model, row) whose
+        terms overflow or cancel, sum |W| |Phi| > _CANCEL (1 + |L|), is formed
+        again with the row itself as c, which leaves no continuous terms.
+        """
+        W, zero = _weights(models, self.c)
+        shape = W.shape[:-1] + self.phiT.shape[-1:]
+        if self.phiT.ndim == 2:  # shared rows: one GEMM for every model
+            W, zero = W.reshape(-1, W.shape[-1]), zero.reshape(-1, W.shape[-1])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing or nan L is formed again
+            logj = np.matmul(W, self.phiT, out=out)
+            sound = (np.abs(W) @ self.phi_max[..., None]).max(initial=0.0) <= _CANCEL
+            if sound and not zero.any():
+                return logj.reshape(shape), None
+            n = self.fm.moments  # only constant and one-hot weights are ever -inf
+            mask = zero[..., :n].astype(np.float64) @ self.phiT[..., :n, :] > 0
+            if not sound:
+                terms = np.abs(W) @ np.abs(self.phiT)
+                loose = ~((terms <= _CANCEL * (1.0 + np.abs(logj))) & (terms < inf))
+                self._reform(models, logj.reshape(shape), mask.reshape(shape), loose.reshape(shape).any(axis=-2))
+        logj[mask] = -inf
+        return logj.reshape(shape), mask.reshape(shape)
+
+    def _reform(self, models: NBParams, logj: np.ndarray, mask: np.ndarray, loose: np.ndarray) -> None:
+        """Write the log joint and -inf mask of each ``loose`` (model, row), shifting the row by itself."""
+        at, n = np.nonzero(loose), self.fm.moments
+
+        def pick(A: np.ndarray, k: int, idx: tuple) -> np.ndarray:  # A's last k axes at idx, broadcast over models
+            return np.broadcast_to(A, loose.shape[:-1] + A.shape[A.ndim - k :])[idx]
+
+        models = NBParams(models.schema, pick(models.class_probs, 1, at[:-1]),
+                          tuple(pick(block, 2, at[:-1]) for block in models.feature_params))
+        W, zero = _weights(models, pick(self.xc, 2, at)[:, None, :])
+        phi = pick(np.swapaxes(self.phiT[..., :n, :], -1, -2), 2, at)[..., None]  # (B, n, 1): Phi(x - x)
+        np.swapaxes(logj, -1, -2)[at] = (W[..., :n] @ phi)[..., 0]
+        np.swapaxes(mask, -1, -2)[at] = (zero[..., :n].astype(np.float64) @ phi)[..., 0] > 0
+
+
+# Models scored together per pass; a Scorer's work buffers hold one pass.
+_EVAL_CHUNK = 16
 
 
 def _stacked(models, schema: FeatureSchema) -> NBParams:
@@ -479,22 +484,20 @@ def _stacked(models, schema: FeatureSchema) -> NBParams:
 class Scorer:
     """Mean 0-1 errors of stacked models on fixed datasets, and mean soft errors on the first one.
 
-    Built once from the datasets, a Scorer holds what every call shares:
-    the rows Phi(x - c)^T of all datasets (c from the rows in table
-    order), stably sorted by (dataset, class) so that each segment of one
-    dataset's class y is a run of columns, and work buffers for one pass
-    of ``_EVAL_CHUNK`` models.  Each pass is one GEMM into the log joint
-    buffer L; each segment then writes d_c = L_c - L_y, c != y, into one
-    (k, r - 1, n) buffer and scores from it as the module docstring says;
-    an overflowing exp(d_c) gives posterior 0.  A zero weight enters the
-    GEMM as 0 (OpenBLAS's dgemm, 0.3.31, Haswell kernels, raised the
-    invalid flag on -inf even where its result was right), and the rows
-    that meet one get d_c = -inf as class c, and +inf against every other
-    class as the true class; so do log joints that overflow to -inf, which
-    a pass looks for only when |W| times the largest |Phi| nears the float
-    limit.  So a call allocates little besides its results and each
-    pass's weights, unless a weight is zero.  Error messages number the
-    rows as one table, in dataset order, and the models in the whole stack.
+    Built once from the datasets, a Scorer holds what every call shares: the
+    rows Phi(x - c)^T of all datasets, stably sorted by (dataset, class) so
+    that each segment of one dataset's class y is a run of columns, and work
+    buffers for one pass of ``_EVAL_CHUNK`` models.  Each pass is one GEMM
+    into the log joint buffer L; each segment of true class y then writes
+    d_c = L_c - L_y, c != y, into one (k, r - 1, n) buffer.  A row is wrong
+    iff some d_c >= 0 with c < y or d_c > 0 with c > y (the argmax, ties to
+    the lowest class), and its true-class posterior is 1 / (1 + sum_c
+    exp(d_c)) (0 when exp overflows).  A -inf L gets d_c = -inf as class c,
+    and +inf against every other class as the true class.  So a call
+    allocates little besides its results and weights, unless an L is -inf or
+    its terms may cancel (see ``_Rows.log_joint``).  Error messages number
+    the rows as one table, in dataset order, and the models in the whole
+    stack.
     """
 
     def __init__(self, datasets: list[Dataset]) -> None:
@@ -506,13 +509,11 @@ class Scorer:
                 raise ValueError("cannot evaluate on an empty dataset")
         self.schema = schema
         X = np.concatenate([ds.X for ds in datasets])
-        fm, r = _feature_map(schema), schema.class_cardinality
-        self.c = X[:, fm.cont].mean(axis=0)
+        r = schema.class_cardinality
         self.m = np.array([ds.m for ds in datasets])
         group = np.repeat(np.arange(len(datasets)) * r, self.m) + np.concatenate([ds.y for ds in datasets]) - 1
         self.order = np.argsort(group, kind="stable")  # table row of each scoring column
-        self.phiT = np.ascontiguousarray(fm.phi(X[self.order], self.c).T)  # (w, M)
-        self._phi_max = np.abs(self.phiT).max(axis=1)  # |L| <= |W| _phi_max
+        self.rows = _Rows(schema, X[self.order])
         sizes = np.bincount(group, minlength=len(datasets) * r)
         # (dataset, true class index, first column, end) of every nonempty segment
         self.segments = [(s // r, s % r, e - n, e) for s, (n, e) in enumerate(zip(sizes, np.cumsum(sizes))) if n]
@@ -527,24 +528,17 @@ class Scorer:
         ``models`` is one stacked NBParams or a list of single models.
         """
         models = _stacked(models, self.schema)
-        (K, r), M = models.class_probs.shape, self.phiT.shape[1]
+        (K, r), M = models.class_probs.shape, len(self.order)
         wrong = np.zeros((len(self.m), K), dtype=np.int64)
         post = np.zeros(K)  # sums of the first dataset's true-class posteriors
         for lo in range(0, K, _EVAL_CHUNK):
             hi = min(lo + _EVAL_CHUNK, K)
             k = hi - lo
-            W, zero = _scoring_weights(models[lo:hi], self.c)
-            logj = np.matmul(W, self.phiT, out=self._logj[: k * r * M].reshape(k * r, M))
-            with np.errstate(over="ignore"):  # an overflowing bound only fails the check
-                safe = (np.abs(W) @ self._phi_max).max() < _SAFE_LOG_JOINT
-            mask = None
-            if zero.any() or not safe:  # else no L is -inf
-                mask = (zero.astype(np.float64) @ self.phiT > 0) | np.isneginf(logj)
+            logj, mask = self.rows.log_joint(models[lo:hi], self._logj[: k * r * M].reshape(k * r, M))
+            if mask is not None:
                 logj[mask] = 0.0  # finite, so differences make no nan before the mask sets them
-                mask = mask.reshape(k, r, M)
                 if (impossible := mask.all(axis=1)).any():  # refused in table order
                     _require_possible(np.where(impossible[:, np.argsort(self.order)], -inf, 0.0), lo)
-            logj = logj.reshape(k, r, M)
             for d, y, a, b in self.segments:
                 n = b - a
                 L, diff = logj[..., a:b], self._diff[: k * (r - 1) * n].reshape(k, r - 1, n)

@@ -6,8 +6,9 @@ neighborhood as of the previous round (synchronous barrier), then
 calibrate the average against the node's local data.  The network state
 is one (n, len) array of statistics, so a round is one neighborhood
 average of the whole array plus one ``lrc`` call per group of nodes of
-one local size, their datasets stacked along a leading node axis.
-The loop only simulates: whatever observes a round (per-round metrics,
+one local size, their datasets stacked along a leading node axis, each
+against the group's ``LocalStep``, built once per run.  The loop only
+simulates: whatever observes a round (per-round metrics,
 recorded aggregates) attaches through ``run_crc``'s ``on_round`` hook.
 ``evaluate_round`` scores the batched models of one round, one row per
 node, against a centralized baseline trained on the pooled sample.  It
@@ -23,7 +24,7 @@ from math import nan
 
 import numpy as np
 
-from .calibration import RCTrace, lrc, project, rc
+from .calibration import LocalStep, RCTrace, lrc, project, rc
 from .data import Dataset, write_table
 from .model import (
     NBParams,
@@ -195,18 +196,16 @@ def run_crc(
     # Nodes of one local size calibrate together, against their datasets stacked.
     sizes = np.array([ds.m for ds in local_datasets])
     groups = [np.flatnonzero(sizes == m) for m in sorted(set(sizes.tolist()))]
-    stacked = [
-        Dataset(schema, np.stack([local_datasets[v].X for v in g]), np.stack([local_datasets[v].y for v in g]))
-        for g in groups
-    ]
+    steps = [LocalStep(Dataset(schema, np.stack([local_datasets[v].X for v in g]),
+                               np.stack([local_datasets[v].y for v in g]))) for g in groups]
     S = np.tile(uniform_init(schema, m0).values, (n, 1))  # (n, len), node v in row v - 1
 
     for t in range(1, t_max + 1):
         graph = rewire(schedule, t, graph, rng)
         agg = _average(S, graph, neighborhood)
         S = np.empty_like(agg)  # a fresh array: earlier states keep their values
-        for g, ds in zip(groups, stacked):
-            S[g] = lrc(StatsVector(schema, agg[g]), ds, iterations).values
+        for g, step in zip(groups, steps):
+            S[g] = lrc(StatsVector(schema, agg[g]), step, iterations).values
         if on_round is not None:
             on_round(t, StatsVector(schema, agg), StatsVector(schema, S))
     stats = StatsVector(schema, S)

@@ -25,7 +25,7 @@ from riskcal.model import (
     Scorer,
     StatsVector,
     _feature_map,
-    _scoring_weights,
+    _weights,
     evaluate,
     evaluate_many,
     evaluate_train_test,
@@ -41,6 +41,7 @@ from riskcal.model import (
     uniform_init,
     zero_stats,
 )
+from riskcal.synth import gaussian_blobs
 
 TINY_SCHEMA = FeatureSchema((Discrete(3), Continuous()), 2)
 
@@ -298,15 +299,82 @@ def test_prob_stat_map_exact_rational_oracle():
     assert abs(got.ess - 20.0) < 1e-12
 
 
-def test_prob_stat_map_mixed_scalar_oracle():
-    rng = np.random.default_rng(7)
-    schema = mixed_schema(2)
-    params = random_params(schema, rng)
-    X = random_dataset(schema, 30, rng).X
-    got = prob_stat_map(X, params)
+def assert_scalar_oracle(got, params, X):
     want = brute_force_prob_stats(params, X, exact=False)
-    scale = np.maximum(np.abs(want), 1.0)
-    assert np.max(np.abs(got.values - want) / scale) < 1e-12
+    assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) < 1e-12
+
+
+def test_prob_stat_map_mixed_scalar_oracle():
+    # Training shifts each node's rows by their mean: far-off and wide features must train as near ones.
+    schema = mixed_schema(2)
+    for scale, shift in [(1.0, 0.0), (100.0, 0.0), (1.0, 1000.0), (1e4, 1e5)]:
+        rng = np.random.default_rng(7)
+        X = affine_dataset(schema, 30, rng, scale, shift).X
+        for params in affine_models(schema, 3, rng, scale, shift):  # a zero class prior; zero cells; none
+            assert_scalar_oracle(prob_stat_map(X, params).values, params, X)
+
+
+def test_prob_stat_map_shifts_each_node_by_its_own_mean():
+    # One shift for both nodes would leave node 2's rows 5e4 off it, and its log joint differences
+    # to cancellation at 2.5e9; each node's own mean keeps both at unit scale.
+    rng = np.random.default_rng(8)
+    schema = mixed_schema(2)
+    X = np.stack([affine_dataset(schema, 30, rng, 1.0, shift).X for shift in (0.0, 1e5)])
+    models = [affine_models(schema, 2, rng, 1.0, shift)[1] for shift in (0.0, 1e5)]
+    got = prob_stat_map(X, stack_params(models))
+    for v, params in enumerate(models):
+        assert_scalar_oracle(got.values[v], params, X[v])
+
+
+def wide_class_model(schema, rng):
+    """Random parameters whose class 2 gives feature 0 a standard deviation of 1e9."""
+    params = random_params(schema, rng)
+    blocks = list(params.feature_params)
+    blocks[0] = np.array([blocks[0][0], [0.0, 1e18]])
+    return NBParams(schema, params.class_probs, tuple(blocks))
+
+
+@pytest.mark.parametrize("outlier", [1e6, 1e8, 1e9])
+def test_rows_far_from_their_shift_train_and_score_as_near_ones(outlier):
+    # One row at 1e9 among unit-scale rows puts their mean c near 1e8, so the other rows' terms
+    # (x - c)^2 / var reach 1e16 and cancel to O(1); they are formed again, shifted by themselves.
+    # The wide class keeps every density within the scalar oracle's range.
+    rng = np.random.default_rng(9)
+    schema = mixed_schema(2)
+    models = [wide_class_model(schema, rng) for _ in range(2)]
+    node, other = (random_dataset(schema, 10, rng) for _ in range(2))
+    node.X[0, 0] = outlier
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = prob_stat_map(np.stack([node.X, other.X]), stack_params(models))  # one node far, one near
+        post = posterior_matrix(models[0], node.X)
+        err01, soft = evaluate_many(models, node)
+    for v, ds in enumerate((node, other)):
+        assert_scalar_oracle(got.values[v], models[v], ds.X)
+    np.testing.assert_allclose(post, [scalar_posterior(models[0], x) for x in node.X], rtol=0, atol=1e-14)
+    want01, want_soft, _, _ = oracle_errors(models, node)
+    assert np.array_equal(err01, want01)
+    np.testing.assert_allclose(soft, want_soft, rtol=1e-12, atol=0)
+
+
+def test_rows_whose_shifted_square_overflows_are_formed_again():
+    # Validation admits |x| <= sqrt(max).  One row at a = 0.9 sqrt(max) and nine at -a have the mean
+    # c = -0.8 a, so (x - c)^2 overflows for the first row, though every (x - mu)^2 is finite.
+    schema = FeatureSchema((Continuous(),), 2)
+    params = NBParams(schema, np.array([0.4, 0.6]), (np.array([[0.0, 1e306], [0.0, 1.2e306]]),))
+    a = 0.9 * np.sqrt(np.finfo(np.float64).max)
+    ds = Dataset(schema, np.array([[a]] + [[-a]] * 9), np.array([1, 2] * 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        post = posterior_matrix(params, ds.X)
+        pred = predict_matrix(params, ds.X)
+        err01, soft = evaluate_many([params], ds)
+    want = np.array([scalar_posterior(params, x) for x in ds.X])
+    assert 1e-6 < want[0, 0] < 1e-5  # not a 0/1 posterior
+    np.testing.assert_allclose(post, want, rtol=1e-12, atol=0)
+    assert np.array_equal(pred, np.full(10, 2))
+    assert err01[0] == 0.5
+    np.testing.assert_allclose(soft, 1.0 - want[np.arange(10), ds.y - 1].mean(), rtol=1e-12, atol=0)
 
 
 def test_prob_stat_map_point_mass_equals_labelled_stats():
@@ -557,7 +625,7 @@ def gemm_reference(models, datasets):
     phiT = np.ascontiguousarray(fm.phi(X, c).T)
     L = np.empty((K, r, len(X)))
     for lo in range(0, K, _EVAL_CHUNK):
-        W, zero = _scoring_weights(models[lo : lo + _EVAL_CHUNK], c)
+        W, zero = (A.reshape(-1, A.shape[-1]) for A in _weights(models[lo : lo + _EVAL_CHUNK], c))
         chunk = W @ phiT
         chunk[zero.astype(np.float64) @ phiT > 0] = -np.inf
         L[lo : lo + _EVAL_CHUNK] = chunk.reshape(-1, r, len(X))
@@ -641,6 +709,28 @@ def test_a_log_joint_overflowing_in_the_gemm_scores_as_a_zero_probability():
             evaluate_train_test([params, narrow], train, test)
     assert np.array_equal(err01, want01) and np.array_equal(err01, [[2 / 3], [1 / 3]])
     np.testing.assert_allclose(soft, want_soft, rtol=1e-13, atol=0)
+
+
+def test_a_class_constant_that_overflows_is_a_silent_zero_probability():
+    # The row [1e154, 1e154] passes validation.  Alone it is its own shift c, so class 1's constant
+    # holds 1/2 sum (mu - x)^2 / var > float max: a -inf weight, with no RuntimeWarning, and class 2 wins.
+    pool = gaussian_blobs(200, rng=np.random.default_rng(0))
+    params = param_map(project(stat_map_dataset(pool)))
+    X = np.array([[1e154, 1e154]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate(params, Dataset(pool.schema, X, np.array([2]))) == (0.0, 0.0)
+        assert np.array_equal(posterior_matrix(params, X), [[0.0, 1.0]])
+        assert np.array_equal(prob_stat_map(X, params).class_block, [0.0, 1.0])
+
+
+def test_no_rows_give_empty_posteriors_and_zero_statistics():
+    params = param_map(uniform_init(TINY_SCHEMA, 4.0))
+    X = np.zeros((0, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # each node's shift is the mean of no rows
+        assert posterior_matrix(params, X).shape == (0, 2) and predict_matrix(params, X).shape == (0,)
+        assert not prob_stat_map(X, params).values.any()
 
 
 def test_refusal_names_the_lowest_impossible_table_row_after_grouping():

@@ -7,7 +7,16 @@ import pytest
 from conftest import mixed_schema, random_dataset
 from riskcal.calibration import lrc, rc
 from riskcal.data import Continuous, Dataset, FeatureSchema
-from riskcal.model import NBParams, Scorer, StatsVector, param_map, stat_map_dataset, stats_length, uniform_init
+from riskcal.model import (
+    NBParams,
+    Scorer,
+    StatsVector,
+    _feature_map,
+    param_map,
+    stat_map_dataset,
+    stats_length,
+    uniform_init,
+)
 from riskcal.network import Graph, RewireSchedule, build_topology, chain, full_graph, neighbors, rewire
 from riskcal.sim import (
     METRICS_COLUMNS,
@@ -241,6 +250,32 @@ def test_row_order_within_nodes_does_not_change_the_final_statistics(split):
     shuffled = [ds.subset(rng.permutation(ds.m)) for ds in locals_]
     assert any(not np.array_equal(a.y, b.y) for a, b in zip(shuffled, locals_))
     assert_node_close(meta_final(shuffled, graph), want)
+
+
+@pytest.mark.parametrize("split", ["iid", "classsorted"])
+def test_relabelling_classes_permutes_the_final_statistics(split):
+    locals_, graph = meta_setup(split)
+    want = meta_final(locals_, graph)
+    perm = np.array([2, 0, 1])  # old class y + 1 is new class perm[y] + 1
+    relabelled = [Dataset(ds.schema, ds.X, perm[ds.y - 1] + 1) for ds in locals_]
+    got = meta_final(relabelled, graph).reshape(META_N, 3, -1)  # one row per class
+    assert_node_close(got[:, perm].reshape(META_N, -1), want)
+
+
+@pytest.mark.parametrize("split", ["iid", "classsorted"])
+def test_permuting_feature_columns_permutes_the_final_statistics(split):
+    locals_, graph = meta_setup(split)
+    want = meta_final(locals_, graph)
+    schema = locals_[0].schema
+    perm = [3, 2, 0, 1]  # new feature j is old feature perm[j]; the discrete ones swap order too
+    permuted = FeatureSchema(tuple(schema.features[i] for i in perm), schema.class_cardinality)
+    got = meta_final([Dataset(permuted, ds.X[:, perm], ds.y) for ds in locals_], graph)
+    old, new = _feature_map(schema), _feature_map(permuted)
+    source = np.zeros(new.width, dtype=np.int64)  # the old column of each new column; the class mass stays
+    for j, i in enumerate(perm):
+        source[new.blocks[j]] = np.arange(old.blocks[i].start, old.blocks[i].stop)
+    assert not np.array_equal(source, np.arange(new.width))
+    assert_node_close(got, want.reshape(META_N, 3, -1)[..., source].reshape(META_N, -1))
 
 
 def test_evaluate_round_hand_example():
