@@ -3,12 +3,13 @@
 Starting from uniform statistics, each iteration nudges the statistics
 by lr times (statistics of the labeled data minus statistics the model
 expects on the same instances).  The soft error decreases until the
-model settles; the trace records every iteration so the best round can
-be picked afterwards.
+model settles.  ``rc`` returns the model after every iteration,
+stacked, so one ``evaluate_many`` call scores them all and the best
+iteration can be picked afterwards.
 """
 import numpy as np
 
-from riskcal import evaluate, gaussian_blobs, rc, run_baseline, train_test_split, uniform_init
+from riskcal import evaluate, evaluate_many, gaussian_blobs, rc, run_baseline, train_test_split, uniform_init
 
 rng = np.random.default_rng(2)
 pool = gaussian_blobs(1600, d=2, r=2, separation=2.4, rng=rng)
@@ -19,12 +20,13 @@ ml_train, _ = evaluate(ml_params, train)
 ml_test, _ = evaluate(ml_params, test)
 print(f"maximum likelihood: train {ml_train:.4f}  test {ml_test:.4f}")
 
-trace = rc(train, lr=0.05, t_max=40, init=uniform_init(train.schema, float(train.m)))
-for rec in trace.records[::8]:
-    print(f"  t={rec.t:2d}  soft={rec.soft_err:.4f}  err01={rec.err01:.4f}")
+models = rc(train, lr=0.05, t_max=40, init=uniform_init(train.schema, float(train.m)))
+err01, soft = evaluate_many(models, train)
+for t in range(0, len(models), 8):
+    print(f"  t={t:2d}  soft={soft[t]:.4f}  err01={err01[t]:.4f}")
 
-best = trace.best
-final = trace.final
-print(f"best iteration {best.t} (soft {best.soft_err:.4f}), final iteration {final.t}")
-final_test, _ = evaluate(final.params, test)
-print(f"calibrated:        train {final.err01:.4f}  test {final_test:.4f}")
+best = int(np.argmin(soft))  # the lowest soft training error, earliest on ties
+final = len(models) - 1
+print(f"best iteration {best} (soft {soft[best]:.4f}), final iteration {final}")
+final_test, _ = evaluate(models[final], test)
+print(f"calibrated:        train {err01[final]:.4f}  test {final_test:.4f}")

@@ -11,7 +11,6 @@ from riskcal import (
     METRICS_COLUMNS,
     RewireSchedule,
     Scorer,
-    evaluate,
     evaluate_many,
     evaluate_round,
     gaussian_blobs,
@@ -35,17 +34,19 @@ parts = local_datasets(train, plan)
 m0 = m0_heuristic(train.m, lr, n)
 print(f"{n} nodes x {m_v} instances, aggregate mass m0 = {m0:.0f}")
 
-rc_params, rc_trace = run_baseline("rc", train, lr=lr, t_max=t_max)
-rc_test, _ = evaluate_many([rec.params for rec in rc_trace.records[1:]], test)
-baseline = [(rec.err01, float(te)) for rec, te in zip(rc_trace.records[1:], rc_test)]
+# One Scorer keeps the pooled sets' scoring rows and work buffers: it scores the
+# baselines once, then every round.
+pooled = Scorer([train, test])
+_, rc_models = run_baseline("rc", train, lr=lr, t_max=t_max)
+(rc_train, rc_test), _ = pooled(rc_models[1:])  # the centralized model after each iteration
+baseline = list(zip(rc_train.tolist(), rc_test.tolist()))
 
 ml_params, _ = run_baseline("ml", train)
-ml_test, _ = evaluate(ml_params, test)
+(_, (ml_test,)), _ = pooled([ml_params])
 print(f"maximum likelihood test error: {ml_test:.4f}")
 
 # The round loop only simulates; metrics observe it through the on_round hook.
-# One Scorer keeps the pooled sets' scoring rows and work buffers for every round.
-metrics, pooled = [], Scorer([train, test])
+metrics = []
 
 
 def score(t, aggregate, stats):

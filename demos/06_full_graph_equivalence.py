@@ -42,11 +42,11 @@ run_crc(
     t_max=t_max,
     on_round=lambda t, aggregate, stats: aggregates.append(aggregate),
 )
-trace = rc(arranged, lr, t_max, uniform_init(pool.schema, float(pool.m)))
+models = rc(arranged, lr, t_max, uniform_init(pool.schema, float(pool.m)))  # row t: after iteration t
 
 print(f"\n{'round':>5}  max relative parameter deviation across nodes")
 for t in range(1, t_max + 1):
-    ref = trace.records[t - 1].params
+    ref = models[t - 1]
     worst = 0.0
     for v in range(1, n + 1):
         got = param_map(aggregates[t - 1][v - 1])  # node v's average

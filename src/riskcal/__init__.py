@@ -1,6 +1,6 @@
 """Risk calibration of naive Bayes classifiers, centralized and collaborative."""
 
-from .calibration import LocalStep, RCRecord, RCTrace, lrc, project, rc, rc_update
+from .calibration import LocalStep, lrc, project, rc
 from .data import (
     Continuous,
     DataError,

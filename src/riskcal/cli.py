@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, Dataset, infer_schema, load_csv, train_test_split, write_csv, write_table
-from .model import Scorer, evaluate_many, evaluate_train_test, param_map
+from .model import NBParams, Scorer, param_map
 from .network import RewireSchedule, _parse_topology, build_topology, write_edge_list
 from .partition import SPLITTERS, global_sample, local_datasets
 from .sim import (
@@ -261,18 +261,28 @@ def _baseline(cfg: ExperimentConfig, kind: str, gtrain: Dataset):
     )
 
 
-def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int):
+def _score_rc(models: NBParams, scorer: Scorer, trace_path) -> tuple[list[float], list[float]]:
+    """Train and test 0-1 errors of ``rc``'s iterates, from one call of ``scorer``, a ``Scorer([train, test])``.
+
+    Writes the trace CSV from the same call: per iterate t, the train
+    soft and 0-1 errors.
+    """
+    (train01, test01), soft = scorer(models)
+    train01 = train01.tolist()
+    write_table(trace_path, ["t", "soft_err", "err01"], zip(range(len(train01)), soft.tolist(), train01))
+    return train01, test01.tolist()
+
+
+def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int, trace_path):
     train, test, plan, gtrain, graph_rng = _prepare_repetition(cfg, full, rep)
 
-    scorer = Scorer([gtrain, test])  # the pooled sets, scored every round
+    scorer = Scorer([gtrain, test])  # the pooled sets: the baselines once, then every round
     ml_params, _ = _baseline(cfg, "ml", gtrain)
     (ml_train, ml_test), _ = scorer([ml_params])
 
-    _, rc_trace = _baseline(cfg, "rc", gtrain)
-    rc_test01, _ = evaluate_many([rec.params for rec in rc_trace.records], test)
-    per_round = [
-        (rc_trace.records[t].err01, float(rc_test01[t])) for t in range(1, cfg.t_max + 1)
-    ]
+    _, rc_models = _baseline(cfg, "rc", gtrain)
+    rc_train, rc_test = _score_rc(rc_models, scorer, trace_path)
+    per_round = list(zip(rc_train[1:], rc_test[1:]))
 
     metrics: list[RoundMetrics] = []
 
@@ -292,9 +302,9 @@ def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int):
     )
     baselines = [
         ("ml", float(ml_train[0]), float(ml_test[0])),
-        ("rc", rc_trace.final.err01, float(rc_test01[-1])),
+        ("rc", rc_train[-1], rc_test[-1]),
     ]
-    return result, metrics, rc_trace, plan, baselines
+    return result, metrics, plan, baselines
 
 
 def _aggregate_rows(per_rep: list[list[RoundMetrics]]) -> list[list[float]]:
@@ -324,14 +334,13 @@ def _write_experiment(cfg: ExperimentConfig, full: Dataset, outdir) -> Experimen
     per_rep_metrics: list[list[RoundMetrics]] = []
     final_metrics: list[RoundMetrics] = []
     for rep in range(cfg.repetitions):
-        result, metrics, rc_trace, plan, baselines = _run_repetition(cfg, full, rep)
+        trace_path = outdir / f"{stem}_rep{rep}_rc_trace.csv"
+        result, metrics, plan, baselines = _run_repetition(cfg, full, rep, trace_path)
         per_rep_metrics.append(metrics)
         final_metrics.append(metrics[-1])
 
         metrics_path = outdir / f"{stem}_rep{rep}_metrics.csv"
         write_metrics_csv(metrics, metrics_path)
-        trace_path = outdir / f"{stem}_rep{rep}_rc_trace.csv"
-        rc_trace.to_csv(trace_path)
         plan_path = outdir / f"{stem}_rep{rep}_plan.csv"
         plan.to_csv(plan_path)
         base_path = outdir / f"{stem}_rep{rep}_baselines.csv"
@@ -433,16 +442,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_baseline(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config, _collect_overrides(args))
     _, test, _, gtrain, _ = _prepare_repetition(cfg, _load_dataset(cfg), 0)
-    params, trace = _baseline(cfg, args.kind, gtrain)
-    (tr01,), _, (te01,) = evaluate_train_test([params], gtrain, test)
+    params, rc_models = _baseline(cfg, args.kind, gtrain)
+    scorer = Scorer([gtrain, test])  # as run scores repetition 0
     outdir = Path(_resolve_outdir(args))
     outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{config_stem(cfg)}_baseline_{args.kind}"
     params_path = outdir / f"{stem}_params.txt"
     params_path.write_text(params.to_text(), encoding="utf-8")
-    if trace is not None:
-        trace.to_csv(outdir / f"{stem}_trace.csv")
-    print(f"{args.kind}: train_err={tr01:.4f} test_err={te01:.4f}")
+    if rc_models is None:
+        (tr01, te01), _ = scorer([params])
+    else:
+        tr01, te01 = _score_rc(rc_models, scorer, outdir / f"{stem}_trace.csv")
+    print(f"{args.kind}: train_err={tr01[-1]:.4f} test_err={te01[-1]:.4f}")
     print(f"wrote {params_path}")
     return 0
 

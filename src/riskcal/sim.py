@@ -24,7 +24,7 @@ from math import nan
 
 import numpy as np
 
-from .calibration import LocalStep, RCTrace, lrc, project, rc
+from .calibration import LocalStep, lrc, project, rc
 from .data import Dataset, write_table
 from .model import (
     NBParams,
@@ -221,13 +221,14 @@ def run_baseline(
     t_max: int = 64,
     init_ess: float | None = None,
     smoothing: float = 1.0,
-) -> tuple[NBParams, RCTrace | None]:
-    """Centralized reference models on the pooled sample.
+) -> tuple[NBParams, NBParams | None]:
+    """Centralized reference models on the pooled sample, and the run's iterates if any.
 
     kind 'ml': closed-form maximum likelihood with ``smoothing`` units
-    of uniform mass added (0 disables smoothing); no trace.
+    of uniform mass added (0 disables smoothing); no iterates.
     kind 'rc': centralized calibration from uniform statistics of mass
-    ``init_ess`` (defaults to the sample size) at learning rate lr.
+    ``init_ess`` (defaults to the sample size) at learning rate lr: the
+    last model and ``rc``'s stack of all t_max + 1, unscored.
     """
     kind = kind.lower()
     if kind == "ml":
@@ -239,6 +240,6 @@ def run_baseline(
         return param_map(project(stats)), None
     if kind == "rc":
         ess = float(init_ess) if init_ess is not None else float(dataset.m)
-        trace = rc(dataset, lr, t_max, uniform_init(dataset.schema, ess))
-        return trace.final.params, trace
+        models = rc(dataset, lr, t_max, uniform_init(dataset.schema, ess))
+        return models[-1], models
     raise ValueError(f"unknown baseline kind {kind!r}")

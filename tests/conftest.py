@@ -12,8 +12,9 @@ from math import exp, pi, sqrt
 
 import numpy as np
 
+from riskcal.calibration import project
 from riskcal.data import Continuous, Dataset, Discrete, FeatureSchema
-from riskcal.model import NBParams
+from riskcal.model import NBParams, StatsVector, param_map, prob_stat_map, stat_map_dataset
 
 
 def scalar_posterior(params: NBParams, x) -> list[float]:
@@ -88,6 +89,33 @@ def brute_force_prob_stats(params: NBParams, X, exact: bool) -> np.ndarray:
                     acc[base + 0] += wt * xi
                     acc[base + 1] += wt * xi * xi
     return np.array([float(v) for v in acc])
+
+
+def rc_oracle(dataset: Dataset, lr: float, t_max: int, init: StatsVector) -> list[StatsVector]:
+    """Centralized calibration by its defining formula: the projected statistics of every iterate, init's first.
+
+    Iteration t + 1 is project(s + lr * (stat_map_dataset - prob_stat_map(X, param_map(s)))),
+    the step at learning rate lr written out on its own, with no ``lrc`` and no rescaling.
+    """
+    data = stat_map_dataset(dataset)
+    stats = [project(init)]
+    for _ in range(t_max):
+        s = stats[-1]
+        stats.append(project(s + lr * (data - prob_stat_map(dataset.X, param_map(s)))))
+    return stats
+
+
+def param_arrays(p: NBParams):
+    return [p.class_probs, *p.feature_params]
+
+
+def max_rel_dev(a: NBParams, b: NBParams) -> float:
+    """Largest elementwise |a - b| / |b| over all parameters (|a - b| where b is 0)."""
+    worst = 0.0
+    for x, y in zip(param_arrays(a), param_arrays(b)):
+        denom = np.where(np.abs(y) > 0, np.abs(y), 1.0)
+        worst = max(worst, float(np.max(np.abs(x - y) / denom)))
+    return worst
 
 
 def bfs_connected(n: int, edges) -> bool:

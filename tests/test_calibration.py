@@ -1,21 +1,26 @@
-"""Projection, calibration updates, traces and the local variant."""
+"""Projection, the local calibration step and centralized calibration built on it."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from conftest import mixed_schema, random_dataset, scalar_posterior
-from riskcal.calibration import lrc, project, rc, rc_update
+from conftest import max_rel_dev, mixed_schema, param_arrays, random_dataset, rc_oracle
+from riskcal.calibration import lrc, project, rc
+from riskcal.cli import ExperimentConfig, _prepare_repetition, _score_rc
 from riskcal.data import Continuous, Dataset, Discrete, FeatureSchema
 from riskcal.model import (
     COUNT_FLOOR,
     VAR_FLOOR,
+    Scorer,
+    _feature_map,
     evaluate,
+    evaluate_many,
     param_map,
     stat_map_dataset,
     uniform_init,
     zero_stats,
 )
+from riskcal.synth import GENERATORS, gaussian_blobs
 
 
 def far_separated_dataset() -> Dataset:
@@ -68,83 +73,79 @@ def test_project_identity_on_real_data_stats():
     assert np.array_equal(project(s).values, s.values)
 
 
-def test_rc_update_zero_lr_is_projection_only():
-    rng = np.random.default_rng(2)
-    ds = random_dataset(mixed_schema(), 30, rng)
-    s = stat_map_dataset(ds)
-    params = param_map(s)
-    out = rc_update(s, ds, 0.0, params)
-    assert np.array_equal(out.values, s.values)
-    with pytest.raises(ValueError, match="nonnegative"):
-        rc_update(s, ds, -0.1, params)
-
-
-def test_rc_update_moves_toward_data():
+def test_rc_moves_toward_data():
     rng = np.random.default_rng(3)
     ds = random_dataset(mixed_schema(), 200, rng)
-    init = uniform_init(ds.schema, float(ds.m))
-    params = param_map(init)
-    out = rc_update(init, ds, 0.5, params)
-    # class counts move from uniform toward the observed counts
-    observed = stat_map_dataset(ds).class_block
-    before = np.abs(init.class_block - observed)
-    after = np.abs(out.class_block - observed)
+    models = rc(ds, 0.5, 1, uniform_init(ds.schema, float(ds.m)))
+    # class probabilities move from uniform toward the observed class frequencies
+    observed = stat_map_dataset(ds).class_block / ds.m
+    before = np.abs(models[0].class_probs - observed)
+    after = np.abs(models[1].class_probs - observed)
     assert np.all(after <= before + 1e-12)
-    assert abs(out.ess - init.ess) < 1e-9 * init.ess
+    assert np.all(after < before)
 
 
-def test_fixed_point_of_rc_update_and_lrc():
+def test_fixed_point_of_rc_and_lrc():
     ds = far_separated_dataset()
     stats = project(stat_map_dataset(ds))
     params = param_map(stats)
     _, soft = evaluate(params, ds)
     assert soft < 1e-12  # premise: perfect soft fit
-    out = rc_update(stats, ds, 0.7, params)
-    assert np.max(np.abs(out.values - stats.values)) <= 1e-12
+    models = rc(ds, 0.7, 2, stats)
+    # rc starts from stats / 0.7, rounded; the variance s2 / s0 - mu^2 of rows 100 from 0
+    # and 0.6 wide magnifies that rounding by mu^2 / var, about 3e4.
+    for t in range(len(models)):
+        assert max_rel_dev(models[t], params) < 1e-10
     lrc_stats = lrc(stats, ds, iterations=3)
     assert np.max(np.abs(lrc_stats.values - stats.values)) <= 1e-12
 
 
-def test_rc_trace_structure_and_errors():
-    rng = np.random.default_rng(4)
-    ds = random_dataset(mixed_schema(), 150, rng)
-    trace = rc(ds, 0.05, 12, uniform_init(ds.schema, float(ds.m)))
-    assert [rec.t for rec in trace.records] == list(range(13))
-    assert trace.final is trace.records[-1]
-    softs = [rec.soft_err for rec in trace.records]
-    assert trace.best_index == int(np.argmin(softs))
-    assert trace.best.soft_err == min(softs)
-    # record 0 is the uniform initialization: soft error exactly 1 - 1/r
-    r = ds.schema.class_cardinality
-    assert abs(trace.records[0].soft_err - (1 - 1 / r)) < 1e-12
-    # recorded errors match independent re-evaluation of the recorded params
-    for rec in trace.records[::4]:
-        wrong = 0
-        soft_sum = 0.0
-        for k in range(ds.m):
-            post = scalar_posterior(rec.params, ds.X[k])
-            pred = max(range(len(post)), key=lambda i: (post[i], -i)) + 1
-            wrong += int(pred != ds.y[k])
-            soft_sum += 1.0 - post[ds.y[k] - 1]
-        assert rec.err01 == wrong / ds.m
-        assert abs(rec.soft_err - soft_sum / ds.m) < 1e-10
+@pytest.mark.parametrize("lr", [0.05, 0.3])
+@pytest.mark.parametrize("kind", ["blobs", "mixed", "categorical"])
+def test_rc_replays_the_update_at_rate_lr(kind, lr):
+    # Away from the floors, lrc from s / lr is lr times the step at rate lr from s.
+    knobs = {"r": 3} if kind == "mixed" else {}
+    ds = GENERATORS[kind](2500, rng=np.random.default_rng(21), **knobs)
+    init = uniform_init(ds.schema, float(ds.m))
+    models = rc(ds, lr, 64, init)
+    oracle = rc_oracle(ds, lr, 64, init)
+    assert len(models) == len(oracle) == 65
+    counts = _feature_map(ds.schema).moments
+    for t, stats in enumerate(oracle):
+        want = param_map(stats)
+        # premise: no floor fires
+        assert stats.rows[..., :counts].min() > COUNT_FLOOR
+        assert all(block[..., 1].min() > 2 * VAR_FLOOR for block, spec in
+                   zip(want.feature_params, ds.schema.features) if isinstance(spec, Continuous))
+        assert max_rel_dev(models[t], want) < 1e-9
 
 
-def test_rc_scores_its_history_as_per_iteration_evaluation(tmp_path):
-    # One evaluate_many call over all iterates, across chunk boundaries, equals scoring each alone.
+def test_rc_models_survive_the_count_floor():
+    # The rc baseline of `riskcal run --m0 50` on 3500 blobs: 2500 pooled rows, initial mass lr * n * m0 = 125.
+    ds = _prepare_repetition(ExperimentConfig(m0=50.0), gaussian_blobs(3500, rng=np.random.default_rng(1)), 0)[3]
+    init = uniform_init(ds.schema, 125.0)
+    # premise: a class mass reaches the count floor at mass / lr, where lr times it is below the floor
+    s, floored = project(init) * (1 / 0.05), False
+    for _ in range(64):
+        s = lrc(s, ds)
+        floored |= s.class_block.min() == COUNT_FLOOR
+    assert floored
+    models = rc(ds, 0.05, 64, init)
+    assert len(models) == 65
+    assert all(np.isfinite(a).all() for a in param_arrays(models))
+
+
+def test_rc_scores_its_history_as_per_iteration_evaluation():
+    # rc's iterates, scored as one stack across chunk boundaries, equal each scored alone.
     rng = np.random.default_rng(14)
     ds = random_dataset(mixed_schema(3), 120, rng)
-    trace = rc(ds, 0.05, 40, uniform_init(ds.schema, float(ds.m)))
-    singles = [evaluate(rec.params, ds) for rec in trace.records]
-    assert [rec.err01 for rec in trace.records] == [e for e, _ in singles]
-    np.testing.assert_allclose([rec.soft_err for rec in trace.records], [s for _, s in singles], rtol=1e-13, atol=0)
-    assert trace.best_index == int(np.argmin([s for _, s in singles]))
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-    assert [int(t) for t, _, _ in rows] == list(range(41))
-    assert [float(e) for _, _, e in rows] == [e for e, _ in singles]
-    np.testing.assert_allclose([float(s) for _, s, _ in rows], [s for _, s in singles], rtol=1e-13, atol=0)
+    models = rc(ds, 0.05, 40, uniform_init(ds.schema, float(ds.m)))
+    (err01,), soft = Scorer([ds])(models)
+    singles = [evaluate(models[t], ds) for t in range(len(models))]
+    assert err01.tolist() == [e for e, _ in singles]
+    np.testing.assert_allclose(soft, [s for _, s in singles], rtol=1e-13, atol=0)
+    # the uniform initialization's soft error is exactly 1 - 1/r
+    assert abs(soft[0] - (1 - 1 / ds.schema.class_cardinality)) < 1e-12
 
 
 def test_rc_improves_on_separable_data():
@@ -153,9 +154,10 @@ def test_rc_improves_on_separable_data():
     y = np.tile([1, 2], 200)
     X = rng.standard_normal((400, 2)) + np.where(y[:, None] == 1, -2.0, 2.0)
     ds = Dataset(schema, X, y)
-    trace = rc(ds, 0.05, 30, uniform_init(schema, float(ds.m)))
-    assert trace.final.err01 < 0.05
-    assert trace.final.soft_err < trace.records[0].soft_err
+    models = rc(ds, 0.05, 30, uniform_init(schema, float(ds.m)))
+    err01, soft = evaluate_many(models, ds)
+    assert err01[-1] < 0.05
+    assert soft[-1] < soft[0]
 
 
 def test_rc_deterministic():
@@ -163,7 +165,7 @@ def test_rc_deterministic():
     ds = random_dataset(mixed_schema(), 80, rng)
     a = rc(ds, 0.1, 8, uniform_init(ds.schema, 50.0))
     b = rc(ds, 0.1, 8, uniform_init(ds.schema, 50.0))
-    assert np.array_equal(a.final.stats.values, b.final.stats.values)
+    assert all(np.array_equal(x, y) for x, y in zip(param_arrays(a), param_arrays(b)))
 
 
 def test_rc_validates_arguments():
@@ -174,6 +176,8 @@ def test_rc_validates_arguments():
         rc(ds, 0.05, 0, init)
     with pytest.raises(ValueError):
         rc(ds, 0.0, 5, init)
+    with pytest.raises(ValueError, match="schema"):
+        rc(ds, 0.05, 3, uniform_init(FeatureSchema((Continuous(),), 2), 10.0))
     # Valid instances whose per-class sums of x^2 overflow.
     huge = Dataset(FeatureSchema((Continuous(),), 2), np.full((400, 1), 1e153), np.repeat([1, 2], 200))
     with pytest.raises(ValueError, match="not all finite"):
@@ -181,18 +185,22 @@ def test_rc_validates_arguments():
 
 
 def test_rc_trace_csv(tmp_path):
+    # The trace CSV is written by the call that scores rc's iterates on the pooled train and test sets.
     rng = np.random.default_rng(8)
     ds = random_dataset(mixed_schema(), 40, rng)
-    trace = rc(ds, 0.05, 3, uniform_init(ds.schema, 40.0))
+    test = random_dataset(mixed_schema(), 30, rng)
+    models = rc(ds, 0.05, 3, uniform_init(ds.schema, 40.0))
     p = tmp_path / "trace.csv"
-    trace.to_csv(p)
+    train01, test01 = _score_rc(models, Scorer([ds, test]), p)
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "t,soft_err,err01"
     assert len(lines) == 5
     t, soft, err = lines[2].split(",")
+    want01, want_soft = evaluate_many(models, ds)
     assert int(t) == 1
-    assert float(soft) == trace.records[1].soft_err
-    assert float(err) == trace.records[1].err01
+    assert float(err) == train01[1] == want01[1]
+    assert float(soft) == pytest.approx(want_soft[1], rel=1e-13)
+    assert test01 == evaluate_many(models, test)[0].tolist()
 
 
 def test_lrc_conserves_mass_and_composes():

@@ -8,9 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import scalar_posterior
 from riskcal.cli import (
     ConfigError,
     ExperimentConfig,
+    _baseline,
+    _load_dataset,
+    _prepare_repetition,
     build_parser,
     config_stem,
     config_to_text,
@@ -330,6 +334,42 @@ def test_cli_baseline(tmp_path, capsys):
     trace = (out / f"{stem}_baseline_rc_trace.csv").read_bytes()
     assert trace == (tmp_path / "run" / f"{stem}_rep0_rc_trace.csv").read_bytes()
     assert not (out / f"{stem}_baseline_ml_trace.csv").exists()
+
+
+def test_rc_trace_matches_scalar_posterior(tmp_path):
+    # run scores rc's iterates in one call on the pooled train and test sets, across a chunk
+    # boundary: the trace and the metrics' rc columns are the scalar posteriors' errors.
+    data = tmp_path / "mixed.csv"
+    assert main(["gendata", "--kind", "mixed", "--m", "400", "--r", "3", "--seed", "5", "--out", str(data)]) == 0
+    cfg = ExperimentConfig(dataset=str(data), n=4, m_v=25, t_max=20, partition="drift_xy",
+                           repetitions=1, test_size=100)
+    run_experiment(cfg, tmp_path / "out")
+    _, test, _, gtrain, _ = _prepare_repetition(cfg, _load_dataset(cfg), 0)
+    _, models = _baseline(cfg, "rc", gtrain)
+
+    def scalar_errors(params, ds):
+        wrong, soft = 0, 0.0
+        for x, y in zip(ds.X, ds.y):
+            post = scalar_posterior(params, x)
+            wrong += max(range(len(post)), key=lambda i: (post[i], -i)) + 1 != y  # ties to the lowest class
+            soft += 1.0 - post[y - 1]
+        return wrong / ds.m, soft / ds.m
+
+    def rows(name):
+        with open(tmp_path / "out" / f"{config_stem(cfg)}_rep0_{name}.csv", newline="") as fh:
+            return list(csv.reader(fh))
+
+    trace, metrics = rows("rc_trace"), rows("metrics")
+    assert trace[0] == ["t", "soft_err", "err01"]
+    assert [int(row[0]) for row in trace[1:]] == list(range(cfg.t_max + 1))
+    train_col, test_col = (metrics[0].index(c) for c in ("rc_train_err", "rc_test_err"))
+    for t, (_, soft, err01) in enumerate(trace[1:]):
+        want01, want_soft = scalar_errors(models[t], gtrain)
+        assert float(err01) == want01
+        assert abs(float(soft) - want_soft) < 1e-10
+        if t > 0:
+            assert float(metrics[t][train_col]) == want01
+            assert float(metrics[t][test_col]) == scalar_errors(models[t], test)[0]
 
 
 def test_sweep_summary(tmp_path):

@@ -4,8 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import mixed_schema, random_dataset
-from riskcal.calibration import lrc, rc
+from conftest import max_rel_dev, mixed_schema, random_dataset, rc_oracle
+from riskcal.calibration import lrc
 from riskcal.data import Continuous, Dataset, FeatureSchema
 from riskcal.model import (
     NBParams,
@@ -54,18 +54,6 @@ def test_m0_heuristic_reference_values():
         m0_heuristic(100, 0.0, 5)
 
 
-def param_arrays(p: NBParams):
-    return [p.class_probs, *p.feature_params]
-
-
-def max_rel_dev(a: NBParams, b: NBParams) -> float:
-    worst = 0.0
-    for x, y in zip(param_arrays(a), param_arrays(b)):
-        denom = np.where(np.abs(y) > 0, np.abs(y), 1.0)
-        worst = max(worst, float(np.max(np.abs(x - y) / denom)))
-    return worst
-
-
 def test_full_graph_matches_centralized_calibration():
     schema = mixed_schema(2)
     n, m_v, lr, t_max = 3, 60, 0.1, 10
@@ -81,9 +69,9 @@ def test_full_graph_matches_centralized_calibration():
         neighborhood="closed",
         on_round=lambda t, aggregate, stats: aggregates.append(aggregate),
     )
-    trace = rc(pool, lr, t_max, uniform_init(schema, float(m)))
+    oracle = rc_oracle(pool, lr, t_max, uniform_init(schema, float(m)))
     for t in range(1, t_max + 1):
-        ref = param_map(trace.records[t - 1].stats)
+        ref = param_map(oracle[t - 1])
         for v in range(n):
             got = param_map(aggregates[t - 1][v])
             assert max_rel_dev(got, ref) < 1e-9
@@ -95,8 +83,8 @@ def test_single_node_equals_centralized_with_matching_rate():
     ds = random_dataset(schema, 80, rng)
     m0 = 1600.0  # effective local rate 80/1600 = 0.05
     res = run_crc([ds], RewireSchedule(full_graph(1)), m0=m0, t_max=12)
-    trace = rc(ds, 80.0 / m0, 12, uniform_init(schema, float(ds.m)))
-    assert max_rel_dev(res.states[0].params, trace.final.params) < 1e-9
+    oracle = rc_oracle(ds, 80.0 / m0, 12, uniform_init(schema, float(ds.m)))
+    assert max_rel_dev(res.states[0].params, param_map(oracle[-1])) < 1e-9
 
 
 def test_ess_is_preserved_across_rounds():
@@ -354,9 +342,9 @@ def test_run_baseline_ml_matches_hand_computation():
 def test_run_baseline_rc_returns_trace():
     rng = np.random.default_rng(12)
     ds = random_dataset(mixed_schema(2), 60, rng)
-    params, trace = run_baseline("rc", ds, lr=0.1, t_max=7)
-    assert trace is not None and len(trace.records) == 8
-    assert trace.records[0].stats.ess == pytest.approx(60.0)
-    assert max_rel_dev(params, trace.final.params) == 0.0
+    params, models = run_baseline("rc", ds, lr=0.1, t_max=7)
+    assert len(models) == 8  # the initialization and every iterate
+    assert max_rel_dev(models[0], param_map(uniform_init(ds.schema, 1.0))) < 1e-15
+    assert max_rel_dev(params, models[-1]) == 0.0
     with pytest.raises(ValueError, match="unknown baseline"):
         run_baseline("map", ds)
