@@ -17,8 +17,8 @@ for mode in PARTITION_MODES:
     plan = SPLITTERS[mode](pool, n, m_v, np.random.default_rng(11))
     parts = local_datasets(pool, plan)
     lines = []
-    for ds in parts:
-        counts = np.bincount(ds.y, minlength=4)[1:]
+    for y in parts.y:  # node by node
+        counts = np.bincount(y, minlength=4)[1:]
         lines.append("/".join(str(c) for c in counts))
     print(f"{mode:9}  class mix per node: {'  '.join(lines)}")
 

@@ -72,5 +72,5 @@ for row in (metrics[0], metrics[3], metrics[7], metrics[-1]):
         f"{vals[idx['test_gap']]:9.4f}"
     )
 
-per_node, _ = evaluate_many([st.params for st in result.states], test)
+per_node, _ = evaluate_many(result.params, test)
 print("final per-node test errors:", np.round(per_node, 4))

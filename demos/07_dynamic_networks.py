@@ -34,7 +34,7 @@ for period in (None, 8, 2):
         rng=np.random.default_rng(1),
     )
     label = "static" if period is None else f"every {period} rounds"
-    errs, _ = evaluate_many([st.params for st in res.states], test)  # the last round's models only
+    errs, _ = evaluate_many(res.params, test)  # the last round's models only
     print(
         f"tree rewired {label:15}: mean test {errs.mean():.4f}  "
         f"std {errs.std():.4f}  spread {errs.max() - errs.min():.4f}"

@@ -21,7 +21,6 @@ from .model import (
     StatsVector,
     evaluate,
     evaluate_many,
-    evaluate_train_test,
     param_map,
     posterior,
     posterior_matrix,
@@ -61,7 +60,6 @@ from .partition import (
 from .sim import (
     METRICS_COLUMNS,
     CRCResult,
-    NodeState,
     RoundMetrics,
     evaluate_round,
     m0_heuristic,

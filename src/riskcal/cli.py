@@ -347,9 +347,9 @@ def _write_experiment(cfg: ExperimentConfig, full: Dataset, outdir) -> Experimen
         write_table(base_path, ["model", "train_err01", "test_err01"], baselines)
         params_path = outdir / f"{stem}_rep{rep}_params.txt"
         with open(params_path, "w", encoding="utf-8") as fh:
-            for st in result.states:
-                fh.write(f"node {st.node}\n")
-                fh.write(st.params.to_text())
+            for v in range(len(result.params)):
+                fh.write(f"node {v + 1}\n")
+                fh.write(result.params[v].to_text())
         paths.extend([metrics_path, trace_path, plan_path, base_path, params_path])
 
     agg_rows = _aggregate_rows(per_rep_metrics)

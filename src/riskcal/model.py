@@ -580,16 +580,3 @@ def evaluate_many(models, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """
     (err01,), soft = Scorer([dataset])(models)
     return err01, soft
-
-
-def evaluate_train_test(models, train: Dataset, test: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Train 0-1 and soft errors and test 0-1 errors of many models, train and test scored in one pass.
-
-    Takes ``models`` as ``evaluate_many`` does, and gives the same errors
-    up to the last bits of the soft errors (the shift c of the scoring
-    rows is the mean of train and test together); no test soft error is
-    computed.  Error messages number test rows after the train rows.
-    One ``Scorer([train, test])`` scores many stacks on the same sets.
-    """
-    (train01, test01), train_soft = Scorer([train, test])(models)
-    return train01, train_soft, test01

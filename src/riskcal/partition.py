@@ -1,8 +1,9 @@
 """Assigning training instances to nodes: iid and drifted splits.
 
 Every splitter draws n * m_v instances without replacement from the
-dataset and deals them into n blocks of size m_v.  The drift variants
-skew what each node sees:
+dataset and deals them into n blocks of size m_v, the rows of a
+``PartitionPlan``; ``local_datasets`` gathers them as one stacked
+Dataset.  The drift variants skew what each node sees:
 
 * drift_x: instances ordered along the first principal component, so
   neighbouring nodes receive neighbouring regions of feature space,
@@ -55,8 +56,9 @@ class PartitionPlan:
         write_table(path, ["node", "global_index"], zip(nodes.tolist(), self.assignment.ravel().tolist()))
 
 
-def local_datasets(dataset: Dataset, plan: PartitionPlan) -> list[Dataset]:
-    return [dataset.subset(block) for block in plan.assignment]
+def local_datasets(dataset: Dataset, plan: PartitionPlan) -> Dataset:
+    """Every node's block as one stacked dataset, X (n, m_v, d): node v's rows are X[v - 1]."""
+    return dataset.subset(plan.assignment)
 
 
 def global_sample(dataset: Dataset, plan: PartitionPlan) -> Dataset:

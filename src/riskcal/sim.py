@@ -3,18 +3,17 @@
 Every node starts from the same uniform statistics of mass m0.  One
 round is, for every node simultaneously: average the statistics of the
 neighborhood as of the previous round (synchronous barrier), then
-calibrate the average against the node's local data.  The network state
-is one (n, len) array of statistics, so a round is one neighborhood
-average of the whole array plus one ``lrc`` call per group of nodes of
-one local size, their datasets stacked along a leading node axis, each
-against the group's ``LocalStep``, built once per run.  The loop only
-simulates: whatever observes a round (per-round metrics,
-recorded aggregates) attaches through ``run_crc``'s ``on_round`` hook.
+calibrate the average against the node's local data.  The network is
+arrays: its data a stacked Dataset (for uneven local sizes, one stack
+per size group), its state one (n, len) array of statistics and its
+result those statistics with their ``param_map``.  A round is one
+neighborhood average of the whole array plus one ``lrc`` call per size
+group, against the group's ``LocalStep``, built once per run.  The loop
+only simulates: whatever observes a round (per-round metrics, recorded
+aggregates) attaches through ``run_crc``'s ``on_round`` hook.
 ``evaluate_round`` scores the batched models of one round, one row per
-node, against a centralized baseline trained on the pooled sample.  It
-takes a ``Scorer`` built once per run from the pooled train and test
-sets, so every round reuses their scoring rows and work buffers.  The
-per-node ``NodeState``s are made once, for the result.
+node, against a centralized baseline, with a ``Scorer`` of the pooled
+train and test sets built once per run.
 """
 from __future__ import annotations
 
@@ -46,15 +45,6 @@ def m0_heuristic(m: float, lr: float, n: int) -> float:
     if not m > 0 or not lr > 0 or n < 1:
         raise ValueError(f"need m > 0, lr > 0, n >= 1, got m={m}, lr={lr}, n={n}")
     return m / (lr * n)
-
-
-@dataclass
-class NodeState:
-    """One node after the last round: its statistics and model."""
-
-    node: int
-    stats: StatsVector
-    params: NBParams
 
 
 METRICS_COLUMNS = (
@@ -131,9 +121,15 @@ def evaluate_round(
 
 @dataclass
 class CRCResult:
-    """Everything a collaborative run produced: ``states`` holds node v's final statistics and model at index v - 1."""
+    """A run's final statistics, stacked, and their ``param_map``: node v's are ``stats[v - 1]``, ``params[v - 1]``."""
 
-    states: list[NodeState]
+    stats: StatsVector
+    params: NBParams
+
+    @property
+    def states(self) -> list["CRCResult"]:
+        """One-node results, views into the stacks, made when read."""
+        return [CRCResult(self.stats[v], self.params[v]) for v in range(len(self.params))]
 
 
 def _average(S: np.ndarray, graph: Graph, neighborhood: str) -> np.ndarray:
@@ -150,8 +146,20 @@ def _average(S: np.ndarray, graph: Graph, neighborhood: str) -> np.ndarray:
     return total / degree[:, None]
 
 
+def _stack_by_size(local_datasets: list[Dataset]) -> tuple[list[np.ndarray], list[Dataset]]:
+    """Node indices of every group of one local size, smallest size first, and each group's datasets stacked."""
+    if any(ds.X.ndim != 2 for ds in local_datasets):
+        raise ValueError("a stacked Dataset holds every node: pass it by itself, not in a list")
+    if len({ds.schema for ds in local_datasets}) > 1:
+        raise ValueError("all local datasets must share one schema")
+    sizes = np.array([ds.m for ds in local_datasets])
+    groups = [np.flatnonzero(sizes == m) for m in sorted(set(sizes.tolist()))]
+    return groups, [Dataset(local_datasets[g[0]].schema, np.stack([local_datasets[v].X for v in g]),
+                            np.stack([local_datasets[v].y for v in g])) for g in groups]
+
+
 def run_crc(
-    local_datasets: list[Dataset],
+    local_datasets: Dataset | list[Dataset],
     schedule: RewireSchedule,
     *,
     m0: float,
@@ -164,16 +172,24 @@ def run_crc(
 ) -> CRCResult:
     """Run t_max collaborative calibration rounds.
 
-    ``schedule`` provides the (possibly rewired) communication graph;
-    ``rng`` drives its randomness.  ``on_round(t, aggregate, stats)``,
-    when given, is called after round t's local step with two stacked
-    (n, len) ``StatsVector``s: the neighborhood averages the nodes
-    calibrated from and their calibrated statistics, row v - 1 node v's.
-    Both arrays are fresh each round, so a callback may keep them.
-    ``workers`` is checked but otherwise ignored: a round is
+    ``local_datasets`` is one stacked Dataset, X of shape (n, m_v, d),
+    node v's rows at X[v - 1], or a list of n datasets, which may differ
+    in size.  ``schedule`` provides the (possibly rewired) communication
+    graph; ``rng`` drives its randomness.  ``on_round(t, aggregate,
+    stats)``, when given, is called after round t's local step with two
+    stacked (n, len) ``StatsVector``s: the neighborhood averages the
+    nodes calibrated from and their calibrated statistics, row v - 1
+    node v's.  Both arrays are fresh each round, so a callback may keep
+    them.  ``workers`` is checked but otherwise ignored: a round is
     whole-network array operations, not per-node tasks.
     """
-    n = len(local_datasets)
+    if not isinstance(local_datasets, Dataset):
+        groups, stacks = _stack_by_size(list(local_datasets))
+    elif local_datasets.X.ndim == 3:  # one size group: every node
+        groups, stacks = [np.arange(len(local_datasets.X))], [local_datasets]
+    else:
+        raise ValueError("a lone Dataset must be stacked, X (n, m_v, d); one node's data goes in a list")
+    n = sum(map(len, groups))
     if n < 1:
         raise ValueError("need at least one node")
     if t_max < 1:
@@ -182,22 +198,14 @@ def run_crc(
         raise ValueError(f"neighborhood must be 'open' or 'closed', got {neighborhood!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    schema = local_datasets[0].schema
-    for ds in local_datasets:
-        if ds.schema != schema:
-            raise ValueError("all local datasets must share one schema")
-        if ds.m == 0:
-            raise ValueError("empty local dataset")
+    if any(ds.m == 0 for ds in stacks):
+        raise ValueError("empty local dataset")
 
     if rng is None:
         rng = np.random.default_rng(0)
     graph = schedule.initial(n, rng)
-
-    # Nodes of one local size calibrate together, against their datasets stacked.
-    sizes = np.array([ds.m for ds in local_datasets])
-    groups = [np.flatnonzero(sizes == m) for m in sorted(set(sizes.tolist()))]
-    steps = [LocalStep(Dataset(schema, np.stack([local_datasets[v].X for v in g]),
-                               np.stack([local_datasets[v].y for v in g]))) for g in groups]
+    schema = stacks[0].schema
+    steps = [LocalStep(ds) for ds in stacks]
     S = np.tile(uniform_init(schema, m0).values, (n, 1))  # (n, len), node v in row v - 1
 
     for t in range(1, t_max + 1):
@@ -209,8 +217,7 @@ def run_crc(
         if on_round is not None:
             on_round(t, StatsVector(schema, agg), StatsVector(schema, S))
     stats = StatsVector(schema, S)
-    P = param_map(stats)  # node v + 1's model: P[v]
-    return CRCResult([NodeState(v + 1, stats[v], P[v]) for v in range(n)])
+    return CRCResult(stats, param_map(stats))
 
 
 def run_baseline(

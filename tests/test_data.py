@@ -216,6 +216,18 @@ def test_subset_picks_rows():
     sub = ds.subset([3, 0])
     assert list(sub.X[:, 0]) == [3.0, 0.0]
     assert list(sub.y) == [2, 1]
+    stacked = ds.subset([[3, 0], [1, 2]])  # one dataset of two rows per row of indices
+    assert stacked.X.shape == (2, 2, 1) and stacked.m == 2
+    assert stacked.y.tolist() == [[2, 1], [2, 1]]
+
+
+def test_subset_refuses_indices_outside_the_dataset():
+    schema = FeatureSchema((Continuous(),), 2)
+    ds = Dataset(schema, [[0.0], [1.0], [2.0], [3.0]], [1, 2, 1, 2])
+    with pytest.raises(DataError, match=r"^index 4 outside 0\.\.3$"):
+        ds.subset([[0, 1], [4, 2]])
+    with pytest.raises(DataError, match="index -1"):  # no counting from the end
+        ds.subset([2, -1])
 
 
 def test_train_test_split_disjoint_and_seeded():

@@ -28,7 +28,6 @@ from riskcal.model import (
     _weights,
     evaluate,
     evaluate_many,
-    evaluate_train_test,
     param_map,
     posterior,
     posterior_matrix,
@@ -546,13 +545,13 @@ def test_scoring_gemm_against_scalar_oracle(schema, scale, shift):
 
 
 @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (1e4, 1e5)])
-def test_evaluate_train_test_matches_separate_calls(scale, shift):
+def test_pooled_scorer_matches_separate_calls(scale, shift):
     rng = np.random.default_rng(22)
     schema = mixed_schema(3)
     train, test = (affine_dataset(schema, m, rng, scale, shift) for m in (70, 30))
     given = train.X.tobytes(), test.X.tobytes()
     models = stack_params(affine_models(schema, 2 * _EVAL_CHUNK + 3, rng, scale, shift))
-    train01, train_soft, test01 = evaluate_train_test(models, train, test)
+    (train01, test01), train_soft = Scorer([train, test])(models)
     want01, want_soft = evaluate_many(models, train)
     assert np.array_equal(train01, want01)
     assert np.array_equal(test01, evaluate_many(models, test)[0])
@@ -579,7 +578,7 @@ def test_reused_scorer_keeps_no_state_between_calls():
     returned, copies = [], []
     for models in stacks:
         ((train01, test01), train_soft), ((alone01,), alone_soft) = pooled(models), alone(models)
-        want01, want_soft, want_test01 = evaluate_train_test(models, train, test)
+        (want01, want_test01), want_soft = Scorer([train, test])(models)  # a one-shot scorer
         assert np.array_equal(train01, want01) and np.array_equal(test01, want_test01)
         assert np.array_equal(train_soft, want_soft)
         want01, want_soft = evaluate_many(models, train)
@@ -706,7 +705,7 @@ def test_a_log_joint_overflowing_in_the_gemm_scores_as_a_zero_probability():
         err01, soft = Scorer([train, test])([params])
         narrow = NBParams(schema, params.class_probs, (np.array([[0.0, 1e-6]] * 3),))
         with pytest.raises(ValueError, match="row 1 has probability zero under every class of model 1;"):
-            evaluate_train_test([params, narrow], train, test)
+            Scorer([train, test])([params, narrow])
     assert np.array_equal(err01, want01) and np.array_equal(err01, [[2 / 3], [1 / 3]])
     np.testing.assert_allclose(soft, want_soft, rtol=1e-13, atol=0)
 
@@ -745,7 +744,7 @@ def test_refusal_names_the_lowest_impossible_table_row_after_grouping():
     with pytest.raises(ValueError, match="row 1 has probability zero under every class of model 0;"):
         evaluate_many([params], ds)
     with pytest.raises(ValueError, match=f"row {train.m + 1} has probability zero under every class of model 0;"):
-        evaluate_train_test([params], train, ds)
+        Scorer([train, ds])([params])
     pooled = Scorer([train, ds])
     pooled([ok])
     with pytest.raises(ValueError, match=f"row {train.m + 1} has probability zero under every class of model 1;"):
@@ -774,7 +773,7 @@ def test_instance_impossible_under_every_class_is_refused():
         rows[k] = 2
         test = Dataset(schema, X[rows], ds.y[rows])
         with pytest.raises(ValueError, match=f"row {train.m + k} has probability zero under every class of model 0;"):
-            evaluate_train_test([params], train, test)
+            Scorer([train, test])([params])
     with pytest.raises(ValueError, match=f"row {train.m + 2} has probability zero under every class of model 1;"):
         pooled([ok, params])
     # A refused call leaves the scorer usable.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import mixed_schema, random_dataset
-from riskcal.data import Continuous, Dataset, FeatureSchema
+from riskcal.data import Continuous, DataError, Dataset, FeatureSchema
 from riskcal.partition import (
     PartitionPlan,
     SPLITTERS,
@@ -42,10 +42,23 @@ def test_splitters_common_contract(mode):
     again = SPLITTERS[mode](ds, n, m_v, np.random.default_rng(1))
     assert np.array_equal(again.assignment, plan.assignment)
     # materialization
-    locs = local_datasets(ds, plan)
-    assert all(loc.m == m_v for loc in locs)
+    locs = local_datasets(ds, plan)  # one stacked dataset, node v + 1's rows at index v
+    assert locs.X.shape == (n, m_v, 3) and locs.y.shape == (n, m_v)
+    for v, block in enumerate(plan.assignment):
+        assert np.array_equal(locs.X[v], ds.X[block]) and np.array_equal(locs.y[v], ds.y[block])
     pooled = global_sample(ds, plan)
     assert pooled.m == n * m_v
+
+
+def test_a_plan_for_another_dataset_is_refused():
+    ds = blob_dataset()
+    plan = split_iid(ds, 2, 10, np.random.default_rng(1))
+    small = ds.subset(range(10))
+    assert plan.assignment.max() >= small.m
+    with pytest.raises(DataError, match=r"^index \d+ outside 0\.\.9$"):
+        local_datasets(small, plan)
+    with pytest.raises(DataError, match=r"^index \d+ outside 0\.\.9$"):
+        global_sample(small, plan)
 
 
 def test_split_requires_enough_instances():
