@@ -9,13 +9,13 @@ iteration can be picked afterwards.
 """
 import numpy as np
 
-from riskcal import evaluate, evaluate_many, gaussian_blobs, rc, run_baseline, train_test_split, uniform_init
+from riskcal import evaluate, evaluate_many, gaussian_blobs, ml, rc, train_test_split, uniform_init
 
 rng = np.random.default_rng(2)
 pool = gaussian_blobs(1600, d=2, r=2, separation=2.4, rng=rng)
 train, test = train_test_split(pool, train_size=1000, test_size=600, rng=rng)
 
-ml_params, _ = run_baseline("ml", train)
+ml_params = ml(train)  # one unit of uniform mass smooths the counts
 ml_train, _ = evaluate(ml_params, train)
 ml_test, _ = evaluate(ml_params, test)
 print(f"maximum likelihood: train {ml_train:.4f}  test {ml_test:.4f}")

@@ -8,7 +8,6 @@ gold standard) and to plain maximum likelihood.
 import numpy as np
 
 from riskcal import (
-    METRICS_COLUMNS,
     RewireSchedule,
     Scorer,
     evaluate_many,
@@ -16,11 +15,13 @@ from riskcal import (
     gaussian_blobs,
     local_datasets,
     m0_heuristic,
+    ml,
     param_map,
-    run_baseline,
+    rc,
     run_crc,
     split_iid,
     train_test_split,
+    uniform_init,
 )
 
 rng = np.random.default_rng(3)
@@ -37,12 +38,11 @@ print(f"{n} nodes x {m_v} instances, aggregate mass m0 = {m0:.0f}")
 # One Scorer keeps the pooled sets' scoring rows and work buffers: it scores the
 # baselines once, then every round.
 pooled = Scorer([train, test])
-_, rc_models = run_baseline("rc", train, lr=lr, t_max=t_max)
+rc_models = rc(train, lr, t_max, uniform_init(train.schema, float(train.m)))
 (rc_train, rc_test), _ = pooled(rc_models[1:])  # the centralized model after each iteration
 baseline = list(zip(rc_train.tolist(), rc_test.tolist()))
 
-ml_params, _ = run_baseline("ml", train)
-(_, (ml_test,)), _ = pooled([ml_params])
+(_, (ml_test,)), _ = pooled([ml(train)])
 print(f"maximum likelihood test error: {ml_test:.4f}")
 
 # The round loop only simulates; metrics observe it through the on_round hook.
@@ -62,15 +62,9 @@ result = run_crc(
     on_round=score,
 )
 
-idx = {name: k for k, name in enumerate(METRICS_COLUMNS)}
 print(f"{'t':>3} {'test_mean':>10} {'test_std':>9} {'rc_test':>8} {'test_gap':>9}")
-for row in (metrics[0], metrics[3], metrics[7], metrics[-1]):
-    vals = row.as_row()
-    print(
-        f"{vals[idx['t']]:3.0f} {vals[idx['test_err_mean']]:10.4f} "
-        f"{vals[idx['test_err_std']]:9.4f} {vals[idx['rc_test_err']]:8.4f} "
-        f"{vals[idx['test_gap']]:9.4f}"
-    )
+for rm in (metrics[0], metrics[3], metrics[7], metrics[-1]):
+    print(f"{rm.t:3d} {rm.test_err_mean:10.4f} {rm.test_err_std:9.4f} {rm.rc_test_err:8.4f} {rm.test_gap:9.4f}")
 
 per_node, _ = evaluate_many(result.params, test)
 print("final per-node test errors:", np.round(per_node, 4))

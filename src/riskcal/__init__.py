@@ -1,6 +1,6 @@
 """Risk calibration of naive Bayes classifiers, centralized and collaborative."""
 
-from .calibration import LocalStep, lrc, project, rc
+from .calibration import LocalStep, lrc, ml, project, rc
 from .data import (
     Continuous,
     DataError,
@@ -63,7 +63,6 @@ from .sim import (
     RoundMetrics,
     evaluate_round,
     m0_heuristic,
-    run_baseline,
     run_crc,
     write_metrics_csv,
 )

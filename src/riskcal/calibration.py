@@ -1,14 +1,17 @@
-"""Risk-based calibration of statistics, centralized and local.
+"""Risk-based calibration of statistics, centralized and local, and the ML reference.
 
 The update direction is always the same: add the statistics of the
 labelled data and subtract the expected statistics the current model
 assigns to the same instances.  At a perfect fit the two cancel and the
-statistics are a fixed point.  The local variant used inside
-collaborative rounds, ``lrc``, applies the full step, with the
+statistics are a fixed point.  That one step, projected, is
+``LocalStep.step``.  The local variant used inside collaborative rounds,
+``lrc``, projects its input and applies the full step, with the
 aggregated mass acting as inertia.  The centralized variant, ``rc``,
 scales the step by a learning rate, which is the same full step taken
-at mass / lr: ``rc`` is ``lrc`` on the pooled data, and returns its
-iterates as models for the caller to score.
+at mass / lr: ``rc`` steps the pooled data's ``LocalStep`` from
+project(init) / lr, and returns its iterates as models for the caller to
+score.  ``ml``, the other reference a network is judged against, is the
+closed-form smoothed maximum likelihood fit.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from .model import (
     _Rows,
     param_map,
     stat_map_dataset,
+    uniform_init,
 )
 
 
@@ -65,6 +69,10 @@ class LocalStep:
         """``prob_stat_map`` of the local rows under ``params``."""
         return _accumulate(self.schema, _posterior(params, self.rows), self.phi)
 
+    def step(self, stats: StatsVector) -> StatsVector:
+        """One full calibration step from projected ``stats``: project(stats + D - E(param_map(stats)))."""
+        return project(stats + self.labelled - self.expected(param_map(stats)))
+
 
 def lrc(agg_stats: StatsVector, local_dataset: Dataset | LocalStep, iterations: int = 1) -> StatsVector:
     """Local calibration of aggregated statistics against local data, or a ``LocalStep`` built from it.
@@ -83,7 +91,7 @@ def lrc(agg_stats: StatsVector, local_dataset: Dataset | LocalStep, iterations: 
     local = local_dataset if isinstance(local_dataset, LocalStep) else LocalStep(local_dataset)
     stats = project(agg_stats)
     for _ in range(iterations):
-        stats = project(stats + local.labelled - local.expected(param_map(stats)))
+        stats = local.step(stats)
     return stats
 
 
@@ -93,22 +101,43 @@ def rc(dataset: Dataset, lr: float, t_max: int, init: StatsVector) -> NBParams:
     One iteration is s + lr * (s(X, Y) - s(X, theta)), projected.  The
     model is homogeneous of degree 0 in the statistics, and ``project``
     of degree 1 above its count floor, so that iteration is lr times one
-    full ``lrc`` step from s / lr: ``rc`` runs ``lrc`` on the pooled
-    ``LocalStep`` from project(init) / lr.  Row t of the returned
-    (t_max + 1)-model stack is the model after iteration t, row 0 the
-    initialization's.  Where a floor fires, the two forms part: the
-    count floor acts on s / lr, not on s, and a floored variance, the
-    difference s2 / s0 - mu^2 of near-equal terms, takes the rounding of
-    either scale (on blobs scaled by 100, up to 4e-5 relative at
-    lr 0.05).  Models carry no scale; statistics rescaled by lr could
+    full ``lrc`` step from s / lr: ``rc`` projects project(init) / lr
+    once (not a no-op for lr > 1 or at a floor) and then takes t_max
+    steps of the pooled ``LocalStep``, each of whose outputs is already
+    projected.  Row t of the returned (t_max + 1)-model stack is the
+    model after iteration t, row 0 the initialization's.  Where a floor
+    fires, the two forms part: the count floor acts on s / lr, not on s,
+    and a floored variance, the difference s2 / s0 - mu^2 of near-equal
+    terms, takes the rounding of either scale (on blobs scaled by 100, up
+    to 4e-5 relative at lr 0.05).  Models carry no scale; statistics rescaled by lr could
     hold counts below COUNT_FLOOR, which ``param_map`` refuses.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
+    if dataset.X.ndim != 2:
+        raise ValueError("rc calibrates on one pooled dataset, not a stacked one: pass global_sample(dataset, plan)")
+    if init.schema != dataset.schema:
+        raise ValueError("schema mismatch")
     local = LocalStep(dataset)
     stats = [StatsVector(init.schema, project(init).values / lr)]
+    current = project(stats[0])
     for _ in range(t_max):
-        stats.append(lrc(stats[-1], local))
+        current = local.step(current)
+        stats.append(current)
     return param_map(StatsVector(init.schema, np.stack([s.values for s in stats])))
+
+
+def ml(dataset: Dataset, smoothing: float = 1.0) -> NBParams:
+    """Closed-form maximum likelihood with ``smoothing`` units of uniform mass added (0 adds nothing).
+
+    param_map(project(stat_map_dataset(dataset) + uniform_init(schema,
+    smoothing))); a stacked dataset gives one model per node.
+    """
+    if not smoothing >= 0:
+        raise ValueError(f"smoothing must be nonnegative, got {smoothing}")
+    stats = stat_map_dataset(dataset)
+    if smoothing > 0:
+        stats = stats + uniform_init(dataset.schema, smoothing)
+    return param_map(project(stats))

@@ -24,8 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .calibration import ml, rc
 from .data import DataError, Dataset, infer_schema, load_csv, train_test_split, write_csv, write_table
-from .model import NBParams, Scorer, param_map
+from .model import NBParams, Scorer, param_map, uniform_init
 from .network import RewireSchedule, _parse_topology, build_topology, write_edge_list
 from .partition import SPLITTERS, global_sample, local_datasets
 from .sim import (
@@ -33,7 +34,6 @@ from .sim import (
     RoundMetrics,
     evaluate_round,
     m0_heuristic,
-    run_baseline,
     run_crc,
     write_metrics_csv,
 )
@@ -254,13 +254,6 @@ def _prepare_repetition(cfg: ExperimentConfig, full: Dataset, rep: int):
     return train, test, plan, global_sample(train, plan), graph_rng
 
 
-def _baseline(cfg: ExperimentConfig, kind: str, gtrain: Dataset):
-    return run_baseline(
-        kind, gtrain, lr=cfg.lr, t_max=cfg.t_max,
-        init_ess=cfg.lr * cfg.n * resolved_m0(cfg), smoothing=cfg.ml_smoothing,
-    )
-
-
 def _score_rc(models: NBParams, scorer: Scorer, trace_path) -> tuple[list[float], list[float]]:
     """Train and test 0-1 errors of ``rc``'s iterates, from one call of ``scorer``, a ``Scorer([train, test])``.
 
@@ -277,10 +270,10 @@ def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int, trace_path):
     train, test, plan, gtrain, graph_rng = _prepare_repetition(cfg, full, rep)
 
     scorer = Scorer([gtrain, test])  # the pooled sets: the baselines once, then every round
-    ml_params, _ = _baseline(cfg, "ml", gtrain)
-    (ml_train, ml_test), _ = scorer([ml_params])
+    (ml_train, ml_test), _ = scorer([ml(gtrain, cfg.ml_smoothing)])
 
-    _, rc_models = _baseline(cfg, "rc", gtrain)
+    # rc starts from the total mass lr * n * m0 of a node run
+    rc_models = rc(gtrain, cfg.lr, cfg.t_max, uniform_init(gtrain.schema, cfg.lr * cfg.n * resolved_m0(cfg)))
     rc_train, rc_test = _score_rc(rc_models, scorer, trace_path)
     per_round = list(zip(rc_train[1:], rc_test[1:]))
 
@@ -442,17 +435,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_baseline(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config, _collect_overrides(args))
     _, test, _, gtrain, _ = _prepare_repetition(cfg, _load_dataset(cfg), 0)
-    params, rc_models = _baseline(cfg, args.kind, gtrain)
     scorer = Scorer([gtrain, test])  # as run scores repetition 0
     outdir = Path(_resolve_outdir(args))
     outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{config_stem(cfg)}_baseline_{args.kind}"
-    params_path = outdir / f"{stem}_params.txt"
-    params_path.write_text(params.to_text(), encoding="utf-8")
-    if rc_models is None:
+    if args.kind == "ml":
+        params = ml(gtrain, cfg.ml_smoothing)
         (tr01, te01), _ = scorer([params])
     else:
-        tr01, te01 = _score_rc(rc_models, scorer, outdir / f"{stem}_trace.csv")
+        models = rc(gtrain, cfg.lr, cfg.t_max, uniform_init(gtrain.schema, cfg.lr * cfg.n * resolved_m0(cfg)))
+        params = models[-1]
+        tr01, te01 = _score_rc(models, scorer, outdir / f"{stem}_trace.csv")
+    params_path = outdir / f"{stem}_params.txt"
+    params_path.write_text(params.to_text(), encoding="utf-8")
     print(f"{args.kind}: train_err={tr01[-1]:.4f} test_err={te01[-1]:.4f}")
     print(f"wrote {params_path}")
     return 0

@@ -118,7 +118,10 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         """The instances at ``indices``, of any shape: (n, m_v) indices give n stacked datasets of m_v each."""
-        idx = np.asarray(indices, dtype=np.int64)
+        idx = np.asarray(indices)
+        if idx.dtype == bool:
+            raise DataError("subset takes row indices, not a boolean mask: pass np.flatnonzero(mask)")
+        idx = idx.astype(np.int64)
         for i in idx[(idx < 0) | (idx >= len(self.X))][:1]:
             raise DataError(f"index {i} outside 0..{len(self.X) - 1}")
         return Dataset(self.schema, self.X[idx], self.y[idx])

@@ -505,6 +505,8 @@ class Scorer:
         for ds in datasets:
             if ds.schema != schema:
                 raise ValueError("schema mismatch between the datasets to score")
+            if ds.X.ndim != 2:
+                raise ValueError("cannot score on a stacked dataset: score its pooled rows, global_sample(dataset, plan)")
             if ds.m == 0:
                 raise ValueError("cannot evaluate on an empty dataset")
         self.schema = schema

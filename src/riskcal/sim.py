@@ -13,7 +13,8 @@ only simulates: whatever observes a round (per-round metrics, recorded
 aggregates) attaches through ``run_crc``'s ``on_round`` hook.
 ``evaluate_round`` scores the batched models of one round, one row per
 node, against a centralized baseline, with a ``Scorer`` of the pooled
-train and test sets built once per run.
+train and test sets built once per run.  The baselines themselves, ``rc``
+and ``ml`` on the pooled sample, are plain calls into ``calibration``.
 """
 from __future__ import annotations
 
@@ -23,16 +24,9 @@ from math import nan
 
 import numpy as np
 
-from .calibration import LocalStep, lrc, project, rc
+from .calibration import LocalStep, lrc
 from .data import Dataset, write_table
-from .model import (
-    NBParams,
-    Scorer,
-    StatsVector,
-    param_map,
-    stat_map_dataset,
-    uniform_init,
-)
+from .model import NBParams, Scorer, StatsVector, param_map, uniform_init
 from .network import Graph, RewireSchedule, rewire
 
 
@@ -219,34 +213,3 @@ def run_crc(
     stats = StatsVector(schema, S)
     return CRCResult(stats, param_map(stats))
 
-
-def run_baseline(
-    kind: str,
-    dataset: Dataset,
-    *,
-    lr: float = 0.05,
-    t_max: int = 64,
-    init_ess: float | None = None,
-    smoothing: float = 1.0,
-) -> tuple[NBParams, NBParams | None]:
-    """Centralized reference models on the pooled sample, and the run's iterates if any.
-
-    kind 'ml': closed-form maximum likelihood with ``smoothing`` units
-    of uniform mass added (0 disables smoothing); no iterates.
-    kind 'rc': centralized calibration from uniform statistics of mass
-    ``init_ess`` (defaults to the sample size) at learning rate lr: the
-    last model and ``rc``'s stack of all t_max + 1, unscored.
-    """
-    kind = kind.lower()
-    if kind == "ml":
-        stats = stat_map_dataset(dataset)
-        if smoothing < 0:
-            raise ValueError(f"smoothing must be nonnegative, got {smoothing}")
-        if smoothing > 0:
-            stats = stats + uniform_init(dataset.schema, smoothing)
-        return param_map(project(stats)), None
-    if kind == "rc":
-        ess = float(init_ess) if init_ess is not None else float(dataset.m)
-        models = rc(dataset, lr, t_max, uniform_init(dataset.schema, ess))
-        return models[-1], models
-    raise ValueError(f"unknown baseline kind {kind!r}")

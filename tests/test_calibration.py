@@ -1,17 +1,18 @@
-"""Projection, the local calibration step and centralized calibration built on it."""
+"""Projection, the local calibration step, centralized calibration built on it, and the ML reference."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from conftest import max_rel_dev, mixed_schema, param_arrays, random_dataset, rc_oracle
-from riskcal.calibration import lrc, project, rc
+from riskcal.calibration import lrc, ml, project, rc
 from riskcal.cli import ExperimentConfig, _prepare_repetition, _score_rc
 from riskcal.data import Continuous, Dataset, Discrete, FeatureSchema
 from riskcal.model import (
     COUNT_FLOOR,
     VAR_FLOOR,
     Scorer,
+    StatsVector,
     _feature_map,
     evaluate,
     evaluate_many,
@@ -20,7 +21,17 @@ from riskcal.model import (
     uniform_init,
     zero_stats,
 )
+from riskcal.partition import global_sample, local_datasets, split_iid
 from riskcal.synth import GENERATORS, gaussian_blobs
+
+
+def run_m0_50_pooled_sample() -> Dataset:
+    """The pooled sample of `riskcal run --m0 50` on 3500 blobs: 2500 rows, rc's initial mass lr * n * m0 = 125."""
+    return _prepare_repetition(ExperimentConfig(m0=50.0), gaussian_blobs(3500, rng=np.random.default_rng(1)), 0)[3]
+
+
+def bitwise_equal(a, b) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(param_arrays(a), param_arrays(b)))
 
 
 def far_separated_dataset() -> Dataset:
@@ -121,8 +132,7 @@ def test_rc_replays_the_update_at_rate_lr(kind, lr):
 
 
 def test_rc_models_survive_the_count_floor():
-    # The rc baseline of `riskcal run --m0 50` on 3500 blobs: 2500 pooled rows, initial mass lr * n * m0 = 125.
-    ds = _prepare_repetition(ExperimentConfig(m0=50.0), gaussian_blobs(3500, rng=np.random.default_rng(1)), 0)[3]
+    ds = run_m0_50_pooled_sample()
     init = uniform_init(ds.schema, 125.0)
     # premise: a class mass reaches the count floor at mass / lr, where lr times it is below the floor
     s, floored = project(init) * (1 / 0.05), False
@@ -133,6 +143,53 @@ def test_rc_models_survive_the_count_floor():
     models = rc(ds, 0.05, 64, init)
     assert len(models) == 65
     assert all(np.isfinite(a).all() for a in param_arrays(models))
+
+
+@pytest.mark.parametrize("case", ["lr0.05", "lr2", "floored"])
+def test_rc_iterates_are_lrc_chained_from_the_scaled_projected_init(case):
+    # rc projects project(init) / lr once and then only steps: lrc's projection of each iterate is a no-op.
+    if case == "floored":
+        ds, lr, t_max, mass = run_m0_50_pooled_sample(), 0.05, 64, 125.0
+    else:
+        ds = GENERATORS["mixed"](400, rng=np.random.default_rng(31), r=3)
+        lr, t_max, mass = (0.05, 20, float(ds.m)) if case == "lr0.05" else (2.0, 8, float(ds.m))
+    init = uniform_init(ds.schema, mass)
+    chain = [StatsVector(ds.schema, project(init).values / lr)]
+    for _ in range(t_max):
+        chain.append(lrc(chain[-1], ds))
+    if case == "floored":  # premise: a class mass reaches the count floor
+        assert min(s.class_block.min() for s in chain) == COUNT_FLOOR
+    want = param_map(StatsVector(ds.schema, np.stack([s.values for s in chain])))
+    assert bitwise_equal(rc(ds, lr, t_max, init), want)
+
+
+def test_rc_returns_the_initial_model_and_every_iterate():
+    rng = np.random.default_rng(12)
+    ds = random_dataset(mixed_schema(2), 60, rng)
+    models = rc(ds, 0.1, 7, uniform_init(ds.schema, float(ds.m)))
+    assert len(models) == 8  # the initialization and every iterate
+    assert max_rel_dev(models[0], param_map(uniform_init(ds.schema, 1.0))) < 1e-15
+
+
+def test_ml_matches_hand_computation():
+    rng = np.random.default_rng(11)
+    ds = random_dataset(mixed_schema(2), 50, rng)
+    params = ml(ds, smoothing=1.0)
+    assert bitwise_equal(params, param_map(project(stat_map_dataset(ds) + uniform_init(ds.schema, 1.0))))
+    assert max_rel_dev(ml(ds, smoothing=0.0), params) > 0
+    assert bitwise_equal(ml(ds), params)  # smoothing 1 by default
+    with pytest.raises(ValueError, match="smoothing must be nonnegative"):
+        ml(ds, smoothing=-0.5)
+
+
+def test_ml_takes_a_node_axis():
+    pool = gaussian_blobs(200, rng=np.random.default_rng(13))
+    plan = split_iid(pool, 4, 25, np.random.default_rng(14))
+    stacked = ml(local_datasets(pool, plan), 0.5)
+    assert len(stacked) == 4
+    for v, rows in enumerate(plan.assignment):
+        assert max_rel_dev(stacked[v], ml(pool.subset(rows), 0.5)) < 1e-12
+    assert ml(global_sample(pool, plan)).class_probs.ndim == 1  # the pooled sample: one model
 
 
 def test_rc_scores_its_history_as_per_iteration_evaluation():
@@ -178,6 +235,10 @@ def test_rc_validates_arguments():
         rc(ds, 0.0, 5, init)
     with pytest.raises(ValueError, match="schema"):
         rc(ds, 0.05, 3, uniform_init(FeatureSchema((Continuous(),), 2), 10.0))
+    pool = gaussian_blobs(200, rng=rng)
+    stacked = local_datasets(pool, split_iid(pool, 4, 25, rng))
+    with pytest.raises(ValueError, match=r"stacked.*global_sample"):
+        rc(stacked, 0.05, 3, uniform_init(pool.schema, 100.0))
     # Valid instances whose per-class sums of x^2 overflow.
     huge = Dataset(FeatureSchema((Continuous(),), 2), np.full((400, 1), 1e153), np.repeat([1, 2], 200))
     with pytest.raises(ValueError, match="not all finite"):

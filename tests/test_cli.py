@@ -12,7 +12,6 @@ from conftest import scalar_posterior
 from riskcal.cli import (
     ConfigError,
     ExperimentConfig,
-    _baseline,
     _load_dataset,
     _prepare_repetition,
     build_parser,
@@ -26,7 +25,9 @@ from riskcal.cli import (
     sweep,
     validate_config,
 )
+from riskcal.calibration import ml, rc
 from riskcal.data import DataError, infer_schema, load_csv, write_csv
+from riskcal.model import uniform_init
 from riskcal.network import read_edge_list
 from riskcal.sim import METRICS_COLUMNS
 from riskcal.synth import GENERATORS
@@ -334,6 +335,9 @@ def test_cli_baseline(tmp_path, capsys):
     trace = (out / f"{stem}_baseline_rc_trace.csv").read_bytes()
     assert trace == (tmp_path / "run" / f"{stem}_rep0_rc_trace.csv").read_bytes()
     assert not (out / f"{stem}_baseline_ml_trace.csv").exists()
+    cfg = parse_config(None, keys)
+    gtrain = _prepare_repetition(cfg, _load_dataset(cfg), 0)[3]
+    assert (out / f"{stem}_baseline_ml_params.txt").read_text() == ml(gtrain, cfg.ml_smoothing).to_text()
 
 
 def test_rc_trace_matches_scalar_posterior(tmp_path):
@@ -345,7 +349,7 @@ def test_rc_trace_matches_scalar_posterior(tmp_path):
                            repetitions=1, test_size=100)
     run_experiment(cfg, tmp_path / "out")
     _, test, _, gtrain, _ = _prepare_repetition(cfg, _load_dataset(cfg), 0)
-    _, models = _baseline(cfg, "rc", gtrain)
+    models = rc(gtrain, cfg.lr, cfg.t_max, uniform_init(gtrain.schema, cfg.lr * cfg.n * resolved_m0(cfg)))
 
     def scalar_errors(params, ds):
         wrong, soft = 0, 0.0

@@ -230,6 +230,18 @@ def test_subset_refuses_indices_outside_the_dataset():
         ds.subset([2, -1])
 
 
+def test_subset_refuses_a_boolean_mask_and_takes_empty_indices():
+    schema = FeatureSchema((Continuous(),), 2)
+    ds = Dataset(schema, [[0.0], [1.0], [2.0], [3.0]], [1, 2, 1, 2])
+    mask = ds.y == 2
+    with pytest.raises(DataError, match=r"boolean mask: pass np\.flatnonzero\(mask\)"):
+        ds.subset(mask)  # as indices, True and False would pick rows 1 and 0
+    assert ds.subset(np.flatnonzero(mask)).X[:, 0].tolist() == [1.0, 3.0]
+    for empty in ([], range(0)):  # float64 as arrays, yet no rows
+        assert ds.subset(empty).X.shape == (0, 1)
+    assert ds.subset(range(3)).y.tolist() == [1, 2, 1]
+
+
 def test_train_test_split_disjoint_and_seeded():
     schema = FeatureSchema((Continuous(),), 2)
     ds = Dataset(schema, np.arange(100.0).reshape(-1, 1), np.arange(100) % 2 + 1)

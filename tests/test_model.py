@@ -40,6 +40,7 @@ from riskcal.model import (
     uniform_init,
     zero_stats,
 )
+from riskcal.partition import global_sample, local_datasets, split_iid
 from riskcal.synth import gaussian_blobs
 
 TINY_SCHEMA = FeatureSchema((Discrete(3), Continuous()), 2)
@@ -797,6 +798,19 @@ def test_evaluate_many_takes_an_empty_list_and_refuses_a_single_model():
         assert err01.shape == soft.shape == (0,)
     with pytest.raises(TypeError, match=r"pass \[params\] or stacked parameters"):
         evaluate_many(params, ds)
+
+
+def test_a_stacked_dataset_is_refused_by_the_scorers():
+    pool = gaussian_blobs(200, rng=np.random.default_rng(24))
+    plan = split_iid(pool, 4, 25, np.random.default_rng(25))
+    stacked = local_datasets(pool, plan)
+    models = param_map(stat_map_dataset(stacked))  # one model per node
+    for score in (lambda: Scorer([pool, stacked]), lambda: evaluate_many(models, stacked),
+                  lambda: evaluate(models[0], stacked)):
+        with pytest.raises(ValueError, match=r"stacked dataset.*global_sample\(dataset, plan\)"):
+            score()
+    err01, _ = evaluate_many(models, global_sample(pool, plan))
+    assert err01.shape == (4,)
 
 
 def test_posterior_and_predict_matrix_take_a_leading_node_axis():

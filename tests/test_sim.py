@@ -1,4 +1,4 @@
-"""Collaborative rounds: aggregation, equivalences, metrics, baselines."""
+"""Collaborative rounds: aggregation, equivalences, metrics."""
 from __future__ import annotations
 
 import numpy as np
@@ -14,7 +14,6 @@ from riskcal.model import (
     StatsVector,
     _feature_map,
     param_map,
-    stat_map_dataset,
     stats_length,
     uniform_init,
 )
@@ -23,7 +22,6 @@ from riskcal.sim import (
     METRICS_COLUMNS,
     evaluate_round,
     m0_heuristic,
-    run_baseline,
     run_crc,
     write_metrics_csv,
 )
@@ -370,26 +368,3 @@ def test_run_crc_validation():
         run_crc([locals_[0]], RewireSchedule(full_graph(1)), m0=10.0, t_max=2,
                 neighborhood="open")
 
-
-def test_run_baseline_ml_matches_hand_computation():
-    rng = np.random.default_rng(11)
-    ds = random_dataset(mixed_schema(2), 50, rng)
-    params, trace = run_baseline("ml", ds, smoothing=1.0)
-    assert trace is None
-    from riskcal.calibration import project
-
-    want = param_map(project(stat_map_dataset(ds) + uniform_init(ds.schema, 1.0)))
-    assert max_rel_dev(params, want) == 0.0
-    unsmoothed, _ = run_baseline("ml", ds, smoothing=0.0)
-    assert max_rel_dev(unsmoothed, params) > 0
-
-
-def test_run_baseline_rc_returns_trace():
-    rng = np.random.default_rng(12)
-    ds = random_dataset(mixed_schema(2), 60, rng)
-    params, models = run_baseline("rc", ds, lr=0.1, t_max=7)
-    assert len(models) == 8  # the initialization and every iterate
-    assert max_rel_dev(models[0], param_map(uniform_init(ds.schema, 1.0))) < 1e-15
-    assert max_rel_dev(params, models[-1]) == 0.0
-    with pytest.raises(ValueError, match="unknown baseline"):
-        run_baseline("map", ds)
