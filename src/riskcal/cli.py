@@ -73,26 +73,9 @@ def _parse_label_column(text: str):
     return int(text) if re.fullmatch(r"-?\d+", text) else text
 
 
-_PARSERS = {
-    "dataset": str,
-    "label_column": _parse_label_column,
-    "n": int,
-    "m_v": int,
-    "t_max": int,
-    "iter": int,
-    "lr": float,
-    "m0": float,
-    "topology": str,
-    "neighborhood": str,
-    "partition": str,
-    "delta": int,
-    "train_size": int,
-    "test_size": int,
-    "seed": int,
-    "repetitions": int,
-    "ml_smoothing": float,
-    "workers": int,
-}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+# Keys whose text does not parse as their default's type; every other key parses with type(default).
+_PARSERS = {"dataset": str, "label_column": _parse_label_column, "m0": float, "delta": int, "train_size": int}
 # Words a key takes in place of a number; the first one of a value is written.
 _WORDS = {
     "m0": {"heuristic": "heuristic"},
@@ -106,7 +89,7 @@ def _parse_value(key: str, text: str, where: str):
     text = text.strip()
     if text in _WORDS.get(key, {}):
         return _WORDS[key][text]
-    parse = int if key == "fragmentation" else _PARSERS[key]
+    parse = int if key == "fragmentation" else _PARSERS.get(key, type(_DEFAULTS[key]))
     try:
         return parse(text)
     except ValueError as e:
@@ -131,14 +114,9 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    if cfg.n < 1:
-        raise ConfigError(f"n must be >= 1, got {cfg.n}")
-    if cfg.m_v < 1:
-        raise ConfigError(f"m_v must be >= 1, got {cfg.m_v}")
-    if cfg.t_max < 1:
-        raise ConfigError(f"t_max must be >= 1, got {cfg.t_max}")
-    if cfg.iter < 1:
-        raise ConfigError(f"iter must be >= 1, got {cfg.iter}")
+    for key in ("n", "m_v", "t_max", "iter", "test_size", "repetitions", "workers"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
     if not 0 < cfg.lr < np.inf:
         raise ConfigError(f"lr must be positive and finite, got {cfg.lr}")
     if cfg.m0 != "heuristic" and not 0 < float(cfg.m0) < np.inf:
@@ -164,14 +142,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"train_size {cfg.train_size} cannot cover n * m_v = {cfg.n * cfg.m_v}"
         )
-    if cfg.test_size < 1:
-        raise ConfigError(f"test_size must be >= 1, got {cfg.test_size}")
-    if cfg.repetitions < 1:
-        raise ConfigError(f"repetitions must be >= 1, got {cfg.repetitions}")
     if not 0 <= cfg.ml_smoothing < np.inf:
         raise ConfigError(f"ml_smoothing must be nonnegative and finite, got {cfg.ml_smoothing}")
-    if cfg.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
 
 
 def parse_config(path=None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -184,7 +156,7 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> Experime
 
     def absorb(key: str, text: str, where: str) -> None:
         key = key.strip()
-        if key not in _PARSERS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{where}: unknown key {key!r}")
         values[key] = _parse_value(key, text, where)
 

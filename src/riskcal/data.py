@@ -103,7 +103,11 @@ class Dataset:
 
     def __post_init__(self) -> None:
         X = np.ascontiguousarray(np.asarray(self.X, dtype=np.float64))
-        y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
+        if y.dtype.kind == "f":  # refused, not truncated to a class
+            for label in y[~(np.isfinite(y) & (y == np.floor(y)))][:1]:
+                raise DataError(f"non-integral class label {label}")
+        y = np.asarray(y, dtype=np.int64)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         validate_instances(self.schema, X)
@@ -121,6 +125,8 @@ class Dataset:
         idx = np.asarray(indices)
         if idx.dtype == bool:
             raise DataError("subset takes row indices, not a boolean mask: pass np.flatnonzero(mask)")
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):  # [] and range(0) come as float64
+            raise DataError(f"subset takes integer row indices, got {idx.dtype}")
         idx = idx.astype(np.int64)
         for i in idx[(idx < 0) | (idx >= len(self.X))][:1]:
             raise DataError(f"index {i} outside 0..{len(self.X) - 1}")
@@ -251,7 +257,8 @@ def dataset_from_table(table: RawTable, schema: FeatureSchema) -> Dataset:
     """Materialize a raw table under a known schema.
 
     Discrete cells must already hold 1-based integer codes and the label
-    column 1-based class indices, as produced by :func:`write_csv`.
+    column 1-based class indices, as produced by :func:`write_csv`; a
+    label that parses as a fractional number or nan is refused.
     """
     if len(table.header) - 1 != schema.d:
         raise DataError(f"table has {len(table.header) - 1} feature columns, schema has {schema.d}")
@@ -259,7 +266,6 @@ def dataset_from_table(table: RawTable, schema: FeatureSchema) -> Dataset:
     y_values = _parse_floats(y_tokens)
     if y_values is None:
         raise DataError("label column must hold integer class codes")
-    y = np.asarray(y_values)
     feature_cols = [j for j in range(len(table.header)) if j != table.label_index]
     X = np.empty((len(table.rows), schema.d), dtype=np.float64)
     for i, j in enumerate(feature_cols):
@@ -267,7 +273,7 @@ def dataset_from_table(table: RawTable, schema: FeatureSchema) -> Dataset:
         if values is None:
             raise DataError(f"column {table.header[j]!r}: non-numeric value")
         X[:, i] = values
-    return Dataset(schema, X, y.astype(np.int64))
+    return Dataset(schema, X, y_values)
 
 
 def write_table(path, header, rows) -> None:

@@ -77,14 +77,11 @@ def _standardize(X: np.ndarray) -> np.ndarray:
 
 
 def first_principal_component(X) -> np.ndarray:
-    """Leading eigenvector of the standardized covariance, by power iteration.
+    """Leading eigenvector of the standardized covariance, from ``np.linalg.eigh``.
 
-    Deterministic: the start vector comes from a fixed internal seed and
-    iteration stops once the Rayleigh quotient is stable to a relative
-    1e-9 and the direction itself has stopped moving (sup change below
-    1e-13), or after 10000 steps.  The sign is fixed so the
-    largest-magnitude coordinate is positive.  Raises on fewer than two
-    instances or on all-identical instances (zero covariance).
+    The sign is fixed so the largest-magnitude coordinate is positive.
+    Raises on fewer than two instances or on all-identical instances
+    (zero covariance).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
@@ -93,29 +90,9 @@ def first_principal_component(X) -> np.ndarray:
     C = (Z.T @ Z) / X.shape[0]
     if not np.any(np.abs(C) > 0):
         raise ValueError("zero covariance: all instances identical")
-    rng = np.random.default_rng(180451)
-    v = rng.standard_normal(C.shape[0])
-    v /= np.linalg.norm(v)
-    lam_prev = np.inf
-    for _ in range(10000):
-        w = C @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            # Start vector fell in the null space; re-draw.
-            v = rng.standard_normal(C.shape[0])
-            v /= np.linalg.norm(v)
-            continue
-        v_new = w / norm
-        lam = float(v_new @ C @ v_new)
-        moved = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if abs(lam - lam_prev) <= 1e-9 * abs(lam) and moved <= 1e-13:
-            break
-        lam_prev = lam
+    v = np.linalg.eigh(C)[1][:, -1]  # eigenvalues ascend: the last column leads
     j = int(np.argmax(np.abs(v)))
-    if v[j] < 0:
-        v = -v
-    return v
+    return -v if v[j] < 0 else v
 
 
 def _draw(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> np.ndarray:

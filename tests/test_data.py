@@ -242,6 +242,34 @@ def test_subset_refuses_a_boolean_mask_and_takes_empty_indices():
     assert ds.subset(range(3)).y.tolist() == [1, 2, 1]
 
 
+def test_subset_refuses_non_integer_indices():
+    schema = FeatureSchema((Continuous(),), 2)
+    ds = Dataset(schema, [[0.0], [1.0], [2.0], [3.0]], [1, 2, 1, 2])
+    with pytest.raises(DataError, match="integer row indices, got float64"):
+        ds.subset([0.9, 2.5])  # truncated, they would pick rows 0 and 2
+    with pytest.raises(DataError, match="integer row indices"):
+        ds.subset(np.array([[0.0, 1.0]]))  # whole-valued floats too
+    assert ds.subset(np.array([3, 1], dtype=np.int32)).y.tolist() == [2, 2]
+
+
+def test_labels_must_be_whole_numbers(tmp_path):
+    schema = FeatureSchema((Continuous(),), 2)
+    X = [[0.0], [1.0], [2.0]]
+    with pytest.raises(DataError, match="non-integral class label 1.7"):
+        Dataset(schema, X, [1.7, 2.0, 1.2])  # truncated, they would be classes 1, 2, 1
+    with pytest.raises(DataError, match="non-integral class label nan"):
+        Dataset(schema, X, [1.0, np.nan, 2.0])
+    assert Dataset(schema, X, [1.0, 2.0, 1.0]).y.tolist() == [1, 2, 1]  # whole-valued floats load
+    assert Dataset(schema, X, np.array([2, 1, 2], dtype=np.int32)).y.dtype == np.int64
+    p = tmp_path / "labels.csv"
+    p.write_text("f1,y\n0.5,1\n1.5,2.0\n2.5,2\n", encoding="utf-8")
+    assert dataset_from_table(load_csv(p, "y"), schema).y.tolist() == [1, 2, 2]
+    for cell in ("1.9", "nan"):
+        p.write_text(f"f1,y\n0.5,1\n1.5,{cell}\n2.5,2\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"non-integral class label {cell}"):
+            dataset_from_table(load_csv(p, "y"), schema)
+
+
 def test_train_test_split_disjoint_and_seeded():
     schema = FeatureSchema((Continuous(),), 2)
     ds = Dataset(schema, np.arange(100.0).reshape(-1, 1), np.arange(100) % 2 + 1)
