@@ -238,15 +238,18 @@ def _score_rc(models: NBParams, scorer: Scorer, trace_path) -> tuple[list[float]
     return train01, test01.tolist()
 
 
+def _rc_models(cfg: ExperimentConfig, gtrain: Dataset) -> NBParams:
+    """``rc``'s iterates on the pooled sample, started from the total mass lr * n * m0 of a node run."""
+    return rc(gtrain, cfg.lr, cfg.t_max, uniform_init(gtrain.schema, cfg.lr * cfg.n * resolved_m0(cfg)))
+
+
 def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int, trace_path):
     train, test, plan, gtrain, graph_rng = _prepare_repetition(cfg, full, rep)
 
     scorer = Scorer([gtrain, test])  # the pooled sets: the baselines once, then every round
     (ml_train, ml_test), _ = scorer([ml(gtrain, cfg.ml_smoothing)])
 
-    # rc starts from the total mass lr * n * m0 of a node run
-    rc_models = rc(gtrain, cfg.lr, cfg.t_max, uniform_init(gtrain.schema, cfg.lr * cfg.n * resolved_m0(cfg)))
-    rc_train, rc_test = _score_rc(rc_models, scorer, trace_path)
+    rc_train, rc_test = _score_rc(_rc_models(cfg, gtrain), scorer, trace_path)
     per_round = list(zip(rc_train[1:], rc_test[1:]))
 
     metrics: list[RoundMetrics] = []
@@ -415,7 +418,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
         params = ml(gtrain, cfg.ml_smoothing)
         (tr01, te01), _ = scorer([params])
     else:
-        models = rc(gtrain, cfg.lr, cfg.t_max, uniform_init(gtrain.schema, cfg.lr * cfg.n * resolved_m0(cfg)))
+        models = _rc_models(cfg, gtrain)
         params = models[-1]
         tr01, te01 = _score_rc(models, scorer, outdir / f"{stem}_trace.csv")
     params_path = outdir / f"{stem}_params.txt"

@@ -21,11 +21,15 @@ categorical tables by row normalization, Gaussians by moment matching
 
     mu = s1 / s0,    var = s2 / s0 - mu^2.
 
+A model is one array theta (..., r, w) in the statistics' columns: per
+class row, the class probability in the constant column, each one-hot
+cell's conditional probability and each continuous pair's (mu, var).
+
 The log joint has one code path.  log p(x, y) is linear in the
 statistics' own feature rows Phi(x - c), whose continuous pairs hold
 (x - c, (x - c)^2), so K models over m rows take one product
-L = W(theta) Phi(x - c)^T, class-major (..., r, m), with W in the same
-columns: per class, the constant column holds
+L = W(theta) Phi(x - c)^T, class-major (..., r, m), with W theta
+transformed in place: per class, the constant column holds
 log p(y) - 1/2 sum((mu - c)^2 / var + log var + log 2 pi), each one-hot
 cell log theta, and each continuous pair ((mu - c) / var, -1 / (2 var)).
 L does not depend on c but its rounding does, by about eps times the
@@ -34,10 +38,12 @@ shifted by their own mean (Chan, Golub & LeVeque's shifted sums), a
 ``Scorer``'s by the mean of all its rows, and a (model, row) whose terms
 still cancel or overflow is formed again with the row itself as c.  A
 zero probability, or a class constant that overflows, is a -inf weight:
-every row that meets one gets L = -inf.  Posteriors are the softmax over
-the r class rows, P^T itself, ready for P^T Phi; zero probabilities
-yield exact 0/1 posteriors, and an instance impossible under every
-class is refused.
+every row that meets one gets L = -inf.  A class whose weights equal a
+lower class's bitwise takes that class's L, so the tie is exact at any
+BLAS thread count and goes to the lowest class.  Posteriors are the
+softmax over the r class rows, P^T itself, ready for P^T Phi; zero
+probabilities yield exact 0/1 posteriors, and an instance impossible
+under every class is refused.
 
 Every mapping also takes a leading node axis (statistics (n, len),
 datasets X (n, m, d)), so one node and n same-size nodes share one code path.
@@ -212,31 +218,48 @@ def zero_stats(schema: FeatureSchema) -> StatsVector:
 
 @dataclass
 class NBParams:
-    """Classifier parameters: class probabilities plus per-feature blocks.
+    """Classifier parameters theta (..., r, w), in the columns of the statistics they map from.
 
-    Discrete features carry an (r, cardinality) table of conditional
-    probabilities; continuous features an (r, 2) block with means in
-    column 0 and variances in column 1, all with an optional node axis.
+    Per class row: the class probability in the constant column 0, each
+    one-hot cell's conditional probability, and each continuous
+    feature's (mean, variance) pair, an optional node axis in front.
     Stacked along that axis, the parameters act as a sequence of models:
     ``len(P)`` is the node count, ``P[v]`` node v + 1's model and
-    ``P[lo:hi]`` a stacked slice, all views.
+    ``P[lo:hi]`` a stacked slice, all views.  ``class_probs`` and
+    ``feature_params`` are views of theta, for reading it by blocks.
     """
 
     schema: FeatureSchema
-    class_probs: np.ndarray
-    feature_params: tuple[np.ndarray, ...]
+    theta: np.ndarray
+
+    def __post_init__(self) -> None:
+        theta = np.asarray(self.theta, dtype=np.float64)
+        want = (self.schema.class_cardinality, _feature_map(self.schema).width)
+        if theta.shape[-2:] != want:
+            raise ValueError(f"expected parameters of shape (..., {want[0]}, {want[1]}), got {theta.shape}")
+        self.theta = theta
+
+    @property
+    def class_probs(self) -> np.ndarray:
+        """Class probabilities (..., r)."""
+        return self.theta[..., 0]
+
+    @property
+    def feature_params(self) -> tuple[np.ndarray, ...]:
+        """Feature i's (..., r, c) conditional table, or (..., r, 2) (mean, variance) pairs, per feature."""
+        return tuple(self.theta[..., sl] for sl in _feature_map(self.schema).blocks)
 
     def __len__(self) -> int:
-        if self.class_probs.ndim != 2:
+        if self.theta.ndim != 3:
             raise TypeError("only stacked parameters have a length")
-        return self.class_probs.shape[0]
+        return self.theta.shape[0]
 
     def __getitem__(self, key) -> "NBParams":
         len(self)  # a single model has no node axis to index
-        return NBParams(self.schema, self.class_probs[key], tuple(b[key] for b in self.feature_params))
+        return NBParams(self.schema, self.theta[key])
 
     def to_text(self) -> str:
-        if self.class_probs.ndim != 1:
+        if self.theta.ndim != 2:
             raise TypeError("to_text dumps one model; index one node first: P[v]")
         names = _feature_map(self.schema).param_names
         values = np.concatenate([self.class_probs, *(b.ravel() for b in self.feature_params)])
@@ -352,14 +375,14 @@ def param_map(stats: StatsVector) -> NBParams:
         raise ValueError("statistics below the count floor; project before mapping to parameters")
     # Parameters take the columns of the statistics they come from.
     theta = np.empty_like(S)
+    cls = S[..., 0]
+    np.divide(cls, cls.sum(axis=-1, keepdims=True), out=theta[..., 0])
     cells = S[..., 1 : fm.moments]
     theta[..., 1 : fm.moments] = cells / (cells @ fm.same_feature)
     s0, s, t = S[..., :1], fm.pairs(S), fm.pairs(theta)  # t holds (mu, var) pairs
     mu = np.divide(s[..., 0], s0, out=t[..., 0])
     np.maximum(s[..., 1] / s0 - mu * mu, VAR_FLOOR, out=t[..., 1])
-    cls = S[..., 0]
-    probs = cls / cls.sum(axis=-1, keepdims=True)
-    return NBParams(stats.schema, probs, tuple(theta[..., sl] for sl in fm.blocks))
+    return NBParams(stats.schema, theta)
 
 
 def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
@@ -383,28 +406,44 @@ def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
 _CANCEL = 2.0**10
 
 
-def _weights(models: NBParams, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _weights(models: NBParams, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     """Weights W(theta) (..., r, w) over rows Phi(x - c), models and c (..., 1, q) broadcast, and their -inf mask.
 
     A -inf weight is returned as 0 (OpenBLAS's dgemm, 0.3.31, Haswell
-    kernels, raised the invalid flag on -inf even where its result was right).
+    kernels, raised the invalid flag on -inf even where its result was
+    right).  Also returns the ``_ties`` of W, found before -inf is zeroed.
     """
     fm = _feature_map(models.schema)
-    W = np.empty(np.broadcast_shapes(models.class_probs.shape[:-1], np.shape(c)[:-2])
-                 + (models.schema.class_cardinality, fm.width))
-    for sl, block in zip(fm.blocks, models.feature_params):
-        W[..., sl] = block  # theta in the columns of its statistics, as param_map lays it out
+    W = np.empty(np.broadcast_shapes(models.theta.shape[:-2], np.shape(c)[:-2]) + models.theta.shape[-2:])
+    W[...] = models.theta  # theta is laid out in W's columns
     t = fm.pairs(W)  # (mu, var) pairs
     a, inv = t[..., 0] - c, 1.0 / t[..., 1]
     with np.errstate(divide="ignore", over="ignore"):
-        W[..., 0] = np.log(models.class_probs)
+        np.log(W[..., : fm.moments], out=W[..., : fm.moments])  # log p(y) and every log theta
         W[..., 0] -= 0.5 * (a * a * inv + np.log(t[..., 1]) + _LOG_2PI).sum(axis=-1)
-        np.log(W[..., 1 : fm.moments], out=W[..., 1 : fm.moments])
     t[..., 0] = a * inv
     t[..., 1] = -0.5 * inv
-    zero = np.isneginf(W)
+    zero = W == -inf
+    ties = _ties(W)
     W[zero] = 0.0
-    return W, zero
+    return W, zero, ties
+
+
+def _ties(W: np.ndarray) -> tuple[tuple, tuple] | None:
+    """Classes of W (..., r, w) whose row is bitwise equal to a lower class's, and the lowest such class, or None.
+
+    Both come as index tuples into (..., r); -inf weights count.  A GEMM
+    may round equal rows differently at different BLAS thread counts:
+    copying the lower class's L makes their tie exact, so it goes to the
+    lowest class at any thread count.
+    """
+    r, c0 = W.shape[-2], W[..., 0]
+    if not any(np.count_nonzero(c0[..., k:] == c0[..., :-k]) for k in range(1, r)):  # equal rows have equal constants
+        return None
+    lower = np.arange(r)[:, None] > np.arange(r)  # [j, i]: class i below class j
+    same = (W[..., :, None, :] == W[..., None, :, :]).all(axis=-1) & lower
+    *model, j = np.nonzero(same.any(axis=-1))
+    return (*model, j), (*model, same[(*model, j)].argmax(axis=-1))
 
 
 class _Rows:
@@ -423,37 +462,40 @@ class _Rows:
 
         ``out``, over shared rows, is a (K r, m) buffer.  A (model, row) whose
         terms overflow or cancel, sum |W| |Phi| > _CANCEL (1 + |L|), is formed
-        again with the row itself as c, which leaves no continuous terms.
+        again with the row itself as c, which leaves no continuous terms.  A
+        class whose weights equal a lower class's takes that class's L.
         """
-        W, zero = _weights(models, self.c)
+        W, zero, ties = _weights(models, self.c)
         shape = W.shape[:-1] + self.phiT.shape[-1:]
         if self.phiT.ndim == 2:  # shared rows: one GEMM for every model
             W, zero = W.reshape(-1, W.shape[-1]), zero.reshape(-1, W.shape[-1])
+        mask = None
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing or nan L is formed again
             logj = np.matmul(W, self.phiT, out=out)
             sound = (np.abs(W) @ self.phi_max[..., None]).max(initial=0.0) <= _CANCEL
-            if sound and not zero.any():
-                return logj.reshape(shape), None
-            n = self.fm.moments  # only constant and one-hot weights are ever -inf
-            mask = zero[..., :n].astype(np.float64) @ self.phiT[..., :n, :] > 0
-            if not sound:
-                terms = np.abs(W) @ np.abs(self.phiT)
-                loose = ~((terms <= _CANCEL * (1.0 + np.abs(logj))) & (terms < inf))
-                self._reform(models, logj.reshape(shape), mask.reshape(shape), loose.reshape(shape).any(axis=-2))
-        logj[mask] = -inf
-        return logj.reshape(shape), mask.reshape(shape)
+            if not sound or zero.any():
+                n = self.fm.moments  # only constant and one-hot weights are ever -inf
+                mask = (zero[..., :n].astype(np.float64) @ self.phiT[..., :n, :] > 0).reshape(shape)
+                if not sound:
+                    terms = np.abs(W) @ np.abs(self.phiT)
+                    loose = ~((terms <= _CANCEL * (1.0 + np.abs(logj))) & (terms < inf))
+                    self._reform(models, logj.reshape(shape), mask, loose.reshape(shape).any(axis=-2))
+        logj = logj.reshape(shape)
+        if ties is not None:
+            logj[ties[0]] = logj[ties[1]]
+        if mask is not None:
+            logj[mask] = -inf
+        return logj, mask
 
     def _reform(self, models: NBParams, logj: np.ndarray, mask: np.ndarray, loose: np.ndarray) -> None:
         """Write the log joint and -inf mask of each ``loose`` (model, row), shifting the row by itself."""
         at, n = np.nonzero(loose), self.fm.moments
 
-        def pick(A: np.ndarray, k: int, idx: tuple) -> np.ndarray:  # A's last k axes at idx, broadcast over models
-            return np.broadcast_to(A, loose.shape[:-1] + A.shape[A.ndim - k :])[idx]
+        def pick(A: np.ndarray, idx: tuple) -> np.ndarray:  # A's last two axes at idx, broadcast over models
+            return np.broadcast_to(A, loose.shape[:-1] + A.shape[-2:])[idx]
 
-        models = NBParams(models.schema, pick(models.class_probs, 1, at[:-1]),
-                          tuple(pick(block, 2, at[:-1]) for block in models.feature_params))
-        W, zero = _weights(models, pick(self.xc, 2, at)[:, None, :])
-        phi = pick(np.swapaxes(self.phiT[..., :n, :], -1, -2), 2, at)[..., None]  # (B, n, 1): Phi(x - x)
+        W, zero, _ = _weights(NBParams(models.schema, pick(models.theta, at[:-1])), pick(self.xc, at)[:, None, :])
+        phi = pick(np.swapaxes(self.phiT[..., :n, :], -1, -2), at)[..., None]  # (B, n, 1): Phi(x - x)
         np.swapaxes(logj, -1, -2)[at] = (W[..., :n] @ phi)[..., 0]
         np.swapaxes(mask, -1, -2)[at] = (zero[..., :n].astype(np.float64) @ phi)[..., 0] > 0
 
@@ -465,7 +507,7 @@ _EVAL_CHUNK = 16
 def _stacked(models, schema: FeatureSchema) -> NBParams:
     """Models to score as one stacked NBParams: stacked already, or a list of single models."""
     if isinstance(models, NBParams):
-        if models.class_probs.ndim != 2:
+        if models.theta.ndim != 3:
             raise TypeError("a single model has no node axis to score along; pass [params] or stacked parameters")
         if models.schema != schema:
             raise ValueError("schema mismatch between model and dataset")
@@ -473,12 +515,10 @@ def _stacked(models, schema: FeatureSchema) -> NBParams:
     models = list(models)
     if any(p.schema != schema for p in models):
         raise ValueError("schema mismatch between model and dataset")
-    if not models:  # an empty stack, shaped as any other
-        r = schema.class_cardinality
-        return NBParams(schema, np.empty((0, r)),
-                        tuple(np.empty((0, r, b.stop - b.start)) for b in _feature_map(schema).blocks))
-    return NBParams(schema, np.stack([p.class_probs for p in models]),
-                    tuple(map(np.stack, zip(*(p.feature_params for p in models)))))
+    if any(p.theta.ndim != 2 for p in models):
+        raise TypeError("a list of models holds single models; pass stacked parameters by themselves")
+    r, w = schema.class_cardinality, _feature_map(schema).width
+    return NBParams(schema, np.reshape([p.theta for p in models], (-1, r, w)))
 
 
 class Scorer:
@@ -530,7 +570,7 @@ class Scorer:
         ``models`` is one stacked NBParams or a list of single models.
         """
         models = _stacked(models, self.schema)
-        (K, r), M = models.class_probs.shape, len(self.order)
+        (K, r), M = models.theta.shape[:2], len(self.order)
         wrong = np.zeros((len(self.m), K), dtype=np.int64)
         post = np.zeros(K)  # sums of the first dataset's true-class posteriors
         for lo in range(0, K, _EVAL_CHUNK):

@@ -14,7 +14,7 @@ import numpy as np
 
 from riskcal.calibration import project
 from riskcal.data import Continuous, Dataset, Discrete, FeatureSchema
-from riskcal.model import NBParams, StatsVector, param_map, prob_stat_map, stat_map_dataset
+from riskcal.model import NBParams, StatsVector, _feature_map, param_map, prob_stat_map, stat_map_dataset
 
 
 def scalar_posterior(params: NBParams, x) -> list[float]:
@@ -105,17 +105,19 @@ def rc_oracle(dataset: Dataset, lr: float, t_max: int, init: StatsVector) -> lis
     return stats
 
 
-def param_arrays(p: NBParams):
-    return [p.class_probs, *p.feature_params]
+def nb_params(schema: FeatureSchema, class_probs, blocks) -> NBParams:
+    """A model written by hand, class probabilities (..., r) and one block per feature in schema order, as theta."""
+    fm = _feature_map(schema)
+    theta = np.empty(np.shape(class_probs) + (fm.width,))
+    theta[..., 0] = class_probs
+    for sl, block in zip(fm.blocks, blocks, strict=True):
+        theta[..., sl] = block
+    return NBParams(schema, theta)
 
 
 def max_rel_dev(a: NBParams, b: NBParams) -> float:
     """Largest elementwise |a - b| / |b| over all parameters (|a - b| where b is 0)."""
-    worst = 0.0
-    for x, y in zip(param_arrays(a), param_arrays(b)):
-        denom = np.where(np.abs(y) > 0, np.abs(y), 1.0)
-        worst = max(worst, float(np.max(np.abs(x - y) / denom)))
-    return worst
+    return float(np.max(np.abs(a.theta - b.theta) / np.where(np.abs(b.theta) > 0, np.abs(b.theta), 1.0)))
 
 
 def bfs_connected(n: int, edges) -> bool:
@@ -170,4 +172,4 @@ def random_params(schema: FeatureSchema, rng: np.random.Generator) -> NBParams:
             mu = rng.uniform(-2.0, 2.0, size=r)
             var = rng.uniform(0.4, 3.0, size=r)
             blocks.append(np.column_stack([mu, var]))
-    return NBParams(schema, probs, tuple(blocks))
+    return nb_params(schema, probs, blocks)

@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import riskcal
 from conftest import scalar_posterior
 from riskcal.cli import (
     ConfigError,
@@ -301,6 +306,27 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.splitlines() == [
             "error: statistics are not all finite; feature sums overflowed or a value is nan"
         ]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a second BLAS thread needs a second core")
+def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # Classes a drifted node has not seen keep bitwise equal statistics, so their log joints tie exactly;
+    # a multithreaded GEMM may round equal weight rows differently, which must not break the tie.
+    data = tmp_path / "mixed.csv"
+    assert main(["gendata", "--kind", "mixed", "--m", "3500", "--r", "3", "--seed", "7", "--out", str(data)]) == 0
+    src = str(Path(riskcal.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        outs.append(tmp_path / f"threads{threads}")
+        subprocess.run([sys.executable, "-m", "riskcal.cli", "run", "--dataset", str(data), "--partition", "drift_xy",
+                        "--t_max", "8", "--repetitions", "2", "--outdir", str(outs[-1])],
+                       env=env, check=True, capture_output=True, timeout=300)
+    files = sorted(p.name for p in outs[0].iterdir())
+    assert files == sorted(p.name for p in outs[1].iterdir()) and len(files) == 12
+    for name in files:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_cli_outdir_env_var(tmp_path, monkeypatch):

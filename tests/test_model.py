@@ -1,6 +1,7 @@
 """Statistics maps, parameter mapping, posteriors and evaluation."""
 from __future__ import annotations
 
+import re
 import tracemalloc
 import warnings
 from math import exp
@@ -11,6 +12,7 @@ import pytest
 from conftest import (
     brute_force_prob_stats,
     mixed_schema,
+    nb_params,
     random_dataset,
     random_params,
     scalar_posterior,
@@ -76,8 +78,7 @@ feature[3].prob[3][1] feature[3].prob[3][2]
 
 def stack_params(models) -> NBParams:
     """Single models stacked on a leading node axis."""
-    return NBParams(models[0].schema, np.stack([p.class_probs for p in models]),
-                    tuple(map(np.stack, zip(*(p.feature_params for p in models)))))
+    return NBParams(models[0].schema, np.stack([p.theta for p in models]))
 
 
 def test_stats_layout_length():
@@ -153,13 +154,10 @@ def test_param_map_hand_values():
     s.feature_block(0)[:] = [[2.0, 6.0, 8.0], [4.0, 4.0, 8.0]]
     s.feature_block(1)[:] = [[12.0, 26.0], [0.0, 8.0]]
     p = param_map(s)
-    assert list(p.class_probs) == [0.5, 0.5]
-    assert np.allclose(p.feature_params[0][0], [0.125, 0.375, 0.5], rtol=0, atol=0)
-    # mu = 12/8, var = 26/8 - 1.5^2 = 1.0
-    assert p.feature_params[1][0, 0] == 1.5
-    assert p.feature_params[1][0, 1] == 1.0
-    assert p.feature_params[1][1, 0] == 0.0
-    assert p.feature_params[1][1, 1] == 1.0
+    # theta takes the statistics' columns: class probability, 3 cells, mu = 12/8 and var = 26/8 - 1.5^2 = 1.0
+    assert np.array_equal(p.theta, [[0.5, 0.125, 0.375, 0.5, 1.5, 1.0], [0.5, 0.25, 0.25, 0.5, 0.0, 1.0]])
+    assert np.array_equal(p.class_probs, [0.5, 0.5]) and np.array_equal(p.feature_params[1], [[1.5, 1.0], [0.0, 1.0]])
+    assert all(np.shares_memory(view, p.theta) for view in (p.class_probs, *p.feature_params))
 
 
 def test_param_map_floors_variance():
@@ -199,12 +197,7 @@ def test_param_map_scaling_invariance():
     s = stat_map_dataset(ds)
     base = param_map(s)
     for c in (2.0, 1.0 / 3.0, 1000.0):
-        scaled = param_map(c * s)
-        for a, b in zip(
-            [scaled.class_probs, *scaled.feature_params],
-            [base.class_probs, *base.feature_params],
-        ):
-            assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
+        assert np.allclose(param_map(c * s).theta, base.theta, rtol=1e-12, atol=1e-15)
 
 
 def test_uniform_init_values_and_homogeneity():
@@ -236,12 +229,21 @@ def test_uniform_init_posterior_uniform():
         assert np.max(np.abs(P - 1.0 / r)) < 1e-12
 
 
+def test_parameters_that_do_not_fit_their_schema_are_refused():
+    # theta holds per class row the class probability, 3 cells and a (mean, variance) pair: (2, 6)
+    schema = FeatureSchema((Continuous(), Discrete(3)), 2)
+    assert NBParams(schema, np.full((4, 2, 6), 0.5)).theta.shape == (4, 2, 6)
+    for shape in [(2, 5), (2, 7), (3, 6), (6,), (12,), (4, 2, 5)]:
+        with pytest.raises(ValueError, match=re.escape(f"expected parameters of shape (..., 2, 6), got {shape}")):
+            NBParams(schema, np.full(shape, 0.5))
+    with pytest.raises(ValueError):  # one block for two features
+        nb_params(schema, np.array([0.5, 0.5]), (np.array([[0.0, 1.0], [0.0, 1.0]]),))
+
+
 def test_posterior_frozen_two_gaussians():
     # priors 1/2, mu = -1 and +1, var = 1, x = 1: p(class 2) = 1/(1+e^-2)
     schema = FeatureSchema((Continuous(),), 2)
-    params = NBParams(
-        schema, np.array([0.5, 0.5]), (np.array([[-1.0, 1.0], [1.0, 1.0]]),)
-    )
+    params = nb_params(schema, np.array([0.5, 0.5]), (np.array([[-1.0, 1.0], [1.0, 1.0]]),))
     p = posterior(params, [1.0])
     expected = 1.0 / (1.0 + exp(-2.0))
     assert expected == 0.8807970779778823
@@ -262,7 +264,7 @@ def test_posterior_matches_scalar_oracle():
 
 def test_posterior_normalized_and_finite_in_far_tail():
     schema = FeatureSchema((Continuous(),), 2)
-    params = NBParams(schema, np.array([0.5, 0.5]), (np.array([[-1.0, 1.0], [1.0, 1.0]]),))
+    params = nb_params(schema, np.array([0.5, 0.5]), (np.array([[-1.0, 1.0], [1.0, 1.0]]),))
     P = posterior_matrix(params, [[1e3], [-1e3], [0.0]])
     assert np.all(np.isfinite(P))
     assert np.allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -273,9 +275,7 @@ def test_posterior_normalized_and_finite_in_far_tail():
 def test_posterior_exact_zero_probability():
     # a categorical zero must zero the posterior exactly, not approximately
     schema = FeatureSchema((Discrete(2),), 2)
-    params = NBParams(
-        schema, np.array([0.5, 0.5]), (np.array([[1.0, 0.0], [0.5, 0.5]]),)
-    )
+    params = nb_params(schema, np.array([0.5, 0.5]), (np.array([[1.0, 0.0], [0.5, 0.5]]),))
     p = posterior(params, [2])
     assert p[0] == 0.0 and p[1] == 1.0
 
@@ -283,7 +283,7 @@ def test_posterior_exact_zero_probability():
 def test_predict_tie_breaks_to_lowest_class():
     schema = FeatureSchema((Discrete(2),), 3)
     table = np.full((3, 2), 0.5)
-    params = NBParams(schema, np.array([1 / 3, 1 / 3, 1 / 3]), (table,))
+    params = nb_params(schema, np.array([1 / 3, 1 / 3, 1 / 3]), (table,))
     assert predict(params, [1]) == 1
     assert list(predict_matrix(params, [[1], [2]])) == [1, 1]
 
@@ -331,7 +331,7 @@ def wide_class_model(schema, rng):
     params = random_params(schema, rng)
     blocks = list(params.feature_params)
     blocks[0] = np.array([blocks[0][0], [0.0, 1e18]])
-    return NBParams(schema, params.class_probs, tuple(blocks))
+    return nb_params(schema, params.class_probs, blocks)
 
 
 @pytest.mark.parametrize("outlier", [1e6, 1e8, 1e9])
@@ -361,7 +361,7 @@ def test_rows_whose_shifted_square_overflows_are_formed_again():
     # Validation admits |x| <= sqrt(max).  One row at a = 0.9 sqrt(max) and nine at -a have the mean
     # c = -0.8 a, so (x - c)^2 overflows for the first row, though every (x - mu)^2 is finite.
     schema = FeatureSchema((Continuous(),), 2)
-    params = NBParams(schema, np.array([0.4, 0.6]), (np.array([[0.0, 1e306], [0.0, 1.2e306]]),))
+    params = nb_params(schema, np.array([0.4, 0.6]), (np.array([[0.0, 1e306], [0.0, 1.2e306]]),))
     a = 0.9 * np.sqrt(np.finfo(np.float64).max)
     ds = Dataset(schema, np.array([[a]] + [[-a]] * 9), np.array([1, 2] * 5))
     with warnings.catch_warnings():
@@ -380,7 +380,7 @@ def test_rows_whose_shifted_square_overflows_are_formed_again():
 def test_prob_stat_map_point_mass_equals_labelled_stats():
     # when the model is certain, expected statistics equal labelled ones
     schema = FeatureSchema((Continuous(),), 2)
-    params = NBParams(schema, np.array([0.5, 0.5]), (np.array([[-50.0, 1.0], [50.0, 1.0]]),))
+    params = nb_params(schema, np.array([0.5, 0.5]), (np.array([[-50.0, 1.0], [50.0, 1.0]]),))
     X = np.array([[-50.0], [50.0], [-49.0]])
     labels = predict_matrix(params, X)
     ds = Dataset(schema, X, labels)
@@ -420,10 +420,8 @@ def test_evaluate_many_matches_singles_across_chunks():
     assert len(stacked) == 130 and len(stacked[60:70]) == 10
     for k in (0, 64, 129):
         view = stacked[k]
-        assert np.shares_memory(view.class_probs, stacked.class_probs)
-        for got, want in zip([view.class_probs, *view.feature_params],
-                             [models[k].class_probs, *models[k].feature_params]):
-            assert np.array_equal(got, want)
+        assert np.shares_memory(view.theta, stacked.theta)
+        assert np.array_equal(view.theta, models[k].theta)
     got01, got_soft = evaluate_many(stacked, ds)
     assert np.array_equal(got01, err01) and np.array_equal(got_soft, soft)
     with pytest.raises(TypeError):
@@ -450,7 +448,7 @@ def test_evaluate_many_ties_and_zero_probabilities_against_oracle():
         classes = [(zeroed, positive, zeroed), (positive, zeroed, zeroed),
                    (zeroed, zeroed, positive), (positive,) * 3][k % 4]
         w = np.array([c[0] for c in classes])
-        models.append(NBParams(schema, w / w.sum(), tuple(np.array([c[i] for c in classes]) for i in (1, 2, 3))))
+        models.append(nb_params(schema, w / w.sum(), tuple(np.array([c[i] for c in classes]) for i in (1, 2, 3))))
     wrong, soft_sum = np.zeros(len(models)), np.zeros(len(models))
     ties = zeros = 0
     for k, params in enumerate(models):
@@ -498,7 +496,7 @@ def affine_models(schema, count, rng, scale, shift):
         if k % 5 == 0:
             w[(k + 1) % (r + 1) % r] = 0.0
         blocks = tuple(np.array([c[1][i] for c in classes]) for i in range(schema.d))
-        models.append(NBParams(schema, w / w.sum(), blocks))
+        models.append(nb_params(schema, w / w.sum(), blocks))
     return models
 
 
@@ -618,14 +616,15 @@ def gemm_reference(models, datasets):
     1 - exp(L_y - top) / sum_c exp(L_c - top) on the first dataset.  Also
     counts the rows whose top classes tie.
     """
-    fm, (K, r) = _feature_map(models.schema), models.class_probs.shape
+    fm, (K, r) = _feature_map(models.schema), models.theta.shape[:2]
     X = np.concatenate([ds.X for ds in datasets])
     y0 = np.concatenate([ds.y for ds in datasets]) - 1
     c = X[:, fm.cont].mean(axis=0)
     phiT = np.ascontiguousarray(fm.phi(X, c).T)
     L = np.empty((K, r, len(X)))
     for lo in range(0, K, _EVAL_CHUNK):
-        W, zero = (A.reshape(-1, A.shape[-1]) for A in _weights(models[lo : lo + _EVAL_CHUNK], c))
+        W, zero, _ = _weights(models[lo : lo + _EVAL_CHUNK], c)
+        W, zero = W.reshape(-1, W.shape[-1]), zero.reshape(-1, W.shape[-1])
         chunk = W @ phiT
         chunk[zero.astype(np.float64) @ phiT > 0] = -np.inf
         L[lo : lo + _EVAL_CHUNK] = chunk.reshape(-1, r, len(X))
@@ -678,7 +677,7 @@ def test_a_true_class_far_below_another_scores_soft_error_one(r):
     # Means -5, 5 (and 0), variance 0.01: a row at another class's mean has a log joint at least
     # 1250 below it, so exp(L_c - L_y) overflows to inf: posterior 0, with no RuntimeWarning.
     schema = FeatureSchema((Continuous(),), r)
-    params = NBParams(schema, np.full(r, 1.0 / r), (np.column_stack([[-5.0, 5.0, 0.0][:r], np.full(r, 0.01)]),))
+    params = nb_params(schema, np.full(r, 1.0 / r), (np.column_stack([[-5.0, 5.0, 0.0][:r], np.full(r, 0.01)]),))
     far = Dataset(schema, np.array([[5.0], [-5.0]]), np.array([1, 2]))  # each row at the other class's mean
     near = Dataset(schema, np.array([[-5.0], [5.0]]), np.array([1, 2]))
     mixed = Dataset(schema, np.array([[5.0], [5.0]]), np.array([1, 2]))  # one far row, one near row
@@ -697,14 +696,14 @@ def test_a_log_joint_overflowing_in_the_gemm_scores_as_a_zero_probability():
     # (variance 1e-6) with no zero weight, and is finite under class 3.  Such a class loses, and a row
     # where every class overflows is refused.
     schema = FeatureSchema((Continuous(),), 3)
-    params = NBParams(schema, np.full(3, 1.0 / 3), (np.array([[0.0, 1e-6], [0.0, 1e-6], [0.0, 1.0]]),))
+    params = nb_params(schema, np.full(3, 1.0 / 3), (np.array([[0.0, 1e-6], [0.0, 1e-6], [0.0, 1.0]]),))
     train = Dataset(schema, np.array([[-1.0], [1e153], [0.5]]), np.array([2, 1, 3]))
     test = Dataset(schema, np.array([[-1e153], [1.0], [-1.0]]), np.array([3, 3, 2]))
     with warnings.catch_warnings(), np.errstate(over="ignore"):  # the GEMM's overflow warns
         warnings.simplefilter("error")
         want01, want_soft, _ = gemm_reference(stack_params([params]), [train, test])
         err01, soft = Scorer([train, test])([params])
-        narrow = NBParams(schema, params.class_probs, (np.array([[0.0, 1e-6]] * 3),))
+        narrow = nb_params(schema, params.class_probs, (np.array([[0.0, 1e-6]] * 3),))
         with pytest.raises(ValueError, match="row 1 has probability zero under every class of model 1;"):
             Scorer([train, test])([params, narrow])
     assert np.array_equal(err01, want01) and np.array_equal(err01, [[2 / 3], [1 / 3]])
@@ -737,9 +736,9 @@ def test_refusal_names_the_lowest_impossible_table_row_after_grouping():
     # Cell 2 has probability zero in both classes.  Impossible rows 1 (class 2) and 2 (class 1):
     # grouped by class, row 2's column comes first, but row 1 is named.
     schema = FeatureSchema((Discrete(2), Continuous()), 2)
-    params = NBParams(schema, np.array([0.5, 0.5]),
+    params = nb_params(schema, np.array([0.5, 0.5]),
                       (np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 1.0]])))
-    ok = NBParams(schema, params.class_probs, (np.full((2, 2), 0.5), params.feature_params[1]))
+    ok = nb_params(schema, params.class_probs, (np.full((2, 2), 0.5), params.feature_params[1]))
     X, y = np.array([[1.0, 0.3], [2.0, 0.1], [2.0, 0.0], [1.0, -0.2]]), np.array([1, 2, 1, 2])
     ds, train = Dataset(schema, X, y), Dataset(schema, X[[0, 3]], y[[0, 3]])
     with pytest.raises(ValueError, match="row 1 has probability zero under every class of model 0;"):
@@ -755,14 +754,14 @@ def test_refusal_names_the_lowest_impossible_table_row_after_grouping():
 def test_instance_impossible_under_every_class_is_refused():
     # Cell 2 of the discrete feature has probability zero in both classes.
     schema = FeatureSchema((Discrete(2), Continuous()), 2)
-    params = NBParams(schema, np.array([0.5, 0.5]),
+    params = nb_params(schema, np.array([0.5, 0.5]),
                       (np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 1.0]])))
     X = np.array([[1.0, 0.3], [1.0, -0.2], [2.0, 0.1], [2.0, 0.0]])
     ds = Dataset(schema, X, np.array([1, 2, 1, 2]))
     with pytest.raises(ValueError, match="row 2 has probability zero under every class of model 0"):
         evaluate_many([params], ds)
     # Models are numbered in the whole stack, not within their chunk.
-    ok = NBParams(schema, params.class_probs, (np.full((2, 2), 0.5), params.feature_params[1]))
+    ok = nb_params(schema, params.class_probs, (np.full((2, 2), 0.5), params.feature_params[1]))
     with pytest.raises(ValueError, match=f"row 2 has probability zero under every class of model {2 * _EVAL_CHUNK};"):
         evaluate_many([ok] * (2 * _EVAL_CHUNK) + [params], ds)
     # Test rows are numbered after the train rows, by a one-shot and by a reused scorer.
@@ -798,6 +797,8 @@ def test_evaluate_many_takes_an_empty_list_and_refuses_a_single_model():
         assert err01.shape == soft.shape == (0,)
     with pytest.raises(TypeError, match=r"pass \[params\] or stacked parameters"):
         evaluate_many(params, ds)
+    with pytest.raises(TypeError, match="a list of models holds single models"):
+        evaluate_many([params, stack_params([params, params])], ds)  # not three models
 
 
 def test_a_stacked_dataset_is_refused_by_the_scorers():
@@ -842,8 +843,7 @@ def test_leading_node_axis_matches_per_node_calls():
         assert np.array_equal(stats.feature_block(1)[v], single.feature_block(1))
         np.testing.assert_allclose(labelled.values[v], stat_map_dataset(ds).values, rtol=1e-13)
         p = param_map(single)
-        for got, want in zip([params.class_probs, *params.feature_params], [p.class_probs, *p.feature_params]):
-            np.testing.assert_allclose(got[v], want, rtol=1e-13)
+        np.testing.assert_allclose(params.theta[v], p.theta, rtol=1e-13)
         np.testing.assert_allclose(expected.values[v], prob_stat_map(ds.X, p).values, rtol=1e-13)
 
 

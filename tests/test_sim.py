@@ -4,12 +4,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import max_rel_dev, mixed_schema, random_dataset, rc_oracle
+from conftest import max_rel_dev, mixed_schema, nb_params, random_dataset, rc_oracle
 from riskcal.calibration import lrc
 from riskcal.data import Continuous, Dataset, FeatureSchema
 from riskcal.model import (
     COUNT_FLOOR,
-    NBParams,
     Scorer,
     StatsVector,
     _feature_map,
@@ -313,7 +312,7 @@ def test_evaluate_round_hand_example():
     ds = Dataset(schema, X, y)
 
     # node 1's model always predicts class 1, node 2's classifies by the feature
-    params = NBParams(
+    params = nb_params(
         schema,
         np.array([[0.9, 0.1], [0.5, 0.5]]),
         (np.array([[[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [5.0, 1.0]]]),),
