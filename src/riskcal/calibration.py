@@ -42,7 +42,7 @@ def project(stats: StatsVector) -> StatsVector:
     of at least one instance per class.
     """
     fm = _feature_map(stats.schema)
-    S = stats.rows.copy()
+    S = stats.values.copy()
     counts = S[..., : fm.moments]  # class masses and one-hot cells
     np.maximum(counts, COUNT_FLOOR, out=counts)
     s0, s = S[..., :1], fm.pairs(S)  # s holds (s1, s2) pairs
@@ -50,7 +50,7 @@ def project(stats: StatsVector) -> StatsVector:
     # where s2 did not; the inf it leaves is refused by param_map.
     with np.errstate(over="ignore"):
         np.maximum(s[..., 1], s0 * VAR_FLOOR + s[..., 0] ** 2 / s0, out=s[..., 1])
-    return StatsVector(stats.schema, S.reshape(stats.values.shape))
+    return StatsVector(stats.schema, S)
 
 
 class LocalStep:
@@ -82,7 +82,7 @@ def lrc(agg_stats: StatsVector, local_dataset: Dataset | LocalStep, iterations: 
     conserved and acts as the inertia that turns aggregate mass into an
     effective local learning rate.  Returns the calibrated statistics;
     ``param_map`` of them is the calibrated model.  Stacked statistics
-    (n, len) and a stacked dataset (see Dataset) calibrate n nodes at once.
+    (n, r, w) and a stacked dataset (see Dataset) calibrate n nodes at once.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -120,6 +120,8 @@ def rc(dataset: Dataset, lr: float, t_max: int, init: StatsVector) -> NBParams:
         raise ValueError("rc calibrates on one pooled dataset, not a stacked one: pass global_sample(dataset, plan)")
     if init.schema != dataset.schema:
         raise ValueError("schema mismatch")
+    if init.values.ndim != 2:
+        raise ValueError(f"rc starts from one node's statistics (r, w), got {init.values.shape}; index one node: S[v]")
     local = LocalStep(dataset)
     stats = [StatsVector(init.schema, project(init).values / lr)]
     current = project(stats[0])

@@ -8,10 +8,10 @@ instances of the per-class feature row
 (each group in schema order) placed in the instance's class row, so
 labelled data and posterior weighted data both give the (r, w) matrix
 P^T Phi(X), with P the (m, r) one-hot labels or posteriors.  That
-matrix, raveled row-major, is the statistics vector: each class row
-holds the class mass, the joint counts of every discrete cell and the
-sums of x and x^2 of every continuous feature; its class mass is the
-s0 of those moments.  Counts and moments each fill one run of columns.
+matrix is the statistics table: each class row holds the class mass,
+the joint counts of every discrete cell and the sums of x and x^2 of
+every continuous feature; its class mass is the s0 of those moments.
+Counts and moments each fill one run of columns.
 
 One cached map per schema fixes the columns of Phi and their names.
 Statistics compose by plain addition and scalar multiplication, which
@@ -45,8 +45,9 @@ softmax over the r class rows, P^T itself, ready for P^T Phi; zero
 probabilities yield exact 0/1 posteriors, and an instance impossible
 under every class is refused.
 
-Every mapping also takes a leading node axis (statistics (n, len),
-datasets X (n, m, d)), so one node and n same-size nodes share one code path.
+Every mapping also takes a leading node axis (statistics and parameters
+(n, r, w), datasets X (n, m, d)), so one node and n same-size nodes share
+one code path.
 """
 from __future__ import annotations
 
@@ -139,42 +140,39 @@ class _FeatureMap:
 _feature_map = lru_cache(maxsize=None)(_FeatureMap)
 
 
-def stats_length(schema: FeatureSchema) -> int:
-    return schema.class_cardinality * _feature_map(schema).width
+def _table(schema: FeatureSchema, A, what: str) -> np.ndarray:
+    """A as a float64 (..., r, w) table in the columns of Phi, or refused."""
+    A = np.asarray(A, dtype=np.float64)
+    want = (schema.class_cardinality, _feature_map(schema).width)
+    if A.shape[-2:] != want:
+        raise ValueError(f"expected {what} of shape (..., {want[0]}, {want[1]}), got {A.shape}")
+    return A
 
 
 @dataclass
 class StatsVector:
     """Additive statistics P^T Phi for one schema.
 
-    ``values`` is the (r, w) matrix P^T Phi raveled row-major into a
-    float64 vector: class 1's row, then class 2's.  An optional leading
-    node axis, ``values`` of shape (n, len), holds one vector per node.
-    ``rows`` and the block accessors return writable views into it.
+    ``values`` is the float64 (r, w) matrix P^T Phi itself: one row per
+    class, in the columns of Phi.  An optional leading node axis,
+    ``values`` of shape (n, r, w), holds one table per node.  The block
+    accessors return writable views into it.
     """
 
     schema: FeatureSchema
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape[-1:] != (stats_length(self.schema),):
-            raise ValueError(f"expected {stats_length(self.schema)} components, got {v.shape}")
-        self.values = v
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The (..., r, w) matrix P^T Phi: one row per class."""
-        return self.values.reshape(self.values.shape[:-1] + (self.schema.class_cardinality, -1))
+        self.values = _table(self.schema, self.values, "statistics")
 
     @property
     def class_block(self) -> np.ndarray:
         """Class masses (..., r), the constant column; the s0 of every moment."""
-        return self.rows[..., 0]
+        return self.values[..., 0]
 
     def feature_block(self, i: int) -> np.ndarray:
         """Feature i's (..., r, c) cell counts, or (..., r, 2) sums of x and x^2."""
-        return self.rows[..., _feature_map(self.schema).blocks[i]]
+        return self.values[..., _feature_map(self.schema).blocks[i]]
 
     @property
     def ess(self) -> float:
@@ -187,7 +185,7 @@ class StatsVector:
 
     def _check_schema(self, other: "StatsVector") -> None:
         if self.schema != other.schema:
-            raise ValueError("schema mismatch between statistics vectors")
+            raise ValueError("schema mismatch between statistics")
 
     def __add__(self, other: "StatsVector") -> "StatsVector":
         self._check_schema(other)
@@ -204,16 +202,16 @@ class StatsVector:
 
     def to_text(self) -> str:
         """Full-precision key/value dump, one component per line, in storage order."""
-        if self.values.ndim != 1:
+        if self.values.ndim != 2:
             raise TypeError("to_text dumps one node's statistics; index one node first: S[v]")
         names = _feature_map(self.schema).names
         lines = [f"ess = {self.ess!r}"]
-        lines += [f"{name} = {float(v)!r}" for name, v in zip(names, self.values)]
+        lines += [f"{name} = {float(v)!r}" for name, v in zip(names, self.values.ravel())]
         return "\n".join(lines) + "\n"
 
 
 def zero_stats(schema: FeatureSchema) -> StatsVector:
-    return StatsVector(schema, np.zeros(stats_length(schema)))
+    return StatsVector(schema, np.zeros((schema.class_cardinality, _feature_map(schema).width)))
 
 
 @dataclass
@@ -233,11 +231,7 @@ class NBParams:
     theta: np.ndarray
 
     def __post_init__(self) -> None:
-        theta = np.asarray(self.theta, dtype=np.float64)
-        want = (self.schema.class_cardinality, _feature_map(self.schema).width)
-        if theta.shape[-2:] != want:
-            raise ValueError(f"expected parameters of shape (..., {want[0]}, {want[1]}), got {theta.shape}")
-        self.theta = theta
+        self.theta = _table(self.schema, self.theta, "parameters")
 
     @property
     def class_probs(self) -> np.ndarray:
@@ -272,7 +266,7 @@ def _accumulate(schema: FeatureSchema, PT: np.ndarray, phi: np.ndarray) -> Stats
         S = PT @ phi
     if not np.isfinite(S).all():
         raise ValueError(_NOT_FINITE)
-    return StatsVector(schema, S.reshape(S.shape[:-2] + (-1,)))
+    return StatsVector(schema, S)
 
 
 def stat_map_instance(x, y: int, schema: FeatureSchema) -> StatsVector:
@@ -368,7 +362,7 @@ def param_map(stats: StatsVector) -> NBParams:
     included, at least COUNT_FLOOR.  Variances are floored at VAR_FLOOR.
     """
     fm = _feature_map(stats.schema)
-    S = stats.rows
+    S = stats.values
     if not np.isfinite(S).all():
         raise ValueError(_NOT_FINITE)
     if S[..., : fm.moments].min() < COUNT_FLOOR:
@@ -399,7 +393,7 @@ def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
     if not 0 < m0 < inf:
         raise ValueError(f"initial mass must be positive and finite, got {m0}")
     r = schema.class_cardinality
-    return StatsVector(schema, np.tile((m0 / r) * _feature_map(schema).base, r))
+    return StatsVector(schema, np.tile((m0 / r) * _feature_map(schema).base, (r, 1)))
 
 
 # The product is trusted where the magnitudes of its terms sum to at most this many times 1 + |L|.

@@ -5,7 +5,7 @@ round is, for every node simultaneously: average the statistics of the
 neighborhood as of the previous round (synchronous barrier), then
 calibrate the average against the node's local data.  The network is
 arrays: its data a stacked Dataset (for uneven local sizes, one stack
-per size group), its state one (n, len) array of statistics and its
+per size group), its state one (n, r, w) array of statistics and its
 result those statistics with their ``param_map``.  A round is one
 neighborhood average of the whole array plus one ``lrc`` call per size
 group, against the group's ``LocalStep``, built once per run.  The loop
@@ -19,7 +19,7 @@ and ``ml`` on the pooled sample, are plain calls into ``calibration``.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import nan
 
 import numpy as np
@@ -39,20 +39,6 @@ def m0_heuristic(m: float, lr: float, n: int) -> float:
     if not m > 0 or not lr > 0 or n < 1:
         raise ValueError(f"need m > 0, lr > 0, n >= 1, got m={m}, lr={lr}, n={n}")
     return m / (lr * n)
-
-
-METRICS_COLUMNS = (
-    "t",
-    "train_err_mean",
-    "train_err_std",
-    "test_err_mean",
-    "test_err_std",
-    "soft_train_mean",
-    "rc_train_err",
-    "rc_test_err",
-    "train_gap",
-    "test_gap",
-)
 
 
 @dataclass
@@ -79,6 +65,10 @@ class RoundMetrics:
 
     def as_row(self) -> list:
         return [getattr(self, c) for c in METRICS_COLUMNS]
+
+
+# The metrics CSV columns: every field but the per-node tuples.
+METRICS_COLUMNS = tuple(f.name for f in fields(RoundMetrics) if not f.name.startswith("node_"))
 
 
 def write_metrics_csv(metrics, path) -> None:
@@ -127,7 +117,7 @@ class CRCResult:
 
 
 def _average(S: np.ndarray, graph: Graph, neighborhood: str) -> np.ndarray:
-    """Neighborhood means of the node rows of S, neighbors summed in increasing id order."""
+    """Neighborhood means of the node tables S[v - 1], neighbors summed in increasing id order."""
     u, v = graph.pairs.T - 1
     total, degree = np.zeros_like(S), np.bincount(np.r_[u, v], minlength=graph.n)
     np.add.at(total, v, S[u])  # lower neighbors: edges are sorted by (u, v)
@@ -137,7 +127,7 @@ def _average(S: np.ndarray, graph: Graph, neighborhood: str) -> np.ndarray:
     np.add.at(total, u, S[v])  # higher neighbors
     for lonely in np.flatnonzero(degree == 0)[:1]:
         raise ValueError(f"node {lonely + 1} has no neighbors; open aggregation is undefined")
-    return total / degree[:, None]
+    return total / degree[:, None, None]
 
 
 def _stack_by_size(local_datasets: list[Dataset]) -> tuple[list[np.ndarray], list[Dataset]]:
@@ -171,9 +161,9 @@ def run_crc(
     in size.  ``schedule`` provides the (possibly rewired) communication
     graph; ``rng`` drives its randomness.  ``on_round(t, aggregate,
     stats)``, when given, is called after round t's local step with two
-    stacked (n, len) ``StatsVector``s: the neighborhood averages the
-    nodes calibrated from and their calibrated statistics, row v - 1
-    node v's.  Both arrays are fresh each round, so a callback may keep
+    stacked (n, r, w) ``StatsVector``s: the neighborhood averages the
+    nodes calibrated from and their calibrated statistics, node v's
+    table at index v - 1.  Both arrays are fresh each round, so a callback may keep
     them.  ``workers`` is checked but otherwise ignored: a round is
     whole-network array operations, not per-node tasks.
     """
@@ -200,7 +190,7 @@ def run_crc(
     graph = schedule.initial(n, rng)
     schema = stacks[0].schema
     steps = [LocalStep(ds) for ds in stacks]
-    S = np.tile(uniform_init(schema, m0).values, (n, 1))  # (n, len), node v in row v - 1
+    S = np.tile(uniform_init(schema, m0).values, (n, 1, 1))  # (n, r, w), node v's table at S[v - 1]
 
     for t in range(1, t_max + 1):
         graph = rewire(schedule, t, graph, rng)

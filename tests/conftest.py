@@ -14,7 +14,7 @@ import numpy as np
 
 from riskcal.calibration import project
 from riskcal.data import Continuous, Dataset, Discrete, FeatureSchema
-from riskcal.model import NBParams, StatsVector, _feature_map, param_map, prob_stat_map, stat_map_dataset
+from riskcal.model import NBParams, StatsVector, _feature_map, param_map, prob_stat_map, stat_map_dataset, zero_stats
 
 
 def scalar_posterior(params: NBParams, x) -> list[float]:
@@ -57,16 +57,17 @@ def brute_force_prob_stats(params: NBParams, X, exact: bool) -> np.ndarray:
     its own column offsets (class mass, then every discrete feature's
     cells, then every continuous feature's (x, x^2) pair), but computes
     every weight independently: exact Fractions for discrete-only schemas,
-    scalar floats otherwise.  Returns the flat vector as float64.
+    scalar floats otherwise.  Returns the flat vector as float64, to
+    compare with the statistics' ``values.ravel()``.
     """
     schema = params.schema
     r = schema.class_cardinality
-    from riskcal.model import stats_length
+    size = zero_stats(schema).values.size
 
     if exact:
-        acc: list = [Fraction(0)] * stats_length(schema)
+        acc: list = [Fraction(0)] * size
     else:
-        acc = [0.0] * stats_length(schema)
+        acc = [0.0] * size
     starts = {}
     w = 1  # column 0 is the class mass
     for discrete in (True, False):
@@ -74,7 +75,7 @@ def brute_force_prob_stats(params: NBParams, X, exact: bool) -> np.ndarray:
             if isinstance(spec, Discrete) == discrete:
                 starts[i] = w
                 w += spec.cardinality if discrete else 2
-    assert r * w == stats_length(schema)
+    assert r * w == size
     for row in np.asarray(X, dtype=np.float64):
         post = fraction_posterior(params, row) if exact else scalar_posterior(params, row)
         for yi in range(r):

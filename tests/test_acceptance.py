@@ -371,7 +371,7 @@ def test_criterion_07_posterior_and_mapping_correctness():
         params = random_params(schema, rng)
         X = probe(schema, int(rng.integers(5, 21)))
         expect = brute_force_prob_stats(params, X, exact=True)
-        got = prob_stat_map(X, params).values
+        got = prob_stat_map(X, params).values.ravel()
         worst_brute = max(worst_brute, float(np.max(np.abs(got - expect))))
 
     ok = worst_norm < 1e-12 and worst_scale < 1e-12 and worst_brute < 1e-12

@@ -125,7 +125,7 @@ def test_rc_replays_the_update_at_rate_lr(kind, lr):
     for t, stats in enumerate(oracle):
         want = param_map(stats)
         # premise: no floor fires
-        assert stats.rows[..., :counts].min() > COUNT_FLOOR
+        assert stats.values[..., :counts].min() > COUNT_FLOOR
         assert all(block[..., 1].min() > 2 * VAR_FLOOR for block, spec in
                    zip(want.feature_params, ds.schema.features) if isinstance(spec, Continuous))
         assert max_rel_dev(models[t], want) < 1e-9
@@ -243,6 +243,27 @@ def test_rc_validates_arguments():
     huge = Dataset(FeatureSchema((Continuous(),), 2), np.full((400, 1), 1e153), np.repeat([1, 2], 200))
     with pytest.raises(ValueError, match="not all finite"):
         rc(huge, 0.05, 3, uniform_init(huge.schema, 400.0))
+
+
+def test_rc_refuses_stacked_statistics():
+    # Stacked statistics would broadcast into a 4-d model stack that nothing can score or index.
+    ds = gaussian_blobs(200, rng=np.random.default_rng(9))
+    u = uniform_init(ds.schema, 10.0).values
+    with pytest.raises(ValueError, match=r"one node's statistics \(r, w\), got \(2, 2, 5\); index one node"):
+        rc(ds, 0.1, 3, StatsVector(ds.schema, np.stack([u, 2 * u])))
+
+
+def test_models_take_their_statistics_shape():
+    # theta lies in the statistics' own (..., r, w) table: one node, a stack of nodes, rc's iterates.
+    rng = np.random.default_rng(10)
+    ds = random_dataset(mixed_schema(3), 40, rng)
+    one = project(stat_map_dataset(ds))
+    stack = StatsVector(ds.schema, np.stack([one.values, 2 * one.values, 3 * one.values]))
+    for s in (one, stack):
+        assert param_map(s).theta.shape == s.values.shape == (*s.values.shape[:-2], 3, _feature_map(ds.schema).width)
+    init = uniform_init(ds.schema, 40.0)
+    iterates = StatsVector(ds.schema, np.stack([s.values for s in rc_oracle(ds, 0.1, 4, init)]))
+    assert rc(ds, 0.1, 4, init).theta.shape == param_map(iterates).theta.shape == iterates.values.shape
 
 
 def test_rc_trace_csv(tmp_path):

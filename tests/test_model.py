@@ -38,7 +38,6 @@ from riskcal.model import (
     prob_stat_map,
     stat_map_dataset,
     stat_map_instance,
-    stats_length,
     uniform_init,
     zero_stats,
 )
@@ -83,7 +82,7 @@ def stack_params(models) -> NBParams:
 
 def test_stats_layout_length():
     # two class rows of: class mass, 3 cells, sums of x and x^2
-    assert stats_length(TINY_SCHEMA) == 2 * (1 + 3 + 2)
+    assert zero_stats(TINY_SCHEMA).values.shape == (2, 1 + 3 + 2)
 
 
 def test_stat_map_instance_hand_values():
@@ -95,8 +94,8 @@ def test_stat_map_instance_hand_values():
     cont = s.feature_block(1)
     assert list(cont[1]) == [0.5, 0.25]
     assert list(cont[0]) == [0.0, 0.0]
-    assert list(s.rows[1]) == [1.0, 0.0, 1.0, 0.0, 0.5, 0.25]  # class 2's row is Phi(x)
-    assert list(s.rows[0]) == [0.0] * 6
+    assert list(s.values[1]) == [1.0, 0.0, 1.0, 0.0, 0.5, 0.25]  # class 2's row is Phi(x)
+    assert list(s.values[0]) == [0.0] * 6
 
 
 def test_stat_map_instance_validates():
@@ -136,14 +135,14 @@ def test_stat_map_dataset_empty_rejected():
 
 def test_stats_vector_arithmetic_and_views():
     rng = np.random.default_rng(2)
-    s = StatsVector(TINY_SCHEMA, rng.uniform(1, 2, stats_length(TINY_SCHEMA)))
-    t = StatsVector(TINY_SCHEMA, rng.uniform(1, 2, stats_length(TINY_SCHEMA)))
+    s = StatsVector(TINY_SCHEMA, rng.uniform(1, 2, (2, 6)))
+    t = StatsVector(TINY_SCHEMA, rng.uniform(1, 2, (2, 6)))
     assert np.array_equal((s + t).values, s.values + t.values)
     assert np.array_equal((s - t).values, s.values - t.values)
     assert np.array_equal((2.0 * s).values, 2.0 * s.values)
     s.feature_block(0)[0, 0] = 99.0  # views write through
     assert 99.0 in s.values
-    other = StatsVector(FeatureSchema((Discrete(2),), 2), np.ones(2 + 4))
+    other = StatsVector(FeatureSchema((Discrete(2),), 2), np.ones((2, 3)))
     with pytest.raises(ValueError, match="schema mismatch"):
         s + other
 
@@ -230,12 +229,15 @@ def test_uniform_init_posterior_uniform():
 
 
 def test_parameters_that_do_not_fit_their_schema_are_refused():
-    # theta holds per class row the class probability, 3 cells and a (mean, variance) pair: (2, 6)
+    # theta holds per class row the class probability, 3 cells and a (mean, variance) pair: (2, 6).
+    # Statistics are the same table and are checked alike: a raveled vector or one class row is refused.
     schema = FeatureSchema((Continuous(), Discrete(3)), 2)
     assert NBParams(schema, np.full((4, 2, 6), 0.5)).theta.shape == (4, 2, 6)
-    for shape in [(2, 5), (2, 7), (3, 6), (6,), (12,), (4, 2, 5)]:
-        with pytest.raises(ValueError, match=re.escape(f"expected parameters of shape (..., 2, 6), got {shape}")):
-            NBParams(schema, np.full(shape, 0.5))
+    assert StatsVector(schema, np.full((4, 2, 6), 0.5)).values.shape == (4, 2, 6)
+    for shape in [(2, 5), (2, 7), (3, 6), (6,), (12,), (4, 2, 5), (1, 6), (3, 12)]:
+        for make, what in [(NBParams, "parameters"), (StatsVector, "statistics")]:
+            with pytest.raises(ValueError, match=re.escape(f"expected {what} of shape (..., 2, 6), got {shape}")):
+                make(schema, np.full(shape, 0.5))
     with pytest.raises(ValueError):  # one block for two features
         nb_params(schema, np.array([0.5, 0.5]), (np.array([[0.0, 1.0], [0.0, 1.0]]),))
 
@@ -295,12 +297,13 @@ def test_prob_stat_map_exact_rational_oracle():
     X = np.column_stack([rng.integers(1, 4, 20), rng.integers(1, 3, 20)]).astype(float)
     got = prob_stat_map(X, params)
     want = brute_force_prob_stats(params, X, exact=True)
-    assert np.max(np.abs(got.values - want)) < 1e-12
+    assert np.max(np.abs(got.values.ravel() - want)) < 1e-12
     assert abs(got.ess - 20.0) < 1e-12
 
 
 def assert_scalar_oracle(got, params, X):
-    want = brute_force_prob_stats(params, X, exact=False)
+    """One node's statistics table ``got`` against the scalar oracle's flat vector."""
+    got, want = got.ravel(), brute_force_prob_stats(params, X, exact=False)
     assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) < 1e-12
 
 
@@ -866,7 +869,7 @@ def test_to_text_line_order_on_mixed_schema():
     p = param_map(s)
     pairs = [ln.split(" = ") for ln in s.to_text().splitlines()]
     assert [k for k, _ in pairs] == STATS_KEYS
-    assert [float(v) for _, v in pairs[1:]] == list(s.values)  # storage order
+    assert [float(v) for _, v in pairs[1:]] == list(s.values.ravel())  # storage order
     stats = {k: float(v) for k, v in pairs}
     assert stats["class[2]"] == s.class_block[1]
     assert stats["feature[2].moment[2][1]"] == s.feature_block(2)[1, 0]

@@ -13,7 +13,6 @@ from riskcal.model import (
     StatsVector,
     _feature_map,
     param_map,
-    stats_length,
     uniform_init,
 )
 from riskcal.network import Graph, RewireSchedule, build_topology, chain, full_graph, neighbors, rewire
@@ -116,7 +115,7 @@ def test_on_round_hook_contract():
     seen, kept, copies = [], [], []
 
     def on_round(t, aggregate, stats):
-        assert aggregate.values.shape == stats.values.shape == (6, stats_length(schema))
+        assert aggregate.values.shape == stats.values.shape == (6, 2, _feature_map(schema).width)
         seen.append(t)
         kept.append((aggregate, stats))
         copies.append((aggregate.values.copy(), stats.values.copy()))
@@ -140,7 +139,8 @@ def test_stacked_nodes_run_as_their_list():
     kwargs = dict(m0=200.0, t_max=4, iterations=2)
     a = run_crc(stacked, RewireSchedule("tree", period=2), rng=np.random.default_rng(18), **kwargs)
     b = run_crc(locals_, RewireSchedule("tree", period=2), rng=np.random.default_rng(18), **kwargs)
-    assert a.stats.values.shape == (6, stats_length(schema)) and len(a.params) == 6
+    assert a.stats.values.shape == a.params.theta.shape == (6, 2, _feature_map(schema).width)
+    assert len(a.params) == 6
     assert np.array_equal(a.stats.values, b.stats.values)
     assert max_rel_dev(a.params, b.params) == 0.0
     assert max_rel_dev(a.params, param_map(a.stats)) == 0.0
@@ -227,8 +227,9 @@ def meta_final(locals_, graph, m0=META_M0, on_round=None):
 
 
 def assert_node_close(got, want, tol=1e-12):
-    scale = np.max(np.abs(want), axis=1)
-    assert np.all(np.max(np.abs(got - want), axis=1) <= tol * scale)
+    """Every node's (r, w) table within tol of want's, relative to its largest entry."""
+    scale = np.max(np.abs(want), axis=(1, 2))
+    assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= tol * scale)
 
 
 @pytest.mark.parametrize("split", ["iid", "classsorted"])
@@ -259,8 +260,8 @@ def test_relabelling_classes_permutes_the_final_statistics(split):
     want = meta_final(locals_, graph)
     perm = np.array([2, 0, 1])  # old class y + 1 is new class perm[y] + 1
     relabelled = [Dataset(ds.schema, ds.X, perm[ds.y - 1] + 1) for ds in locals_]
-    got = meta_final(relabelled, graph).reshape(META_N, 3, -1)  # one row per class
-    assert_node_close(got[:, perm].reshape(META_N, -1), want)
+    got = meta_final(relabelled, graph)  # one row per class
+    assert_node_close(got[:, perm], want)
 
 
 @pytest.mark.parametrize("split", ["iid", "classsorted"])
@@ -276,7 +277,7 @@ def test_permuting_feature_columns_permutes_the_final_statistics(split):
     for j, i in enumerate(perm):
         source[new.blocks[j]] = np.arange(old.blocks[i].start, old.blocks[i].stop)
     assert not np.array_equal(source, np.arange(new.width))
-    assert_node_close(got, want.reshape(META_N, 3, -1)[..., source].reshape(META_N, -1))
+    assert_node_close(got, want[..., source])
 
 
 # Homogeneity: models are homogeneous of degree 0 in the statistics, so doubling every
@@ -294,7 +295,7 @@ def test_duplicating_rows_and_doubling_m0_doubles_the_final_statistics(split):
 
     def on_round(t, aggregate, stats):
         # A floored count ends the round at COUNT_FLOOR: project is the local step's last act.
-        lowest.append(stats.rows[..., :moments].min())  # class masses and one-hot cells
+        lowest.append(stats.values[..., :moments].min())  # class masses and one-hot cells
 
     want = meta_final(locals_, graph, HOMOGENEOUS_M0, on_round)
     doubled = [Dataset(ds.schema, np.concatenate([ds.X, ds.X]), np.concatenate([ds.y, ds.y])) for ds in locals_]
