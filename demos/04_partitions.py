@@ -7,14 +7,14 @@ dominant class (label skew), drift_xy does both.
 """
 import numpy as np
 
-from riskcal import PARTITION_MODES, SPLITTERS, first_principal_component, local_datasets, mixed_dataset
+from riskcal import SPLITTERS, first_principal_component, local_datasets, mixed_dataset
 
 rng = np.random.default_rng(4)
 pool = mixed_dataset(900, r=3, rng=rng)
 n, m_v = 6, 80
 
-for mode in PARTITION_MODES:
-    plan = SPLITTERS[mode](pool, n, m_v, np.random.default_rng(11))
+for mode, split in SPLITTERS.items():
+    plan = split(pool, n, m_v, np.random.default_rng(11))
     parts = local_datasets(pool, plan)
     lines = []
     for y in parts.y:  # node by node

@@ -46,7 +46,6 @@ from .network import (
     write_edge_list,
 )
 from .partition import (
-    PARTITION_MODES,
     SPLITTERS,
     PartitionPlan,
     first_principal_component,

@@ -114,8 +114,8 @@ def rc(dataset: Dataset, lr: float, t_max: int, init: StatsVector) -> NBParams:
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    if not lr > 0:
-        raise ValueError(f"learning rate must be positive, got {lr}")
+    if not 0 < lr < np.inf:
+        raise ValueError(f"learning rate must be positive and finite, got {lr}")
     if dataset.X.ndim != 2:
         raise ValueError("rc calibrates on one pooled dataset, not a stacked one: pass global_sample(dataset, plan)")
     if init.schema != dataset.schema:

@@ -10,8 +10,9 @@ Subcommands:
 
 Configuration is a flat text file of ``key = value`` lines; ``#`` starts
 a comment line.  Every key can also be given as a command line flag of
-the same name, which takes precedence.  Output files go to --outdir,
-falling back to the RISKCAL_OUTDIR environment variable, then ".".
+the same name, which takes precedence.  An ``ExperimentConfig`` checks
+itself when built, so a sweep's ``replace`` variants are checked too.
+Output files go to --outdir, falling back to RISKCAL_OUTDIR, then ".".
 """
 from __future__ import annotations
 
@@ -49,6 +50,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment's settings, checked when built: an invalid value or combination raises ConfigError."""
+
     dataset: str | None = None
     label_column: int | str = "y"
     n: int = 50
@@ -67,6 +70,36 @@ class ExperimentConfig:
     repetitions: int = 5
     ml_smoothing: float = 1.0
     workers: int = 1  # checked, then ignored: a round is whole-network array operations
+
+    def __post_init__(self) -> None:
+        for key in ("n", "m_v", "t_max", "iter", "test_size", "repetitions", "workers"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if self.m0 != "heuristic" and not 0 < float(self.m0) < np.inf:
+            raise ConfigError(f"m0 must be 'heuristic' or positive and finite, got {self.m0}")
+        try:
+            _, extra = _parse_topology(self.topology)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+        if self.topology != "full" and self.n < 2:
+            raise ConfigError(f"topology {self.topology!r} needs n >= 2")
+        absent = (self.n - 1) * (self.n - 2) // 2  # pairs a spanning tree leaves absent
+        if extra is not None and extra > absent:
+            raise ConfigError(f"cannot add {extra} edges, only {absent} absent")
+        if self.neighborhood not in ("open", "closed"):
+            raise ConfigError(f"neighborhood must be 'open' or 'closed', got {self.neighborhood!r}")
+        if self.neighborhood == "open" and self.n < 2:
+            raise ConfigError("neighborhood 'open' needs n >= 2: a lone node has no neighbors")
+        if self.partition not in SPLITTERS:
+            raise ConfigError(f"unknown partition {self.partition!r}")
+        if self.delta is not None and self.delta < 1:
+            raise ConfigError(f"delta must be >= 1 or inf, got {self.delta}")
+        if self.train_size is not None and self.train_size < self.n * self.m_v:
+            raise ConfigError(f"train_size {self.train_size} cannot cover n * m_v = {self.n * self.m_v}")
+        if not 0 <= self.ml_smoothing < np.inf:
+            raise ConfigError(f"ml_smoothing must be nonnegative and finite, got {self.ml_smoothing}")
 
 
 def _parse_label_column(text: str):
@@ -113,39 +146,6 @@ def config_to_text(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    for key in ("n", "m_v", "t_max", "iter", "test_size", "repetitions", "workers"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
-    if not 0 < cfg.lr < np.inf:
-        raise ConfigError(f"lr must be positive and finite, got {cfg.lr}")
-    if cfg.m0 != "heuristic" and not 0 < float(cfg.m0) < np.inf:
-        raise ConfigError(f"m0 must be 'heuristic' or positive and finite, got {cfg.m0}")
-    try:
-        _, extra = _parse_topology(cfg.topology)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    if cfg.topology != "full" and cfg.n < 2:
-        raise ConfigError(f"topology {cfg.topology!r} needs n >= 2")
-    absent = (cfg.n - 1) * (cfg.n - 2) // 2  # pairs a spanning tree leaves absent
-    if extra is not None and extra > absent:
-        raise ConfigError(f"cannot add {extra} edges, only {absent} absent")
-    if cfg.neighborhood not in ("open", "closed"):
-        raise ConfigError(f"neighborhood must be 'open' or 'closed', got {cfg.neighborhood!r}")
-    if cfg.neighborhood == "open" and cfg.n < 2:
-        raise ConfigError("neighborhood 'open' needs n >= 2: a lone node has no neighbors")
-    if cfg.partition not in SPLITTERS:
-        raise ConfigError(f"unknown partition {cfg.partition!r}")
-    if cfg.delta is not None and cfg.delta < 1:
-        raise ConfigError(f"delta must be >= 1 or inf, got {cfg.delta}")
-    if cfg.train_size is not None and cfg.train_size < cfg.n * cfg.m_v:
-        raise ConfigError(
-            f"train_size {cfg.train_size} cannot cover n * m_v = {cfg.n * cfg.m_v}"
-        )
-    if not 0 <= cfg.ml_smoothing < np.inf:
-        raise ConfigError(f"ml_smoothing must be nonnegative and finite, got {cfg.ml_smoothing}")
-
-
 def parse_config(path=None, overrides: dict[str, str] | None = None) -> ExperimentConfig:
     """Read a config file and apply flag overrides on top of the defaults.
 
@@ -174,9 +174,7 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> Experime
             absorb(key, text, f"{path}: line {lineno}")
     for key, text in (overrides or {}).items():
         absorb(key, text, "flag")
-    cfg = ExperimentConfig(**values)
-    validate_config(cfg)
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def resolved_train_size(cfg: ExperimentConfig) -> int:
@@ -289,7 +287,6 @@ def run_experiment(cfg: ExperimentConfig, outdir=".") -> ExperimentResult:
     repetitions: the aggregate metrics CSV (per-round means) and the
     exact configuration used.  Fully deterministic given the config.
     """
-    validate_config(cfg)
     return _write_experiment(cfg, _load_dataset(cfg), outdir)
 
 
@@ -335,11 +332,8 @@ def _sweep_variant(cfg: ExperimentConfig, axis: str, text: str) -> ExperimentCon
         total = cfg.n * cfg.m_v
         if value < 1 or total % value != 0:
             raise ConfigError(f"fragmentation must be >= 1 and divide {total} total instances, got {value}")
-        variant = replace(cfg, n=value, m_v=total // value)
-    else:
-        variant = replace(cfg, **{axis: value})
-    validate_config(variant)
-    return variant
+        return replace(cfg, n=value, m_v=total // value)
+    return replace(cfg, **{axis: value})
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values: list[str], outdir=".") -> Path:

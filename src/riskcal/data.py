@@ -93,6 +93,19 @@ def validate_instances(schema: FeatureSchema, X: np.ndarray) -> None:
         raise DataError(f"feature {j}: value too large, its square overflows")
 
 
+def _row_indices(indices) -> np.ndarray:
+    """``indices`` as a fresh int64 array; a boolean mask, ragged blocks and non-integer values are refused."""
+    try:
+        idx = np.asarray(indices)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DataError("ragged row indices: blocks differ in length") from None
+    if idx.dtype == bool:
+        raise DataError("expected row indices, not a boolean mask: pass np.flatnonzero(mask)")
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):  # [] and range(0) come as float64
+        raise DataError(f"expected integer row indices, got {idx.dtype}")
+    return idx.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix and 1-based labels bound to a schema; X (n, m, d), y (n, m) stack n same-size datasets."""
@@ -122,12 +135,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         """The instances at ``indices``, of any shape: (n, m_v) indices give n stacked datasets of m_v each."""
-        idx = np.asarray(indices)
-        if idx.dtype == bool:
-            raise DataError("subset takes row indices, not a boolean mask: pass np.flatnonzero(mask)")
-        if idx.size and not np.issubdtype(idx.dtype, np.integer):  # [] and range(0) come as float64
-            raise DataError(f"subset takes integer row indices, got {idx.dtype}")
-        idx = idx.astype(np.int64)
+        idx = _row_indices(indices)
         for i in idx[(idx < 0) | (idx >= len(self.X))][:1]:
             raise DataError(f"index {i} outside 0..{len(self.X) - 1}")
         return Dataset(self.schema, self.X[idx], self.y[idx])

@@ -28,8 +28,10 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"graph needs at least one node, got n={self.n}")
-        pairs = self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs)
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs))
+        if pairs.size and not np.issubdtype(pairs.dtype, np.integer):  # refused, not truncated; [] is float64
+            raise ValueError(f"node ids must be integers, got {pairs.dtype}")
+        pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
         u, v = pairs.T
         for i in np.flatnonzero((u < 1) | (u >= v) | (v > self.n))[:1]:
             raise ValueError(f"bad edge ({u[i]}, {v[i]}) for n={self.n}")

@@ -1,9 +1,9 @@
 """Assigning training instances to nodes: iid and drifted splits.
 
-Every splitter draws n * m_v instances without replacement from the
-dataset and deals them into n blocks of size m_v, the rows of a
-``PartitionPlan``; ``local_datasets`` gathers them as one stacked
-Dataset.  The drift variants skew what each node sees:
+Every splitter, one per mode in ``SPLITTERS``, deals n * m_v instances
+drawn without replacement into n blocks of size m_v: a ``PartitionPlan``,
+that (n, m_v) index array and nothing else, which ``local_datasets``
+gathers as one stacked Dataset.  The drift variants skew what each node sees:
 
 * drift_x: instances ordered along the first principal component, so
   neighbouring nodes receive neighbouring regions of feature space,
@@ -18,37 +18,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, write_table
-
-PARTITION_MODES = ("iid", "drift_x", "drift_y", "drift_xy")
+from .data import Dataset, _row_indices, write_table
 
 
 @dataclass(frozen=True, eq=False)
 class PartitionPlan:
-    """Which global training indices each node owns: node v's block is row v - 1 of ``assignment``.
+    """Which global training indices each node owns: node v's block is row v - 1 of ``assignment``, (n, m_v).
 
-    ``assignment`` is held as an (n, m_v) int64 array.  Plans compare by identity.
+    Indices follow ``Dataset.subset``'s rule, distinct and nonnegative, held read-only.  Plans compare by identity.
     """
 
-    mode: str
-    n: int
-    m_v: int
     assignment: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.mode not in PARTITION_MODES:
-            raise ValueError(f"unknown partition mode {self.mode!r}")
-        if len(self.assignment) != self.n:
-            raise ValueError(f"expected {self.n} blocks, got {len(self.assignment)}")
-        for size in (len(block) for block in self.assignment if len(block) != self.m_v):
-            raise ValueError(f"block size {size} != m_v {self.m_v}")
-        assignment = np.array(self.assignment, dtype=np.int64).reshape(self.n, self.m_v)
+        assignment = _row_indices(self.assignment)
+        if assignment.ndim != 2:
+            raise ValueError(f"a plan is an (n, m_v) array of blocks, got shape {assignment.shape}")
         if np.any(assignment < 0):
             raise ValueError(f"negative index {assignment.min()}")
         if np.any(np.diff(np.sort(assignment, axis=None)) == 0):
             raise ValueError("blocks overlap")
         assignment.setflags(write=False)
         object.__setattr__(self, "assignment", assignment)
+
+    @property
+    def n(self) -> int:
+        return self.assignment.shape[0]
+
+    @property
+    def m_v(self) -> int:
+        return self.assignment.shape[1]
 
     def to_csv(self, path) -> None:
         """Audit dump: one (node, global_index) row per assigned instance."""
@@ -104,7 +103,7 @@ def _draw(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> np.nd
 
 
 def split_iid(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> PartitionPlan:
-    return PartitionPlan("iid", n, m_v, _draw(dataset, n, m_v, rng).reshape(n, m_v))
+    return PartitionPlan(_draw(dataset, n, m_v, rng).reshape(n, m_v))
 
 
 def _along_component(dataset: Dataset, take: np.ndarray) -> np.ndarray:
@@ -113,7 +112,7 @@ def _along_component(dataset: Dataset, take: np.ndarray) -> np.ndarray:
     return take[np.argsort(proj, kind="stable")]
 
 
-def _deal_by_class(dataset: Dataset, order: np.ndarray, mode: str, n: int, m_v: int) -> PartitionPlan:
+def _deal_by_class(dataset: Dataset, order: np.ndarray, n: int, m_v: int) -> PartitionPlan:
     """Deal ``order``'s class pools, each in ``order``'s order, into n blocks.
 
     Node v prefers class ((v - 1) mod r) + 1 and tops up cyclically from
@@ -130,20 +129,19 @@ def _deal_by_class(dataset: Dataset, order: np.ndarray, mode: str, n: int, m_v: 
             blocks[v, filled : filled + len(take)] = take
             filled += len(take)
             c = (c + 1) % r
-    return PartitionPlan(mode, n, m_v, blocks)
+    return PartitionPlan(blocks)
 
 
 def split_drift_x(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> PartitionPlan:
-    order = _along_component(dataset, _draw(dataset, n, m_v, rng))
-    return PartitionPlan("drift_x", n, m_v, order.reshape(n, m_v))
+    return PartitionPlan(_along_component(dataset, _draw(dataset, n, m_v, rng)).reshape(n, m_v))
 
 
 def split_drift_y(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> PartitionPlan:
-    return _deal_by_class(dataset, _draw(dataset, n, m_v, rng), "drift_y", n, m_v)
+    return _deal_by_class(dataset, _draw(dataset, n, m_v, rng), n, m_v)
 
 
 def split_drift_xy(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> PartitionPlan:
-    return _deal_by_class(dataset, _along_component(dataset, _draw(dataset, n, m_v, rng)), "drift_xy", n, m_v)
+    return _deal_by_class(dataset, _along_component(dataset, _draw(dataset, n, m_v, rng)), n, m_v)
 
 
 SPLITTERS = {

@@ -36,8 +36,8 @@ def m0_heuristic(m: float, lr: float, n: int) -> float:
     Chosen so that the effective local learning rate m_v / m0 of an
     average node equals lr when the m instances are spread over n nodes.
     """
-    if not m > 0 or not lr > 0 or n < 1:
-        raise ValueError(f"need m > 0, lr > 0, n >= 1, got m={m}, lr={lr}, n={n}")
+    if not m > 0 or not 0 < lr < np.inf or n < 1:
+        raise ValueError(f"need m > 0, lr positive and finite, n >= 1, got m={m}, lr={lr}, n={n}")
     return m / (lr * n)
 
 
@@ -182,8 +182,6 @@ def run_crc(
         raise ValueError(f"neighborhood must be 'open' or 'closed', got {neighborhood!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if any(ds.m == 0 for ds in stacks):
-        raise ValueError("empty local dataset")
 
     if rng is None:
         rng = np.random.default_rng(0)

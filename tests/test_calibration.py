@@ -233,6 +233,9 @@ def test_rc_validates_arguments():
         rc(ds, 0.05, 0, init)
     with pytest.raises(ValueError):
         rc(ds, 0.0, 5, init)
+    for lr in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+            rc(ds, lr, 2, init)
     with pytest.raises(ValueError, match="schema"):
         rc(ds, 0.05, 3, uniform_init(FeatureSchema((Continuous(),), 2), 10.0))
     pool = gaussian_blobs(200, rng=rng)

@@ -28,7 +28,6 @@ from riskcal.cli import (
     resolved_train_size,
     run_experiment,
     sweep,
-    validate_config,
 )
 from riskcal.calibration import ml, rc
 from riskcal.data import DataError, infer_schema, load_csv, write_csv
@@ -137,6 +136,16 @@ def test_parse_config_bad_values(tmp_path):
         p = tmp_path / "noeq.cfg"
         p.write_text("just words\n")
         parse_config(p, {})
+
+
+def test_a_config_is_checked_when_built():
+    # No parse and no run: building the config, directly or by replace, is the check.
+    with pytest.raises(ConfigError, match=r"^n must be >= 1, got 0$"):
+        ExperimentConfig(n=0)
+    with pytest.raises(ConfigError, match=r"^cannot add 5 edges, only 3 absent$"):
+        replace(ExperimentConfig(n=4), topology="tree+5")
+    with pytest.raises(ConfigError, match=r"^unknown partition 'weird'$"):
+        ExperimentConfig(partition="weird")
 
 
 def test_config_round_trip(tmp_path):
@@ -433,7 +442,7 @@ def test_sweep_validates_every_value_before_running(tmp_path):
     out = tmp_path / "sweep"
     out.mkdir()
     # A tree on 4 nodes leaves (4 - 1)(4 - 2)/2 = 3 pairs absent.
-    validate_config(replace(cfg, topology="tree+3"))
+    replace(cfg, topology="tree+3")
     for values, message in (
         (["tree", "tree+5"], "cannot add 5 edges, only 3 absent"),
         (["tree", "ring"], "unknown topology 'ring'"),

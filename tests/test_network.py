@@ -145,6 +145,9 @@ def test_graph_validation():
         Graph(3, np.array([[1, 2], [3, 1], [0, 2]]))
     with pytest.raises(ValueError, match="at least one node"):
         Graph(0, frozenset())
+    for pairs in (np.array([[1.9, 2.2]]), [(1.0, 2.0)], np.array([[True, True]])):  # refused, not truncated
+        with pytest.raises(ValueError, match=r"node ids must be integers, got (float64|bool)"):
+            Graph(3, pairs)
     g = Graph(5, [(4, 5), (1, 3), (2, 4), (1, 3), (1, 2), (4, 5)])
     assert g.pairs.dtype == np.int64
     assert g.pairs.tolist() == [[1, 2], [1, 3], [2, 4], [4, 5]]

@@ -34,7 +34,7 @@ def test_splitters_common_contract(mode):
     ds = blob_dataset()
     n, m_v = 7, 30
     plan = SPLITTERS[mode](ds, n, m_v, np.random.default_rng(1))
-    assert plan.mode == mode and plan.n == n and plan.m_v == m_v
+    assert plan.n == n and plan.m_v == m_v
     flat = [g for block in plan.assignment for g in block]
     assert len(flat) == len(set(flat)) == n * m_v
     assert all(0 <= g < ds.m for g in flat)
@@ -164,29 +164,32 @@ def test_first_principal_component_degenerate_inputs():
 
 def test_partition_plan_validation():
     with pytest.raises(ValueError, match="overlap"):
-        PartitionPlan("iid", 2, 2, ((0, 1), (1, 2)))
+        PartitionPlan(((0, 1), (1, 2)))
     with pytest.raises(ValueError, match="overlap"):
-        PartitionPlan("iid", 2, 3, np.array([[5, 0, 9], [3, 9, 1]]))
-    with pytest.raises(ValueError, match=r"block size 1 != m_v 2"):
-        PartitionPlan("iid", 2, 2, ((0, 1), (2,)))
-    with pytest.raises(ValueError, match=r"block size 3 != m_v 2"):
-        PartitionPlan("iid", 2, 2, np.arange(6).reshape(2, 3))
-    with pytest.raises(ValueError, match="expected 2 blocks, got 1"):
-        PartitionPlan("iid", 2, 2, ((0, 1),))
-    with pytest.raises(ValueError, match="unknown partition"):
-        PartitionPlan("weird", 1, 2, ((0, 1),))
+        PartitionPlan(np.array([[5, 0, 9], [3, 9, 1]]))
     with pytest.raises(ValueError, match="negative index -1"):  # row 9 of 10 rows, twice
-        PartitionPlan("iid", 1, 2, ((-1, 9),))
-    plan = PartitionPlan("iid", 2, 3, ((4, 0, 2), (1, 3, 5)))
+        PartitionPlan(((-1, 9),))
+    # Indices follow Dataset.subset's rule: refused, not truncated to [[0, 1]].
+    with pytest.raises(DataError, match="integer row indices, got float64"):
+        PartitionPlan(np.array([[0.5, 1.7]]))
+    with pytest.raises(DataError, match="not a boolean mask"):
+        PartitionPlan(((False, True),))
+    with pytest.raises(DataError, match="ragged row indices"):
+        PartitionPlan(((0, 1), (2,)))
+    with pytest.raises(ValueError, match=r"\(n, m_v\) array of blocks, got shape \(4,\)"):
+        PartitionPlan(np.arange(4))
+    plan = PartitionPlan(((4, 0, 2), (1, 3, 5)))
     assert plan.assignment.shape == (2, 3) and plan.assignment.dtype == np.int64
+    assert (plan.n, plan.m_v) == (2, 3)
     assert plan.assignment.tolist() == [[4, 0, 2], [1, 3, 5]]
+    assert not plan.assignment.flags.writeable
     for mode in SPLITTERS:
         split = SPLITTERS[mode](blob_dataset(m=100), 4, 5, np.random.default_rng(0))
         assert split.assignment.shape == (4, 5) and split.assignment.dtype == np.int64
 
 
 def test_partition_plan_csv(tmp_path):
-    plan = PartitionPlan("iid", 2, 3, ((4, 0, 2), (1, 3, 5)))
+    plan = PartitionPlan(((4, 0, 2), (1, 3, 5)))
     p = tmp_path / "plan.csv"
     plan.to_csv(p)
     lines = p.read_text().strip().splitlines()
@@ -198,7 +201,7 @@ def test_partition_plan_csv(tmp_path):
 
 def test_global_sample_sorted_union():
     ds = blob_dataset(m=60)
-    plan = PartitionPlan("iid", 2, 3, ((9, 1, 5), (0, 7, 3)))
+    plan = PartitionPlan(((9, 1, 5), (0, 7, 3)))
     pooled = global_sample(ds, plan)
     assert np.array_equal(pooled.X, ds.X[[0, 1, 3, 5, 7, 9]])
 

@@ -49,6 +49,9 @@ def test_m0_heuristic_reference_values():
         m0_heuristic(0, 0.05, 50)
     with pytest.raises(ValueError):
         m0_heuristic(100, 0.0, 5)
+    for lr in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="lr positive and finite"):
+            m0_heuristic(100, lr, 4)
 
 
 def test_full_graph_matches_centralized_calibration():
@@ -367,4 +370,10 @@ def test_run_crc_validation():
     with pytest.raises(ValueError, match="no neighbors"):
         run_crc([locals_[0]], RewireSchedule(full_graph(1)), m0=10.0, t_max=2,
                 neighborhood="open")
-
+    # The local step refuses empty local data: it has no statistics to calibrate against.
+    for empty in (
+        Dataset(schema, np.empty((3, 0, schema.d)), np.empty((3, 0), dtype=np.int64)),
+        [locals_[0], Dataset(schema, np.empty((0, schema.d)), np.empty(0, dtype=np.int64)), locals_[1]],
+    ):
+        with pytest.raises(ValueError, match="empty dataset"):
+            run_crc(empty, RewireSchedule(full_graph(3)), m0=10.0, t_max=2)
