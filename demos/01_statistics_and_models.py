@@ -13,7 +13,7 @@ from riskcal import (
     Dataset,
     Discrete,
     FeatureSchema,
-    evaluate,
+    evaluate_many,
     param_map,
     posterior_matrix,
     project,
@@ -49,7 +49,7 @@ print("\nposteriors at three probe points (rows sum to 1)")
 for row_x, row_p in zip(probe, post):
     print(f"  x = ({row_x[0]:+.1f}, {int(row_x[1])})  ->  {np.round(row_p, 4)}")
 
-err01, soft = evaluate(params, data)
+(err01,), (soft,) = evaluate_many([params], data)
 print(f"\ntraining error {err01:.3f}, soft error {soft:.3f}")
 
 # a uniform-mass vector maps to the maximally uninformative classifier

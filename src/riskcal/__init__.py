@@ -19,16 +19,12 @@ from .model import (
     NBParams,
     Scorer,
     StatsVector,
-    evaluate,
     evaluate_many,
     param_map,
-    posterior,
     posterior_matrix,
-    predict,
     predict_matrix,
     prob_stat_map,
     stat_map_dataset,
-    stat_map_instance,
     uniform_init,
     zero_stats,
 )
@@ -63,7 +59,6 @@ from .sim import (
     evaluate_round,
     m0_heuristic,
     run_crc,
-    write_metrics_csv,
 )
 from .synth import GENERATORS, categorical_mixture, gaussian_blobs, mixed_dataset
 

@@ -17,6 +17,7 @@ Output files go to --outdir, falling back to RISKCAL_OUTDIR, then ".".
 from __future__ import annotations
 
 import argparse
+import numbers
 import os
 import re
 import sys
@@ -30,14 +31,7 @@ from .data import DataError, Dataset, infer_schema, load_csv, train_test_split, 
 from .model import NBParams, Scorer, param_map, uniform_init
 from .network import RewireSchedule, _parse_topology, build_topology, write_edge_list
 from .partition import SPLITTERS, global_sample, local_datasets
-from .sim import (
-    METRICS_COLUMNS,
-    RoundMetrics,
-    evaluate_round,
-    m0_heuristic,
-    run_crc,
-    write_metrics_csv,
-)
+from .sim import METRICS_COLUMNS, RoundMetrics, evaluate_round, m0_heuristic, run_crc
 from .synth import GENERATORS
 
 OUTDIR_ENV = "RISKCAL_OUTDIR"
@@ -48,9 +42,18 @@ class ConfigError(ValueError):
     """Bad configuration key, value or combination."""
 
 
+# The types a config field's annotation string names: integers are Python or numpy ones, reals any but bool.
+_IS_TYPE = {
+    "int": lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "None": lambda v: v is None,
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment's settings, checked when built: an invalid value or combination raises ConfigError."""
+    """One experiment's settings, checked when built: a wrong type, value or combination raises ConfigError."""
 
     dataset: str | None = None
     label_column: int | str = "y"
@@ -72,12 +75,18 @@ class ExperimentConfig:
     workers: int = 1  # checked, then ignored: a round is whole-network array operations
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # every type before any value: the value checks compare keys
+            value = getattr(self, f.name)
+            if not any(_IS_TYPE[t](value) for t in f.type.split(" | ")):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         for key in ("n", "m_v", "t_max", "iter", "test_size", "repetitions", "workers"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.lr < np.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if self.m0 != "heuristic" and not 0 < float(self.m0) < np.inf:
+        if self.m0 != "heuristic" and (isinstance(self.m0, str) or not 0 < self.m0 < np.inf):
             raise ConfigError(f"m0 must be 'heuristic' or positive and finite, got {self.m0}")
         try:
             _, extra = _parse_topology(self.topology)
@@ -305,7 +314,7 @@ def _write_experiment(cfg: ExperimentConfig, full: Dataset, outdir) -> Experimen
         final_metrics.append(metrics[-1])
 
         metrics_path = outdir / f"{stem}_rep{rep}_metrics.csv"
-        write_metrics_csv(metrics, metrics_path)
+        write_table(metrics_path, METRICS_COLUMNS, (rm.as_row() for rm in metrics))
         plan_path = outdir / f"{stem}_rep{rep}_plan.csv"
         plan.to_csv(plan_path)
         base_path = outdir / f"{stem}_rep{rep}_baselines.csv"

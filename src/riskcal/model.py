@@ -47,7 +47,9 @@ under every class is refused.
 
 Every mapping also takes a leading node axis (statistics and parameters
 (n, r, w), datasets X (n, m, d)), so one node and n same-size nodes share
-one code path.
+one code path.  One row or one model has no call of its own: it is the
+matrix call on [x] or the stacked call on [params], and item 0 of the
+result.
 """
 from __future__ import annotations
 
@@ -269,23 +271,8 @@ def _accumulate(schema: FeatureSchema, PT: np.ndarray, phi: np.ndarray) -> Stats
     return StatsVector(schema, S)
 
 
-def stat_map_instance(x, y: int, schema: FeatureSchema) -> StatsVector:
-    """Statistics of a single labelled instance.
-
-    Class y's row is Phi(x): one unit of class mass, one unit on the
-    observed cell of each discrete feature, and (x, x^2) for each
-    continuous feature; the other rows are zero.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    validate_instances(schema, x)
-    y = int(y)
-    if not 1 <= y <= schema.class_cardinality:
-        raise ValueError(f"label {y} outside 1..{schema.class_cardinality}")
-    return _accumulate(schema, np.eye(schema.class_cardinality)[[y - 1]].T, _feature_map(schema).phi(x))
-
-
 def stat_map_dataset(dataset: Dataset) -> StatsVector:
-    """Sum of instance statistics over a dataset; ess equals its size."""
+    """Statistics P^T Phi(X) of labelled rows, P their (m, r) one-hot labels; ess equals the row count."""
     if dataset.m == 0:
         raise ValueError("empty dataset has no statistics")
     onehot = np.eye(dataset.schema.class_cardinality)[dataset.y - 1]
@@ -295,10 +282,10 @@ def stat_map_dataset(dataset: Dataset) -> StatsVector:
 def prob_stat_map(X, params: NBParams) -> StatsVector:
     """Expected statistics of unlabelled instances under a model.
 
-    Each instance contributes to every class, weighted by its posterior:
-    the result equals sum over instances x and classes y of
-    p(y | x) * stat_map_instance(x, y).  The ess equals the number of
-    instances because posteriors sum to one.
+    Each instance x adds Phi(x) to every class row y, weighted by its
+    posterior p(y | x): the result is P^T Phi(X), P the (m, r) posteriors
+    in place of one-hot labels.  The ess equals the number of instances
+    because posteriors sum to one.
     """
     X = np.asarray(X, dtype=np.float64)
     validate_instances(params.schema, X)
@@ -337,11 +324,6 @@ def posterior_matrix(params: NBParams, X) -> np.ndarray:
     return np.swapaxes(_posterior(params, _Rows(params.schema, X)), -1, -2)
 
 
-def posterior(params: NBParams, x) -> np.ndarray:
-    """Posterior class distribution of a single instance."""
-    return posterior_matrix(params, np.reshape(x, (1, -1)))[0]
-
-
 def predict_matrix(params: NBParams, X) -> np.ndarray:
     """Most probable class per row, ties resolved to the lowest index."""
     X = np.asarray(X, dtype=np.float64)
@@ -349,10 +331,6 @@ def predict_matrix(params: NBParams, X) -> np.ndarray:
     logj = _Rows(params.schema, X).log_joint(params)[0]
     _require_possible(logj.max(axis=-2))
     return logj.argmax(axis=-2) + 1
-
-
-def predict(params: NBParams, x) -> int:
-    return int(predict_matrix(params, np.reshape(x, (1, -1)))[0])
 
 
 def param_map(stats: StatsVector) -> NBParams:
@@ -599,19 +577,14 @@ class Scorer:
         return wrong / self.m[:, None], 1.0 - post / self.m[0]
 
 
-def evaluate(params: NBParams, dataset: Dataset) -> tuple[float, float]:
-    """Mean 0-1 error and mean soft error (1 - posterior of true class)."""
-    err01, soft = evaluate_many([params], dataset)
-    return float(err01[0]), float(soft[0])
-
-
 def evaluate_many(models, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate many models on one dataset, ``_EVAL_CHUNK`` models per vectorized pass.
 
     ``models`` is one stacked NBParams, such as a network's batched
     ``param_map``, or a list of single models, which is stacked once.
     Returns two arrays of length len(models): mean 0-1 errors and mean
-    soft errors.  To score many stacks on one dataset, build one
+    soft errors (1 - posterior of the true class); one model is
+    ``[params]``.  To score many stacks on one dataset, build one
     ``Scorer([dataset])`` and call it.
     """
     (err01,), soft = Scorer([dataset])(models)

@@ -187,7 +187,10 @@ def read_edge_list(path, n: int | None = None) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{path}: line {lineno}: expected 'u v', got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: node ids must be integers, got {line!r}") from None
         if u == v:
             raise ValueError(f"{path}: line {lineno}: self-loop {u}")
         edges.append((u, v))

@@ -13,8 +13,10 @@ only simulates: whatever observes a round (per-round metrics, recorded
 aggregates) attaches through ``run_crc``'s ``on_round`` hook.
 ``evaluate_round`` scores the batched models of one round, one row per
 node, against a centralized baseline, with a ``Scorer`` of the pooled
-train and test sets built once per run.  The baselines themselves, ``rc``
-and ``ml`` on the pooled sample, are plain calls into ``calibration``.
+train and test sets built once per run.  A metrics CSV is
+``data.write_table`` of ``METRICS_COLUMNS`` and each round's
+``RoundMetrics.as_row()``.  The baselines themselves, ``rc`` and ``ml``
+on the pooled sample, are plain calls into ``calibration``.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from math import nan
 import numpy as np
 
 from .calibration import LocalStep, lrc
-from .data import Dataset, write_table
+from .data import Dataset
 from .model import NBParams, Scorer, StatsVector, param_map, uniform_init
 from .network import Graph, RewireSchedule, rewire
 
@@ -69,11 +71,6 @@ class RoundMetrics:
 
 # The metrics CSV columns: every field but the per-node tuples.
 METRICS_COLUMNS = tuple(f.name for f in fields(RoundMetrics) if not f.name.startswith("node_"))
-
-
-def write_metrics_csv(metrics, path) -> None:
-    """Metrics rows with full-precision floats; identical runs write identical bytes."""
-    write_table(path, METRICS_COLUMNS, (rm.as_row() for rm in metrics))
 
 
 def evaluate_round(

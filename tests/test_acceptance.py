@@ -27,7 +27,7 @@ from riskcal.calibration import lrc, project, rc
 from riskcal.cli import ExperimentConfig, main, run_experiment
 from riskcal.data import Continuous, Dataset, Discrete, FeatureSchema, write_csv
 from riskcal.model import (
-    evaluate,
+    evaluate_many,
     param_map,
     posterior_matrix,
     prob_stat_map,
@@ -313,7 +313,7 @@ def test_criterion_06_perfectly_fitted_statistics_are_a_fixed_point():
     for ds in _separated_variants():
         stats = project(stat_map_dataset(ds))
         params = param_map(stats)
-        _, soft = evaluate(params, ds)
+        _, (soft,) = evaluate_many([params], ds)
         worst_soft = max(worst_soft, soft)
         for lr in (0.05, 0.5, 1.0):
             worst_move = max(worst_move, float(np.max(np.abs(rc(ds, lr, 3, stats).theta - params.theta))))

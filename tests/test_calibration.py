@@ -14,7 +14,6 @@ from riskcal.model import (
     Scorer,
     StatsVector,
     _feature_map,
-    evaluate,
     evaluate_many,
     param_map,
     stat_map_dataset,
@@ -100,7 +99,7 @@ def test_fixed_point_of_rc_and_lrc():
     ds = far_separated_dataset()
     stats = project(stat_map_dataset(ds))
     params = param_map(stats)
-    _, soft = evaluate(params, ds)
+    _, (soft,) = evaluate_many([params], ds)
     assert soft < 1e-12  # premise: perfect soft fit
     models = rc(ds, 0.7, 2, stats)
     # rc starts from stats / 0.7, rounded; the variance s2 / s0 - mu^2 of rows 100 from 0
@@ -198,9 +197,9 @@ def test_rc_scores_its_history_as_per_iteration_evaluation():
     ds = random_dataset(mixed_schema(3), 120, rng)
     models = rc(ds, 0.05, 40, uniform_init(ds.schema, float(ds.m)))
     (err01,), soft = Scorer([ds])(models)
-    singles = [evaluate(models[t], ds) for t in range(len(models))]
-    assert err01.tolist() == [e for e, _ in singles]
-    np.testing.assert_allclose(soft, [s for _, s in singles], rtol=1e-13, atol=0)
+    singles = np.array([np.concatenate(evaluate_many([models[t]], ds)) for t in range(len(models))])
+    assert err01.tolist() == singles[:, 0].tolist()
+    np.testing.assert_allclose(soft, singles[:, 1], rtol=1e-13, atol=0)
     # the uniform initialization's soft error is exactly 1 - 1/r
     assert abs(soft[0] - (1 - 1 / ds.schema.class_cardinality)) < 1e-12
 

@@ -148,6 +148,31 @@ def test_a_config_is_checked_when_built():
         ExperimentConfig(partition="weird")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("m0", "abc"), ("n", "4"), ("lr", "0.1"), ("ml_smoothing", "x"), ("n", 4.5), ("iter", 2.5), ("delta", 2.5),
+    ("train_size", 3000.0), ("n", True), ("lr", True), ("m0", np.bool_(True)), ("dataset", 3),
+    ("label_column", 1.0), ("seed", -1),
+])
+def test_a_config_refuses_a_wrong_type_or_a_negative_seed(key, value):
+    # Built directly, each key's type is checked before its value, and the refusal names the key.
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
+        ExperimentConfig(**{key: value})
+
+
+def test_a_config_takes_numpy_numbers_and_every_parsed_word():
+    ExperimentConfig(n=np.int64(4), m_v=np.int32(25), seed=np.uint8(3), lr=np.float32(0.5), m0=7, ml_smoothing=0,
+                     delta=np.int64(2), label_column=0, dataset="d.csv")
+    cfg = parse_config(None, {"m0": "heuristic", "delta": "inf", "train_size": "auto", "label_column": "3"})
+    assert (cfg.m0, cfg.delta, cfg.train_size, cfg.label_column) == ("heuristic", None, None, 3)
+
+
+def test_run_refuses_a_negative_seed_before_creating_its_outdir(tmp_path, capsys):
+    out = tmp_path / "never"
+    assert main(["run", "--dataset", "d.csv", "--seed", "-1", "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_config_round_trip(tmp_path):
     for cfg in (
         ExperimentConfig(),

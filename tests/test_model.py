@@ -18,7 +18,7 @@ from conftest import (
     scalar_posterior,
 )
 from riskcal.calibration import project
-from riskcal.data import Continuous, Dataset, Discrete, FeatureSchema
+from riskcal.data import Continuous, DataError, Dataset, Discrete, FeatureSchema
 from riskcal.model import (
     _EVAL_CHUNK,
     COUNT_FLOOR,
@@ -28,16 +28,12 @@ from riskcal.model import (
     StatsVector,
     _feature_map,
     _weights,
-    evaluate,
     evaluate_many,
     param_map,
-    posterior,
     posterior_matrix,
-    predict,
     predict_matrix,
     prob_stat_map,
     stat_map_dataset,
-    stat_map_instance,
     uniform_init,
     zero_stats,
 )
@@ -85,8 +81,8 @@ def test_stats_layout_length():
     assert zero_stats(TINY_SCHEMA).values.shape == (2, 1 + 3 + 2)
 
 
-def test_stat_map_instance_hand_values():
-    s = stat_map_instance([2, 0.5], 2, TINY_SCHEMA)
+def test_stat_map_dataset_of_one_row_hand_values():
+    s = stat_map_dataset(Dataset(TINY_SCHEMA, [[2, 0.5]], [2]))
     assert s.ess == 1.0
     assert list(s.class_block) == [0.0, 1.0]
     disc = s.feature_block(0)
@@ -98,11 +94,11 @@ def test_stat_map_instance_hand_values():
     assert list(s.values[0]) == [0.0] * 6
 
 
-def test_stat_map_instance_validates():
-    with pytest.raises(ValueError):
-        stat_map_instance([2, 0.5], 3, TINY_SCHEMA)  # label out of range
-    with pytest.raises(ValueError):
-        stat_map_instance([4, 0.5], 1, TINY_SCHEMA)  # code out of range
+def test_stat_map_dataset_of_one_row_validates():
+    with pytest.raises(DataError, match=r"label outside 1\.\.2"):
+        stat_map_dataset(Dataset(TINY_SCHEMA, [[2, 0.5]], [3]))
+    with pytest.raises(DataError, match=r"feature 0: code outside 1\.\.3"):
+        stat_map_dataset(Dataset(TINY_SCHEMA, [[4, 0.5]], [1]))
 
 
 def test_stat_map_dataset_is_sum_of_instances():
@@ -110,7 +106,7 @@ def test_stat_map_dataset_is_sum_of_instances():
     ds = random_dataset(mixed_schema(3), 40, rng)
     total = zero_stats(ds.schema)
     for k in range(ds.m):
-        total = total + stat_map_instance(ds.X[k], int(ds.y[k]), ds.schema)
+        total = total + stat_map_dataset(ds.subset([k]))
     batched = stat_map_dataset(ds)
     assert np.allclose(batched.values, total.values, rtol=0, atol=1e-10)
     assert batched.ess == ds.m
@@ -246,7 +242,7 @@ def test_posterior_frozen_two_gaussians():
     # priors 1/2, mu = -1 and +1, var = 1, x = 1: p(class 2) = 1/(1+e^-2)
     schema = FeatureSchema((Continuous(),), 2)
     params = nb_params(schema, np.array([0.5, 0.5]), (np.array([[-1.0, 1.0], [1.0, 1.0]]),))
-    p = posterior(params, [1.0])
+    p = posterior_matrix(params, [[1.0]])[0]
     expected = 1.0 / (1.0 + exp(-2.0))
     assert expected == 0.8807970779778823
     assert abs(p[1] - expected) < 1e-14
@@ -259,7 +255,7 @@ def test_posterior_matches_scalar_oracle():
         schema = mixed_schema(int(rng.integers(2, 4)))
         params = random_params(schema, rng)
         x = random_dataset(schema, 8, rng).X[0]
-        got = posterior(params, x)
+        got = posterior_matrix(params, [x])[0]
         want = scalar_posterior(params, x)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
@@ -278,7 +274,7 @@ def test_posterior_exact_zero_probability():
     # a categorical zero must zero the posterior exactly, not approximately
     schema = FeatureSchema((Discrete(2),), 2)
     params = nb_params(schema, np.array([0.5, 0.5]), (np.array([[1.0, 0.0], [0.5, 0.5]]),))
-    p = posterior(params, [2])
+    p = posterior_matrix(params, [[2]])[0]
     assert p[0] == 0.0 and p[1] == 1.0
 
 
@@ -286,7 +282,7 @@ def test_predict_tie_breaks_to_lowest_class():
     schema = FeatureSchema((Discrete(2),), 3)
     table = np.full((3, 2), 0.5)
     params = nb_params(schema, np.array([1 / 3, 1 / 3, 1 / 3]), (table,))
-    assert predict(params, [1]) == 1
+    assert predict_matrix(params, [[1]])[0] == 1
     assert list(predict_matrix(params, [[1], [2]])) == [1, 1]
 
 
@@ -395,7 +391,7 @@ def test_evaluate_against_enumeration_oracle():
     schema = mixed_schema(3)
     params = random_params(schema, rng)
     ds = random_dataset(schema, 50, rng)
-    err01, soft = evaluate(params, ds)
+    (err01,), (soft,) = evaluate_many([params], ds)
     wrong = 0
     soft_sum = 0.0
     for k in range(ds.m):
@@ -414,7 +410,7 @@ def test_evaluate_many_matches_singles_across_chunks():
     models = [random_params(schema, rng) for _ in range(130)]  # crosses chunk size
     err01, soft = evaluate_many(models, ds)
     for k in (0, 63, 64, 100, 129):
-        e, s = evaluate(models[k], ds)
+        (e,), (s,) = evaluate_many([models[k]], ds)
         assert err01[k] == e
         # batch shape may change the summation order by an ulp
         assert abs(soft[k] - s) < 1e-13 * max(s, 1.0)
@@ -721,7 +717,8 @@ def test_a_class_constant_that_overflows_is_a_silent_zero_probability():
     X = np.array([[1e154, 1e154]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert evaluate(params, Dataset(pool.schema, X, np.array([2]))) == (0.0, 0.0)
+        err01, soft = evaluate_many([params], Dataset(pool.schema, X, np.array([2])))
+        assert err01.tolist() == soft.tolist() == [0.0]
         assert np.array_equal(posterior_matrix(params, X), [[0.0, 1.0]])
         assert np.array_equal(prob_stat_map(X, params).class_block, [0.0, 1.0])
 
@@ -810,7 +807,7 @@ def test_a_stacked_dataset_is_refused_by_the_scorers():
     stacked = local_datasets(pool, plan)
     models = param_map(stat_map_dataset(stacked))  # one model per node
     for score in (lambda: Scorer([pool, stacked]), lambda: evaluate_many(models, stacked),
-                  lambda: evaluate(models[0], stacked)):
+                  lambda: evaluate_many([models[0]], stacked)):
         with pytest.raises(ValueError, match=r"stacked dataset.*global_sample\(dataset, plan\)"):
             score()
     err01, _ = evaluate_many(models, global_sample(pool, plan))

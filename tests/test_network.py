@@ -1,6 +1,8 @@
 """Graph generation, neighborhoods, rewiring and edge-list files."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -221,3 +223,7 @@ def test_read_edge_list_errors(tmp_path):
     p.write_text("2 2\n")
     with pytest.raises(ValueError, match="self-loop"):
         read_edge_list(p)
+    for line in ("2 x", "2 3.0"):
+        p.write_text(f"1 2\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 2: node ids must be integers, got '{line}'$"):
+            read_edge_list(p)

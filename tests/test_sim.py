@@ -6,7 +6,8 @@ import pytest
 
 from conftest import max_rel_dev, mixed_schema, nb_params, random_dataset, rc_oracle
 from riskcal.calibration import lrc
-from riskcal.data import Continuous, Dataset, FeatureSchema
+from riskcal.cli import ExperimentConfig, _load_dataset, _run_repetition, config_stem, run_experiment
+from riskcal.data import Continuous, Dataset, FeatureSchema, write_csv, write_table
 from riskcal.model import (
     COUNT_FLOOR,
     Scorer,
@@ -16,13 +17,8 @@ from riskcal.model import (
     uniform_init,
 )
 from riskcal.network import Graph, RewireSchedule, build_topology, chain, full_graph, neighbors, rewire
-from riskcal.sim import (
-    METRICS_COLUMNS,
-    evaluate_round,
-    m0_heuristic,
-    run_crc,
-    write_metrics_csv,
-)
+from riskcal.sim import METRICS_COLUMNS, evaluate_round, m0_heuristic, run_crc
+from riskcal.synth import gaussian_blobs
 
 
 def make_locals(schema, n, m_v, seed):
@@ -339,14 +335,28 @@ def test_metrics_csv_format(tmp_path):
     run_crc(locals_, RewireSchedule(full_graph(3)), m0=100.0, t_max=4, on_round=on_round)
     assert [rm.t for rm in metrics] == [1, 2, 3, 4]
     assert all(rm.rc_train_err == 0.1 for rm in metrics)
+
+    def csv_bytes(metrics):  # the header, then per round t and repr-precision floats, CRLF line ends
+        rows = [METRICS_COLUMNS] + [[str(rm.t), *map(repr, rm.as_row()[1:])] for rm in metrics]
+        return "".join(",".join(row) + "\r\n" for row in rows).encode()
+
+    # run writes a repetition's metrics with this call
     p = tmp_path / "metrics.csv"
-    write_metrics_csv(metrics, p)
+    write_table(p, METRICS_COLUMNS, (rm.as_row() for rm in metrics))
+    assert p.read_bytes() == csv_bytes(metrics)
     lines = p.read_text().strip().splitlines()
     assert lines[0] == ",".join(METRICS_COLUMNS)
     assert len(lines) == 5
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[6]) == 0.1  # rc_train_err column
+    # and the file run writes holds these bytes for the repetition's own metrics
+    data = tmp_path / "blobs.csv"
+    write_csv(gaussian_blobs(300, rng=np.random.default_rng(8)), data)
+    cfg = ExperimentConfig(dataset=str(data), n=3, m_v=20, t_max=4, repetitions=1, test_size=100)
+    run_experiment(cfg, tmp_path / "out")
+    _, metrics, _, _ = _run_repetition(cfg, _load_dataset(cfg), 0, tmp_path / "trace.csv")
+    assert (tmp_path / "out" / f"{config_stem(cfg)}_rep0_metrics.csv").read_bytes() == csv_bytes(metrics)
 
 
 def test_run_crc_validation():
