@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _count
 from .model import (
     COUNT_FLOOR,
     VAR_FLOOR,
@@ -84,8 +84,7 @@ def lrc(agg_stats: StatsVector, local_dataset: Dataset | LocalStep, iterations: 
     ``param_map`` of them is the calibrated model.  Stacked statistics
     (n, r, w) and a stacked dataset (see Dataset) calibrate n nodes at once.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    iterations = _count("iterations", iterations, 1)
     if agg_stats.schema != local_dataset.schema:
         raise ValueError("schema mismatch")
     local = local_dataset if isinstance(local_dataset, LocalStep) else LocalStep(local_dataset)
@@ -112,8 +111,7 @@ def rc(dataset: Dataset, lr: float, t_max: int, init: StatsVector) -> NBParams:
     to 4e-5 relative at lr 0.05).  Models carry no scale; statistics rescaled by lr could
     hold counts below COUNT_FLOOR, which ``param_map`` refuses.
     """
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    t_max = _count("t_max", t_max, 1)
     if not 0 < lr < np.inf:
         raise ValueError(f"learning rate must be positive and finite, got {lr}")
     if dataset.X.ndim != 2:

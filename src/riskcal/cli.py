@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import ml, rc
-from .data import DataError, Dataset, infer_schema, load_csv, train_test_split, write_csv, write_table
+from .data import DataError, Dataset, _count, infer_schema, load_csv, train_test_split, write_csv, write_table
 from .model import NBParams, Scorer, param_map, uniform_init
 from .network import RewireSchedule, _parse_topology, build_topology, write_edge_list
 from .partition import SPLITTERS, global_sample, local_datasets
@@ -49,6 +49,8 @@ _IS_TYPE = {
     "str": lambda v: isinstance(v, str),
     "None": lambda v: v is None,
 }
+# The least value of each count key; delta, when not None (inf), is a count too.
+_LEAST = dict(n=1, m_v=1, t_max=1, iter=1, test_size=1, repetitions=1, workers=1, seed=0, delta=1)
 
 
 @dataclass(frozen=True)
@@ -77,13 +79,14 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for f in fields(self):  # every type before any value: the value checks compare keys
             value = getattr(self, f.name)
-            if not any(_IS_TYPE[t](value) for t in f.type.split(" | ")):
+            kind = next((t for t in f.type.split(" | ") if _IS_TYPE[t](value)), None)
+            if kind is None:
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
-        for key in ("n", "m_v", "t_max", "iter", "test_size", "repetitions", "workers"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            if kind in ("int", "float"):  # a numpy number is kept as the plain one, written as text reads back
+                object.__setattr__(self, f.name, int(value) if kind == "int" else float(value))
+        for key, least in _LEAST.items():
+            if getattr(self, key) is not None:
+                _count(key, getattr(self, key), least, ConfigError)
         if not 0 < self.lr < np.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.m0 != "heuristic" and (isinstance(self.m0, str) or not 0 < self.m0 < np.inf):
@@ -103,8 +106,6 @@ class ExperimentConfig:
             raise ConfigError("neighborhood 'open' needs n >= 2: a lone node has no neighbors")
         if self.partition not in SPLITTERS:
             raise ConfigError(f"unknown partition {self.partition!r}")
-        if self.delta is not None and self.delta < 1:
-            raise ConfigError(f"delta must be >= 1 or inf, got {self.delta}")
         if self.train_size is not None and self.train_size < self.n * self.m_v:
             raise ConfigError(f"train_size {self.train_size} cannot cover n * m_v = {self.n * self.m_v}")
         if not 0 <= self.ml_smoothing < np.inf:
@@ -233,16 +234,9 @@ def _prepare_repetition(cfg: ExperimentConfig, full: Dataset, rep: int):
     return train, test, plan, global_sample(train, plan), graph_rng
 
 
-def _score_rc(models: NBParams, scorer: Scorer, trace_path) -> tuple[list[float], list[float]]:
-    """Train and test 0-1 errors of ``rc``'s iterates, from one call of ``scorer``, a ``Scorer([train, test])``.
-
-    Writes the trace CSV from the same call: per iterate t, the train
-    soft and 0-1 errors.
-    """
-    (train01, test01), soft = scorer(models)
-    train01 = train01.tolist()
-    write_table(trace_path, ["t", "soft_err", "err01"], zip(range(len(train01)), soft.tolist(), train01))
-    return train01, test01.tolist()
+def _write_trace(path, soft: np.ndarray, train01: np.ndarray) -> None:
+    """The centralized trace CSV of ``rc``'s iterates: per iterate t, the train soft and 0-1 errors."""
+    write_table(path, ["t", "soft_err", "err01"], zip(range(len(train01)), soft.tolist(), train01.tolist()))
 
 
 def _rc_models(cfg: ExperimentConfig, gtrain: Dataset) -> NBParams:
@@ -256,13 +250,13 @@ def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int, trace_path):
     scorer = Scorer([gtrain, test])  # the pooled sets: the baselines once, then every round
     (ml_train, ml_test), _ = scorer([ml(gtrain, cfg.ml_smoothing)])
 
-    rc_train, rc_test = _score_rc(_rc_models(cfg, gtrain), scorer, trace_path)
-    per_round = list(zip(rc_train[1:], rc_test[1:]))
+    (rc_train, rc_test), rc_soft = scorer(_rc_models(cfg, gtrain))
+    _write_trace(trace_path, rc_soft, rc_train)
 
     metrics: list[RoundMetrics] = []
 
     def score(t, aggregate, stats):
-        metrics.append(evaluate_round(param_map(stats), scorer, per_round[t - 1], t))
+        metrics.append(evaluate_round(param_map(stats), scorer, (float(rc_train[t]), float(rc_test[t])), t))
 
     result = run_crc(
         local_datasets(train, plan),
@@ -277,7 +271,7 @@ def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int, trace_path):
     )
     baselines = [
         ("ml", float(ml_train[0]), float(ml_test[0])),
-        ("rc", rc_train[-1], rc_test[-1]),
+        ("rc", float(rc_train[-1]), float(rc_test[-1])),
     ]
     return result, metrics, plan, baselines
 
@@ -417,13 +411,11 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     outdir = Path(_resolve_outdir(args))
     outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{config_stem(cfg)}_baseline_{args.kind}"
-    if args.kind == "ml":
-        params = ml(gtrain, cfg.ml_smoothing)
-        (tr01, te01), _ = scorer([params])
-    else:
-        models = _rc_models(cfg, gtrain)
-        params = models[-1]
-        tr01, te01 = _score_rc(models, scorer, outdir / f"{stem}_trace.csv")
+    models = [ml(gtrain, cfg.ml_smoothing)] if args.kind == "ml" else _rc_models(cfg, gtrain)
+    (tr01, te01), soft = scorer(models)
+    if args.kind == "rc":
+        _write_trace(outdir / f"{stem}_trace.csv", soft, tr01)
+    params = models[-1]
     params_path = outdir / f"{stem}_params.txt"
     params_path.write_text(params.to_text(), encoding="utf-8")
     print(f"{args.kind}: train_err={tr01[-1]:.4f} test_err={te01[-1]:.4f}")

@@ -29,6 +29,15 @@ class DataError(ValueError):
     """Malformed input file or invalid dataset contents."""
 
 
+def _count(name: str, value, least: int, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int, refused with ``error`` naming it unless a Python or numpy integer, not a bool, >= least."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"{name} must be of type int, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Discrete:
     """Categorical feature taking codes 1..cardinality."""
@@ -36,8 +45,7 @@ class Discrete:
     cardinality: int
 
     def __post_init__(self) -> None:
-        if self.cardinality < 2:
-            raise DataError(f"discrete feature needs cardinality >= 2, got {self.cardinality}")
+        object.__setattr__(self, "cardinality", _count("cardinality", self.cardinality, 2, DataError))
 
 
 @dataclass(frozen=True)
@@ -56,8 +64,7 @@ class FeatureSchema:
     class_cardinality: int
 
     def __post_init__(self) -> None:
-        if self.class_cardinality < 2:
-            raise DataError(f"need at least 2 classes, got {self.class_cardinality}")
+        object.__setattr__(self, "class_cardinality", _count("class_cardinality", self.class_cardinality, 2, DataError))
         if not self.features:
             raise DataError("need at least one feature")
         for spec in self.features:
@@ -117,6 +124,8 @@ class Dataset:
     def __post_init__(self) -> None:
         X = np.ascontiguousarray(np.asarray(self.X, dtype=np.float64))
         y = np.asarray(self.y)
+        if y.dtype == bool:  # True would read as class 1
+            raise DataError(f"expected class labels 1..{self.schema.class_cardinality}, not booleans")
         if y.dtype.kind == "f":  # refused, not truncated to a class
             for label in y[~(np.isfinite(y) & (y == np.floor(y)))][:1]:
                 raise DataError(f"non-integral class label {label}")
@@ -316,8 +325,7 @@ def train_test_split(
     dataset: Dataset, train_size: int, test_size: int, rng: np.random.Generator
 ) -> tuple[Dataset, Dataset]:
     """Draw disjoint uniformly random train and test subsets."""
-    if train_size < 1 or test_size < 1:
-        raise DataError(f"split sizes must be positive, got {train_size}, {test_size}")
+    train_size, test_size = _count("train_size", train_size, 1, DataError), _count("test_size", test_size, 1, DataError)
     if train_size + test_size > dataset.m:
         raise DataError(
             f"train {train_size} + test {test_size} exceeds {dataset.m} available instances"

@@ -513,6 +513,8 @@ class Scorer:
     """
 
     def __init__(self, datasets: list[Dataset]) -> None:
+        if not datasets:
+            raise ValueError("need at least one dataset to score")
         schema = datasets[0].schema
         for ds in datasets:
             if ds.schema != schema:

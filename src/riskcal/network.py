@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import _count
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -26,8 +28,7 @@ class Graph:
     pairs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"graph needs at least one node, got n={self.n}")
+        object.__setattr__(self, "n", _count("n", self.n, 1))
         pairs = np.asarray(self.pairs if isinstance(self.pairs, np.ndarray) else list(self.pairs))
         if pairs.size and not np.issubdtype(pairs.dtype, np.integer):  # refused, not truncated; [] is float64
             raise ValueError(f"node ids must be integers, got {pairs.dtype}")
@@ -54,8 +55,7 @@ class Graph:
 
 def random_tree(n: int, rng: np.random.Generator) -> Graph:
     """Uniformly random labelled tree, decoded from a random Pruefer sequence."""
-    if n < 2:
-        raise ValueError(f"a tree needs n >= 2, got {n}")
+    n = _count("n", n, 2)
     seq = rng.integers(1, n + 1, size=n - 2)
     # Linear-time decode: node seq[i] is joined to leaf[i], the smallest leaf at step i.
     degree = (np.bincount(seq, minlength=n + 1) + 1).tolist()
@@ -73,8 +73,7 @@ def random_tree(n: int, rng: np.random.Generator) -> Graph:
 
 
 def chain(n: int) -> Graph:
-    if n < 2:
-        raise ValueError(f"a chain needs n >= 2, got {n}")
+    n = _count("n", n, 2)
     return Graph(n, np.column_stack([np.arange(1, n), np.arange(2, n + 1)]))
 
 
@@ -84,9 +83,7 @@ def full_graph(n: int) -> Graph:
 
 def add_random_edges(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
     """Add k distinct absent edges chosen uniformly at random."""
-    if k < 0:
-        raise ValueError(f"edge count must be nonnegative, got {k}")
-    n = graph.n
+    k, n = _count("k", k, 0), graph.n
     # Pick i is the i-th absent pair in lexicographic order, found by rank arithmetic
     # without listing the absent pairs: 0-based (u, v) has rank row_start[u] + v - u - 1.
     row_start = np.arange(n) * (2 * n - np.arange(n) - 1) // 2
@@ -105,7 +102,7 @@ def add_random_edges(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
 
 def neighbors(graph: Graph, v: int, mode: str = "open") -> set[int]:
     """Neighborhood of v: 'open' excludes v itself, 'closed' includes it."""
-    if not 1 <= v <= graph.n:
+    if (v := _count("v", v, 1)) > graph.n:
         raise ValueError(f"node {v} outside 1..{graph.n}")
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
@@ -148,8 +145,8 @@ class RewireSchedule:
     period: int | None = None
 
     def __post_init__(self) -> None:
-        if self.period is not None and self.period < 1:
-            raise ValueError(f"rewire period must be >= 1, got {self.period}")
+        if self.period is not None:
+            _count("period", self.period, 1)
         if isinstance(self.topology, str):
             _parse_topology(self.topology)
 
@@ -163,8 +160,7 @@ class RewireSchedule:
 
 def rewire(schedule: RewireSchedule, t: int, current: Graph, rng: np.random.Generator) -> Graph:
     """Graph to use at round t, given the round t-1 graph."""
-    if t < 1:
-        raise ValueError(f"rounds are 1-based, got t={t}")
+    _count("t", t, 1)  # rounds are 1-based
     if schedule.period is None or isinstance(schedule.topology, Graph):
         return current
     if t % schedule.period != 0:

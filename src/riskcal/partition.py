@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _row_indices, write_table
+from .data import Dataset, _count, _row_indices, write_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,8 +95,7 @@ def first_principal_component(X) -> np.ndarray:
 
 
 def _draw(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> np.ndarray:
-    if n < 1 or m_v < 1:
-        raise ValueError(f"need n >= 1 and m_v >= 1, got n={n}, m_v={m_v}")
+    n, m_v = _count("n", n, 1), _count("m_v", m_v, 1)
     if n * m_v > dataset.m:
         raise ValueError(f"partition wants {n * m_v} instances, dataset has {dataset.m}")
     return rng.choice(dataset.m, size=n * m_v, replace=False)

@@ -27,7 +27,7 @@ from math import nan
 import numpy as np
 
 from .calibration import LocalStep, lrc
-from .data import Dataset
+from .data import Dataset, _count
 from .model import NBParams, Scorer, StatsVector, param_map, uniform_init
 from .network import Graph, RewireSchedule, rewire
 
@@ -38,9 +38,9 @@ def m0_heuristic(m: float, lr: float, n: int) -> float:
     Chosen so that the effective local learning rate m_v / m0 of an
     average node equals lr when the m instances are spread over n nodes.
     """
-    if not m > 0 or not 0 < lr < np.inf or n < 1:
-        raise ValueError(f"need m > 0, lr positive and finite, n >= 1, got m={m}, lr={lr}, n={n}")
-    return m / (lr * n)
+    if not m > 0 or not 0 < lr < np.inf:
+        raise ValueError(f"need m > 0 and lr positive and finite, got m={m}, lr={lr}")
+    return m / (lr * _count("n", n, 1))
 
 
 @dataclass
@@ -173,12 +173,10 @@ def run_crc(
     n = sum(map(len, groups))
     if n < 1:
         raise ValueError("need at least one node")
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    t_max = _count("t_max", t_max, 1)
     if neighborhood not in ("open", "closed"):
         raise ValueError(f"neighborhood must be 'open' or 'closed', got {neighborhood!r}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    _count("workers", workers, 1)
 
     if rng is None:
         rng = np.random.default_rng(0)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DISCRETE_LIMIT, Continuous, Dataset, Discrete, FeatureSchema
+from .data import DISCRETE_LIMIT, Continuous, Dataset, Discrete, FeatureSchema, _count
 
 
 def _balanced_labels(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -93,8 +93,7 @@ def mixed_dataset(
     rng: np.random.Generator,
 ) -> Dataset:
     """Continuous blob features followed by skewed categorical features."""
-    if d_continuous < 1 or d_discrete < 1:
-        raise ValueError("need at least one feature of each kind")
+    d_continuous, d_discrete = _count("d_continuous", d_continuous, 1), _count("d_discrete", d_discrete, 1)
     y = _balanced_labels(m, r, rng)
     Xc = _blob_columns(y, d_continuous, r, separation, rng)
     Xd = _categorical_columns(y, d_discrete, r, cardinality, skew, rng)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import max_rel_dev, mixed_schema, random_dataset, rc_oracle
 from riskcal.calibration import lrc, ml, project, rc
-from riskcal.cli import ExperimentConfig, _prepare_repetition, _score_rc
+from riskcal.cli import ExperimentConfig, _prepare_repetition, _write_trace
 from riskcal.data import Continuous, Dataset, Discrete, FeatureSchema
 from riskcal.model import (
     COUNT_FLOOR,
@@ -269,13 +269,14 @@ def test_models_take_their_statistics_shape():
 
 
 def test_rc_trace_csv(tmp_path):
-    # The trace CSV is written by the call that scores rc's iterates on the pooled train and test sets.
+    # The trace CSV is written from the call that scores rc's iterates on the pooled train and test sets.
     rng = np.random.default_rng(8)
     ds = random_dataset(mixed_schema(), 40, rng)
     test = random_dataset(mixed_schema(), 30, rng)
     models = rc(ds, 0.05, 3, uniform_init(ds.schema, 40.0))
     p = tmp_path / "trace.csv"
-    train01, test01 = _score_rc(models, Scorer([ds, test]), p)
+    (train01, test01), train_soft = Scorer([ds, test])(models)
+    _write_trace(p, train_soft, train01)
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "t,soft_err,err01"
     assert len(lines) == 5
@@ -284,7 +285,7 @@ def test_rc_trace_csv(tmp_path):
     assert int(t) == 1
     assert float(err) == train01[1] == want01[1]
     assert float(soft) == pytest.approx(want_soft[1], rel=1e-13)
-    assert test01 == evaluate_many(models, test)[0].tolist()
+    assert test01.tolist() == evaluate_many(models, test)[0].tolist()
 
 
 def test_lrc_conserves_mass_and_composes():

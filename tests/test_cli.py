@@ -146,6 +146,10 @@ def test_a_config_is_checked_when_built():
         replace(ExperimentConfig(n=4), topology="tree+5")
     with pytest.raises(ConfigError, match=r"^unknown partition 'weird'$"):
         ExperimentConfig(partition="weird")
+    with pytest.raises(ConfigError, match=r"^topology 'chain' needs n >= 2$"):
+        ExperimentConfig(n=1, topology="chain")
+    with pytest.raises(ConfigError, match=r"^neighborhood must be 'open' or 'closed', got 'semi'$"):
+        ExperimentConfig(neighborhood="semi")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -164,6 +168,19 @@ def test_a_config_takes_numpy_numbers_and_every_parsed_word():
                      delta=np.int64(2), label_column=0, dataset="d.csv")
     cfg = parse_config(None, {"m0": "heuristic", "delta": "inf", "train_size": "auto", "label_column": "3"})
     assert (cfg.m0, cfg.delta, cfg.train_size, cfg.label_column) == ("heuristic", None, None, 3)
+
+
+def test_a_config_of_numpy_numbers_is_the_plain_config(tmp_path):
+    # Numbers are kept as plain ones: the same stem, and an echo that reads back equal.
+    plain = ExperimentConfig(n=4, m_v=25, lr=0.1, m0=7.0, ml_smoothing=2.0, delta=2, train_size=200, label_column=0)
+    numpy = ExperimentConfig(n=np.int64(4), m_v=np.int32(25), lr=np.float64(0.1), m0=np.float32(7.0),
+                             ml_smoothing=np.float64(2.0), delta=np.int64(2), train_size=np.uint16(200),
+                             label_column=np.int64(0))
+    assert config_stem(numpy) == config_stem(plain)
+    assert config_to_text(numpy) == config_to_text(plain)
+    p = tmp_path / "echo.cfg"
+    p.write_text(config_to_text(numpy))
+    assert parse_config(p, {}) == numpy == plain
 
 
 def test_run_refuses_a_negative_seed_before_creating_its_outdir(tmp_path, capsys):
@@ -447,6 +464,23 @@ def test_sweep_summary(tmp_path):
     assert lines[2].split(",")[:2] == ["iter", "2"]
     for p in out.glob("*.csv"):
         assert_cells_exact(p)
+
+
+def test_cli_sweep_writes_one_summary_row_per_value(tmp_path, capsys):
+    ds = gen_dataset(tmp_path)
+    capsys.readouterr()  # gendata's line
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--dataset", str(ds), "--m_v", "25", "--t_max", "3", "--repetitions", "1",
+                 "--test_size", "150", "--outdir", str(out), "--axis", "n", "--values", "2,4"]) == 0
+    (path,) = out.glob("sweep_*.csv")
+    assert capsys.readouterr().out == f"wrote {path}\n"
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [row[:2] for row in rows] == [["n", "2"], ["n", "4"]]
+    for row, n in zip(rows, (2, 4)):  # each variant's final aggregate row
+        (agg,) = out.glob(f"*_n{n}_mv25_*_aggregate.csv")
+        with open(agg, newline="", encoding="utf-8") as fh:
+            assert row[2:] == list(csv.reader(fh))[-1]
 
 
 def test_sweep_fragmentation_keeps_total(tmp_path):

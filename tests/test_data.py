@@ -270,6 +270,14 @@ def test_labels_must_be_whole_numbers(tmp_path):
             dataset_from_table(load_csv(p, "y"), schema)
 
 
+def test_boolean_labels_are_refused():
+    # True would read as class 1, and False as a label outside 1..2.
+    schema = FeatureSchema((Continuous(),), 2)
+    for y in ([True, True], [True, False], np.array([False, True])):
+        with pytest.raises(DataError, match=r"^expected class labels 1\.\.2, not booleans$"):
+            Dataset(schema, [[0.0], [1.0]], y)
+
+
 def test_train_test_split_disjoint_and_seeded():
     schema = FeatureSchema((Continuous(),), 2)
     ds = Dataset(schema, np.arange(100.0).reshape(-1, 1), np.arange(100) % 2 + 1)

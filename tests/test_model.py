@@ -795,6 +795,16 @@ def test_evaluate_many_takes_an_empty_list_and_refuses_a_single_model():
     for models in ([], empty):
         err01, soft = evaluate_many(models, ds)
         assert err01.shape == soft.shape == (0,)
+    other = random_dataset(mixed_schema(2), 20, rng)  # another class count
+    for score, message in (
+        (lambda: Scorer([]), "need at least one dataset to score"),
+        (lambda: Scorer([ds, other]), "schema mismatch between the datasets to score"),
+        (lambda: Scorer([ds, ds.subset([])]), "cannot evaluate on an empty dataset"),
+        (lambda: evaluate_many(stack_params([params]), other), "schema mismatch between model and dataset"),
+        (lambda: evaluate_many([params], other), "schema mismatch between model and dataset"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            score()
     with pytest.raises(TypeError, match=r"pass \[params\] or stacked parameters"):
         evaluate_many(params, ds)
     with pytest.raises(TypeError, match="a list of models holds single models"):
