@@ -104,12 +104,14 @@ def rc(dataset: Dataset, lr: float, t_max: int, init: StatsVector) -> NBParams:
     once (not a no-op for lr > 1 or at a floor) and then takes t_max
     steps of the pooled ``LocalStep``, each of whose outputs is already
     projected.  Row t of the returned (t_max + 1)-model stack is the
-    model after iteration t, row 0 the initialization's.  Where a floor
-    fires, the two forms part: the count floor acts on s / lr, not on s,
-    and a floored variance, the difference s2 / s0 - mu^2 of near-equal
-    terms, takes the rounding of either scale (on blobs scaled by 100, up
-    to 4e-5 relative at lr 0.05).  Models carry no scale; statistics rescaled by lr could
-    hold counts below COUNT_FLOOR, which ``param_map`` refuses.
+    model after iteration t, row 0 the model of that projected start,
+    the state the first step is taken from.  Where a floor fires, the
+    two forms part: the count floor acts on s / lr, not on s, and a
+    floored variance, the difference s2 / s0 - mu^2 of near-equal terms,
+    takes the rounding of either scale (on blobs scaled by 100, up to
+    4e-5 relative at lr 0.05).  Models carry no scale; statistics
+    rescaled by lr could hold counts below COUNT_FLOOR, which
+    ``param_map`` refuses.
     """
     t_max = _count("t_max", t_max, 1)
     if not 0 < lr < np.inf:
@@ -121,11 +123,9 @@ def rc(dataset: Dataset, lr: float, t_max: int, init: StatsVector) -> NBParams:
     if init.values.ndim != 2:
         raise ValueError(f"rc starts from one node's statistics (r, w), got {init.values.shape}; index one node: S[v]")
     local = LocalStep(dataset)
-    stats = [StatsVector(init.schema, project(init).values / lr)]
-    current = project(stats[0])
+    stats = [project(StatsVector(init.schema, project(init).values / lr))]
     for _ in range(t_max):
-        current = local.step(current)
-        stats.append(current)
+        stats.append(local.step(stats[-1]))
     return param_map(StatsVector(init.schema, np.stack([s.values for s in stats])))
 
 

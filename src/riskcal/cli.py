@@ -12,7 +12,13 @@ Configuration is a flat text file of ``key = value`` lines; ``#`` starts
 a comment line.  Every key can also be given as a command line flag of
 the same name, which takes precedence.  An ``ExperimentConfig`` checks
 itself when built, so a sweep's ``replace`` variants are checked too.
-Output files go to --outdir, falling back to RISKCAL_OUTDIR, then ".".
+
+An experiment (``run``, and each ``sweep`` value) is its repetitions and
+then their aggregate and the config echo.  One repetition is one call
+that splits, partitions, fits the centralized references, runs the
+rounds and writes its five files.  ``baseline`` fits the same references
+of repetition 0 through the same helper.  Every subcommand writes into
+--outdir, falling back to RISKCAL_OUTDIR, then ".", created if absent.
 """
 from __future__ import annotations
 
@@ -28,7 +34,7 @@ import numpy as np
 
 from .calibration import ml, rc
 from .data import DataError, Dataset, _count, infer_schema, load_csv, train_test_split, write_csv, write_table
-from .model import NBParams, Scorer, param_map, uniform_init
+from .model import Scorer, param_map, uniform_init
 from .network import RewireSchedule, _parse_topology, build_topology, write_edge_list
 from .partition import SPLITTERS, global_sample, local_datasets
 from .sim import METRICS_COLUMNS, RoundMetrics, evaluate_round, m0_heuristic, run_crc
@@ -239,26 +245,31 @@ def _write_trace(path, soft: np.ndarray, train01: np.ndarray) -> None:
     write_table(path, ["t", "soft_err", "err01"], zip(range(len(train01)), soft.tolist(), train01.tolist()))
 
 
-def _rc_models(cfg: ExperimentConfig, gtrain: Dataset) -> NBParams:
-    """``rc``'s iterates on the pooled sample, started from the total mass lr * n * m0 of a node run."""
+def _references(cfg: ExperimentConfig, kind: str, gtrain: Dataset):
+    """The centralized reference ``kind`` on the pooled sample, as models to score, the reference last.
+
+    ``ml`` is one smoothed fit; ``rc`` gives its t_max + 1 iterates, started
+    from the total mass lr * n * m0 of a node run.
+    """
+    if kind == "ml":
+        return [ml(gtrain, cfg.ml_smoothing)]
     return rc(gtrain, cfg.lr, cfg.t_max, uniform_init(gtrain.schema, cfg.lr * cfg.n * resolved_m0(cfg)))
 
 
-def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int, trace_path):
+def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int, outdir: Path):
+    """Run repetition rep and write its five files into outdir; returns its per-round metrics and their paths."""
     train, test, plan, gtrain, graph_rng = _prepare_repetition(cfg, full, rep)
 
-    scorer = Scorer([gtrain, test])  # the pooled sets: the baselines once, then every round
-    (ml_train, ml_test), _ = scorer([ml(gtrain, cfg.ml_smoothing)])
-
-    (rc_train, rc_test), rc_soft = scorer(_rc_models(cfg, gtrain))
-    _write_trace(trace_path, rc_soft, rc_train)
+    scorer = Scorer([gtrain, test])  # the pooled sets: the references once, then every round
+    (ml_train, ml_test), _ = scorer(_references(cfg, "ml", gtrain))
+    (rc_train, rc_test), rc_soft = scorer(_references(cfg, "rc", gtrain))
 
     metrics: list[RoundMetrics] = []
 
     def score(t, aggregate, stats):
         metrics.append(evaluate_round(param_map(stats), scorer, (float(rc_train[t]), float(rc_test[t])), t))
 
-    result = run_crc(
+    params = run_crc(
         local_datasets(train, plan),
         RewireSchedule(cfg.topology, cfg.delta),
         m0=resolved_m0(cfg),
@@ -268,12 +279,18 @@ def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int, trace_path):
         rng=graph_rng,
         workers=cfg.workers,
         on_round=score,
-    )
-    baselines = [
-        ("ml", float(ml_train[0]), float(ml_test[0])),
-        ("rc", float(rc_train[-1]), float(rc_test[-1])),
-    ]
-    return result, metrics, plan, baselines
+    ).params
+    names = ("metrics.csv", "rc_trace.csv", "plan.csv", "baselines.csv", "params.txt")
+    paths = [outdir / f"{config_stem(cfg)}_rep{rep}_{name}" for name in names]
+    metrics_path, trace_path, plan_path, base_path, params_path = paths
+    write_table(metrics_path, METRICS_COLUMNS, (rm.as_row() for rm in metrics))
+    _write_trace(trace_path, rc_soft, rc_train)
+    plan.to_csv(plan_path)
+    baselines = [("ml", float(ml_train[0]), float(ml_test[0])), ("rc", float(rc_train[-1]), float(rc_test[-1]))]
+    write_table(base_path, ["model", "train_err01", "test_err01"], baselines)
+    dump = "".join(f"node {v + 1}\n{params[v].to_text()}" for v in range(len(params)))
+    params_path.write_text(dump, encoding="utf-8")
+    return metrics, paths
 
 
 def _aggregate_rows(per_rep: list[list[RoundMetrics]]) -> list[list[float]]:
@@ -297,36 +314,19 @@ def _write_experiment(cfg: ExperimentConfig, full: Dataset, outdir) -> Experimen
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    stem = config_stem(cfg)
     paths: list[Path] = []
     per_rep_metrics: list[list[RoundMetrics]] = []
-    final_metrics: list[RoundMetrics] = []
     for rep in range(cfg.repetitions):
-        trace_path = outdir / f"{stem}_rep{rep}_rc_trace.csv"
-        result, metrics, plan, baselines = _run_repetition(cfg, full, rep, trace_path)
+        metrics, rep_paths = _run_repetition(cfg, full, rep, outdir)
         per_rep_metrics.append(metrics)
-        final_metrics.append(metrics[-1])
-
-        metrics_path = outdir / f"{stem}_rep{rep}_metrics.csv"
-        write_table(metrics_path, METRICS_COLUMNS, (rm.as_row() for rm in metrics))
-        plan_path = outdir / f"{stem}_rep{rep}_plan.csv"
-        plan.to_csv(plan_path)
-        base_path = outdir / f"{stem}_rep{rep}_baselines.csv"
-        write_table(base_path, ["model", "train_err01", "test_err01"], baselines)
-        params_path = outdir / f"{stem}_rep{rep}_params.txt"
-        with open(params_path, "w", encoding="utf-8") as fh:
-            for v in range(len(result.params)):
-                fh.write(f"node {v + 1}\n")
-                fh.write(result.params[v].to_text())
-        paths.extend([metrics_path, trace_path, plan_path, base_path, params_path])
+        paths.extend(rep_paths)
 
     agg_rows = _aggregate_rows(per_rep_metrics)
-    agg_path = outdir / f"{stem}_aggregate.csv"
+    agg_path, cfg_path = (outdir / f"{config_stem(cfg)}_{name}" for name in ("aggregate.csv", "config.txt"))
     write_table(agg_path, METRICS_COLUMNS, agg_rows)
-    cfg_path = outdir / f"{stem}_config.txt"
     cfg_path.write_text(config_to_text(cfg), encoding="utf-8")
     paths.extend([agg_path, cfg_path])
-    return ExperimentResult(paths, agg_rows, final_metrics)
+    return ExperimentResult(paths, agg_rows, [metrics[-1] for metrics in per_rep_metrics])
 
 
 def _sweep_variant(cfg: ExperimentConfig, axis: str, text: str) -> ExperimentConfig:
@@ -364,29 +364,26 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[str], outdir=".") -> Pa
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="path to a key = value config file")
-    for f in fields(ExperimentConfig):
-        p.add_argument(f"--{f.name}", dest=f"cfg_{f.name}", metavar="V", default=None)
+    for f in fields(ExperimentConfig):  # a flag not given is absent, so the file's value or the default holds
+        p.add_argument(f"--{f.name}", metavar="V", default=argparse.SUPPRESS)
     p.add_argument("--outdir", help=f"output directory (default ${OUTDIR_ENV} or '.')")
 
 
-def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
-    out = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(args, f"cfg_{f.name}", None)
-        if value is not None:
-            out[f.name] = value
-    return out
+def _config(args: argparse.Namespace) -> ExperimentConfig:
+    """The config file's settings, overridden by every config flag given."""
+    return parse_config(args.config, {key: value for key, value in vars(args).items() if key in _DEFAULTS})
 
 
-def _resolve_outdir(args: argparse.Namespace) -> str:
-    if getattr(args, "outdir", None):
-        return args.outdir
-    return os.environ.get(OUTDIR_ENV, ".")
+def _outdir(args: argparse.Namespace) -> Path:
+    """The output directory, created: --outdir, else $RISKCAL_OUTDIR, else "."."""
+    outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV, "."))
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config, _collect_overrides(args))
-    result = run_experiment(cfg, _resolve_outdir(args))
+    cfg = _config(args)
+    result = run_experiment(cfg, _outdir(args))
     final = dict(zip(METRICS_COLUMNS, result.aggregate[-1]))
     print(f"wrote {len(result.paths)} files, stem {config_stem(cfg)}")
     print(
@@ -397,27 +394,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config, _collect_overrides(args))
+    cfg = _config(args)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
-    path = sweep(cfg, args.axis, values, _resolve_outdir(args))
+    path = sweep(cfg, args.axis, values, _outdir(args))
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config, _collect_overrides(args))
+    cfg = _config(args)
     _, test, _, gtrain, _ = _prepare_repetition(cfg, _load_dataset(cfg), 0)
-    scorer = Scorer([gtrain, test])  # as run scores repetition 0
-    outdir = Path(_resolve_outdir(args))
-    outdir.mkdir(parents=True, exist_ok=True)
-    stem = f"{config_stem(cfg)}_baseline_{args.kind}"
-    models = [ml(gtrain, cfg.ml_smoothing)] if args.kind == "ml" else _rc_models(cfg, gtrain)
-    (tr01, te01), soft = scorer(models)
+    models = _references(cfg, args.kind, gtrain)
+    (tr01, te01), soft = Scorer([gtrain, test])(models)  # as run scores repetition 0
+    outdir, stem = _outdir(args), f"{config_stem(cfg)}_baseline_{args.kind}"
     if args.kind == "rc":
         _write_trace(outdir / f"{stem}_trace.csv", soft, tr01)
-    params = models[-1]
     params_path = outdir / f"{stem}_params.txt"
-    params_path.write_text(params.to_text(), encoding="utf-8")
+    params_path.write_text(models[-1].to_text(), encoding="utf-8")
     print(f"{args.kind}: train_err={tr01[-1]:.4f} test_err={te01[-1]:.4f}")
     print(f"wrote {params_path}")
     return 0
@@ -426,10 +419,8 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 def _cmd_gengraph(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     graph = build_topology(args.topology, args.n, rng)
-    outdir = Path(_resolve_outdir(args))
-    outdir.mkdir(parents=True, exist_ok=True)
     topo = args.topology.replace("+", "p")
-    out = Path(args.out) if args.out else outdir / f"graph_{topo}_n{args.n}_seed{args.seed}.txt"
+    out = Path(args.out) if args.out else _outdir(args) / f"graph_{topo}_n{args.n}_seed{args.seed}.txt"
     write_edge_list(graph, out)
     print(f"wrote {out} ({len(graph.edges)} edges, sparseness {graph.sparseness():.4f})")
     return 0
@@ -445,9 +436,7 @@ def _cmd_gendata(args: argparse.Namespace) -> int:
         raise ConfigError(f"--kind {args.kind} does not take " + ", ".join(f"--{name}" for name in foreign))
     knobs = {name: getattr(args, name) for name in given}
     ds = generate(args.m, rng=np.random.default_rng(args.seed), **knobs)
-    outdir = Path(_resolve_outdir(args))
-    outdir.mkdir(parents=True, exist_ok=True)
-    out = Path(args.out) if args.out else outdir / f"{args.kind}_m{args.m}_seed{args.seed}.csv"
+    out = Path(args.out) if args.out else _outdir(args) / f"{args.kind}_m{args.m}_seed{args.seed}.csv"
     write_csv(ds, out)
     print(f"wrote {out} ({ds.m} instances, {ds.schema.d} features, {ds.schema.class_cardinality} classes)")
     return 0

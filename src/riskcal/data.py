@@ -189,14 +189,14 @@ def load_csv(path, label_column: int | str) -> RawTable:
     if not rows:
         raise DataError(f"{path}: no instances after the header row")
 
-    if isinstance(label_column, int):
-        if not 0 <= label_column < len(header):
-            raise DataError(f"label column {label_column} out of range for {len(header)} columns")
-        label_index = label_column
-    else:
+    if isinstance(label_column, str):
         if label_column not in header:
             raise DataError(f"label column {label_column!r} not in header {header}")
         label_index = header.index(label_column)
+    else:  # a position, by the count rule: a bool or a float is refused
+        label_index = _count("label_column", label_column, 0, DataError)
+        if label_index >= len(header):
+            raise DataError(f"label column {label_index} out of range for {len(header)} columns")
     return RawTable(tuple(header), tuple(rows), label_index)
 
 

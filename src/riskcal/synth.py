@@ -8,6 +8,7 @@ from .data import DISCRETE_LIMIT, Continuous, Dataset, Discrete, FeatureSchema, 
 
 def _balanced_labels(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
     # Near-equal class counts, shuffled so row order is exchangeable.
+    m, r = _count("m", m, 1), _count("r", r, 2)
     if m < r:
         raise ValueError(f"need at least {r} instances for {r} classes")
     y = np.arange(m) % r + 1
@@ -39,7 +40,7 @@ def _categorical_columns(
     if not 0.0 <= skew < 1.0:
         raise ValueError(f"skew must be in [0, 1), got {skew}")
     # More codes would reload from a CSV as a continuous column.
-    if not 2 <= cardinality <= DISCRETE_LIMIT:
+    if _count("cardinality", cardinality, 2) > DISCRETE_LIMIT:
         raise ValueError(f"cardinality must be in 2..{DISCRETE_LIMIT}, got {cardinality}")
     X = np.empty((len(y), d), dtype=np.float64)
     base = (1.0 - skew) / cardinality
@@ -61,6 +62,7 @@ def gaussian_blobs(
     rng: np.random.Generator,
 ) -> Dataset:
     """Unit-variance Gaussian classes spaced ``separation`` apart."""
+    d = _count("d", d, 1)
     y = _balanced_labels(m, r, rng)
     X = _blob_columns(y, d, r, separation, rng)
     return Dataset(FeatureSchema((Continuous(),) * d, r), X, y)
@@ -76,6 +78,7 @@ def categorical_mixture(
     rng: np.random.Generator,
 ) -> Dataset:
     """Categorical features whose preferred value rotates with the class."""
+    d = _count("d", d, 1)
     y = _balanced_labels(m, r, rng)
     X = _categorical_columns(y, d, r, cardinality, skew, rng)
     return Dataset(FeatureSchema((Discrete(cardinality),) * d, r), X, y)

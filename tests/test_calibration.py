@@ -144,16 +144,23 @@ def test_rc_models_survive_the_count_floor():
     assert np.isfinite(models.theta).all()
 
 
-@pytest.mark.parametrize("case", ["lr0.05", "lr2", "floored"])
+@pytest.mark.parametrize("case", ["lr0.05", "lr2", "floored", "lr2_floored_start", "lr0.05_floored_start"])
 def test_rc_iterates_are_lrc_chained_from_the_scaled_projected_init(case):
     # rc projects project(init) / lr once and then only steps: lrc's projection of each iterate is a no-op.
+    # Row 0 is the model of that projected start.  An init count of 0 is floored before the scaling, to
+    # COUNT_FLOOR / lr: at lr 2 that is below the floor again, at lr 0.05 above it.
     if case == "floored":
         ds, lr, t_max, mass = run_m0_50_pooled_sample(), 0.05, 64, 125.0
+    elif case.endswith("floored_start"):
+        ds, t_max, mass = GENERATORS["categorical"](200, rng=np.random.default_rng(0)), 3, 10.0
+        lr = 2.0 if case.startswith("lr2") else 0.05
     else:
         ds = GENERATORS["mixed"](400, rng=np.random.default_rng(31), r=3)
         lr, t_max, mass = (0.05, 20, float(ds.m)) if case == "lr0.05" else (2.0, 8, float(ds.m))
     init = uniform_init(ds.schema, mass)
-    chain = [StatsVector(ds.schema, project(init).values / lr)]
+    if case.endswith("floored_start"):
+        init.values[0, 1] = 0.0
+    chain = [project(StatsVector(ds.schema, project(init).values / lr))]
     for _ in range(t_max):
         chain.append(lrc(chain[-1], ds))
     if case == "floored":  # premise: a class mass reaches the count floor

@@ -528,6 +528,16 @@ def test_sweep_validates_every_value_before_running(tmp_path):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--config", "absent.cfg"], "no such config file: absent.cfg"),
+    (["sweep", "--dataset", "d.csv", "--axis", "n", "--values", ","], "sweep needs at least one value"),
+], ids=["no-config-file", "sweep-no-values"])
+def test_main_refuses_with_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_sweep_bad_axis(tmp_path):
     cfg = tiny_config(tmp_path)
     with pytest.raises(ConfigError, match="axis"):

@@ -19,7 +19,7 @@ from riskcal.network import (
 )
 from riskcal.partition import local_datasets, split_iid
 from riskcal.sim import m0_heuristic, run_crc
-from riskcal.synth import gaussian_blobs, mixed_dataset
+from riskcal.synth import categorical_mixture, gaussian_blobs, mixed_dataset
 
 
 def rng():
@@ -56,6 +56,12 @@ CASES = [
     ("rewire", "t", 1, 2, lambda k: rewire(RewireSchedule("tree", 2), k, chain(5), rng()).pairs),
     ("split_iid", "n", 1, 2, lambda k: split_iid(DS, k, 5, rng()).assignment),
     ("split_iid", "m_v", 1, 5, lambda k: split_iid(DS, 2, k, rng()).assignment),
+    ("gaussian_blobs", "m", 1, 40, lambda k: rows(gaussian_blobs(k, rng=rng()))),
+    ("gaussian_blobs", "d", 1, 2, lambda k: rows(gaussian_blobs(30, d=k, rng=rng()))),
+    ("gaussian_blobs", "r", 2, 3, lambda k: rows(gaussian_blobs(30, r=k, rng=rng()))),
+    ("categorical_mixture", "d", 1, 2, lambda k: rows(categorical_mixture(30, d=k, rng=rng()))),
+    ("categorical_mixture", "cardinality", 2, 3, lambda k: rows(categorical_mixture(30, cardinality=k, rng=rng()))),
+    ("mixed_dataset", "m", 1, 30, lambda k: rows(mixed_dataset(k, rng=rng()))),
     ("mixed_dataset", "d_continuous", 1, 2, lambda k: rows(mixed_dataset(30, d_continuous=k, rng=rng()))),
     ("mixed_dataset", "d_discrete", 1, 2, lambda k: rows(mixed_dataset(30, d_discrete=k, rng=rng()))),
 ]

@@ -1,6 +1,8 @@
 """CSV loading, schema inference, dataset validation and splitting."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,12 @@ from riskcal.data import (
     Dataset,
     Discrete,
     FeatureSchema,
+    RawTable,
     dataset_from_table,
     infer_schema,
     load_csv,
     train_test_split,
+    validate_instances,
     write_csv,
     write_table,
 )
@@ -46,6 +50,20 @@ def test_load_csv_drops_a_byte_order_mark(tmp_path):
 def test_load_csv_label_by_index(tmp_path):
     p = write(tmp_path, "a,b,y\n1,cat,0\n2,dog,1\n")
     assert load_csv(p, 0).label_index == 0
+    assert load_csv(p, np.int64(2)).label_index == 2  # a numpy integer is a position, not a header name
+
+
+@pytest.mark.parametrize("text, label_column, message", [
+    ("", "y", "empty file, missing header row"),
+    ("a,y\n1,2\n\n3\n", "y", "row 4 has 1 cells, expected 2"),  # the blank row 3 is skipped, not refused
+    ("a,b,y\n1,2,1\n", 3, "label column 3 out of range for 3 columns"),
+    ("a,b,y\n1,2,1\n", -1, "label_column must be >= 0, got -1"),
+    ("a,b,y\n1,2,1\n", True, "label_column must be of type int, got True"),  # not column 1
+    ("a,b,y\n1,2,1\n", 2.0, "label_column must be of type int, got 2.0"),
+], ids=["empty", "blank-row", "past-the-end", "negative", "bool", "float"])
+def test_load_csv_refuses(tmp_path, text, label_column, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_csv(write(tmp_path, text), label_column)
 
 
 def test_load_csv_missing_file(tmp_path):
@@ -145,6 +163,25 @@ def test_schema_needs_a_feature(tmp_path):
         infer_schema(load_csv(write(tmp_path, "y\n1\n2\n1\n"), "y"))  # a label-only CSV
 
 
+@pytest.mark.parametrize("features, message", [
+    ((Continuous(), "continuous"), "bad feature spec: 'continuous'"),
+    ((Discrete,), "bad feature spec: <class 'riskcal.data.Discrete'>"),
+], ids=["string", "class"])
+def test_feature_schema_refuses_a_bad_spec(features, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        FeatureSchema(features, 2)
+
+
+@pytest.mark.parametrize("X, message", [
+    (np.zeros((2, 3)), "expected shape (m, 2), got (2, 3)"),
+    (np.zeros(2), "expected shape (m, 2), got (2,)"),
+], ids=["three-columns", "one-axis"])
+def test_validate_instances_refuses_a_wrong_feature_count(X, message):
+    schema = FeatureSchema((Continuous(), Continuous()), 2)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        validate_instances(schema, X)
+
+
 def test_infer_schema_non_finite_rejected(tmp_path):
     p = write(tmp_path, "f,y\nnan,a\n2.5,b\n1.0,a\n" + "\n".join(f"{v}.5,b" for v in range(12)) + "\n")
     with pytest.raises(DataError, match="non-finite"):
@@ -173,6 +210,17 @@ def test_round_trip_write_load(tmp_path):
     back = dataset_from_table(load_csv(p, "y"), schema)
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.y, ds.y)
+
+
+@pytest.mark.parametrize("header, rows, message", [
+    (("f1", "y"), (("1.0", "1"),), "table has 1 feature columns, schema has 2"),
+    (("f1", "f2", "y"), (("1.0", "2", "one"),), "label column must hold integer class codes"),
+    (("f1", "f2", "y"), (("1.0", "two", "1"),), "column 'f2': non-numeric value"),
+], ids=["feature-count", "label", "feature"])
+def test_dataset_from_table_refuses(header, rows, message):
+    schema = FeatureSchema((Continuous(), Discrete(2)), 2)
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        dataset_from_table(RawTable(header, rows, len(header) - 1), schema)
 
 
 def test_dataset_validation():

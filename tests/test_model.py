@@ -356,6 +356,21 @@ def test_rows_far_from_their_shift_train_and_score_as_near_ones(outlier):
     np.testing.assert_allclose(soft, want_soft, rtol=1e-12, atol=0)
 
 
+def test_rows_whose_terms_cancel_below_overflow_are_formed_again():
+    # Nine rows near two unit-variance classes and one at 1e5 put c near 1e4: the near rows' terms reach
+    # about 1e8 against a log joint of O(1), a ratio far above _CANCEL (2^10) that a GEMM would round to
+    # about 1e-8, yet far below 2^40.  Formed again, shifted by themselves, they match the scalar oracle.
+    schema = FeatureSchema((Continuous(),), 2)
+    params = nb_params(schema, np.array([0.5, 0.5]), (np.array([[0.0, 1.0], [1.0, 1.0]]),))
+    X = np.array([[-1.0], [-0.5], [0.0], [0.25], [0.5], [0.75], [1.0], [1.5], [2.0], [1e5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        post = posterior_matrix(params, X)
+    want = np.array([scalar_posterior(params, x) for x in X[:-1]])
+    np.testing.assert_allclose(post[:-1], want, rtol=1e-12, atol=0)
+    assert post[-1].tolist() == [0.0, 1.0]
+
+
 def test_rows_whose_shifted_square_overflows_are_formed_again():
     # Validation admits |x| <= sqrt(max).  One row at a = 0.9 sqrt(max) and nine at -a have the mean
     # c = -0.8 a, so (x - c)^2 overflows for the first row, though every (x - mu)^2 is finite.

@@ -165,13 +165,15 @@ def test_rewiring_changes_the_run():
     assert np.max(np.abs(static.stats.values - dynamic.stats.values)) > 0
 
 
-def test_rounds_match_a_per_node_reference_loop():
+@pytest.mark.parametrize("period", [1, 2])
+def test_rounds_match_a_per_node_reference_loop(period):
     # Reference: every node averages its neighborhood and calibrates, one node at a time.
+    # Period 1 redraws the graph before every round, round 1's included.
     schema = mixed_schema(3)
     rng = np.random.default_rng(13)
     locals_ = [random_dataset(schema, m, rng) for m in (12, 20, 12, 15, 20, 12, 9, 15)]
     n, m0, t_max, iterations = len(locals_), 150.0, 5, 2
-    schedule = RewireSchedule("tree+3", period=2)
+    schedule = RewireSchedule("tree+3", period=period)
     for neighborhood in ("open", "closed"):
         aggregates = []
         res = run_crc(
@@ -193,7 +195,8 @@ def test_rounds_match_a_per_node_reference_loop():
             stats = [lrc(StatsVector(schema, a), ds, iterations) for a, ds in zip(aggs, locals_)]
             for got, want in zip(aggregates[t - 1], aggs):
                 np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=0)
-        assert len(graphs) == 3  # rewired at rounds 2 and 4
+        if period == 2:
+            assert len(graphs) == 3  # rewired at rounds 2 and 4
         for v, want in enumerate(stats):
             assert res.stats[v].values.shape == want.values.shape and isinstance(res.stats[v].ess, float)
             np.testing.assert_allclose(res.stats[v].values, want.values, rtol=1e-12, atol=0)
@@ -355,8 +358,9 @@ def test_metrics_csv_format(tmp_path):
     write_csv(gaussian_blobs(300, rng=np.random.default_rng(8)), data)
     cfg = ExperimentConfig(dataset=str(data), n=3, m_v=20, t_max=4, repetitions=1, test_size=100)
     run_experiment(cfg, tmp_path / "out")
-    _, metrics, _, _ = _run_repetition(cfg, _load_dataset(cfg), 0, tmp_path / "trace.csv")
-    assert (tmp_path / "out" / f"{config_stem(cfg)}_rep0_metrics.csv").read_bytes() == csv_bytes(metrics)
+    metrics, paths = _run_repetition(cfg, _load_dataset(cfg), 0, tmp_path)
+    assert paths[0] == tmp_path / f"{config_stem(cfg)}_rep0_metrics.csv"
+    assert (tmp_path / "out" / paths[0].name).read_bytes() == paths[0].read_bytes() == csv_bytes(metrics)
 
 
 def test_run_crc_validation():
