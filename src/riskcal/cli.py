@@ -93,6 +93,11 @@ class ExperimentConfig:
         for key, least in _LEAST.items():
             if getattr(self, key) is not None:
                 _count(key, getattr(self, key), least, ConfigError)
+        name = self.label_column
+        if isinstance(name, str) and (name != name.strip() or not isinstance(_parse_label_column(name), str)):
+            # its echo would read back as a position or a stripped name, and load_csv strips the header
+            raise ConfigError(f"label_column must be an int position, or a name that is not an integer and has "
+                              f"no surrounding whitespace; got {name!r}")
         if not 0 < self.lr < np.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.m0 != "heuristic" and (isinstance(self.m0, str) or not 0 < self.m0 < np.inf):

@@ -38,12 +38,13 @@ shifted by their own mean (Chan, Golub & LeVeque's shifted sums), a
 ``Scorer``'s by the mean of all its rows, and a (model, row) whose terms
 still cancel or overflow is formed again with the row itself as c.  A
 zero probability, or a class constant that overflows, is a -inf weight:
-every row that meets one gets L = -inf.  A class whose weights equal a
-lower class's bitwise takes that class's L, so the tie is exact at any
-BLAS thread count and goes to the lowest class.  Posteriors are the
-softmax over the r class rows, P^T itself, ready for P^T Phi; zero
-probabilities yield exact 0/1 posteriors, and an instance impossible
-under every class is refused.
+every row that meets one gets L = -inf.  Every product over class rows
+(L, P^T Phi, param_map's cell totals) is ``_by_class``: a class whose row
+equals a lower class's bitwise takes that class's product, so equal
+classes tie exactly, to the lowest class, on any BLAS kernel and thread
+count.  Posteriors are the softmax over the r class rows, P^T itself,
+ready for P^T Phi; zero probabilities yield exact 0/1 posteriors, and an
+instance impossible under every class is refused.
 
 Every mapping also takes a leading node axis (statistics and parameters
 (n, r, w), datasets X (n, m, d)), so one node and n same-size nodes share
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, log, pi
+from math import inf, log, pi, prod
 
 import numpy as np
 
@@ -262,10 +263,30 @@ class NBParams:
         return "".join(f"{name} = {float(v)!r}\n" for name, v in zip(names, values))
 
 
+def _by_class(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A @ B (..., r, m) of class rows A (..., r, k), B batched (..., k, m) or shared (k, m), one GEMM over all rows.
+
+    ``out`` takes the product, (rows, m) for a shared B.  A GEMM may round
+    equal rows apart, by kernel or thread count, so a row of A bitwise
+    equal to a lower class's takes that class's product.
+    """
+    r, k = A.shape[-2:]
+    if B.ndim == 2:
+        P = np.matmul(A.reshape(prod(A.shape[:-1]), k), B, out=out).reshape(A.shape[:-1] + B.shape[-1:])
+    else:
+        P = np.matmul(A, B, out=out)
+    c0 = A[..., :1]  # equal rows have equal first columns
+    if any(np.count_nonzero(c0[..., j:, :] == c0[..., :-j, :]) for j in range(1, r)):
+        for j in range(1, r):  # each lower class i already holds its lowest equal class's product
+            for i in range(j):
+                np.copyto(P[..., j, :], P[..., i, :], where=(A[..., j, :] == A[..., i, :]).all(axis=-1)[..., None])
+    return P
+
+
 def _accumulate(schema: FeatureSchema, PT: np.ndarray, phi: np.ndarray) -> StatsVector:
     """Statistics P^T Phi of weighted instances with rows ``phi``: column k of P^T spreads instance k over classes."""
     with np.errstate(over="ignore", invalid="ignore"):
-        S = PT @ phi
+        S = _by_class(PT, phi)
     if not np.isfinite(S).all():
         raise ValueError(_NOT_FINITE)
     return StatsVector(schema, S)
@@ -350,7 +371,7 @@ def param_map(stats: StatsVector) -> NBParams:
     cls = S[..., 0]
     np.divide(cls, cls.sum(axis=-1, keepdims=True), out=theta[..., 0])
     cells = S[..., 1 : fm.moments]
-    theta[..., 1 : fm.moments] = cells / (cells @ fm.same_feature)
+    theta[..., 1 : fm.moments] = cells / _by_class(cells, fm.same_feature)
     s0, s, t = S[..., :1], fm.pairs(S), fm.pairs(theta)  # t holds (mu, var) pairs
     mu = np.divide(s[..., 0], s0, out=t[..., 0])
     np.maximum(s[..., 1] / s0 - mu * mu, VAR_FLOOR, out=t[..., 1])
@@ -378,12 +399,13 @@ def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
 _CANCEL = 2.0**10
 
 
-def _weights(models: NBParams, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+def _weights(models: NBParams, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights W(theta) (..., r, w) over rows Phi(x - c), models and c (..., 1, q) broadcast, and their -inf mask.
 
     A -inf weight is returned as 0 (OpenBLAS's dgemm, 0.3.31, Haswell
     kernels, raised the invalid flag on -inf even where its result was
-    right).  Also returns the ``_ties`` of W, found before -inf is zeroed.
+    right), so classes whose weights differ only there share a product,
+    and the mask tells them apart.
     """
     fm = _feature_map(models.schema)
     W = np.empty(np.broadcast_shapes(models.theta.shape[:-2], np.shape(c)[:-2]) + models.theta.shape[-2:])
@@ -396,26 +418,8 @@ def _weights(models: NBParams, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, t
     t[..., 0] = a * inv
     t[..., 1] = -0.5 * inv
     zero = W == -inf
-    ties = _ties(W)
     W[zero] = 0.0
-    return W, zero, ties
-
-
-def _ties(W: np.ndarray) -> tuple[tuple, tuple] | None:
-    """Classes of W (..., r, w) whose row is bitwise equal to a lower class's, and the lowest such class, or None.
-
-    Both come as index tuples into (..., r); -inf weights count.  A GEMM
-    may round equal rows differently at different BLAS thread counts:
-    copying the lower class's L makes their tie exact, so it goes to the
-    lowest class at any thread count.
-    """
-    r, c0 = W.shape[-2], W[..., 0]
-    if not any(np.count_nonzero(c0[..., k:] == c0[..., :-k]) for k in range(1, r)):  # equal rows have equal constants
-        return None
-    lower = np.arange(r)[:, None] > np.arange(r)  # [j, i]: class i below class j
-    same = (W[..., :, None, :] == W[..., None, :, :]).all(axis=-1) & lower
-    *model, j = np.nonzero(same.any(axis=-1))
-    return (*model, j), (*model, same[(*model, j)].argmax(axis=-1))
+    return W, zero
 
 
 class _Rows:
@@ -434,27 +438,20 @@ class _Rows:
 
         ``out``, over shared rows, is a (K r, m) buffer.  A (model, row) whose
         terms overflow or cancel, sum |W| |Phi| > _CANCEL (1 + |L|), is formed
-        again with the row itself as c, which leaves no continuous terms.  A
-        class whose weights equal a lower class's takes that class's L.
+        again with the row itself as c, which leaves no continuous terms.
         """
-        W, zero, ties = _weights(models, self.c)
-        shape = W.shape[:-1] + self.phiT.shape[-1:]
-        if self.phiT.ndim == 2:  # shared rows: one GEMM for every model
-            W, zero = W.reshape(-1, W.shape[-1]), zero.reshape(-1, W.shape[-1])
+        W, zero = _weights(models, self.c)
         mask = None
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing or nan L is formed again
-            logj = np.matmul(W, self.phiT, out=out)
+            logj = _by_class(W, self.phiT, out)
             sound = (np.abs(W) @ self.phi_max[..., None]).max(initial=0.0) <= _CANCEL
             if not sound or zero.any():
                 n = self.fm.moments  # only constant and one-hot weights are ever -inf
-                mask = (zero[..., :n].astype(np.float64) @ self.phiT[..., :n, :] > 0).reshape(shape)
+                mask = zero[..., :n].astype(np.float64) @ self.phiT[..., :n, :] > 0
                 if not sound:
                     terms = np.abs(W) @ np.abs(self.phiT)
                     loose = ~((terms <= _CANCEL * (1.0 + np.abs(logj))) & (terms < inf))
-                    self._reform(models, logj.reshape(shape), mask, loose.reshape(shape).any(axis=-2))
-        logj = logj.reshape(shape)
-        if ties is not None:
-            logj[ties[0]] = logj[ties[1]]
+                    self._reform(models, logj, mask, loose.any(axis=-2))
         if mask is not None:
             logj[mask] = -inf
         return logj, mask
@@ -466,7 +463,7 @@ class _Rows:
         def pick(A: np.ndarray, idx: tuple) -> np.ndarray:  # A's last two axes at idx, broadcast over models
             return np.broadcast_to(A, loose.shape[:-1] + A.shape[-2:])[idx]
 
-        W, zero, _ = _weights(NBParams(models.schema, pick(models.theta, at[:-1])), pick(self.xc, at)[:, None, :])
+        W, zero = _weights(NBParams(models.schema, pick(models.theta, at[:-1])), pick(self.xc, at)[:, None, :])
         phi = pick(np.swapaxes(self.phiT[..., :n, :], -1, -2), at)[..., None]  # (B, n, 1): Phi(x - x)
         np.swapaxes(logj, -1, -2)[at] = (W[..., :n] @ phi)[..., 0]
         np.swapaxes(mask, -1, -2)[at] = (zero[..., :n].astype(np.float64) @ phi)[..., 0] > 0

@@ -1,0 +1,134 @@
+"""Hand-written mutants of src/riskcal, and a runner that checks the tests tell each one apart.
+
+Each entry of ``MUTANTS`` replaces one exact text, found once in its
+file, with another.  A ``killed`` mutant must fail the tier-1 suite; an
+``equivalent`` one changes no result and must pass it.  For every
+mutant the runner copies src/, tests/ and pyproject.toml to a temporary
+directory, applies it there and runs the suite with ``-x -q``: the
+working tree is never written.  From the repository root:
+
+    python tests/mutants.py          # every mutant, a few minutes
+    python tests/mutants.py 3 21     # mutants 3 and 21 only
+
+It prints one line per mutant and exits 1 if any mutant's fate is not
+the one listed.  pytest does not collect this file.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    file: str  # relative to src/riskcal
+    old: str
+    new: str
+    fate: str  # "killed" or "equivalent"
+    why: str
+
+
+MUTANTS = [
+    Mutant("model.py", "beats = [np.greater_equal] * y + [np.greater] * (r - 1 - y)",
+           "beats = [np.greater] * (r - 1)", "killed",
+           "a tie between the true class and a lower one counts as right: ties no longer go to the lowest class"),
+    Mutant("model.py", "            logj = _by_class(W, self.phiT, out)",
+           "            logj = W @ self.phiT", "killed",
+           "the log joint is a plain GEMM: equal weight rows may round apart on another kernel"),
+    Mutant("model.py", "self.c = self.xc.sum(axis=-2, keepdims=True) / max(X.shape[-2], 1)",
+           "self.c = 0.0 * self.xc[..., :1, :]", "killed",
+           "no row shift: (x - c)^2 / var cancels at its full magnitude"),
+    Mutant("model.py", "self.c = self.xc.sum(axis=-2, keepdims=True) / max(X.shape[-2], 1)",
+           "self.c = self.xc[..., :1, :]", "killed",
+           "the rows are shifted by their first row, not by their mean"),
+    Mutant("calibration.py", "np.maximum(counts, COUNT_FLOOR, out=counts)", "np.maximum(counts, 0.0, out=counts)",
+           "killed", "project floors no count"),
+    Mutant("calibration.py", "s0 * VAR_FLOOR + s[..., 0] ** 2 / s0", "s[..., 0] ** 2 / s0", "killed",
+           "project floors no variance"),
+    Mutant("model.py", "np.maximum(s[..., 1] / s0 - mu * mu, VAR_FLOOR, out=t[..., 1])",
+           "np.maximum(s[..., 1] / s0 - mu * mu, 0.0, out=t[..., 1])", "killed",
+           "param_map floors no variance"),
+    Mutant("calibration.py", "uniform_init(dataset.schema, smoothing)", "uniform_init(dataset.schema, 2 * smoothing)",
+           "killed", "ml adds twice its smoothing mass"),
+    Mutant("sim.py", "train_err_std=float(tr01.std()),", "train_err_std=float(tr01.std(ddof=1)),", "killed",
+           "the spread over nodes is the sample, not the population, standard deviation"),
+    Mutant("sim.py", '    if neighborhood == "closed":', "    if True:", "killed",
+           "open neighborhoods average the node itself too"),
+    Mutant("sim.py", "return total / degree[:, None, None]", "return total / degree[:, None, None] * (1.0 + 1e-13)",
+           "killed", "averaging is biased by 1e-13 relative"),
+    Mutant("model.py", "sound = (np.abs(W) @ self.phi_max[..., None]).max(initial=0.0) <= _CANCEL",
+           "sound = True", "killed", "no (model, row) whose terms cancel or overflow is formed again"),
+    Mutant("model.py", "                if d == 0:", "                if d == len(self.m) - 1:", "killed",
+           "the soft error is read from the last dataset, the test set, not the first"),
+    Mutant("model.py", "                    total += 1.0", "                    total += 1.0 + 1e-9", "killed",
+           "the true-class posterior's denominator is 1e-9 too large"),
+    Mutant("model.py", "_CANCEL = 2.0**10", "_CANCEL = 2.0**40", "killed",
+           "a log joint is trusted with 2^30 times more cancellation"),
+    Mutant("calibration.py", "stats = [project(StatsVector(init.schema, project(init).values / lr))]",
+           "stats = [StatsVector(init.schema, project(init).values / lr)]", "killed",
+           "rc does not project its scaled start, project(init) / lr"),
+    Mutant("calibration.py", "stats = [project(StatsVector(init.schema, project(init).values / lr))]",
+           "stats = [project(StatsVector(init.schema, init.values / lr))]", "killed",
+           "rc scales init, not project(init): they part at a floor"),
+    Mutant("sim.py", "graph = rewire(schedule, t, graph, rng)",
+           "graph = rewire(schedule, t, graph, rng) if t > 1 else graph", "killed",
+           "a period-1 schedule does not redraw before round 1"),
+    Mutant("model.py", "_EVAL_CHUNK = 16", "_EVAL_CHUNK = 5", "equivalent",
+           "models scored per pass: every pass size gives the same scores"),
+    Mutant("model.py", "        S = _by_class(PT, phi)", "        S = PT @ phi", "killed",
+           "P^T Phi is a plain GEMM: unseen classes' statistics may round apart on another kernel"),
+    Mutant("model.py", "cells / _by_class(cells, fm.same_feature)", "cells / (cells @ fm.same_feature)", "killed",
+           "each feature's cell total is a plain GEMM: equal classes' tables may round apart on another kernel"),
+    Mutant("model.py", "np.copyto(P[..., j, :], P[..., i, :], where=", "(", "killed",
+           "_by_class copies no product: equal class rows keep whatever rounding the kernel gives them"),
+]
+
+
+def run(mutant: Mutant) -> tuple[str, float]:
+    """The mutant's fate under tier-1 (``killed``, ``equivalent`` or an error) and the seconds it took."""
+    with tempfile.TemporaryDirectory(prefix="riskcal_mutant_") as tmp:
+        tree = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        path = tree / "src" / "riskcal" / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return f"error: the old text occurs {text.count(mutant.old)} times in {mutant.file}", 0.0
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        paths = [str(tree / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               "--continue-on-collection-errors"], cwd=tree, env=env, capture_output=True, text=True)
+        seconds = time.perf_counter() - start
+    fate = {0: "equivalent", 1: "killed"}.get(done.returncode)
+    if fate is None:
+        tail = done.stdout.strip().splitlines()[-1:] or ["no output"]
+        return f"error: pytest exited {done.returncode}: {tail[0]}", seconds
+    return fate, seconds
+
+
+def main(argv: list[str]) -> int:
+    chosen = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
+    wrong = 0
+    for i in chosen:
+        mutant = MUTANTS[i - 1]
+        fate, seconds = run(mutant)
+        ok = fate == mutant.fate
+        wrong += not ok
+        print(f"{i:2d} {'ok ' if ok else 'BAD'} {fate:10s} {seconds:5.1f}s  {mutant.file}: {mutant.why}", flush=True)
+    print(f"{len(chosen) - wrong} of {len(chosen)} mutants as listed")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -155,10 +155,13 @@ def test_a_config_is_checked_when_built():
 @pytest.mark.parametrize("key, value", [
     ("m0", "abc"), ("n", "4"), ("lr", "0.1"), ("ml_smoothing", "x"), ("n", 4.5), ("iter", 2.5), ("delta", 2.5),
     ("train_size", 3000.0), ("n", True), ("lr", True), ("m0", np.bool_(True)), ("dataset", 3),
-    ("label_column", 1.0), ("seed", -1),
+    ("label_column", 1.0), ("seed", -1), ("label_column", "3"), ("label_column", "-1"), ("label_column", " y"),
+    ("label_column", "y\t"),
 ])
 def test_a_config_refuses_a_wrong_type_or_a_negative_seed(key, value):
-    # Built directly, each key's type is checked before its value, and the refusal names the key.
+    # Built directly, each key's type is checked before its value, and the refusal names the key.  A label
+    # name that reads as an integer or has surrounding whitespace is refused: its echo "label_column = 3"
+    # would read back as position 3, and " y" as "y".
     with pytest.raises(ConfigError, match=f"^{key} must be "):
         ExperimentConfig(**{key: value})
 
@@ -362,7 +365,7 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a second BLAS thread needs a second core")
 def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # Classes a drifted node has not seen keep bitwise equal statistics, so their log joints tie exactly;
-    # a multithreaded GEMM may round equal weight rows differently, which must not break the tie.
+    # a GEMM may round equal class rows differently at another thread count, which must not break the tie.
     data = tmp_path / "mixed.csv"
     assert main(["gendata", "--kind", "mixed", "--m", "3500", "--r", "3", "--seed", "7", "--out", str(data)]) == 0
     src = str(Path(riskcal.__file__).resolve().parents[1])

@@ -637,7 +637,7 @@ def gemm_reference(models, datasets):
     phiT = np.ascontiguousarray(fm.phi(X, c).T)
     L = np.empty((K, r, len(X)))
     for lo in range(0, K, _EVAL_CHUNK):
-        W, zero, _ = _weights(models[lo : lo + _EVAL_CHUNK], c)
+        W, zero = _weights(models[lo : lo + _EVAL_CHUNK], c)
         W, zero = W.reshape(-1, W.shape[-1]), zero.reshape(-1, W.shape[-1])
         chunk = W @ phiT
         chunk[zero.astype(np.float64) @ phiT > 0] = -np.inf
