@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, _count
+from .data import Dataset, _count, _pooled, _real, _same_schema
 from .model import (
     COUNT_FLOOR,
     VAR_FLOOR,
@@ -85,8 +85,7 @@ def lrc(agg_stats: StatsVector, local_dataset: Dataset | LocalStep, iterations: 
     (n, r, w) and a stacked dataset (see Dataset) calibrate n nodes at once.
     """
     iterations = _count("iterations", iterations, 1)
-    if agg_stats.schema != local_dataset.schema:
-        raise ValueError("schema mismatch")
+    _same_schema("statistics and local data", agg_stats.schema, local_dataset.schema)
     local = local_dataset if isinstance(local_dataset, LocalStep) else LocalStep(local_dataset)
     stats = project(agg_stats)
     for _ in range(iterations):
@@ -111,15 +110,12 @@ def rc(dataset: Dataset, lr: float, t_max: int, init: StatsVector) -> NBParams:
     takes the rounding of either scale (on blobs scaled by 100, up to
     4e-5 relative at lr 0.05).  Models carry no scale; statistics
     rescaled by lr could hold counts below COUNT_FLOOR, which
-    ``param_map`` refuses.
+    ``param_map`` refuses.  ``dataset`` is the pooled sample: a stacked
+    one is refused.
     """
-    t_max = _count("t_max", t_max, 1)
-    if not 0 < lr < np.inf:
-        raise ValueError(f"learning rate must be positive and finite, got {lr}")
-    if dataset.X.ndim != 2:
-        raise ValueError("rc calibrates on one pooled dataset, not a stacked one: pass global_sample(dataset, plan)")
-    if init.schema != dataset.schema:
-        raise ValueError("schema mismatch")
+    t_max, lr = _count("t_max", t_max, 1), _real("lr", lr, 0)
+    _pooled(dataset, "rc", "; pass global_sample(dataset, plan)")
+    _same_schema("init and dataset", init.schema, dataset.schema)
     if init.values.ndim != 2:
         raise ValueError(f"rc starts from one node's statistics (r, w), got {init.values.shape}; index one node: S[v]")
     local = LocalStep(dataset)
@@ -135,9 +131,7 @@ def ml(dataset: Dataset, smoothing: float = 1.0) -> NBParams:
     param_map(project(stat_map_dataset(dataset) + uniform_init(schema,
     smoothing))); a stacked dataset gives one model per node.
     """
-    if not smoothing >= 0:
-        raise ValueError(f"smoothing must be nonnegative, got {smoothing}")
     stats = stat_map_dataset(dataset)
-    if smoothing > 0:
+    if _real("smoothing", smoothing, 0, closed=True) > 0:
         stats = stats + uniform_init(dataset.schema, smoothing)
     return param_map(project(stats))

@@ -23,7 +23,6 @@ of repetition 0 through the same helper.  Every subcommand writes into
 from __future__ import annotations
 
 import argparse
-import numbers
 import os
 import re
 import sys
@@ -33,9 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import ml, rc
-from .data import DataError, Dataset, _count, infer_schema, load_csv, train_test_split, write_csv, write_table
+from .data import (DataError, Dataset, _count, _is_int, _is_real, _real, infer_schema, load_csv, train_test_split,
+                   write_csv, write_table)
 from .model import Scorer, param_map, uniform_init
-from .network import RewireSchedule, _parse_topology, build_topology, write_edge_list
+from .network import RewireSchedule, _neighborhood, _parse_topology, build_topology, write_edge_list
 from .partition import SPLITTERS, global_sample, local_datasets
 from .sim import METRICS_COLUMNS, RoundMetrics, evaluate_round, m0_heuristic, run_crc
 from .synth import GENERATORS
@@ -48,13 +48,8 @@ class ConfigError(ValueError):
     """Bad configuration key, value or combination."""
 
 
-# The types a config field's annotation string names: integers are Python or numpy ones, reals any but bool.
-_IS_TYPE = {
-    "int": lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
-    "str": lambda v: isinstance(v, str),
-    "None": lambda v: v is None,
-}
+# The types a config field's annotation string names: an integer and a real as the count and real rules read them.
+_IS_TYPE = {"int": _is_int, "float": _is_real, "str": lambda v: isinstance(v, str), "None": lambda v: v is None}
 # The least value of each count key; delta, when not None (inf), is a count too.
 _LEAST = dict(n=1, m_v=1, t_max=1, iter=1, test_size=1, repetitions=1, workers=1, seed=0, delta=1)
 
@@ -98,10 +93,9 @@ class ExperimentConfig:
             # its echo would read back as a position or a stripped name, and load_csv strips the header
             raise ConfigError(f"label_column must be an int position, or a name that is not an integer and has "
                               f"no surrounding whitespace; got {name!r}")
-        if not 0 < self.lr < np.inf:
-            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
-        if self.m0 != "heuristic" and (isinstance(self.m0, str) or not 0 < self.m0 < np.inf):
-            raise ConfigError(f"m0 must be 'heuristic' or positive and finite, got {self.m0}")
+        _real("lr", self.lr, 0, error=ConfigError)
+        if self.m0 != "heuristic":
+            _real("m0", self.m0, 0, error=ConfigError)
         try:
             _, extra = _parse_topology(self.topology)
         except ValueError as e:
@@ -111,16 +105,13 @@ class ExperimentConfig:
         absent = (self.n - 1) * (self.n - 2) // 2  # pairs a spanning tree leaves absent
         if extra is not None and extra > absent:
             raise ConfigError(f"cannot add {extra} edges, only {absent} absent")
-        if self.neighborhood not in ("open", "closed"):
-            raise ConfigError(f"neighborhood must be 'open' or 'closed', got {self.neighborhood!r}")
-        if self.neighborhood == "open" and self.n < 2:
+        if _neighborhood(self.neighborhood, ConfigError) == "open" and self.n < 2:
             raise ConfigError("neighborhood 'open' needs n >= 2: a lone node has no neighbors")
         if self.partition not in SPLITTERS:
             raise ConfigError(f"unknown partition {self.partition!r}")
         if self.train_size is not None and self.train_size < self.n * self.m_v:
             raise ConfigError(f"train_size {self.train_size} cannot cover n * m_v = {self.n * self.m_v}")
-        if not 0 <= self.ml_smoothing < np.inf:
-            raise ConfigError(f"ml_smoothing must be nonnegative and finite, got {self.ml_smoothing}")
+        _real("ml_smoothing", self.ml_smoothing, 0, closed=True, error=ConfigError)
 
 
 def _parse_label_column(text: str):
@@ -203,9 +194,7 @@ def resolved_train_size(cfg: ExperimentConfig) -> int:
 
 
 def resolved_m0(cfg: ExperimentConfig) -> float:
-    if cfg.m0 == "heuristic":
-        return m0_heuristic(cfg.n * cfg.m_v, cfg.lr, cfg.n)
-    return float(cfg.m0)
+    return m0_heuristic(cfg.n * cfg.m_v, cfg.lr, cfg.n) if cfg.m0 == "heuristic" else cfg.m0
 
 
 def config_stem(cfg: ExperimentConfig) -> str:
@@ -472,9 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph = sub.add_parser("gengraph", help="generate a communication graph")
     p_graph.add_argument("--topology", required=True)
     p_graph.add_argument("--n", type=int, required=True)
-    p_graph.add_argument("--seed", type=int, default=0)
-    p_graph.add_argument("--out", default=None)
-    p_graph.add_argument("--outdir", default=None)
     p_graph.set_defaults(func=_cmd_gengraph)
 
     p_data = sub.add_parser("gendata", help="generate a synthetic dataset")
@@ -484,10 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
     knobs = {name: type(v) for g in GENERATORS.values() for name, v in g.__kwdefaults__.items()}
     for name, kind in knobs.items():
         p_data.add_argument(f"--{name}", type=kind)
-    p_data.add_argument("--seed", type=int, default=0)
-    p_data.add_argument("--out", default=None)
-    p_data.add_argument("--outdir", default=None)
     p_data.set_defaults(func=_cmd_gendata)
+    for p in (p_graph, p_data):
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None)
+        p.add_argument("--outdir", default=None)
     return parser
 
 

@@ -1,7 +1,7 @@
 """Datasets with mixed discrete/continuous features.
 
-CSV loading, schema inference, typed materialization and deterministic
-splits.  Conventions used across the package:
+CSV loading, schema inference, typed materialization, deterministic
+splits and the argument rules.  Conventions used across the package:
 
 * class labels and discrete feature values are 1-based category codes,
 * a column with at most ``DISCRETE_LIMIT`` distinct values is discrete,
@@ -13,8 +13,9 @@ splits.  Conventions used across the package:
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +30,45 @@ class DataError(ValueError):
     """Malformed input file or invalid dataset contents."""
 
 
+# The argument rules.  Each refuses in a message naming the argument; the count and real rules raise ``error``.
+def _is_int(value) -> bool:  # a Python or numpy integer, not a bool
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:  # a Python or numpy real number, not a bool (np.bool_ is no numbers.Real)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _count(name: str, value, least: int, error: type[ValueError] = ValueError) -> int:
-    """``value`` as an int, refused with ``error`` naming it unless a Python or numpy integer, not a bool, >= least."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    """``value`` as an int, unless not an integer or below ``least``."""
+    if not _is_int(value):
         raise error(f"{name} must be of type int, got {value!r}")
     if value < least:
         raise error(f"{name} must be >= {least}, got {value}")
     return int(value)
+
+
+def _real(name: str, value, low, high=inf, *, closed=False, error: type[ValueError] = ValueError) -> float:
+    """``value`` as a float, unless not a real number or outside (low, high), [low, high) if ``closed``, as nan is."""
+    if not _is_real(value):
+        raise error(f"{name} must be a real number, got {value!r}")
+    if not (low <= value if closed else low < value) or not value < high:
+        upper = "finite" if high == inf else f"< {high:g}"
+        raise error(f"{name} must be {'>=' if closed else '>'} {low:g} and {upper}, got {float(value)}")
+    return float(value)
+
+
+def _pooled(dataset: Dataset, what: str, hint: str = "") -> Dataset:
+    """``dataset``, unless stacked, X (n, m_v, d): a pooled sample is one X (m, d); ``hint`` ends the message."""
+    if dataset.X.ndim != 2:
+        raise DataError(f"{what}: expected pooled X (m, d), got a stacked dataset of shape {dataset.X.shape}{hint}")
+    return dataset
+
+
+def _same_schema(what: str, *schemas: FeatureSchema) -> None:
+    """Nothing, unless a schema differs from the first (by ``!=``: cheaper than hashing a schema)."""
+    if any(schema != schemas[0] for schema in schemas[1:]):
+        raise ValueError(f"schema mismatch between {what}")
 
 
 @dataclass(frozen=True)
@@ -76,18 +109,19 @@ class FeatureSchema:
         return len(self.features)
 
 
-def validate_instances(schema: FeatureSchema, X: np.ndarray) -> None:
-    """Check a feature array (..., m, d) against a schema, raising on any violation."""
+def validate_instances(schema: FeatureSchema, X) -> np.ndarray:
+    """A feature array (..., m, d) as float64, checked against a schema: any violation raises."""
+    X = np.asarray(X, dtype=np.float64)
     if X.ndim < 2 or X.shape[-1] != schema.d:
         raise DataError(f"expected shape (m, {schema.d}), got {X.shape}")
     # One pass flags nan, inf and values whose square, held by the statistics, overflows.
     huge = not np.abs(X).max(initial=0.0) <= _ROOT_MAX
     if huge and not np.all(np.isfinite(X)):
         raise DataError("non-finite feature value")
-    X = X.reshape(prod(X.shape[:-1]), schema.d)  # instances of every stacked dataset
+    rows = X.reshape(prod(X.shape[:-1]), schema.d)  # instances of every stacked dataset
     disc = [i for i, spec in enumerate(schema.features) if isinstance(spec, Discrete)]
     if disc:
-        codes = X[:, disc]
+        codes = rows[:, disc]
         cards = np.array([schema.features[i].cardinality for i in disc])
         bad = (codes != np.floor(codes)) | (codes < 1) | (codes > cards)
         # Report the first offending feature, fractional codes before range.
@@ -96,8 +130,9 @@ def validate_instances(schema: FeatureSchema, X: np.ndarray) -> None:
             problem = "non-integral code for discrete feature" if fractional else f"code outside 1..{cards[j]}"
             raise DataError(f"feature {disc[j]}: {problem}")
     if huge:  # valid discrete codes are far below the bound
-        j = np.argmax((np.abs(X) > _ROOT_MAX).any(axis=0))
+        j = np.argmax((np.abs(rows) > _ROOT_MAX).any(axis=0))
         raise DataError(f"feature {j}: value too large, its square overflows")
+    return X
 
 
 def _row_indices(indices) -> np.ndarray:
@@ -143,7 +178,8 @@ class Dataset:
         return self.X.shape[-2]
 
     def subset(self, indices) -> "Dataset":
-        """The instances at ``indices``, of any shape: (n, m_v) indices give n stacked datasets of m_v each."""
+        """The instances at ``indices`` of a pooled dataset, any shape: (n, m_v) indices give n stacked datasets."""
+        _pooled(self, "Dataset.subset")
         idx = _row_indices(indices)
         for i in idx[(idx < 0) | (idx >= len(self.X))][:1]:
             raise DataError(f"index {i} outside 0..{len(self.X) - 1}")
@@ -182,9 +218,8 @@ def load_csv(path, label_column: int | str) -> RawTable:
             if len(row) != len(header):
                 raise DataError(f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}")
             cells = tuple(c.strip() for c in row)
-            for j, cell in enumerate(cells):
-                if cell == "":
-                    raise DataError(f"{path}: row {lineno}, column {header[j]!r}: empty cell")
+            if "" in cells:
+                raise DataError(f"{path}: row {lineno}, column {header[cells.index('')]!r}: empty cell")
             rows.append(cells)
     if not rows:
         raise DataError(f"{path}: no instances after the header row")
@@ -279,8 +314,7 @@ def dataset_from_table(table: RawTable, schema: FeatureSchema) -> Dataset:
     """
     if len(table.header) - 1 != schema.d:
         raise DataError(f"table has {len(table.header) - 1} feature columns, schema has {schema.d}")
-    y_tokens = tuple(row[table.label_index] for row in table.rows)
-    y_values = _parse_floats(y_tokens)
+    y_values = _parse_floats(tuple(row[table.label_index] for row in table.rows))
     if y_values is None:
         raise DataError("label column must hold integer class codes")
     feature_cols = [j for j in range(len(table.header)) if j != table.label_index]
@@ -307,28 +341,26 @@ def write_table(path, header, rows) -> None:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write a dataset as CSV: features f1..fd, label column 'y' last.
+    """Write a pooled dataset as CSV: features f1..fd, label column 'y' last.
 
     Discrete codes and labels are written as integers, continuous values
     with full repr precision, so a written file reloads exactly under
-    the same schema via :func:`dataset_from_table`.
+    the same schema via :func:`dataset_from_table`.  A stacked dataset
+    is refused before the file is opened.
     """
+    _pooled(dataset, "write_csv")
     header = [f"f{i + 1}" for i in range(dataset.schema.d)] + ["y"]
-    columns = [
-        (dataset.X[:, i].astype(np.int64) if isinstance(spec, Discrete) else dataset.X[:, i]).tolist()
-        for i, spec in enumerate(dataset.schema.features)
-    ]
+    columns = [(dataset.X[:, i].astype(np.int64) if isinstance(spec, Discrete) else dataset.X[:, i]).tolist()
+               for i, spec in enumerate(dataset.schema.features)]
     write_table(path, header, zip(*columns, dataset.y.tolist()))
 
 
 def train_test_split(
     dataset: Dataset, train_size: int, test_size: int, rng: np.random.Generator
 ) -> tuple[Dataset, Dataset]:
-    """Draw disjoint uniformly random train and test subsets."""
+    """Draw disjoint uniformly random train and test subsets of a pooled dataset; a stacked one is refused."""
     train_size, test_size = _count("train_size", train_size, 1, DataError), _count("test_size", test_size, 1, DataError)
-    if train_size + test_size > dataset.m:
-        raise DataError(
-            f"train {train_size} + test {test_size} exceeds {dataset.m} available instances"
-        )
+    if train_size + test_size > _pooled(dataset, "train_test_split").m:
+        raise DataError(f"train {train_size} + test {test_size} exceeds {dataset.m} available instances")
     perm = rng.permutation(dataset.m)
     return dataset.subset(perm[:train_size]), dataset.subset(perm[train_size : train_size + test_size])

@@ -60,7 +60,7 @@ from math import inf, log, pi, prod
 
 import numpy as np
 
-from .data import Dataset, Discrete, FeatureSchema, validate_instances
+from .data import Dataset, Discrete, FeatureSchema, _pooled, _real, _same_schema, validate_instances
 
 # Smallest admissible count (class mass or cell count) after projection.
 COUNT_FLOOR = 1e-9
@@ -186,16 +186,12 @@ class StatsVector:
         """Node v + 1's statistics (``S[v]``) or a stacked slice, as views."""
         return StatsVector(self.schema, self.values[key])
 
-    def _check_schema(self, other: "StatsVector") -> None:
-        if self.schema != other.schema:
-            raise ValueError("schema mismatch between statistics")
-
     def __add__(self, other: "StatsVector") -> "StatsVector":
-        self._check_schema(other)
+        _same_schema("statistics", self.schema, other.schema)
         return StatsVector(self.schema, self.values + other.values)
 
     def __sub__(self, other: "StatsVector") -> "StatsVector":
-        self._check_schema(other)
+        _same_schema("statistics", self.schema, other.schema)
         return StatsVector(self.schema, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "StatsVector":
@@ -308,8 +304,7 @@ def prob_stat_map(X, params: NBParams) -> StatsVector:
     in place of one-hot labels.  The ess equals the number of instances
     because posteriors sum to one.
     """
-    X = np.asarray(X, dtype=np.float64)
-    validate_instances(params.schema, X)
+    X = validate_instances(params.schema, X)
     return _accumulate(params.schema, _posterior(params, _Rows(params.schema, X)), _feature_map(params.schema).phi(X))
 
 
@@ -340,15 +335,13 @@ def posterior_matrix(params: NBParams, X) -> np.ndarray:
 
     The result is a transposed view of the class-major posteriors.
     """
-    X = np.asarray(X, dtype=np.float64)
-    validate_instances(params.schema, X)
+    X = validate_instances(params.schema, X)
     return np.swapaxes(_posterior(params, _Rows(params.schema, X)), -1, -2)
 
 
 def predict_matrix(params: NBParams, X) -> np.ndarray:
     """Most probable class per row, ties resolved to the lowest index."""
-    X = np.asarray(X, dtype=np.float64)
-    validate_instances(params.schema, X)
+    X = validate_instances(params.schema, X)
     logj = _Rows(params.schema, X).log_joint(params)[0]
     _require_possible(logj.max(axis=-2))
     return logj.argmax(axis=-2) + 1
@@ -388,10 +381,7 @@ def uniform_init(schema: FeatureSchema, m0: float) -> StatsVector:
     construction is homogeneous: uniform_init(c * m0) equals
     c * uniform_init(m0) componentwise.
     """
-    m0 = float(m0)
-    if not 0 < m0 < inf:
-        raise ValueError(f"initial mass must be positive and finite, got {m0}")
-    r = schema.class_cardinality
+    m0, r = _real("m0", m0, 0), schema.class_cardinality
     return StatsVector(schema, np.tile((m0 / r) * _feature_map(schema).base, (r, 1)))
 
 
@@ -478,12 +468,10 @@ def _stacked(models, schema: FeatureSchema) -> NBParams:
     if isinstance(models, NBParams):
         if models.theta.ndim != 3:
             raise TypeError("a single model has no node axis to score along; pass [params] or stacked parameters")
-        if models.schema != schema:
-            raise ValueError("schema mismatch between model and dataset")
+        _same_schema("model and dataset", schema, models.schema)
         return models
     models = list(models)
-    if any(p.schema != schema for p in models):
-        raise ValueError("schema mismatch between model and dataset")
+    _same_schema("model and dataset", schema, *(p.schema for p in models))
     if any(p.theta.ndim != 2 for p in models):
         raise TypeError("a list of models holds single models; pass stacked parameters by themselves")
     r, w = schema.class_cardinality, _feature_map(schema).width
@@ -506,21 +494,17 @@ class Scorer:
     allocates little besides its results and weights, unless an L is -inf or
     its terms may cancel (see ``_Rows.log_joint``).  Error messages number
     the rows as one table, in dataset order, and the models in the whole
-    stack.
+    stack.  Every dataset must be pooled, X (m, d): a stacked one is refused.
     """
 
     def __init__(self, datasets: list[Dataset]) -> None:
         if not datasets:
             raise ValueError("need at least one dataset to score")
-        schema = datasets[0].schema
+        self.schema = schema = datasets[0].schema
+        _same_schema("the datasets to score", *(ds.schema for ds in datasets))
         for ds in datasets:
-            if ds.schema != schema:
-                raise ValueError("schema mismatch between the datasets to score")
-            if ds.X.ndim != 2:
-                raise ValueError("cannot score on a stacked dataset: score its pooled rows, global_sample(dataset, plan)")
-            if ds.m == 0:
+            if _pooled(ds, "Scorer", "; score its pooled rows, global_sample(dataset, plan)").m == 0:
                 raise ValueError("cannot evaluate on an empty dataset")
-        self.schema = schema
         X = np.concatenate([ds.X for ds in datasets])
         r = schema.class_cardinality
         self.m = np.array([ds.m for ds in datasets])

@@ -100,12 +100,20 @@ def add_random_edges(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
     return Graph(n, np.concatenate([graph.pairs, added]))
 
 
+NEIGHBORHOODS = ("open", "closed")  # a node's neighborhood leaves the node itself out, or takes it in
+
+
+def _neighborhood(mode: str, error: type[ValueError] = ValueError) -> str:  # mode, unless not a neighborhood
+    if mode not in NEIGHBORHOODS:
+        raise error(f"neighborhood must be {' or '.join(map(repr, NEIGHBORHOODS))}, got {mode!r}")
+    return mode
+
+
 def neighbors(graph: Graph, v: int, mode: str = "open") -> set[int]:
     """Neighborhood of v: 'open' excludes v itself, 'closed' includes it."""
     if (v := _count("v", v, 1)) > graph.n:
         raise ValueError(f"node {v} outside 1..{graph.n}")
-    if mode not in ("open", "closed"):
-        raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
+    _neighborhood(mode)
     out = set(graph.pairs[(graph.pairs == v).any(axis=1)].ravel().tolist()) - {v}  # ids on v's edges
     if mode == "closed":
         out.add(v)

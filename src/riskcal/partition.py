@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _count, _row_indices, write_table
+from .data import Dataset, _count, _pooled, _row_indices, write_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,11 +67,8 @@ def global_sample(dataset: Dataset, plan: PartitionPlan) -> Dataset:
 
 def _standardize(X: np.ndarray) -> np.ndarray:
     """Center columns and scale unit variance; zero-variance columns stay centered."""
-    mu = X.mean(axis=0)
-    sd = X.std(axis=0)
-    Z = X - mu
-    nz = sd > 0
-    Z[:, nz] /= sd[nz]
+    Z, sd = X - X.mean(axis=0), X.std(axis=0)
+    Z[:, sd > 0] /= sd[sd > 0]
     return Z
 
 
@@ -79,11 +76,13 @@ def first_principal_component(X) -> np.ndarray:
     """Leading eigenvector of the standardized covariance, from ``np.linalg.eigh``.
 
     The sign is fixed so the largest-magnitude coordinate is positive.
-    Raises on fewer than two instances or on all-identical instances
-    (zero covariance).
+    Raises on an array that is not 2-d, on fewer than two instances or
+    on all-identical instances (zero covariance).
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 2:
+    if X.ndim != 2:
+        raise ValueError(f"a principal component takes a 2-d array of instances, got shape {X.shape}")
+    if X.shape[0] < 2:
         raise ValueError("need at least two instances for a principal component")
     Z = _standardize(X)
     C = (Z.T @ Z) / X.shape[0]
@@ -96,7 +95,7 @@ def first_principal_component(X) -> np.ndarray:
 
 def _draw(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> np.ndarray:
     n, m_v = _count("n", n, 1), _count("m_v", m_v, 1)
-    if n * m_v > dataset.m:
+    if n * m_v > _pooled(dataset, "partition").m:
         raise ValueError(f"partition wants {n * m_v} instances, dataset has {dataset.m}")
     return rng.choice(dataset.m, size=n * m_v, replace=False)
 

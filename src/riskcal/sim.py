@@ -27,9 +27,9 @@ from math import nan
 import numpy as np
 
 from .calibration import LocalStep, lrc
-from .data import Dataset, _count
+from .data import Dataset, _count, _pooled, _real, _same_schema
 from .model import NBParams, Scorer, StatsVector, param_map, uniform_init
-from .network import Graph, RewireSchedule, rewire
+from .network import Graph, RewireSchedule, _neighborhood, rewire
 
 
 def m0_heuristic(m: float, lr: float, n: int) -> float:
@@ -38,9 +38,7 @@ def m0_heuristic(m: float, lr: float, n: int) -> float:
     Chosen so that the effective local learning rate m_v / m0 of an
     average node equals lr when the m instances are spread over n nodes.
     """
-    if not m > 0 or not 0 < lr < np.inf:
-        raise ValueError(f"need m > 0 and lr positive and finite, got m={m}, lr={lr}")
-    return m / (lr * _count("n", n, 1))
+    return _real("m", m, 0) / (_real("lr", lr, 0) * _count("n", n, 1))
 
 
 @dataclass
@@ -129,10 +127,9 @@ def _average(S: np.ndarray, graph: Graph, neighborhood: str) -> np.ndarray:
 
 def _stack_by_size(local_datasets: list[Dataset]) -> tuple[list[np.ndarray], list[Dataset]]:
     """Node indices of every group of one local size, smallest size first, and each group's datasets stacked."""
-    if any(ds.X.ndim != 2 for ds in local_datasets):
-        raise ValueError("a stacked Dataset holds every node: pass it by itself, not in a list")
-    if len({ds.schema for ds in local_datasets}) > 1:
-        raise ValueError("all local datasets must share one schema")
+    for ds in local_datasets:
+        _pooled(ds, "a list of local datasets", "; pass a stacked Dataset by itself, not in a list")
+    _same_schema("local datasets", *(ds.schema for ds in local_datasets))
     sizes = np.array([ds.m for ds in local_datasets])
     groups = [np.flatnonzero(sizes == m) for m in sorted(set(sizes.tolist()))]
     return groups, [Dataset(local_datasets[g[0]].schema, np.stack([local_datasets[v].X for v in g]),
@@ -174,8 +171,7 @@ def run_crc(
     if n < 1:
         raise ValueError("need at least one node")
     t_max = _count("t_max", t_max, 1)
-    if neighborhood not in ("open", "closed"):
-        raise ValueError(f"neighborhood must be 'open' or 'closed', got {neighborhood!r}")
+    _neighborhood(neighborhood)
     _count("workers", workers, 1)
 
     if rng is None:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DISCRETE_LIMIT, Continuous, Dataset, Discrete, FeatureSchema, _count
+from .data import DISCRETE_LIMIT, Continuous, Dataset, Discrete, FeatureSchema, _count, _real
 
 
 def _balanced_labels(m: int, r: int, rng: np.random.Generator) -> np.ndarray:
@@ -37,8 +37,7 @@ def _categorical_columns(
     receives probability skew + (1 - skew)/cardinality; the rest share
     the remainder uniformly.
     """
-    if not 0.0 <= skew < 1.0:
-        raise ValueError(f"skew must be in [0, 1), got {skew}")
+    skew = _real("skew", skew, 0, 1, closed=True)
     # More codes would reload from a CSV as a continuous column.
     if _count("cardinality", cardinality, 2) > DISCRETE_LIMIT:
         raise ValueError(f"cardinality must be in 2..{DISCRETE_LIMIT}, got {cardinality}")

@@ -88,6 +88,14 @@ MUTANTS = [
            "each feature's cell total is a plain GEMM: equal classes' tables may round apart on another kernel"),
     Mutant("model.py", "np.copyto(P[..., j, :], P[..., i, :], where=", "(", "killed",
            "_by_class copies no product: equal class rows keep whatever rounding the kernel gives them"),
+    Mutant("data.py", "    if not _is_real(value):", "    if not (_is_real(value) or isinstance(value, bool)):",
+           "killed", "the real rule takes a bool: True reads as 1, a learning rate or mass of one"),
+    Mutant("data.py", "if not (low <= value if closed else low < value) or", "if not low < value or", "killed",
+           "the real rule ignores closed: a smoothing or skew of 0 is refused"),
+    Mutant("data.py", "    if dataset.X.ndim != 2:", "    if False:", "killed",
+           "the pooled rule is a no-op: a stacked dataset is split, partitioned and written as instances"),
+    Mutant("data.py", "    if any(schema != schemas[0] for schema in schemas[1:]):", "    if False:", "killed",
+           "the schema rule is a no-op: statistics, models and datasets of other schemas are combined"),
 ]
 
 

@@ -184,7 +184,7 @@ def test_ml_matches_hand_computation():
     assert bitwise_equal(params, param_map(project(stat_map_dataset(ds) + uniform_init(ds.schema, 1.0))))
     assert max_rel_dev(ml(ds, smoothing=0.0), params) > 0
     assert bitwise_equal(ml(ds), params)  # smoothing 1 by default
-    with pytest.raises(ValueError, match="smoothing must be nonnegative"):
+    with pytest.raises(ValueError, match=r"^smoothing must be >= 0 and finite, got -0.5$"):
         ml(ds, smoothing=-0.5)
 
 
@@ -240,7 +240,7 @@ def test_rc_validates_arguments():
     with pytest.raises(ValueError):
         rc(ds, 0.0, 5, init)
     for lr in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="learning rate must be positive and finite"):
+        with pytest.raises(ValueError, match="lr must be > 0 and finite"):
             rc(ds, lr, 2, init)
     with pytest.raises(ValueError, match="schema"):
         rc(ds, 0.05, 3, uniform_init(FeatureSchema((Continuous(),), 2), 10.0))

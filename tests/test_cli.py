@@ -117,7 +117,7 @@ def test_parse_config_drops_a_byte_order_mark(tmp_path):
 def test_parse_config_bad_values(tmp_path):
     with pytest.raises(ConfigError, match="bad value"):
         parse_config(None, {"n": "many"})
-    with pytest.raises(ConfigError, match="positive"):
+    with pytest.raises(ConfigError, match=r"^lr must be > 0 and finite, got 0.0$"):
         parse_config(None, {"lr": "0"})
     for key in ("lr", "m0", "ml_smoothing"):
         for text in ("inf", "nan"):

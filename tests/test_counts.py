@@ -1,13 +1,24 @@
-"""One count rule at every public call that takes a count: a Python or numpy integer, not a bool, of a least value."""
+"""One rule per argument kind, at every public call that takes one.
+
+A count is a Python or numpy integer, not a bool, of at least a least
+value; a real is any Python or numpy real number, not a bool, inside its
+bounds, which nan never is.  A neighborhood is one of
+``network.NEIGHBORHOODS``.  Each refusal names the argument.
+"""
 from __future__ import annotations
+
+import re
+from math import inf, nan
 
 import numpy as np
 import pytest
 
-from riskcal.calibration import lrc, rc
+from riskcal.calibration import lrc, ml, rc
+from riskcal.cli import ConfigError, ExperimentConfig
 from riskcal.data import Continuous, Discrete, FeatureSchema, train_test_split
 from riskcal.model import uniform_init
 from riskcal.network import (
+    NEIGHBORHOODS,
     Graph,
     RewireSchedule,
     add_random_edges,
@@ -74,3 +85,61 @@ def test_a_count_is_an_integer_of_at_least_its_least(where, name, least, good, c
         with pytest.raises(ValueError, match=f"^{name} must be {problem}$"):
             call(bad)
     np.testing.assert_equal(call(np.int64(good)), call(good))
+
+
+# The largest float below 0: a real bounded by ">= 0" refuses it and takes 0 itself.
+BELOW_0 = np.nextafter(0.0, -1.0)
+
+# (call, argument, its bounds, the values just outside them, a valid whole value, the call with that argument)
+REAL_CASES = [
+    ("uniform_init", "m0", "> 0 and finite", [0.0], 50, lambda x: uniform_init(DS.schema, x).values),
+    ("rc", "lr", "> 0 and finite", [0.0], 2, lambda x: rc(DS, x, 2, uniform_init(DS.schema, 50.0)).theta),
+    ("ml", "smoothing", ">= 0 and finite", [BELOW_0], 2, lambda x: ml(DS, x).theta),
+    ("m0_heuristic", "m", "> 0 and finite", [0.0], 100, lambda x: m0_heuristic(x, 0.1, 4)),
+    ("m0_heuristic", "lr", "> 0 and finite", [0.0], 2, lambda x: m0_heuristic(100, x, 4)),
+    ("run_crc", "m0", "> 0 and finite", [0.0], 10, lambda x: run_crc(LOCALS, FULL4, m0=x, t_max=1).stats.values),
+    ("categorical_mixture", "skew", ">= 0 and < 1", [BELOW_0, 1.0], 0,
+     lambda x: rows(categorical_mixture(30, skew=x, rng=rng()))),
+    ("mixed_dataset", "skew", ">= 0 and < 1", [BELOW_0, 1.0], 0, lambda x: rows(mixed_dataset(30, skew=x, rng=rng()))),
+    ("ExperimentConfig", "lr", "> 0 and finite", [0.0], 2, lambda x: ExperimentConfig(lr=x).lr),
+    ("ExperimentConfig", "m0", "> 0 and finite", [0.0], 50, lambda x: ExperimentConfig(m0=x).m0),
+    ("ExperimentConfig", "ml_smoothing", ">= 0 and finite", [BELOW_0], 2,
+     lambda x: ExperimentConfig(ml_smoothing=x).ml_smoothing),
+]
+
+
+@pytest.mark.parametrize("where, name, bounds, outside, good, call", REAL_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in REAL_CASES])
+def test_a_real_is_a_number_within_its_bounds(where, name, bounds, outside, good, call):
+    error = ConfigError if where == "ExperimentConfig" else ValueError
+    # A config's field types are checked before its values: a bool is refused as not of the field's type.
+    for bad in (True, np.True_, "1"):
+        kind = "(a real number|of type [a-z |]+)"
+        with pytest.raises(error, match=rf"^{name} must be {kind}, got {re.escape(repr(bad))}$"):
+            call(bad)
+    for bad in (nan, inf, -inf, *outside):
+        with pytest.raises(error, match=rf"^{name} must be {re.escape(bounds)}, got {re.escape(str(float(bad)))}$"):
+            call(bad)
+    if bounds.startswith(">="):
+        call(0)  # a closed bound is inside
+    want = call(good)
+    for same in (float(good), np.float32(good), np.int64(good)):
+        np.testing.assert_equal(call(same), want)
+
+
+NEIGHBORHOOD_CASES = {
+    "neighbors": lambda mode: neighbors(chain(4), 2, mode),
+    "run_crc": lambda mode: run_crc(LOCALS, FULL4, m0=10.0, t_max=1, neighborhood=mode),
+    "ExperimentConfig": lambda mode: ExperimentConfig(neighborhood=mode),
+}
+
+
+@pytest.mark.parametrize("where", NEIGHBORHOOD_CASES)
+def test_a_neighborhood_is_one_of_the_network_neighborhoods(where):
+    call = NEIGHBORHOOD_CASES[where]
+    assert NEIGHBORHOODS == ("open", "closed")
+    for mode in NEIGHBORHOODS:
+        call(mode)
+    for bad in ("semi", "Open", "closed "):
+        with pytest.raises(ValueError, match=rf"^neighborhood must be 'open' or 'closed', got {re.escape(repr(bad))}$"):
+            call(bad)

@@ -17,8 +17,8 @@ from conftest import (
     random_params,
     scalar_posterior,
 )
-from riskcal.calibration import project
-from riskcal.data import Continuous, DataError, Dataset, Discrete, FeatureSchema
+from riskcal.calibration import project, rc
+from riskcal.data import Continuous, DataError, Dataset, Discrete, FeatureSchema, train_test_split, write_csv
 from riskcal.model import (
     _EVAL_CHUNK,
     COUNT_FLOOR,
@@ -37,7 +37,9 @@ from riskcal.model import (
     uniform_init,
     zero_stats,
 )
-from riskcal.partition import global_sample, local_datasets, split_iid
+from riskcal.network import RewireSchedule, full_graph
+from riskcal.partition import SPLITTERS, global_sample, local_datasets, split_iid
+from riskcal.sim import run_crc
 from riskcal.synth import gaussian_blobs
 
 TINY_SCHEMA = FeatureSchema((Discrete(3), Continuous()), 2)
@@ -210,7 +212,7 @@ def test_uniform_init_values_and_homogeneity():
     double = uniform_init(schema, 1800.0)
     assert np.allclose(double.values, (2.0 * s).values, rtol=1e-15, atol=0)
     for bad in (0.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="initial mass must be positive and finite"):
+        with pytest.raises(ValueError, match="m0 must be > 0 and finite"):
             uniform_init(schema, bad)
 
 
@@ -826,17 +828,45 @@ def test_evaluate_many_takes_an_empty_list_and_refuses_a_single_model():
         evaluate_many([params, stack_params([params, params])], ds)  # not three models
 
 
-def test_a_stacked_dataset_is_refused_by_the_scorers():
+def test_a_stacked_dataset_is_refused_by_every_pooled_only_call(tmp_path):
+    # A stacked dataset's rows are nodes: split, partitioned, written or scored as instances, it would give
+    # subsets of nodes, a plan of node indices or CSV cells holding whole rows.  Each call names itself and
+    # the shape; the calls that take the pooled sample say how to get it.
     pool = gaussian_blobs(200, rng=np.random.default_rng(24))
     plan = split_iid(pool, 4, 25, np.random.default_rng(25))
-    stacked = local_datasets(pool, plan)
+    stacked = local_datasets(pool, plan)  # X (4, 25, 2)
     models = param_map(stat_map_dataset(stacked))  # one model per node
-    for score in (lambda: Scorer([pool, stacked]), lambda: evaluate_many(models, stacked),
-                  lambda: evaluate_many([models[0]], stacked)):
-        with pytest.raises(ValueError, match=r"stacked dataset.*global_sample\(dataset, plan\)"):
-            score()
-    err01, _ = evaluate_many(models, global_sample(pool, plan))
+    sample = global_sample(pool, plan)
+    rng = np.random.default_rng(26)
+    hint, in_a_list = "; pass global_sample(dataset, plan)", "; pass a stacked Dataset by itself, not in a list"
+    calls = [
+        ("Dataset.subset", "", lambda: stacked.subset([0, 1])),
+        ("train_test_split", "", lambda: train_test_split(stacked, 2, 2, rng)),
+        *(("partition", "", lambda split=split: split(stacked, 2, 2, rng)) for split in SPLITTERS.values()),
+        ("Dataset.subset", "", lambda: global_sample(stacked, split_iid(pool, 2, 2, rng))),
+        ("Dataset.subset", "", lambda: local_datasets(stacked, split_iid(pool, 2, 2, rng))),
+        ("write_csv", "", lambda: write_csv(stacked, tmp_path / "stacked.csv")),
+        ("Scorer", "; score its pooled rows, global_sample(dataset, plan)", lambda: Scorer([pool, stacked])),
+        ("Scorer", "; score its pooled rows, global_sample(dataset, plan)", lambda: evaluate_many(models, stacked)),
+        ("Scorer", "; score its pooled rows, global_sample(dataset, plan)",
+         lambda: evaluate_many([models[0]], stacked)),
+        ("rc", hint, lambda: rc(stacked, 0.05, 3, uniform_init(pool.schema, 100.0))),
+        ("a list of local datasets", in_a_list,
+         lambda: run_crc([stacked], RewireSchedule(full_graph(4)), m0=10.0, t_max=1)),
+    ]
+    assert len(calls) == 14
+    for what, tail, call in calls:
+        want = f"{what}: expected pooled X (m, d), got a stacked dataset of shape (4, 25, 2){tail}"
+        with pytest.raises(DataError, match=f"^{re.escape(want)}$"):
+            call()
+    assert not (tmp_path / "stacked.csv").exists()  # refused before the file is opened
+    # Each call takes the pooled sample itself.
+    err01, _ = evaluate_many(models, sample)
     assert err01.shape == (4,)
+    assert len(rc(sample, 0.05, 3, uniform_init(pool.schema, 100.0))) == 4
+    assert [part.m for part in train_test_split(sample, 60, 40, rng)] == [60, 40]
+    assert all(split(sample, 4, 25, rng).assignment.shape == (4, 25) for split in SPLITTERS.values())
+    write_csv(sample, tmp_path / "pooled.csv")
 
 
 def test_posterior_and_predict_matrix_take_a_leading_node_axis():

@@ -121,7 +121,7 @@ def test_neighbors_open_and_closed():
     assert neighbors(f, 3, "closed") == {1, 2, 3, 4}
     with pytest.raises(ValueError):
         neighbors(g, 5, "open")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^neighborhood must be 'open' or 'closed', got 'semi'$"):
         neighbors(g, 1, "semi")
 
 

@@ -1,6 +1,8 @@
 """Node assignment splitters and the principal-component helper."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -156,8 +158,13 @@ def test_first_principal_component_when_top_eigenvalues_nearly_tie():
 
 
 def test_first_principal_component_degenerate_inputs():
-    with pytest.raises(ValueError, match="two instances"):
+    with pytest.raises(ValueError, match=r"^need at least two instances for a principal component$"):
         first_principal_component(np.ones((1, 3)))
+    # Not a table of instances at all: named by its shape, not counted as too few instances.
+    for X in (np.ones((3, 4, 2)), np.ones(3), np.float64(1.0)):
+        message = f"a principal component takes a 2-d array of instances, got shape {np.shape(X)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            first_principal_component(X)
     with pytest.raises(ValueError, match="identical"):
         first_principal_component(np.ones((5, 3)))
 

@@ -46,7 +46,7 @@ def test_m0_heuristic_reference_values():
     with pytest.raises(ValueError):
         m0_heuristic(100, 0.0, 5)
     for lr in (np.inf, np.nan):
-        with pytest.raises(ValueError, match="lr positive and finite"):
+        with pytest.raises(ValueError, match="lr must be > 0 and finite"):
             m0_heuristic(100, lr, 4)
 
 
