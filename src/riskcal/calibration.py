@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, _count, _pooled, _real, _same_schema
+from .data import DataError, Dataset, _count, _nodes, _real, _same_schema
 from .model import (
     COUNT_FLOOR,
     VAR_FLOOR,
@@ -114,10 +114,9 @@ def rc(dataset: Dataset, lr: float, t_max: int, init: StatsVector) -> NBParams:
     one is refused.
     """
     t_max, lr = _count("t_max", t_max, 1), _real("lr", lr, 0)
-    _pooled(dataset, "rc", "; pass global_sample(dataset, plan)")
+    _nodes("rc", dataset, False, "; pass global_sample(dataset, plan)", DataError)
     _same_schema("init and dataset", init.schema, dataset.schema)
-    if init.values.ndim != 2:
-        raise ValueError(f"rc starts from one node's statistics (r, w), got {init.values.shape}; index one node: S[v]")
+    _nodes("rc's init", init.values, False, "; index one node first: S[v]", ValueError)
     local = LocalStep(dataset)
     stats = [project(StatsVector(init.schema, project(init).values / lr))]
     for _ in range(t_max):

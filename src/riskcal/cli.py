@@ -83,35 +83,26 @@ class ExperimentConfig:
             kind = next((t for t in f.type.split(" | ") if _IS_TYPE[t](value)), None)
             if kind is None:
                 raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
-            if kind in ("int", "float"):  # a numpy number is kept as the plain one, written as text reads back
-                object.__setattr__(self, f.name, int(value) if kind == "int" else float(value))
+            if kind == "int":  # a numpy number is kept as the plain one, written as text reads back
+                object.__setattr__(self, f.name, int(value))
         for key, least in _LEAST.items():
             if getattr(self, key) is not None:
                 _count(key, getattr(self, key), least, ConfigError)
+        for key, closed in (("lr", False), ("m0", False), ("ml_smoothing", True)):  # a real as the plain float, too
+            if getattr(self, key) != "heuristic":
+                object.__setattr__(self, key, _real(key, getattr(self, key), 0, closed=closed, error=ConfigError))
         name = self.label_column
         if isinstance(name, str) and (name != name.strip() or not isinstance(_parse_label_column(name), str)):
             # its echo would read back as a position or a stripped name, and load_csv strips the header
             raise ConfigError(f"label_column must be an int position, or a name that is not an integer and has "
                               f"no surrounding whitespace; got {name!r}")
-        _real("lr", self.lr, 0, error=ConfigError)
-        if self.m0 != "heuristic":
-            _real("m0", self.m0, 0, error=ConfigError)
-        try:
-            _, extra = _parse_topology(self.topology)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        if self.topology != "full" and self.n < 2:
-            raise ConfigError(f"topology {self.topology!r} needs n >= 2")
-        absent = (self.n - 1) * (self.n - 2) // 2  # pairs a spanning tree leaves absent
-        if extra is not None and extra > absent:
-            raise ConfigError(f"cannot add {extra} edges, only {absent} absent")
+        _parse_topology(self.topology, self.n, ConfigError)
         if _neighborhood(self.neighborhood, ConfigError) == "open" and self.n < 2:
             raise ConfigError("neighborhood 'open' needs n >= 2: a lone node has no neighbors")
         if self.partition not in SPLITTERS:
             raise ConfigError(f"unknown partition {self.partition!r}")
         if self.train_size is not None and self.train_size < self.n * self.m_v:
             raise ConfigError(f"train_size {self.train_size} cannot cover n * m_v = {self.n * self.m_v}")
-        _real("ml_smoothing", self.ml_smoothing, 0, closed=True, error=ConfigError)
 
 
 def _parse_label_column(text: str):

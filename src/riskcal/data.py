@@ -22,15 +22,16 @@ import numpy as np
 
 # Columns with at most this many distinct values are treated as discrete.
 DISCRETE_LIMIT = 10
-# Largest magnitude whose square is finite in float64.
-_ROOT_MAX = np.sqrt(np.finfo(np.float64).max)
+# Largest finite float64 (the real rule takes an int beyond it as +-inf); largest magnitude whose square is finite.
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+_ROOT_MAX = np.sqrt(_FLOAT_MAX)
 
 
 class DataError(ValueError):
     """Malformed input file or invalid dataset contents."""
 
 
-# The argument rules.  Each refuses in a message naming the argument; the count and real rules raise ``error``.
+# The argument rules.  Each refuses in a message naming the argument or call, raising ``error`` where it takes one.
 def _is_int(value) -> bool:  # a Python or numpy integer, not a bool
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
@@ -52,17 +53,24 @@ def _real(name: str, value, low, high=inf, *, closed=False, error: type[ValueErr
     """``value`` as a float, unless not a real number or outside (low, high), [low, high) if ``closed``, as nan is."""
     if not _is_real(value):
         raise error(f"{name} must be a real number, got {value!r}")
-    if not (low <= value if closed else low < value) or not value < high:
+    x = float(value) if not _is_int(value) or -_FLOAT_MAX <= value <= _FLOAT_MAX else inf if value > 0 else -inf
+    if not (low <= x if closed else low < x) or not x < high:
+        lower = f"{'>=' if closed else '>'} {low:g} and " if low > -inf else ""
         upper = "finite" if high == inf else f"< {high:g}"
-        raise error(f"{name} must be {'>=' if closed else '>'} {low:g} and {upper}, got {float(value)}")
-    return float(value)
+        raise error(f"{name} must be {lower}{upper}, got {x}")
+    return x
 
 
-def _pooled(dataset: Dataset, what: str, hint: str = "") -> Dataset:
-    """``dataset``, unless stacked, X (n, m_v, d): a pooled sample is one X (m, d); ``hint`` ends the message."""
-    if dataset.X.ndim != 2:
-        raise DataError(f"{what}: expected pooled X (m, d), got a stacked dataset of shape {dataset.X.shape}{hint}")
-    return dataset
+def _nodes(what: str, held, stacked: bool, hint: str = "", error: type[Exception] = TypeError):
+    """``held``, a Dataset, X (m, d) or (n, m, d), or a table, (r, w) or (n, r, w), unless a stack where ``what`` needs
+    one node, or one node where it needs a stack (``stacked``); ``hint`` ends the message."""
+    data = isinstance(held, Dataset)
+    shape = (held.X if data else held).shape
+    if (len(shape) == 3) != stacked:  # each form: (as needed, as got)
+        forms = (("pooled X (m, d)", "a pooled dataset"), ("stacked X (n, m, d)", "a stacked dataset")) if data else (
+            ("one node's table (r, w)", "one node's table"), ("stacked tables (n, r, w)", "stacked tables"))
+        raise error(f"{what}: expected {forms[stacked][0]}, got {forms[not stacked][1]} of shape {shape}{hint}")
+    return held
 
 
 def _same_schema(what: str, *schemas: FeatureSchema) -> None:
@@ -110,10 +118,10 @@ class FeatureSchema:
 
 
 def validate_instances(schema: FeatureSchema, X) -> np.ndarray:
-    """A feature array (..., m, d) as float64, checked against a schema: any violation raises."""
+    """A feature array, one node (m, d) or a stack (n, m, d), as float64, checked against a schema: any fault raises."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim < 2 or X.shape[-1] != schema.d:
-        raise DataError(f"expected shape (m, {schema.d}), got {X.shape}")
+    if X.ndim not in (2, 3) or X.shape[-1] != schema.d:
+        raise DataError(f"expected shape (m, {schema.d}) or (n, m, {schema.d}), got {X.shape}")
     # One pass flags nan, inf and values whose square, held by the statistics, overflows.
     huge = not np.abs(X).max(initial=0.0) <= _ROOT_MAX
     if huge and not np.all(np.isfinite(X)):
@@ -179,7 +187,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         """The instances at ``indices`` of a pooled dataset, any shape: (n, m_v) indices give n stacked datasets."""
-        _pooled(self, "Dataset.subset")
+        _nodes("Dataset.subset", self, False, error=DataError)
         idx = _row_indices(indices)
         for i in idx[(idx < 0) | (idx >= len(self.X))][:1]:
             raise DataError(f"index {i} outside 0..{len(self.X) - 1}")
@@ -348,7 +356,7 @@ def write_csv(dataset: Dataset, path) -> None:
     the same schema via :func:`dataset_from_table`.  A stacked dataset
     is refused before the file is opened.
     """
-    _pooled(dataset, "write_csv")
+    _nodes("write_csv", dataset, False, error=DataError)
     header = [f"f{i + 1}" for i in range(dataset.schema.d)] + ["y"]
     columns = [(dataset.X[:, i].astype(np.int64) if isinstance(spec, Discrete) else dataset.X[:, i]).tolist()
                for i, spec in enumerate(dataset.schema.features)]
@@ -360,7 +368,7 @@ def train_test_split(
 ) -> tuple[Dataset, Dataset]:
     """Draw disjoint uniformly random train and test subsets of a pooled dataset; a stacked one is refused."""
     train_size, test_size = _count("train_size", train_size, 1, DataError), _count("test_size", test_size, 1, DataError)
-    if train_size + test_size > _pooled(dataset, "train_test_split").m:
+    if train_size + test_size > _nodes("train_test_split", dataset, False, error=DataError).m:
         raise DataError(f"train {train_size} + test {test_size} exceeds {dataset.m} available instances")
     perm = rng.permutation(dataset.m)
     return dataset.subset(perm[:train_size]), dataset.subset(perm[train_size : train_size + test_size])

@@ -21,9 +21,10 @@ categorical tables by row normalization, Gaussians by moment matching
 
     mu = s1 / s0,    var = s2 / s0 - mu^2.
 
-A model is one array theta (..., r, w) in the statistics' columns: per
-class row, the class probability in the constant column, each one-hot
-cell's conditional probability and each continuous pair's (mu, var).
+A model is one array theta (r, w) or (n, r, w) in the statistics'
+columns: per class row, the class probability in the constant column,
+each one-hot cell's conditional probability and each continuous pair's
+(mu, var).
 
 The log joint has one code path.  log p(x, y) is linear in the
 statistics' own feature rows Phi(x - c), whose continuous pairs hold
@@ -48,9 +49,9 @@ instance impossible under every class is refused.
 
 Every mapping also takes a leading node axis (statistics and parameters
 (n, r, w), datasets X (n, m, d)), so one node and n same-size nodes share
-one code path.  One row or one model has no call of its own: it is the
-matrix call on [x] or the stacked call on [params], and item 0 of the
-result.
+one code path; ``data._nodes`` refuses the other form where one is
+needed.  One row or one model is the matrix call on [x] or the stacked
+call on [params], and item 0 of the result.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ from math import inf, log, pi, prod
 
 import numpy as np
 
-from .data import Dataset, Discrete, FeatureSchema, _pooled, _real, _same_schema, validate_instances
+from .data import DataError, Dataset, Discrete, FeatureSchema, _nodes, _real, _same_schema, validate_instances
 
 # Smallest admissible count (class mass or cell count) after projection.
 COUNT_FLOOR = 1e-9
@@ -144,11 +145,11 @@ _feature_map = lru_cache(maxsize=None)(_FeatureMap)
 
 
 def _table(schema: FeatureSchema, A, what: str) -> np.ndarray:
-    """A as a float64 (..., r, w) table in the columns of Phi, or refused."""
+    """A as a float64 table in the columns of Phi, one node (r, w) or a stack (n, r, w), or refused."""
     A = np.asarray(A, dtype=np.float64)
-    want = (schema.class_cardinality, _feature_map(schema).width)
-    if A.shape[-2:] != want:
-        raise ValueError(f"expected {what} of shape (..., {want[0]}, {want[1]}), got {A.shape}")
+    r, w = schema.class_cardinality, _feature_map(schema).width
+    if A.ndim not in (2, 3) or A.shape[-2:] != (r, w):
+        raise ValueError(f"expected {what} of shape ({r}, {w}) or (n, {r}, {w}), got {A.shape}")
     return A
 
 
@@ -164,6 +165,7 @@ class StatsVector:
 
     schema: FeatureSchema
     values: np.ndarray
+    __array_ufunc__ = None  # a numpy scalar times statistics is __rmul__, not an object array's ufunc
 
     def __post_init__(self) -> None:
         self.values = _table(self.schema, self.values, "statistics")
@@ -184,7 +186,7 @@ class StatsVector:
 
     def __getitem__(self, key) -> "StatsVector":
         """Node v + 1's statistics (``S[v]``) or a stacked slice, as views."""
-        return StatsVector(self.schema, self.values[key])
+        return StatsVector(self.schema, _nodes("S[v]", self.values, True, "; one node has no node axis")[key])
 
     def __add__(self, other: "StatsVector") -> "StatsVector":
         _same_schema("statistics", self.schema, other.schema)
@@ -195,14 +197,13 @@ class StatsVector:
         return StatsVector(self.schema, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "StatsVector":
-        return StatsVector(self.schema, self.values * float(scalar))
+        return StatsVector(self.schema, self.values * _real("scalar", scalar, -inf))
 
     __rmul__ = __mul__
 
     def to_text(self) -> str:
         """Full-precision key/value dump, one component per line, in storage order."""
-        if self.values.ndim != 2:
-            raise TypeError("to_text dumps one node's statistics; index one node first: S[v]")
+        _nodes("StatsVector.to_text", self.values, False, "; index one node first: S[v]")
         names = _feature_map(self.schema).names
         lines = [f"ess = {self.ess!r}"]
         lines += [f"{name} = {float(v)!r}" for name, v in zip(names, self.values.ravel())]
@@ -215,7 +216,7 @@ def zero_stats(schema: FeatureSchema) -> StatsVector:
 
 @dataclass
 class NBParams:
-    """Classifier parameters theta (..., r, w), in the columns of the statistics they map from.
+    """Classifier parameters theta (r, w) or (n, r, w), in the columns of the statistics they map from.
 
     Per class row: the class probability in the constant column 0, each
     one-hot cell's conditional probability, and each continuous
@@ -243,17 +244,13 @@ class NBParams:
         return tuple(self.theta[..., sl] for sl in _feature_map(self.schema).blocks)
 
     def __len__(self) -> int:
-        if self.theta.ndim != 3:
-            raise TypeError("only stacked parameters have a length")
-        return self.theta.shape[0]
+        return len(_nodes("len(P)", self.theta, True, "; one node has no node axis"))
 
     def __getitem__(self, key) -> "NBParams":
-        len(self)  # a single model has no node axis to index
-        return NBParams(self.schema, self.theta[key])
+        return NBParams(self.schema, _nodes("P[v]", self.theta, True, "; one node has no node axis")[key])
 
     def to_text(self) -> str:
-        if self.theta.ndim != 2:
-            raise TypeError("to_text dumps one model; index one node first: P[v]")
+        _nodes("NBParams.to_text", self.theta, False, "; index one node first: P[v]")
         names = _feature_map(self.schema).param_names
         values = np.concatenate([self.class_probs, *(b.ravel() for b in self.feature_params)])
         return "".join(f"{name} = {float(v)!r}\n" for name, v in zip(names, values))
@@ -466,16 +463,15 @@ _EVAL_CHUNK = 16
 def _stacked(models, schema: FeatureSchema) -> NBParams:
     """Models to score as one stacked NBParams: stacked already, or a list of single models."""
     if isinstance(models, NBParams):
-        if models.theta.ndim != 3:
-            raise TypeError("a single model has no node axis to score along; pass [params] or stacked parameters")
+        _nodes("Scorer", models.theta, True, "; pass [params] or stacked parameters")
         _same_schema("model and dataset", schema, models.schema)
         return models
     models = list(models)
     _same_schema("model and dataset", schema, *(p.schema for p in models))
-    if any(p.theta.ndim != 2 for p in models):
-        raise TypeError("a list of models holds single models; pass stacked parameters by themselves")
     r, w = schema.class_cardinality, _feature_map(schema).width
-    return NBParams(schema, np.reshape([p.theta for p in models], (-1, r, w)))
+    thetas = [p.theta for p in models]  # each (r, w) or (n, r, w): the one of most axes is a stack if any is
+    _nodes("Scorer", max(thetas, key=lambda t: t.ndim, default=np.empty((r, w))), False, "; pass a stack by itself")
+    return NBParams(schema, np.reshape(thetas, (-1, r, w)))
 
 
 class Scorer:
@@ -503,7 +499,7 @@ class Scorer:
         self.schema = schema = datasets[0].schema
         _same_schema("the datasets to score", *(ds.schema for ds in datasets))
         for ds in datasets:
-            if _pooled(ds, "Scorer", "; score its pooled rows, global_sample(dataset, plan)").m == 0:
+            if _nodes("Scorer", ds, False, "; score its pooled rows, global_sample(dataset, plan)", DataError).m == 0:
                 raise ValueError("cannot evaluate on an empty dataset")
         X = np.concatenate([ds.X for ds in datasets])
         r = schema.class_cardinality

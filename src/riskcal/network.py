@@ -120,17 +120,22 @@ def neighbors(graph: Graph, v: int, mode: str = "open") -> set[int]:
     return out
 
 
-def _parse_topology(spec: str) -> tuple[str, int | None]:
-    """Split a topology spec into its base graph and the K of 'tree+K' (None without '+')."""
+def _parse_topology(spec: str, n: int | None = None, error: type[ValueError] = ValueError) -> tuple[str, int | None]:
+    """A spec's base graph and the K of 'tree+K' (None without '+'), unless unknown or, given n, not buildable on n."""
     if not re.fullmatch(r"tree|chain|full|tree\+\d+", spec):
-        raise ValueError(f"unknown topology {spec!r}")
+        raise error(f"unknown topology {spec!r}")
     base, plus, extra = spec.partition("+")
-    return base, int(extra) if plus else None
+    extra = int(extra) if plus else None
+    if n is not None and _count("n", n, 1, error) < 2 and base != "full":
+        raise error(f"topology {spec!r} needs n >= 2")
+    if n is not None and extra is not None and extra > (absent := (n - 1) * (n - 2) // 2):
+        raise error(f"cannot add {extra} edges, only {absent} absent")
+    return base, extra
 
 
 def build_topology(spec: str, n: int, rng: np.random.Generator) -> Graph:
     """Build 'tree', 'chain', 'full' or 'tree+K' (tree plus K random edges)."""
-    base, extra = _parse_topology(spec)
+    base, extra = _parse_topology(spec, n)
     if base == "chain":
         return chain(n)
     if base == "full":

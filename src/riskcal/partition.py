@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, _count, _pooled, _row_indices, write_table
+from .data import DataError, Dataset, _count, _nodes, _row_indices, write_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +95,7 @@ def first_principal_component(X) -> np.ndarray:
 
 def _draw(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> np.ndarray:
     n, m_v = _count("n", n, 1), _count("m_v", m_v, 1)
-    if n * m_v > _pooled(dataset, "partition").m:
+    if n * m_v > _nodes("partition", dataset, False, error=DataError).m:
         raise ValueError(f"partition wants {n * m_v} instances, dataset has {dataset.m}")
     return rng.choice(dataset.m, size=n * m_v, replace=False)
 

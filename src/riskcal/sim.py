@@ -27,7 +27,7 @@ from math import nan
 import numpy as np
 
 from .calibration import LocalStep, lrc
-from .data import Dataset, _count, _pooled, _real, _same_schema
+from .data import DataError, Dataset, _count, _nodes, _real, _same_schema
 from .model import NBParams, Scorer, StatsVector, param_map, uniform_init
 from .network import Graph, RewireSchedule, _neighborhood, rewire
 
@@ -128,7 +128,7 @@ def _average(S: np.ndarray, graph: Graph, neighborhood: str) -> np.ndarray:
 def _stack_by_size(local_datasets: list[Dataset]) -> tuple[list[np.ndarray], list[Dataset]]:
     """Node indices of every group of one local size, smallest size first, and each group's datasets stacked."""
     for ds in local_datasets:
-        _pooled(ds, "a list of local datasets", "; pass a stacked Dataset by itself, not in a list")
+        _nodes("a list of local datasets", ds, False, "; pass a stacked Dataset by itself, not in a list", DataError)
     _same_schema("local datasets", *(ds.schema for ds in local_datasets))
     sizes = np.array([ds.m for ds in local_datasets])
     groups = [np.flatnonzero(sizes == m) for m in sorted(set(sizes.tolist()))]
@@ -161,12 +161,11 @@ def run_crc(
     them.  ``workers`` is checked but otherwise ignored: a round is
     whole-network array operations, not per-node tasks.
     """
-    if not isinstance(local_datasets, Dataset):
-        groups, stacks = _stack_by_size(list(local_datasets))
-    elif local_datasets.X.ndim == 3:  # one size group: every node
+    if isinstance(local_datasets, Dataset):  # one size group: every node
+        _nodes("run_crc", local_datasets, True, "; one node's data goes in a list", ValueError)
         groups, stacks = [np.arange(len(local_datasets.X))], [local_datasets]
     else:
-        raise ValueError("a lone Dataset must be stacked, X (n, m_v, d); one node's data goes in a list")
+        groups, stacks = _stack_by_size(list(local_datasets))
     n = sum(map(len, groups))
     if n < 1:
         raise ValueError("need at least one node")

@@ -22,6 +22,7 @@ def _blob_columns(y: np.ndarray, d: int, r: int, separation: float, rng: np.rand
     Class centers sit along the diagonal direction, symmetric about the
     origin, so the columns are roughly centered and unit scale.
     """
+    separation = _real("separation", separation, 0, closed=True)
     direction = np.ones(d) / np.sqrt(d)
     offsets = np.arange(r) - (r - 1) / 2.0
     centers = separation * offsets[:, None] * direction[None, :]  # (r, d)

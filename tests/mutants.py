@@ -90,10 +90,19 @@ MUTANTS = [
            "_by_class copies no product: equal class rows keep whatever rounding the kernel gives them"),
     Mutant("data.py", "    if not _is_real(value):", "    if not (_is_real(value) or isinstance(value, bool)):",
            "killed", "the real rule takes a bool: True reads as 1, a learning rate or mass of one"),
-    Mutant("data.py", "if not (low <= value if closed else low < value) or", "if not low < value or", "killed",
+    Mutant("data.py", "if not (low <= x if closed else low < x) or", "if not low < x or", "killed",
            "the real rule ignores closed: a smoothing or skew of 0 is refused"),
-    Mutant("data.py", "    if dataset.X.ndim != 2:", "    if False:", "killed",
-           "the pooled rule is a no-op: a stacked dataset is split, partitioned and written as instances"),
+    Mutant("data.py", "    if (len(shape) == 3) != stacked:", "    if False:", "killed",
+           "the node rule is a no-op: a stacked dataset is split, partitioned and written as instances, and one "
+           "node's table is indexed as a stack"),
+    Mutant("data.py", "    if (len(shape) == 3) != stacked:", "    if data and (len(shape) == 3) != stacked:", "killed",
+           "the node rule checks datasets only: one model is scored, indexed and counted as a stack"),
+    Mutant("model.py", "    if A.ndim not in (2, 3) or A.shape[-2:] != (r, w):", "    if A.shape[-2:] != (r, w):",
+           "killed", "a statistics or model table may hold a second node axis"),
+    Mutant("data.py", "    if X.ndim not in (2, 3) or X.shape[-1] != schema.d:",
+           "    if X.ndim < 2 or X.shape[-1] != schema.d:", "killed", "a dataset's X may hold a second node axis"),
+    Mutant("data.py", "    x = float(value) if not _is_int(value) or -_FLOAT_MAX <= value <= _FLOAT_MAX else",
+           "    x = float(value) if True else", "killed", "an int beyond the float range raises a bare OverflowError"),
     Mutant("data.py", "    if any(schema != schemas[0] for schema in schemas[1:]):", "    if False:", "killed",
            "the schema rule is a no-op: statistics, models and datasets of other schemas are combined"),
 ]

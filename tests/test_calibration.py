@@ -1,6 +1,8 @@
 """Projection, the local calibration step, centralized calibration built on it, and the ML reference."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -258,7 +260,9 @@ def test_rc_refuses_stacked_statistics():
     # Stacked statistics would broadcast into a 4-d model stack that nothing can score or index.
     ds = gaussian_blobs(200, rng=np.random.default_rng(9))
     u = uniform_init(ds.schema, 10.0).values
-    with pytest.raises(ValueError, match=r"one node's statistics \(r, w\), got \(2, 2, 5\); index one node"):
+    want = ("rc's init: expected one node's table (r, w), got stacked tables of shape (2, 2, 5); "
+            "index one node first: S[v]")
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         rc(ds, 0.1, 3, StatsVector(ds.schema, np.stack([u, 2 * u])))
 
 

@@ -2,7 +2,8 @@
 
 A count is a Python or numpy integer, not a bool, of at least a least
 value; a real is any Python or numpy real number, not a bool, inside its
-bounds, which nan never is.  A neighborhood is one of
+bounds, which nan never is and an int beyond the float range, read as
++-inf, never is either.  A neighborhood is one of
 ``network.NEIGHBORHOODS``.  Each refusal names the argument.
 """
 from __future__ import annotations
@@ -90,20 +91,31 @@ def test_a_count_is_an_integer_of_at_least_its_least(where, name, least, good, c
 # The largest float below 0: a real bounded by ">= 0" refuses it and takes 0 itself.
 BELOW_0 = np.nextafter(0.0, -1.0)
 
+# An int beyond the float range, either sign: outside every real's bounds, refused as +-inf.
+HUGE = [10**400, -10**400]
+S = uniform_init(DS.schema, 4.0)
+
 # (call, argument, its bounds, the values just outside them, a valid whole value, the call with that argument)
 REAL_CASES = [
-    ("uniform_init", "m0", "> 0 and finite", [0.0], 50, lambda x: uniform_init(DS.schema, x).values),
-    ("rc", "lr", "> 0 and finite", [0.0], 2, lambda x: rc(DS, x, 2, uniform_init(DS.schema, 50.0)).theta),
-    ("ml", "smoothing", ">= 0 and finite", [BELOW_0], 2, lambda x: ml(DS, x).theta),
-    ("m0_heuristic", "m", "> 0 and finite", [0.0], 100, lambda x: m0_heuristic(x, 0.1, 4)),
-    ("m0_heuristic", "lr", "> 0 and finite", [0.0], 2, lambda x: m0_heuristic(100, x, 4)),
-    ("run_crc", "m0", "> 0 and finite", [0.0], 10, lambda x: run_crc(LOCALS, FULL4, m0=x, t_max=1).stats.values),
-    ("categorical_mixture", "skew", ">= 0 and < 1", [BELOW_0, 1.0], 0,
+    ("uniform_init", "m0", "> 0 and finite", [0.0, *HUGE], 50, lambda x: uniform_init(DS.schema, x).values),
+    ("rc", "lr", "> 0 and finite", [0.0, *HUGE], 2, lambda x: rc(DS, x, 2, uniform_init(DS.schema, 50.0)).theta),
+    ("ml", "smoothing", ">= 0 and finite", [BELOW_0, *HUGE], 2, lambda x: ml(DS, x).theta),
+    ("m0_heuristic", "m", "> 0 and finite", [0.0, *HUGE], 100, lambda x: m0_heuristic(x, 0.1, 4)),
+    ("m0_heuristic", "lr", "> 0 and finite", [0.0, *HUGE], 2, lambda x: m0_heuristic(100, x, 4)),
+    ("run_crc", "m0", "> 0 and finite", [0.0, *HUGE], 10, lambda x: run_crc(LOCALS, FULL4, m0=x, t_max=1).stats.values),
+    ("categorical_mixture", "skew", ">= 0 and < 1", [BELOW_0, 1.0, *HUGE], 0,
      lambda x: rows(categorical_mixture(30, skew=x, rng=rng()))),
-    ("mixed_dataset", "skew", ">= 0 and < 1", [BELOW_0, 1.0], 0, lambda x: rows(mixed_dataset(30, skew=x, rng=rng()))),
-    ("ExperimentConfig", "lr", "> 0 and finite", [0.0], 2, lambda x: ExperimentConfig(lr=x).lr),
-    ("ExperimentConfig", "m0", "> 0 and finite", [0.0], 50, lambda x: ExperimentConfig(m0=x).m0),
-    ("ExperimentConfig", "ml_smoothing", ">= 0 and finite", [BELOW_0], 2,
+    ("mixed_dataset", "skew", ">= 0 and < 1", [BELOW_0, 1.0, *HUGE], 0,
+     lambda x: rows(mixed_dataset(30, skew=x, rng=rng()))),
+    ("gaussian_blobs", "separation", ">= 0 and finite", [BELOW_0, *HUGE], 2,
+     lambda x: rows(gaussian_blobs(30, separation=x, rng=rng()))),
+    ("mixed_dataset", "separation", ">= 0 and finite", [BELOW_0, *HUGE], 2,
+     lambda x: rows(mixed_dataset(30, separation=x, rng=rng()))),
+    ("StatsVector.__mul__", "scalar", "finite", HUGE, 2, lambda x: (S * x).values),
+    ("StatsVector.__rmul__", "scalar", "finite", HUGE, 2, lambda x: (x * S).values),
+    ("ExperimentConfig", "lr", "> 0 and finite", [0.0, *HUGE], 2, lambda x: ExperimentConfig(lr=x).lr),
+    ("ExperimentConfig", "m0", "> 0 and finite", [0.0, *HUGE], 50, lambda x: ExperimentConfig(m0=x).m0),
+    ("ExperimentConfig", "ml_smoothing", ">= 0 and finite", [BELOW_0, *HUGE], 2,
      lambda x: ExperimentConfig(ml_smoothing=x).ml_smoothing),
 ]
 
@@ -118,7 +130,8 @@ def test_a_real_is_a_number_within_its_bounds(where, name, bounds, outside, good
         with pytest.raises(error, match=rf"^{name} must be {kind}, got {re.escape(repr(bad))}$"):
             call(bad)
     for bad in (nan, inf, -inf, *outside):
-        with pytest.raises(error, match=rf"^{name} must be {re.escape(bounds)}, got {re.escape(str(float(bad)))}$"):
+        shown = (inf if bad > 0 else -inf) if isinstance(bad, int) else float(bad)  # HUGE is shown as +-inf
+        with pytest.raises(error, match=rf"^{name} must be {re.escape(bounds)}, got {re.escape(str(shown))}$"):
             call(bad)
     if bounds.startswith(">="):
         call(0)  # a closed bound is inside

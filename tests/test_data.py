@@ -22,6 +22,7 @@ from riskcal.data import (
     write_csv,
     write_table,
 )
+from riskcal.model import param_map, posterior_matrix, predict_matrix, prob_stat_map, uniform_init
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -173,13 +174,19 @@ def test_feature_schema_refuses_a_bad_spec(features, message):
 
 
 @pytest.mark.parametrize("X, message", [
-    (np.zeros((2, 3)), "expected shape (m, 2), got (2, 3)"),
-    (np.zeros(2), "expected shape (m, 2), got (2,)"),
-], ids=["three-columns", "one-axis"])
+    (np.zeros((2, 3)), "expected shape (m, 2) or (n, m, 2), got (2, 3)"),
+    (np.zeros(2), "expected shape (m, 2) or (n, m, 2), got (2,)"),
+    (np.zeros((2, 2, 5, 2)), "expected shape (m, 2) or (n, m, 2), got (2, 2, 5, 2)"),
+], ids=["three-columns", "one-axis", "two-node-axes"])
 def test_validate_instances_refuses_a_wrong_feature_count(X, message):
+    # Rows are one node, X (m, d), or one stack of nodes, X (n, m, d): in a Dataset and in every call on rows.
     schema = FeatureSchema((Continuous(), Continuous()), 2)
-    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-        validate_instances(schema, X)
+    params = param_map(uniform_init(schema, 4.0))
+    for call in (lambda: validate_instances(schema, X), lambda: Dataset(schema, X, np.ones(X.shape[:-1], dtype=int)),
+                 lambda: prob_stat_map(X, params), lambda: posterior_matrix(params, X),
+                 lambda: predict_matrix(params, X)):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_infer_schema_non_finite_rejected(tmp_path):

@@ -232,9 +232,11 @@ def test_parameters_that_do_not_fit_their_schema_are_refused():
     schema = FeatureSchema((Continuous(), Discrete(3)), 2)
     assert NBParams(schema, np.full((4, 2, 6), 0.5)).theta.shape == (4, 2, 6)
     assert StatsVector(schema, np.full((4, 2, 6), 0.5)).values.shape == (4, 2, 6)
-    for shape in [(2, 5), (2, 7), (3, 6), (6,), (12,), (4, 2, 5), (1, 6), (3, 12)]:
+    # A table is one node (r, w) or one stack of nodes (n, r, w): a second node axis is refused too.
+    for shape in [(2, 5), (2, 7), (3, 6), (6,), (12,), (4, 2, 5), (1, 6), (3, 12), (2, 4, 2, 6), (1, 1, 2, 6)]:
         for make, what in [(NBParams, "parameters"), (StatsVector, "statistics")]:
-            with pytest.raises(ValueError, match=re.escape(f"expected {what} of shape (..., 2, 6), got {shape}")):
+            want = f"expected {what} of shape (2, 6) or (n, 2, 6), got {shape}"
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
                 make(schema, np.full(shape, 0.5))
     with pytest.raises(ValueError):  # one block for two features
         nb_params(schema, np.array([0.5, 0.5]), (np.array([[0.0, 1.0], [0.0, 1.0]]),))
@@ -822,9 +824,13 @@ def test_evaluate_many_takes_an_empty_list_and_refuses_a_single_model():
     ):
         with pytest.raises(ValueError, match=message):
             score()
-    with pytest.raises(TypeError, match=r"pass \[params\] or stacked parameters"):
+    r, w = params.theta.shape
+    want = (f"Scorer: expected stacked tables (n, r, w), got one node's table of shape {(r, w)}; "
+            "pass [params] or stacked parameters")
+    with pytest.raises(TypeError, match=f"^{re.escape(want)}$"):
         evaluate_many(params, ds)
-    with pytest.raises(TypeError, match="a list of models holds single models"):
+    want = f"Scorer: expected one node's table (r, w), got stacked tables of shape {(2, r, w)}; pass a stack by itself"
+    with pytest.raises(TypeError, match=f"^{re.escape(want)}$"):
         evaluate_many([params, stack_params([params, params])], ds)  # not three models
 
 
@@ -941,9 +947,17 @@ def test_to_text_refuses_stacked_objects():
     nodes = [project(stat_map_dataset(random_dataset(schema, 10, rng))) for _ in range(3)]
     S = StatsVector(schema, np.stack([s.values for s in nodes]))
     P = param_map(S)
-    with pytest.raises(TypeError, match=r"index one node first: S\[v\]"):
-        S.to_text()
-    with pytest.raises(TypeError, match=r"index one node first: P\[v\]"):
-        P.to_text()
+    shape = S.values.shape
+    for call, what, hint in ((S.to_text, "StatsVector.to_text", "index one node first: S[v]"),
+                             (P.to_text, "NBParams.to_text", "index one node first: P[v]")):
+        want = f"{what}: expected one node's table (r, w), got stacked tables of shape {shape}; {hint}"
+        with pytest.raises(TypeError, match=f"^{re.escape(want)}$"):
+            call()
+    # One node has no node axis: its statistics and its model are neither indexed nor counted.
+    for call, what in ((lambda: S[0][0], "S[v]"), (lambda: P[0][0], "P[v]"), (lambda: len(P[0]), "len(P)")):
+        want = (f"{what}: expected stacked tables (n, r, w), got one node's table of shape {shape[1:]}; "
+                "one node has no node axis")
+        with pytest.raises(TypeError, match=f"^{re.escape(want)}$"):
+            call()
     assert S[1].to_text() == nodes[1].to_text()
     assert P[1].to_text() == param_map(nodes[1]).to_text()

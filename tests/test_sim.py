@@ -1,6 +1,8 @@
 """Collaborative rounds: aggregation, equivalences, metrics."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -376,7 +378,9 @@ def test_run_crc_validation():
     other = random_dataset(FeatureSchema((Continuous(),), 2), 10, np.random.default_rng(0))
     with pytest.raises(ValueError, match="schema"):
         run_crc([locals_[0], other], sched, m0=10.0, t_max=2)
-    with pytest.raises(ValueError, match="must be stacked"):  # would read as 10 nodes of one row
+    lone = ("run_crc: expected stacked X (n, m, d), got a pooled dataset of shape (10, 4); "
+            "one node's data goes in a list")
+    with pytest.raises(ValueError, match=f"^{re.escape(lone)}$"):  # would read as 10 nodes of one row
         run_crc(locals_[0], sched, m0=10.0, t_max=2)
     stacked = Dataset(schema, np.stack([ds.X for ds in locals_]), np.stack([ds.y for ds in locals_]))
     with pytest.raises(ValueError, match="not in a list"):
