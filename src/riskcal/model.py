@@ -197,7 +197,8 @@ class StatsVector:
         return StatsVector(self.schema, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "StatsVector":
-        return StatsVector(self.schema, self.values * _real("scalar", scalar, -inf))
+        with np.errstate(over="ignore", invalid="ignore"):  # a product that overflows is refused by name
+            return _finite(StatsVector(self.schema, self.values * _real("scalar", scalar, -inf)))
 
     __rmul__ = __mul__
 
@@ -276,13 +277,17 @@ def _by_class(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np
     return P
 
 
+def _finite(stats: StatsVector) -> StatsVector:
+    """``stats``, refused unless every value is finite."""
+    if not np.isfinite(stats.values).all():
+        raise ValueError(_NOT_FINITE)
+    return stats
+
+
 def _accumulate(schema: FeatureSchema, PT: np.ndarray, phi: np.ndarray) -> StatsVector:
     """Statistics P^T Phi of weighted instances with rows ``phi``: column k of P^T spreads instance k over classes."""
     with np.errstate(over="ignore", invalid="ignore"):
-        S = _by_class(PT, phi)
-    if not np.isfinite(S).all():
-        raise ValueError(_NOT_FINITE)
-    return StatsVector(schema, S)
+        return _finite(StatsVector(schema, _by_class(PT, phi)))
 
 
 def stat_map_dataset(dataset: Dataset) -> StatsVector:
@@ -351,9 +356,7 @@ def param_map(stats: StatsVector) -> NBParams:
     included, at least COUNT_FLOOR.  Variances are floored at VAR_FLOOR.
     """
     fm = _feature_map(stats.schema)
-    S = stats.values
-    if not np.isfinite(S).all():
-        raise ValueError(_NOT_FINITE)
+    S = _finite(stats).values
     if S[..., : fm.moments].min() < COUNT_FLOOR:
         raise ValueError("statistics below the count floor; project before mapping to parameters")
     # Parameters take the columns of the statistics they come from.
@@ -456,8 +459,8 @@ class _Rows:
         np.swapaxes(mask, -1, -2)[at] = (zero[..., :n].astype(np.float64) @ phi)[..., 0] > 0
 
 
-# Models scored together per pass; a Scorer's work buffers hold one pass.
-_EVAL_CHUNK = 16
+# Log joint cells (model, class, row) per pass, or one model's if more; a Scorer's work buffers hold one pass.
+_EVAL_CELLS = 2**17
 
 
 def _stacked(models, schema: FeatureSchema) -> NBParams:
@@ -480,7 +483,7 @@ class Scorer:
     Built once from the datasets, a Scorer holds what every call shares: the
     rows Phi(x - c)^T of all datasets, stably sorted by (dataset, class) so
     that each segment of one dataset's class y is a run of columns, and work
-    buffers for one pass of ``_EVAL_CHUNK`` models.  Each pass is one GEMM
+    buffers for one pass of ``_EVAL_CELLS`` log joint cells.  Each pass is one GEMM
     into the log joint buffer L; each segment of true class y then writes
     d_c = L_c - L_y, c != y, into one (k, r - 1, n) buffer.  A row is wrong
     iff some d_c >= 0 with c < y or d_c > 0 with c > y (the argmax, ties to
@@ -510,10 +513,10 @@ class Scorer:
         sizes = np.bincount(group, minlength=len(datasets) * r)
         # (dataset, true class index, first column, end) of every nonempty segment
         self.segments = [(s // r, s % r, e - n, e) for s, (n, e) in enumerate(zip(sizes, np.cumsum(sizes))) if n]
-        n = sizes.max()
-        self._logj = np.empty(_EVAL_CHUNK * r * len(X))  # flat, so that a short pass is a contiguous prefix
-        self._diff = np.empty(_EVAL_CHUNK * (r - 1) * n)  # flat, so that a segment is a contiguous prefix
-        self._wrong = np.empty((2, _EVAL_CHUNK * n), dtype=bool)
+        k = self.pass_width = max(1, _EVAL_CELLS // (r * len(X)))  # models per pass
+        self._logj = np.empty(k * r * len(X))  # flat, so that a short pass is a contiguous prefix
+        self._diff = np.empty(k * (r - 1) * sizes.max())  # flat, so that a segment is a contiguous prefix
+        self._wrong = np.empty((2, k * sizes.max()), dtype=bool)
 
     def __call__(self, models) -> tuple[np.ndarray, np.ndarray]:
         """(D, K) 0-1 errors, row d on dataset d, and (K,) soft errors of ``models``, fresh arrays.
@@ -524,10 +527,9 @@ class Scorer:
         (K, r), M = models.theta.shape[:2], len(self.order)
         wrong = np.zeros((len(self.m), K), dtype=np.int64)
         post = np.zeros(K)  # sums of the first dataset's true-class posteriors
-        for lo in range(0, K, _EVAL_CHUNK):
-            hi = min(lo + _EVAL_CHUNK, K)
-            k = hi - lo
-            logj, mask = self.rows.log_joint(models[lo:hi], self._logj[: k * r * M].reshape(k * r, M))
+        for lo in range(0, K, self.pass_width):
+            k = min(self.pass_width, K - lo)
+            logj, mask = self.rows.log_joint(models[lo : lo + k], self._logj[: k * r * M].reshape(k * r, M))
             if mask is not None:
                 logj[mask] = 0.0  # finite, so differences make no nan before the mask sets them
                 if (impossible := mask.all(axis=1)).any():  # refused in table order
@@ -545,19 +547,19 @@ class Scorer:
                 beats[0](diff[:, 0], 0.0, out=wrong_row)
                 for j in range(1, r - 1):
                     wrong_row |= beats[j](diff[:, j], 0.0, out=tie_or_win)
-                wrong[d, lo:hi] += np.count_nonzero(wrong_row, axis=1)
+                wrong[d, lo : lo + k] += np.count_nonzero(wrong_row, axis=1)
                 if d == 0:
                     with np.errstate(over="ignore"):
                         total = np.exp(diff, out=diff)[:, 0]
                     for j in range(1, r - 1):
                         total += diff[:, j]
                     total += 1.0
-                    post[lo:hi] += np.divide(1.0, total, out=total).sum(axis=1)
+                    post[lo : lo + k] += np.divide(1.0, total, out=total).sum(axis=1)
         return wrong / self.m[:, None], 1.0 - post / self.m[0]
 
 
 def evaluate_many(models, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate many models on one dataset, ``_EVAL_CHUNK`` models per vectorized pass.
+    """Evaluate many models on one dataset, as many per vectorized pass as fit ``_EVAL_CELLS`` log joint cells.
 
     ``models`` is one stacked NBParams, such as a network's batched
     ``param_map``, or a list of single models, which is stacked once.

@@ -108,21 +108,19 @@ class CRCResult:
     @property
     def states(self) -> list["CRCResult"]:
         """One-node results, views into the stacks, made when read."""
-        return [CRCResult(self.stats[v], self.params[v]) for v in range(len(self.params))]
+        schema, tables = self.stats.schema, zip(self.stats.values, self.params.theta)
+        return [CRCResult(StatsVector(schema, s), NBParams(schema, p)) for s, p in tables]
 
 
 def _average(S: np.ndarray, graph: Graph, neighborhood: str) -> np.ndarray:
-    """Neighborhood means of the node tables S[v - 1], neighbors summed in increasing id order."""
-    u, v = graph.pairs.T - 1
-    total, degree = np.zeros_like(S), np.bincount(np.r_[u, v], minlength=graph.n)
-    np.add.at(total, v, S[u])  # lower neighbors: edges are sorted by (u, v)
-    if neighborhood == "closed":
-        total += S
-        degree += 1
-    np.add.at(total, u, S[v])  # higher neighbors
+    """Neighborhood means of S[v - 1]: v adds its lower neighbors, itself if closed, then its higher ones, by id."""
+    (u, v), own = graph.pairs.T - 1, np.arange(graph.n if neighborhood == "closed" else 0)  # pairs sorted by (u, v)
+    dst, src = np.r_[v, own, u], np.r_[u, own, v]  # bincount adds in index order
+    degree = np.bincount(dst, minlength=graph.n)
     for lonely in np.flatnonzero(degree == 0)[:1]:
         raise ValueError(f"node {lonely + 1} has no neighbors; open aggregation is undefined")
-    return total / degree[:, None, None]
+    total = np.stack([np.bincount(dst, col[src], graph.n) for col in S.reshape(graph.n, -1).T], -1)
+    return (total / degree[:, None]).reshape(S.shape)
 
 
 def _stack_by_size(local_datasets: list[Dataset]) -> tuple[list[np.ndarray], list[Dataset]]:

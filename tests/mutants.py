@@ -59,10 +59,13 @@ MUTANTS = [
            "killed", "ml adds twice its smoothing mass"),
     Mutant("sim.py", "train_err_std=float(tr01.std()),", "train_err_std=float(tr01.std(ddof=1)),", "killed",
            "the spread over nodes is the sample, not the population, standard deviation"),
-    Mutant("sim.py", '    if neighborhood == "closed":', "    if True:", "killed",
+    Mutant("sim.py", 'np.arange(graph.n if neighborhood == "closed" else 0)', "np.arange(graph.n)", "killed",
            "open neighborhoods average the node itself too"),
-    Mutant("sim.py", "return total / degree[:, None, None]", "return total / degree[:, None, None] * (1.0 + 1e-13)",
-           "killed", "averaging is biased by 1e-13 relative"),
+    Mutant("sim.py", "return (total / degree[:, None]).reshape(S.shape)",
+           "return (total / degree[:, None] * (1.0 + 1e-13)).reshape(S.shape)", "killed",
+           "averaging is biased by 1e-13 relative"),
+    Mutant("sim.py", "dst, src = np.r_[v, own, u], np.r_[u, own, v]", "dst, src = np.r_[u, own, v], np.r_[v, own, u]",
+           "killed", "each node adds its higher neighbors before its lower ones: sums round otherwise"),
     Mutant("model.py", "sound = (np.abs(W) @ self.phi_max[..., None]).max(initial=0.0) <= _CANCEL",
            "sound = True", "killed", "no (model, row) whose terms cancel or overflow is formed again"),
     Mutant("model.py", "                if d == 0:", "                if d == len(self.m) - 1:", "killed",
@@ -80,10 +83,10 @@ MUTANTS = [
     Mutant("sim.py", "graph = rewire(schedule, t, graph, rng)",
            "graph = rewire(schedule, t, graph, rng) if t > 1 else graph", "killed",
            "a period-1 schedule does not redraw before round 1"),
-    Mutant("model.py", "_EVAL_CHUNK = 16", "_EVAL_CHUNK = 5", "equivalent",
-           "models scored per pass: every pass size gives the same scores"),
-    Mutant("model.py", "        S = _by_class(PT, phi)", "        S = PT @ phi", "killed",
-           "P^T Phi is a plain GEMM: unseen classes' statistics may round apart on another kernel"),
+    Mutant("model.py", "_EVAL_CELLS = 2**17", "_EVAL_CELLS = 1", "equivalent",
+           "log joint cells scored per pass: one model per pass gives the same scores as many"),
+    Mutant("model.py", "_finite(StatsVector(schema, _by_class(PT, phi)))", "_finite(StatsVector(schema, PT @ phi))",
+           "killed", "P^T Phi is a plain GEMM: unseen classes' statistics may round apart on another kernel"),
     Mutant("model.py", "cells / _by_class(cells, fm.same_feature)", "cells / (cells @ fm.same_feature)", "killed",
            "each feature's cell total is a plain GEMM: equal classes' tables may round apart on another kernel"),
     Mutant("model.py", "np.copyto(P[..., j, :], P[..., i, :], where=", "(", "killed",

@@ -19,8 +19,8 @@ from conftest import (
 )
 from riskcal.calibration import project, rc
 from riskcal.data import Continuous, DataError, Dataset, Discrete, FeatureSchema, train_test_split, write_csv
+from riskcal import model
 from riskcal.model import (
-    _EVAL_CHUNK,
     COUNT_FLOOR,
     VAR_FLOOR,
     NBParams,
@@ -143,6 +143,19 @@ def test_stats_vector_arithmetic_and_views():
     other = StatsVector(FeatureSchema((Discrete(2),), 2), np.ones((2, 3)))
     with pytest.raises(ValueError, match="schema mismatch"):
         s + other
+
+
+def test_a_product_that_overflows_is_refused_by_name():
+    # A finite scalar whose product overflows: a named refusal, with no numpy warning and no inf statistics.
+    one = uniform_init(TINY_SCHEMA, 4.0)
+    stack = StatsVector(TINY_SCHEMA, np.stack([one.values, 2.0 * one.values]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for product in (lambda: one * 1e308, lambda: 1e308 * one, lambda: -1e308 * one,
+                        lambda: np.float64(1e308) * one, lambda: stack * 1e308):
+            with pytest.raises(ValueError, match="^statistics are not all finite; feature sums overflowed"):
+                product()
+        assert np.array_equal((stack * 1e300).values, stack.values * 1e300)
 
 
 def test_param_map_hand_values():
@@ -422,11 +435,12 @@ def test_evaluate_against_enumeration_oracle():
     assert abs(soft - soft_sum / ds.m) < 1e-12
 
 
-def test_evaluate_many_matches_singles_across_chunks():
+def test_evaluate_many_matches_singles_across_chunks(monkeypatch):
     rng = np.random.default_rng(9)
     schema = mixed_schema(2)
     ds = random_dataset(schema, 40, rng)
-    models = [random_params(schema, rng) for _ in range(130)]  # crosses chunk size
+    assert few_per_pass(monkeypatch, [ds], 64) == 64
+    models = [random_params(schema, rng) for _ in range(130)]  # crosses two pass boundaries
     err01, soft = evaluate_many(models, ds)
     for k in (0, 63, 64, 100, 129):
         (e,), (s,) = evaluate_many([models[k]], ds)
@@ -446,7 +460,14 @@ def test_evaluate_many_matches_singles_across_chunks():
         len(models[0])
 
 
-def test_evaluate_many_ties_and_zero_probabilities_against_oracle():
+def few_per_pass(monkeypatch, datasets, models=4):
+    """Shrink the cell budget so that a Scorer of ``datasets`` holds ``models`` models per pass; its pass width."""
+    r, rows = datasets[0].schema.class_cardinality, sum(ds.m for ds in datasets)
+    monkeypatch.setattr(model, "_EVAL_CELLS", models * r * rows)
+    return Scorer(datasets).pass_width
+
+
+def test_evaluate_many_ties_and_zero_probabilities_against_oracle(monkeypatch):
     # Classes that share every parameter tie exactly; zero cells give -inf log joints.
     rng = np.random.default_rng(12)
     schema = FeatureSchema((Discrete(3), Continuous(), Discrete(2)), 3)
@@ -460,8 +481,8 @@ def test_evaluate_many_ties_and_zero_probabilities_against_oracle():
         gauss = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)])
         return rng.uniform(0.5, 1.0), t1 / t1.sum(), gauss, t2 / t2.sum()
 
-    models = []
-    for k in range(_EVAL_CHUNK + 5):  # crosses a chunk boundary
+    models, width = [], few_per_pass(monkeypatch, [ds])
+    for k in range(2 * width + 3):  # crosses two pass boundaries
         zeroed, positive = profile(True), profile(False)
         classes = [(zeroed, positive, zeroed), (positive, zeroed, zeroed),
                    (zeroed, zeroed, positive), (positive,) * 3][k % 4]
@@ -547,12 +568,13 @@ def oracle_errors(models, ds):
 @pytest.mark.parametrize("schema", [mixed_schema(3), FeatureSchema((Continuous(), Continuous()), 2),
                                     FeatureSchema((Discrete(3), Discrete(2)), 3)],
                          ids=["mixed_r3", "continuous", "discrete"])
-def test_scoring_gemm_against_scalar_oracle(schema, scale, shift):
+def test_scoring_gemm_against_scalar_oracle(schema, scale, shift, monkeypatch):
     # The scoring log joint shifts the rows by their mean: far-off and wide features must score as near ones.
     # With no continuous feature the shift is empty and every weight is a log theta or log prior.
     rng = np.random.default_rng(21)
     ds = affine_dataset(schema, 60, rng, scale, shift)
-    for count in (_EVAL_CHUNK, 2 * _EVAL_CHUNK + 1):  # a full chunk; two chunk boundaries
+    width = few_per_pass(monkeypatch, [ds])
+    for count in (width, 2 * width + 1):  # a full pass; two pass boundaries
         models = affine_models(schema, count, rng, scale, shift)
         want01, want_soft, ties, zeros = oracle_errors(models, ds)
         assert ties and zeros
@@ -561,13 +583,32 @@ def test_scoring_gemm_against_scalar_oracle(schema, scale, shift):
         np.testing.assert_allclose(soft, want_soft, rtol=1e-12, atol=0)
 
 
+def test_a_pass_holds_one_model_when_its_log_joint_exceeds_the_cell_budget(monkeypatch):
+    # r * M > _EVAL_CELLS: each pass holds one whole model, and scores as a pass of many does.
+    rng = np.random.default_rng(23)
+    schema = mixed_schema(3)
+    ds = affine_dataset(schema, 60, rng, 1.0, 0.0)
+    models = affine_models(schema, 7, rng, 1.0, 0.0)
+    want01, want_soft, ties, zeros = oracle_errors(models, ds)
+    assert ties and zeros
+    wide01, wide_soft = evaluate_many(models, ds)
+    monkeypatch.setattr(model, "_EVAL_CELLS", 3 * ds.m - 1)
+    assert Scorer([ds]).pass_width == 1
+    err01, soft = evaluate_many(models, ds)
+    assert np.array_equal(err01, want01) and np.array_equal(err01, wide01)
+    np.testing.assert_allclose(soft, want_soft, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(soft, wide_soft, rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (1e4, 1e5)])
-def test_pooled_scorer_matches_separate_calls(scale, shift):
+def test_pooled_scorer_matches_separate_calls(scale, shift, monkeypatch):
+    # Passes of 4 pooled models, 5 on the train rows alone and 13 on the test rows: scores do not depend on them.
     rng = np.random.default_rng(22)
     schema = mixed_schema(3)
     train, test = (affine_dataset(schema, m, rng, scale, shift) for m in (70, 30))
     given = train.X.tobytes(), test.X.tobytes()
-    models = stack_params(affine_models(schema, 2 * _EVAL_CHUNK + 3, rng, scale, shift))
+    width = few_per_pass(monkeypatch, [train, test])
+    models = stack_params(affine_models(schema, 2 * width + 3, rng, scale, shift))
     (train01, test01), train_soft = Scorer([train, test])(models)
     want01, want_soft = evaluate_many(models, train)
     assert np.array_equal(train01, want01)
@@ -577,13 +618,14 @@ def test_pooled_scorer_matches_separate_calls(scale, shift):
     assert (train.X.tobytes(), test.X.tobytes()) == given
 
 
-def test_reused_scorer_keeps_no_state_between_calls():
+def test_reused_scorer_keeps_no_state_between_calls(monkeypatch):
     # A round's scorer is called every round: each call must score as a fresh one-shot call,
     # and must not touch the arrays earlier calls returned, which RoundMetrics keep.
     rng = np.random.default_rng(24)
     schema = mixed_schema(3)
     train, test = (random_dataset(schema, m, rng) for m in (70, 30))
-    first = stack_params(affine_models(schema, 2 * _EVAL_CHUNK + 3, rng, 1.0, 0.0))
+    width = few_per_pass(monkeypatch, [train, test])
+    first = stack_params(affine_models(schema, 2 * width + 3, rng, 1.0, 0.0))
     stacks = [
         first,
         stack_params([random_params(schema, rng) for _ in range(5)]),
@@ -614,7 +656,7 @@ def test_reused_scorer_allocates_less_than_one_log_joint():
     train, test = (random_dataset(schema, m, rng) for m in (2500, 1000))
     models = stack_params([random_params(schema, rng) for _ in range(50)])
     scorer = Scorer([train, test])
-    one_log_joint = _EVAL_CHUNK * schema.class_cardinality * (train.m + test.m) * 8
+    one_log_joint = scorer.pass_width * schema.class_cardinality * (train.m + test.m) * 8
     tracemalloc.start()
     try:
         scorer(models)
@@ -627,9 +669,10 @@ def test_reused_scorer_allocates_less_than_one_log_joint():
     assert peak < one_log_joint
 
 
-def gemm_reference(models, datasets):
-    """0-1 and soft errors read off the scoring GEMM's log joint L, in table order, as the argmax and softmax.
+def gemm_reference(models, datasets, width):
+    """0-1 and soft errors read off the scoring GEMM's log joint L, ``width`` models per GEMM, in table order.
 
+    Errors are the argmax and softmax of L.
     Ties go to the lowest class, as with np.argmax; soft errors are
     1 - exp(L_y - top) / sum_c exp(L_c - top) on the first dataset.  Also
     counts the rows whose top classes tie.
@@ -640,12 +683,12 @@ def gemm_reference(models, datasets):
     c = X[:, fm.cont].mean(axis=0)
     phiT = np.ascontiguousarray(fm.phi(X, c).T)
     L = np.empty((K, r, len(X)))
-    for lo in range(0, K, _EVAL_CHUNK):
-        W, zero = _weights(models[lo : lo + _EVAL_CHUNK], c)
+    for lo in range(0, K, width):
+        W, zero = _weights(models[lo : lo + width], c)
         W, zero = W.reshape(-1, W.shape[-1]), zero.reshape(-1, W.shape[-1])
         chunk = W @ phiT
         chunk[zero.astype(np.float64) @ phiT > 0] = -np.inf
-        L[lo : lo + _EVAL_CHUNK] = chunk.reshape(-1, r, len(X))
+        L[lo : lo + width] = chunk.reshape(-1, r, len(X))
     top = L.max(axis=1, keepdims=True)
     wrong = L.argmax(axis=1) != y0
     bounds = np.cumsum([0] + [ds.m for ds in datasets])
@@ -660,29 +703,30 @@ def gemm_reference(models, datasets):
 @pytest.mark.parametrize("schema", [lambda r: FeatureSchema((Discrete(3), Discrete(2)), r),
                                     lambda r: FeatureSchema((Continuous(), Continuous()), r), mixed_schema],
                          ids=["discrete", "continuous", "mixed"])
-def test_scorer_is_the_argmax_and_softmax_of_the_scoring_gemm(schema, r):
+def test_scorer_is_the_argmax_and_softmax_of_the_scoring_gemm(schema, r, monkeypatch):
     # Scoring from true-class differences must give the argmax's 0-1 errors bit for bit, exact ties
     # included: uniform_init's model ties every class, and classes sharing a profile tie, so the lowest
     # tied class wins whether or not it is the true one.
     rng = np.random.default_rng(26)
     schema = schema(r)
     train, test = (random_dataset(schema, m, rng) for m in (70, 30))
+    width = few_per_pass(monkeypatch, [train, test])
     models = stack_params([param_map(uniform_init(schema, 10.0)),
-                           *affine_models(schema, _EVAL_CHUNK + 3, rng, 1.0, 0.0),
+                           *affine_models(schema, 2 * width, rng, 1.0, 0.0),
                            *(random_params(schema, rng) for _ in range(3))])
-    want01, want_soft, ties = gemm_reference(models, [train, test])
+    want01, want_soft, ties = gemm_reference(models, [train, test], width)
     assert ties > train.m + test.m  # every row of the uniform model, and more
     err01, soft = Scorer([train, test])(models)
     assert np.array_equal(err01, want01)
     np.testing.assert_allclose(soft, want_soft, rtol=1e-13, atol=0)
 
 
-def test_scores_do_not_depend_on_row_order_within_a_dataset():
+def test_scores_do_not_depend_on_row_order_within_a_dataset(monkeypatch):
     # Rows are grouped by class inside the scorer: a shuffled table must score alike.
     rng = np.random.default_rng(27)
     schema = mixed_schema(3)
     train, test = (random_dataset(schema, m, rng) for m in (70, 30))
-    models = stack_params(affine_models(schema, 2 * _EVAL_CHUNK + 3, rng, 1.0, 0.0))
+    models = stack_params(affine_models(schema, 2 * few_per_pass(monkeypatch, [train, test]) + 3, rng, 1.0, 0.0))
     err01, soft = Scorer([train, test])(models)
     shuffled = [Dataset(schema, ds.X[p], ds.y[p]) for ds in (train, test) for p in [rng.permutation(ds.m)]]
     got01, got_soft = Scorer(shuffled)(models)
@@ -719,7 +763,7 @@ def test_a_log_joint_overflowing_in_the_gemm_scores_as_a_zero_probability():
     test = Dataset(schema, np.array([[-1e153], [1.0], [-1.0]]), np.array([3, 3, 2]))
     with warnings.catch_warnings(), np.errstate(over="ignore"):  # the GEMM's overflow warns
         warnings.simplefilter("error")
-        want01, want_soft, _ = gemm_reference(stack_params([params]), [train, test])
+        want01, want_soft, _ = gemm_reference(stack_params([params]), [train, test], 1)
         err01, soft = Scorer([train, test])([params])
         narrow = nb_params(schema, params.class_probs, (np.array([[0.0, 1e-6]] * 3),))
         with pytest.raises(ValueError, match="row 1 has probability zero under every class of model 1;"):
@@ -770,7 +814,7 @@ def test_refusal_names_the_lowest_impossible_table_row_after_grouping():
         pooled([ok, params])
 
 
-def test_instance_impossible_under_every_class_is_refused():
+def test_instance_impossible_under_every_class_is_refused(monkeypatch):
     # Cell 2 of the discrete feature has probability zero in both classes.
     schema = FeatureSchema((Discrete(2), Continuous()), 2)
     params = nb_params(schema, np.array([0.5, 0.5]),
@@ -779,10 +823,11 @@ def test_instance_impossible_under_every_class_is_refused():
     ds = Dataset(schema, X, np.array([1, 2, 1, 2]))
     with pytest.raises(ValueError, match="row 2 has probability zero under every class of model 0"):
         evaluate_many([params], ds)
-    # Models are numbered in the whole stack, not within their chunk.
+    # Models are numbered in the whole stack, not within their pass: the impossible model starts pass 3.
     ok = nb_params(schema, params.class_probs, (np.full((2, 2), 0.5), params.feature_params[1]))
-    with pytest.raises(ValueError, match=f"row 2 has probability zero under every class of model {2 * _EVAL_CHUNK};"):
-        evaluate_many([ok] * (2 * _EVAL_CHUNK) + [params], ds)
+    width = few_per_pass(monkeypatch, [ds], 3)
+    with pytest.raises(ValueError, match=f"row 2 has probability zero under every class of model {2 * width};"):
+        evaluate_many([ok] * (2 * width) + [params], ds)
     # Test rows are numbered after the train rows, by a one-shot and by a reused scorer.
     train = Dataset(schema, X[:2], ds.y[:2])
     pooled = Scorer([train, ds])

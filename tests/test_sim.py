@@ -19,7 +19,7 @@ from riskcal.model import (
     uniform_init,
 )
 from riskcal.network import Graph, RewireSchedule, build_topology, chain, full_graph, neighbors, rewire
-from riskcal.sim import METRICS_COLUMNS, evaluate_round, m0_heuristic, run_crc
+from riskcal.sim import METRICS_COLUMNS, _average, evaluate_round, m0_heuristic, run_crc
 from riskcal.synth import gaussian_blobs
 
 
@@ -150,7 +150,47 @@ def test_stacked_nodes_run_as_their_list():
     for v, st in enumerate(states):
         assert np.shares_memory(st.stats.values, a.stats.values)
         assert np.array_equal(st.stats.values, a.stats.values[v])
-        assert max_rel_dev(st.params, a.params[v]) == 0.0
+        assert np.shares_memory(st.params.theta, a.params.theta)
+        assert np.array_equal(st.params.theta, a.params.theta[v])
+
+
+def scalar_average(S, graph, neighborhood, higher_first=False):
+    """Neighborhood means one float add at a time: lower neighbors by increasing id, the node (closed), higher ones.
+
+    ``higher_first`` swaps the lower and the higher neighbors.
+    """
+    out = np.empty_like(S)
+    for v in range(1, graph.n + 1):
+        near = sorted(neighbors(graph, v))
+        lower, higher = [u for u in near if u < v], [u for u in near if u > v]
+        if higher_first:
+            lower, higher = higher, lower
+        order = lower + [v] * (neighborhood == "closed") + higher
+        for cell in np.ndindex(S.shape[1:]):
+            total = 0.0
+            for u in order:
+                total += float(S[u - 1][cell])
+            out[v - 1][cell] = total / len(order)
+    return out
+
+
+@pytest.mark.parametrize("topology", ["chain", "tree", "tree+6", "full"])
+def test_average_sums_each_neighborhood_in_id_order(topology):
+    # Values of both signs at 1e16 and 1: a float sum of them depends on its order, so the
+    # average must add exactly as the scalar loop does, bit for bit.
+    rng = np.random.default_rng(31)
+    n = 12
+    graph = build_topology(topology, n, rng)
+    S = rng.choice([1e16, -1e16, 1.0, -1.0, 3.0], size=(n, 2, 5))
+    for neighborhood in ("open", "closed"):
+        want = scalar_average(S, graph, neighborhood)
+        if (topology, neighborhood) != ("chain", "open"):  # two terms add alike in either order
+            assert not np.array_equal(want, scalar_average(S, graph, neighborhood, higher_first=True))
+        assert _average(S, graph, neighborhood).tobytes() == want.tobytes()
+    lonely = Graph(4, [(1, 2), (2, 3)])
+    assert np.array_equal(_average(S[:4], lonely, "closed")[3], S[3])
+    with pytest.raises(ValueError, match="^node 4 has no neighbors; open aggregation is undefined$"):
+        _average(S[:4], lonely, "open")
 
 
 def test_rewiring_changes_the_run():
