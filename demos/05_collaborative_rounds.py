@@ -16,7 +16,6 @@ from riskcal import (
     local_datasets,
     m0_heuristic,
     ml,
-    param_map,
     rc,
     run_crc,
     split_iid,
@@ -49,8 +48,8 @@ print(f"maximum likelihood test error: {ml_test:.4f}")
 metrics = []
 
 
-def score(t, aggregate, stats):
-    metrics.append(evaluate_round(param_map(stats), pooled, baseline[t - 1], t))
+def score(t, aggregate, result):  # result: round t's statistics and their models
+    metrics.append(evaluate_round(result.params, pooled, t, baseline[t - 1]))
 
 
 result = run_crc(

@@ -40,7 +40,7 @@ run_crc(
     RewireSchedule(full_graph(n)),
     m0=m0,
     t_max=t_max,
-    on_round=lambda t, aggregate, stats: aggregates.append(aggregate),
+    on_round=lambda t, aggregate, result: aggregates.append(aggregate),
 )
 models = rc(arranged, lr, t_max, uniform_init(pool.schema, float(pool.m)))  # row t: after iteration t
 

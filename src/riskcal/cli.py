@@ -34,7 +34,7 @@ import numpy as np
 from .calibration import ml, rc
 from .data import (DataError, Dataset, _count, _is_int, _is_real, _real, infer_schema, load_csv, train_test_split,
                    write_csv, write_table)
-from .model import Scorer, param_map, uniform_init
+from .model import Scorer, uniform_init
 from .network import RewireSchedule, _neighborhood, _parse_topology, build_topology, write_edge_list
 from .partition import SPLITTERS, global_sample, local_datasets
 from .sim import METRICS_COLUMNS, RoundMetrics, evaluate_round, m0_heuristic, run_crc
@@ -251,8 +251,8 @@ def _run_repetition(cfg: ExperimentConfig, full: Dataset, rep: int, outdir: Path
 
     metrics: list[RoundMetrics] = []
 
-    def score(t, aggregate, stats):
-        metrics.append(evaluate_round(param_map(stats), scorer, (float(rc_train[t]), float(rc_test[t])), t))
+    def score(t, aggregate, result):
+        metrics.append(evaluate_round(result.params, scorer, t, (float(rc_train[t]), float(rc_test[t]))))
 
     params = run_crc(
         local_datasets(train, plan),

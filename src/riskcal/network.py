@@ -187,7 +187,7 @@ def write_edge_list(graph: Graph, path) -> None:
 
 
 def read_edge_list(path, n: int | None = None) -> Graph:
-    """Inverse of write_edge_list; n defaults to the largest node id seen."""
+    """Inverse of write_edge_list; n defaults to the largest node id seen, so a file of no edges needs it."""
     edges = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = line.strip()
@@ -203,5 +203,7 @@ def read_edge_list(path, n: int | None = None) -> Graph:
         if u == v:
             raise ValueError(f"{path}: line {lineno}: self-loop {u}")
         edges.append((u, v))
+    if n is None and not edges:
+        raise ValueError(f"{path}: no edges to count the nodes from; pass n for an edgeless graph")
     pairs = np.sort(np.array(edges, dtype=np.int64).reshape(-1, 2), axis=1)  # each pair as (min, max)
-    return Graph(n if n is not None else int(pairs.max(initial=0)), pairs)
+    return Graph(n if n is not None else int(pairs.max()), pairs)

@@ -5,15 +5,16 @@ round is, for every node simultaneously: average the statistics of the
 neighborhood as of the previous round (synchronous barrier), then
 calibrate the average against the node's local data.  The network is
 arrays: its data a stacked Dataset (for uneven local sizes, one stack
-per size group), its state one (n, r, w) array of statistics and its
-result those statistics with their ``param_map``.  A round is one
-neighborhood average of the whole array plus one ``lrc`` call per size
-group, against the group's ``LocalStep``, built once per run.  The loop
-only simulates: whatever observes a round (per-round metrics, recorded
-aggregates) attaches through ``run_crc``'s ``on_round`` hook.
-``evaluate_round`` scores the batched models of one round, one row per
-node, against a centralized baseline, with a ``Scorer`` of the pooled
-train and test sets built once per run.  A metrics CSV is
+per size group), its state one (n, r, w) array of statistics and a
+round's result, ``CRCResult``, those statistics with their
+``param_map``.  A round is one neighborhood average of the whole array
+plus one ``lrc`` call per size group, against the group's
+``LocalStep``, built once per run.  The loop only simulates: whatever
+observes a round (per-round metrics, recorded aggregates) attaches
+through ``run_crc``'s ``on_round`` hook, which receives the round's
+result.  ``evaluate_round`` scores the batched models of one round, one
+row per node, against a centralized baseline, with a ``Scorer`` of the
+pooled train and test sets built once per run.  A metrics CSV is
 ``data.write_table`` of ``METRICS_COLUMNS`` and each round's
 ``RoundMetrics.as_row()``.  The baselines themselves, ``rc`` and ``ml``
 on the pooled sample, are plain calls into ``calibration``.
@@ -71,13 +72,9 @@ class RoundMetrics:
 METRICS_COLUMNS = tuple(f.name for f in fields(RoundMetrics) if not f.name.startswith("node_"))
 
 
-def evaluate_round(
-    params: NBParams,
-    scorer: Scorer,
-    baseline: tuple[float, float] | None = None,
-    t: int = 0,
-) -> RoundMetrics:
-    """Score every node's model, stacked in ``params``, with ``scorer``, a ``Scorer([train, test])`` of the pooled sets."""
+def evaluate_round(params: NBParams, scorer: Scorer, t: int,
+                   baseline: tuple[float, float] | None = None) -> RoundMetrics:
+    """Round t's metrics of the models stacked in ``params``; ``scorer`` is a ``Scorer`` of the pooled train, test."""
     (tr01, te01), tr_soft = scorer(params)
     rc_tr, rc_te = baseline if baseline is not None else (nan, nan)
     tr_mean = float(tr01.mean())
@@ -100,7 +97,7 @@ def evaluate_round(
 
 @dataclass
 class CRCResult:
-    """A run's final statistics, stacked, and their ``param_map``: node v's are ``stats[v - 1]``, ``params[v - 1]``."""
+    """One round's statistics, stacked, and their ``param_map``: node v's are ``stats[v - 1]``, ``params[v - 1]``."""
 
     stats: StatsVector
     params: NBParams
@@ -144,7 +141,7 @@ def run_crc(
     neighborhood: str = "closed",
     rng: np.random.Generator | None = None,
     workers: int = 1,
-    on_round: Callable[[int, StatsVector, StatsVector], object] | None = None,
+    on_round: Callable[[int, StatsVector, CRCResult], object] | None = None,
 ) -> CRCResult:
     """Run t_max collaborative calibration rounds.
 
@@ -152,11 +149,13 @@ def run_crc(
     node v's rows at X[v - 1], or a list of n datasets, which may differ
     in size.  ``schedule`` provides the (possibly rewired) communication
     graph; ``rng`` drives its randomness.  ``on_round(t, aggregate,
-    stats)``, when given, is called after round t's local step with two
-    stacked (n, r, w) ``StatsVector``s: the neighborhood averages the
-    nodes calibrated from and their calibrated statistics, node v's
-    table at index v - 1.  Both arrays are fresh each round, so a callback may keep
-    them.  ``workers`` is checked but otherwise ignored: a round is
+    result)``, when given, is called after round t's local step with the
+    stacked (n, r, w) ``StatsVector`` of neighborhood averages the nodes
+    calibrated from and the round's ``CRCResult``, node v's at index
+    v - 1.  Every round's arrays are fresh, so a callback may keep them.
+    Returns round t_max's result, the one the callback last received: a
+    round is mapped only when a callback observes it or it is the last.
+    ``workers`` is checked but otherwise ignored: a round is
     whole-network array operations, not per-node tasks.
     """
     if isinstance(local_datasets, Dataset):  # one size group: every node
@@ -184,8 +183,9 @@ def run_crc(
         S = np.empty_like(agg)  # a fresh array: earlier states keep their values
         for g, step in zip(groups, steps):
             S[g] = lrc(StatsVector(schema, agg[g]), step, iterations).values
+        if on_round is not None or t == t_max:
+            result = CRCResult(stats := StatsVector(schema, S), param_map(stats))
         if on_round is not None:
-            on_round(t, StatsVector(schema, agg), StatsVector(schema, S))
-    stats = StatsVector(schema, S)
-    return CRCResult(stats, param_map(stats))
+            on_round(t, StatsVector(schema, agg), result)
+    return result
 

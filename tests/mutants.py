@@ -108,6 +108,17 @@ MUTANTS = [
            "    x = float(value) if True else", "killed", "an int beyond the float range raises a bare OverflowError"),
     Mutant("data.py", "    if any(schema != schemas[0] for schema in schemas[1:]):", "    if False:", "killed",
            "the schema rule is a no-op: statistics, models and datasets of other schemas are combined"),
+    Mutant("sim.py", "rng = np.random.default_rng(0)", "rng = np.random.default_rng(1)", "killed",
+           "run_crc's default graph stream is seed 1, not seed 0"),
+    Mutant("sim.py", "        if on_round is not None or t == t_max:", "        if True:", "killed",
+           "a run without a hook maps every round, not only its last"),
+    Mutant("partition.py", "if X.shape[0] < 2:", "if X.shape[0] <= 2:", "killed",
+           "a principal component of exactly two instances is refused"),
+    Mutant("network.py", "    if n is None and not edges:", "    if False:", "killed",
+           "an edge list of no edges and no n raises numpy's bare zero-size reduction error, naming no file"),
+    Mutant("model.py", "def _require_possible(top: np.ndarray, first: int = 0)",
+           "def _require_possible(top: np.ndarray, first: int = 1)", "killed",
+           "a refusal outside Scorer numbers the impossible model one past its place in the stack"),
 ]
 
 

@@ -127,7 +127,7 @@ def theorem_runs():
                     t_max=t_max,
                     iterations=1,
                     neighborhood="closed",
-                    on_round=lambda t, aggregate, stats: aggregates.append(aggregate),
+                    on_round=lambda t, aggregate, result: aggregates.append(aggregate),
                 )
                 oracle = rc_oracle(arranged, lr, t_max, uniform_init(schema, lr * n * m0))
                 cases.append((f"n={n} lr={lr} {style}", aggregates, oracle, m, m0, n))

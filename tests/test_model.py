@@ -845,6 +845,9 @@ def test_instance_impossible_under_every_class_is_refused(monkeypatch):
     assert np.array_equal(train01, evaluate_many([ok], train)[0]) and np.array_equal(test01, evaluate_many([ok], ds)[0])
     with pytest.raises(ValueError, match="row 2 has probability zero under every class"):
         posterior_matrix(params, X)
+    # Outside a Scorer, the impossible model is numbered within its stack too.
+    with pytest.raises(ValueError, match="row 2 has probability zero under every class of model 1;"):
+        posterior_matrix(stack_params([ok, params]), X)
     with pytest.raises(ValueError, match="row 2 has probability zero under every class"):
         predict_matrix(params, X)
     assert np.array_equal(predict_matrix(params, X[:2]), [1, 1])

@@ -227,3 +227,14 @@ def test_read_edge_list_errors(tmp_path):
         p.write_text(f"1 2\n{line}\n")
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 2: node ids must be integers, got '{line}'$"):
             read_edge_list(p)
+
+
+def test_read_edge_list_of_no_edges_needs_n(tmp_path):
+    p = tmp_path / "none.txt"
+    for text in ("", "\n  \n"):
+        p.write_text(text)
+        message = f"{p}: no edges to count the nodes from; pass n for an edgeless graph"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_edge_list(p)
+        g = read_edge_list(p, n=3)
+        assert g.n == 3 and g.pairs.shape == (0, 2)

@@ -160,6 +160,8 @@ def test_first_principal_component_when_top_eigenvalues_nearly_tie():
 def test_first_principal_component_degenerate_inputs():
     with pytest.raises(ValueError, match=r"^need at least two instances for a principal component$"):
         first_principal_component(np.ones((1, 3)))
+    # Two distinct rows are enough: standardized, both columns are (-1, 1), so the component is their diagonal.
+    np.testing.assert_allclose(first_principal_component([[0, 1], [2, 5]]), [np.sqrt(0.5)] * 2, rtol=1e-12)
     # Not a table of instances at all: named by its shape, not counted as too few instances.
     for X in (np.ones((3, 4, 2)), np.ones(3), np.float64(1.0)):
         message = f"a principal component takes a 2-d array of instances, got shape {np.shape(X)}"

@@ -33,8 +33,8 @@ def scorer(train, test, baseline):
     """An on_round hook that appends each round's metrics to the returned list."""
     metrics, pooled = [], Scorer([train, test])
 
-    def on_round(t, aggregate, stats):
-        metrics.append(evaluate_round(param_map(stats), pooled, baseline[t - 1], t))
+    def on_round(t, aggregate, result):
+        metrics.append(evaluate_round(result.params, pooled, t, baseline[t - 1]))
 
     return metrics, on_round
 
@@ -65,7 +65,7 @@ def test_full_graph_matches_centralized_calibration():
         m0=m0,
         t_max=t_max,
         neighborhood="closed",
-        on_round=lambda t, aggregate, stats: aggregates.append(aggregate),
+        on_round=lambda t, aggregate, result: aggregates.append(aggregate),
     )
     oracle = rc_oracle(pool, lr, t_max, uniform_init(schema, float(m)))
     for t in range(1, t_max + 1):
@@ -115,22 +115,55 @@ def test_on_round_hook_contract():
     kwargs = dict(m0=200.0, t_max=5, iterations=2, neighborhood="open")
     seen, kept, copies = [], [], []
 
-    def on_round(t, aggregate, stats):
-        assert aggregate.values.shape == stats.values.shape == (6, 2, _feature_map(schema).width)
+    def on_round(t, aggregate, result):
+        assert aggregate.values.shape == result.stats.values.shape == (6, 2, _feature_map(schema).width)
         seen.append(t)
-        kept.append((aggregate, stats))
-        copies.append((aggregate.values.copy(), stats.values.copy()))
+        kept.append((aggregate, result))
+        copies.append((aggregate.values.copy(), result.stats.values.copy(), result.params.theta.copy()))
 
     res = run_crc(locals_, RewireSchedule("tree", period=2), rng=np.random.default_rng(16),
                   on_round=on_round, **kwargs)
     assert seen == [1, 2, 3, 4, 5]
-    final = res.stats.values
-    assert np.array_equal(kept[-1][1].values, final)
-    for (aggregate, stats), (agg_copy, stats_copy) in zip(kept, copies):  # fresh arrays each round
+    assert res is kept[-1][1]  # the last round's result, not a second mapping of it
+    for (aggregate, result), (agg_copy, stats_copy, theta_copy) in zip(kept, copies):  # fresh arrays each round
         assert np.array_equal(aggregate.values, agg_copy)
-        assert np.array_equal(stats.values, stats_copy)
+        assert np.array_equal(result.stats.values, stats_copy)
+        assert np.array_equal(result.params.theta, theta_copy)
+        assert max_rel_dev(result.params, param_map(result.stats)) == 0.0  # the round's own models
     plain = run_crc(locals_, RewireSchedule("tree", period=2), rng=np.random.default_rng(16), **kwargs)
-    assert np.array_equal(plain.stats.values, final)
+    assert np.array_equal(plain.stats.values, res.stats.values)
+    assert np.array_equal(plain.params.theta, res.params.theta)
+
+
+def test_a_round_is_mapped_only_when_observed_or_last(monkeypatch):
+    schema = mixed_schema(2)
+    locals_, _ = make_locals(schema, 4, 10, seed=19)
+    calls, seen = [], []
+
+    def counted(stats):
+        calls.append(stats)
+        return param_map(stats)
+
+    monkeypatch.setattr("riskcal.sim.param_map", counted)
+    res = run_crc(locals_, RewireSchedule(chain(4)), m0=80.0, t_max=6,
+                  on_round=lambda t, aggregate, result: seen.append(result))
+    assert len(calls) == 6 and res is seen[-1]
+    assert all(result.stats is stats for result, stats in zip(seen, calls))  # each round mapped once
+    calls.clear()
+    plain = run_crc(locals_, RewireSchedule(chain(4)), m0=80.0, t_max=6)
+    assert len(calls) == 1 and plain.stats is calls[0]
+    assert np.array_equal(plain.params.theta, res.params.theta)
+
+
+def test_the_default_rng_is_seed_0():
+    schema = mixed_schema(2)
+    locals_, _ = make_locals(schema, 8, 10, seed=24)
+    kwargs = dict(m0=150.0, t_max=3)
+    default = run_crc(locals_, RewireSchedule("tree", period=1), rng=None, **kwargs).stats.values
+    zero = run_crc(locals_, RewireSchedule("tree", period=1), rng=np.random.default_rng(0), **kwargs).stats.values
+    one = run_crc(locals_, RewireSchedule("tree", period=1), rng=np.random.default_rng(1), **kwargs).stats.values
+    assert np.array_equal(default, zero)
+    assert not np.array_equal(default, one)  # the seed is visible in the statistics
 
 
 def test_stacked_nodes_run_as_their_list():
@@ -221,7 +254,7 @@ def test_rounds_match_a_per_node_reference_loop(period):
         res = run_crc(
             locals_, schedule, m0=m0, t_max=t_max, iterations=iterations,
             neighborhood=neighborhood, rng=np.random.default_rng(14),
-            on_round=lambda t, aggregate, stats: aggregates.append(aggregate),
+            on_round=lambda t, aggregate, result: aggregates.append(aggregate),
         )
         graph_rng = np.random.default_rng(14)
         graph = schedule.initial(n, graph_rng)
@@ -337,9 +370,9 @@ def test_duplicating_rows_and_doubling_m0_doubles_the_final_statistics(split):
     moments = _feature_map(locals_[0].schema).moments
     lowest = []
 
-    def on_round(t, aggregate, stats):
+    def on_round(t, aggregate, result):
         # A floored count ends the round at COUNT_FLOOR: project is the local step's last act.
-        lowest.append(stats.values[..., :moments].min())  # class masses and one-hot cells
+        lowest.append(result.stats.values[..., :moments].min())  # class masses and one-hot cells
 
     want = meta_final(locals_, graph, HOMOGENEOUS_M0, on_round)
     doubled = [Dataset(ds.schema, np.concatenate([ds.X, ds.X]), np.concatenate([ds.y, ds.y])) for ds in locals_]
@@ -362,7 +395,7 @@ def test_evaluate_round_hand_example():
         np.array([[0.9, 0.1], [0.5, 0.5]]),
         (np.array([[[0.0, 1.0], [0.0, 1.0]], [[0.0, 1.0], [5.0, 1.0]]]),),
     )
-    rm = evaluate_round(params, Scorer([ds, ds]), baseline=(0.05, 0.07), t=3)
+    rm = evaluate_round(params, Scorer([ds, ds]), 3, baseline=(0.05, 0.07))
     assert rm.node_train_errs == (0.1, 0.3)
     assert rm.train_err_mean == 0.2
     assert abs(rm.train_err_std - 0.1) < 1e-12
@@ -370,6 +403,8 @@ def test_evaluate_round_hand_example():
     assert rm.rc_train_err == 0.05 and rm.rc_test_err == 0.07
     assert abs(rm.train_gap - 0.15) < 1e-15
     assert abs(rm.test_gap - 0.13) < 1e-15
+    bare = evaluate_round(params, Scorer([ds, ds]), 3)  # no baseline: no gaps
+    assert bare.node_train_errs == rm.node_train_errs and np.isnan(bare.train_gap) and np.isnan(bare.rc_test_err)
 
 
 def test_metrics_csv_format(tmp_path):
