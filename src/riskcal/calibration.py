@@ -25,6 +25,7 @@ from .model import (
     StatsVector,
     _accumulate,
     _feature_map,
+    _labelled,
     _posterior,
     _Rows,
     param_map,
@@ -56,13 +57,14 @@ def project(stats: StatsVector) -> StatsVector:
 class LocalStep:
     """What every calibration step against one (stacked) local dataset shares, built once for many rounds.
 
-    The labelled statistics D, the rows Phi(X) and the log-joint rows Phi(X - c)^T, c each node's own mean.
+    The rows Phi(X), the labelled statistics D taken from them and the log-joint rows Phi(X - c)^T, c each
+    node's own mean.
     """
 
     def __init__(self, local_dataset: Dataset) -> None:
         self.schema = local_dataset.schema
-        self.labelled = stat_map_dataset(local_dataset)  # refuses an empty dataset and non-finite sums
         self.phi = _feature_map(self.schema).phi(local_dataset.X)
+        self.labelled = _labelled(local_dataset, self.phi)  # refuses an empty dataset and non-finite sums
         self.rows = _Rows(self.schema, local_dataset.X)
 
     def expected(self, params: NBParams) -> StatsVector:

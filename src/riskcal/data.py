@@ -111,6 +111,10 @@ class FeatureSchema:
         for spec in self.features:
             if not isinstance(spec, (Discrete, Continuous)):
                 raise DataError(f"bad feature spec: {spec!r}")
+        object.__setattr__(self, "_hash", hash((self.features, self.class_cardinality)))
+
+    def __hash__(self) -> int:  # hashed once: every table looks its schema's feature map up by it
+        return self._hash
 
     @property
     def d(self) -> int:

@@ -290,12 +290,17 @@ def _accumulate(schema: FeatureSchema, PT: np.ndarray, phi: np.ndarray) -> Stats
         return _finite(StatsVector(schema, _by_class(PT, phi)))
 
 
-def stat_map_dataset(dataset: Dataset) -> StatsVector:
-    """Statistics P^T Phi(X) of labelled rows, P their (m, r) one-hot labels; ess equals the row count."""
+def _labelled(dataset: Dataset, phi: np.ndarray) -> StatsVector:
+    """Statistics P^T Phi of labelled rows with feature rows ``phi``, P their one-hot labels; empty data is refused."""
     if dataset.m == 0:
         raise ValueError("empty dataset has no statistics")
     onehot = np.eye(dataset.schema.class_cardinality)[dataset.y - 1]
-    return _accumulate(dataset.schema, np.swapaxes(onehot, -1, -2), _feature_map(dataset.schema).phi(dataset.X))
+    return _accumulate(dataset.schema, np.swapaxes(onehot, -1, -2), phi)
+
+
+def stat_map_dataset(dataset: Dataset) -> StatsVector:
+    """Statistics P^T Phi(X) of labelled rows, P their (m, r) one-hot labels; ess equals the row count."""
+    return _labelled(dataset, _feature_map(dataset.schema).phi(dataset.X))
 
 
 def prob_stat_map(X, params: NBParams) -> StatsVector:
@@ -325,7 +330,8 @@ def _require_possible(top: np.ndarray, first: int = 0) -> np.ndarray:
 
 def _posterior(params: NBParams, rows: _Rows) -> np.ndarray:
     """Class-major posteriors P^T (..., r, m) of ``params`` over ``rows``, in the memory of their log joint."""
-    logj = rows.log_joint(params)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing or nan L is formed again
+        logj = rows.log_joint(params)[0]
     logj -= _require_possible(logj.max(axis=-2))[..., None, :]  # a -inf top would make its column 0/0
     z = np.exp(logj, out=logj)
     z /= z.sum(axis=-2, keepdims=True)
@@ -344,7 +350,8 @@ def posterior_matrix(params: NBParams, X) -> np.ndarray:
 def predict_matrix(params: NBParams, X) -> np.ndarray:
     """Most probable class per row, ties resolved to the lowest index."""
     X = validate_instances(params.schema, X)
-    logj = _Rows(params.schema, X).log_joint(params)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing or nan L is formed again
+        logj = _Rows(params.schema, X).log_joint(params)[0]
     _require_possible(logj.max(axis=-2))
     return logj.argmax(axis=-2) + 1
 
@@ -420,28 +427,41 @@ class _Rows:
         self.xc = X[..., fm.cont]
         self.c = self.xc.sum(axis=-2, keepdims=True) / max(X.shape[-2], 1)  # 0 over no rows
         with np.errstate(over="ignore"):  # log_joint forms the rows of an infinite (x - c)^2 again
-            self.phiT = np.ascontiguousarray(np.swapaxes(fm.phi(X, self.c), -1, -2))
-        self.phi_max = np.abs(self.phiT).max(axis=-1, initial=0.0)  # sum |W| |Phi| <= |W| phi_max
+            phi = fm.phi(X, self.c)
+        self.phi_max = np.abs(phi).max(axis=-2, initial=0.0)
+        self.phiT = np.ascontiguousarray(np.swapaxes(phi, -1, -2))
 
-    def log_joint(self, models: NBParams, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-        """Log joint L (..., r, m) of ``models`` over the rows, leading axes broadcast, and its -inf mask or None.
+    def weigh(self, models: NBParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_weights`` of ``models`` over these rows, and each model's bound max_c sum |W| phi_max.
 
-        ``out``, over shared rows, is a (K r, m) buffer.  A (model, row) whose
-        terms overflow or cancel, sum |W| |Phi| > _CANCEL (1 + |L|), is formed
-        again with the row itself as c, which leaves no continuous terms.
+        A caller scoring a stack in slices weighs it once and hands each
+        slice of the three to ``log_joint``.
         """
         W, zero = _weights(models, self.c)
+        return W, zero, (np.abs(W) @ self.phi_max[..., None]).max(axis=(-2, -1))  # sum |W| |Phi| <= |W| phi_max
+
+    def log_joint(self, models: NBParams, out: np.ndarray | None = None, weighed: tuple | None = None):
+        """Log joint L (..., r, m) of ``models`` over the rows, leading axes broadcast, and its -inf mask or None.
+
+        ``out``, over shared rows, is a (K r, m) buffer; ``weighed`` is
+        ``weigh(models)`` if already formed.  A (model, row) whose terms
+        overflow or cancel, sum |W| |Phi| > _CANCEL (1 + |L|), is formed again
+        with the row itself as c, which leaves no continuous terms; only a
+        call whose bound exceeds _CANCEL looks for them.  Call it under
+        ``np.errstate(over="ignore", invalid="ignore")``: an overflowing or
+        nan L is formed again, not warned of.  With no mask, every L is finite.
+        """
+        W, zero, bound = self.weigh(models) if weighed is None else weighed
         mask = None
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing or nan L is formed again
-            logj = _by_class(W, self.phiT, out)
-            sound = (np.abs(W) @ self.phi_max[..., None]).max(initial=0.0) <= _CANCEL
-            if not sound or zero.any():
-                n = self.fm.moments  # only constant and one-hot weights are ever -inf
-                mask = zero[..., :n].astype(np.float64) @ self.phiT[..., :n, :] > 0
-                if not sound:
-                    terms = np.abs(W) @ np.abs(self.phiT)
-                    loose = ~((terms <= _CANCEL * (1.0 + np.abs(logj))) & (terms < inf))
-                    self._reform(models, logj, mask, loose.any(axis=-2))
+        logj = _by_class(W, self.phiT, out)
+        sound = bound.max(initial=0.0) <= _CANCEL
+        if not sound or zero.any():
+            n = self.fm.moments  # only constant and one-hot weights are ever -inf
+            mask = zero[..., :n].astype(np.float64) @ self.phiT[..., :n, :] > 0
+            if not sound:
+                terms = np.abs(W) @ np.abs(self.phiT)
+                loose = ~((terms <= _CANCEL * (1.0 + np.abs(logj))) & (terms < inf))
+                self._reform(models, logj, mask, loose.any(axis=-2))
         if mask is not None:
             logj[mask] = -inf
         return logj, mask
@@ -482,18 +502,24 @@ class Scorer:
 
     Built once from the datasets, a Scorer holds what every call shares: the
     rows Phi(x - c)^T of all datasets, stably sorted by (dataset, class) so
-    that each segment of one dataset's class y is a run of columns, and work
-    buffers for one pass of ``_EVAL_CELLS`` log joint cells.  Each pass is one GEMM
-    into the log joint buffer L; each segment of true class y then writes
-    d_c = L_c - L_y, c != y, into one (k, r - 1, n) buffer.  A row is wrong
-    iff some d_c >= 0 with c < y or d_c > 0 with c > y (the argmax, ties to
-    the lowest class), and its true-class posterior is 1 / (1 + sum_c
-    exp(d_c)) (0 when exp overflows).  A -inf L gets d_c = -inf as class c,
-    and +inf against every other class as the true class.  So a call
-    allocates little besides its results and weights, unless an L is -inf or
-    its terms may cancel (see ``_Rows.log_joint``).  Error messages number
-    the rows as one table, in dataset order, and the models in the whole
-    stack.  Every dataset must be pooled, X (m, d): a stacked one is refused.
+    that each segment of one dataset's class y is a run of columns, each
+    segment's tests, and work buffers for one pass of ``_EVAL_CELLS`` log
+    joint cells.  A call weighs its whole stack once (``_Rows.weigh``); each
+    pass of it judges its own soundness and is one GEMM into the log joint
+    buffer L.  A row is wrong iff some class c beats its true class y,
+    L_c >= L_y with c < y or L_c > L_y with c > y: the argmax, ties to the
+    lowest class.  The first dataset, and every dataset in a pass with a
+    mask (a -inf weight, or terms that may cancel), writes d_c = L_c - L_y,
+    c != y, into one (k, r - 1, n) buffer and compares it with 0, a -inf L
+    giving d_c = -inf as class c and +inf against every other class as the
+    true class; the true-class posterior is 1 / (1 + sum_c exp(d_c)) (0
+    when exp overflows).  The other datasets compare the log joints
+    directly, all finite in a pass with no mask: for finite a and b,
+    a - b > 0 iff a > b and a - b >= 0 iff a >= b.  So a
+    call allocates little besides its results and weights, unless an L is
+    -inf or its terms may cancel.  Error messages number the rows as one
+    table, in dataset order, and the models in the whole stack.  Every
+    dataset must be pooled, X (m, d): a stacked one is refused.
     """
 
     def __init__(self, datasets: list[Dataset]) -> None:
@@ -511,12 +537,23 @@ class Scorer:
         self.order = np.argsort(group, kind="stable")  # table row of each scoring column
         self.rows = _Rows(schema, X[self.order])
         sizes = np.bincount(group, minlength=len(datasets) * r)
-        # (dataset, true class index, first column, end) of every nonempty segment
-        self.segments = [(s // r, s % r, e - n, e) for s, (n, e) in enumerate(zip(sizes, np.cumsum(sizes))) if n]
+        # One entry per nonempty segment, dataset d's rows of true class y (columns a:b): whether its soft error
+        # counts, and per other class c, in class order, the test by which c beats y, paired with c's index among
+        # the differences d_c and among the log joints L_c.
+        self.segments = []
+        for s, (n, e) in enumerate(zip(sizes, np.cumsum(sizes))):
+            if n:
+                d, y = divmod(s, r)
+                others = [c for c in range(r) if c != y]
+                beats = [np.greater_equal if c < y else np.greater for c in others]  # a lower class wins a tie
+                self.segments.append((d, y, e - n, e, d == 0, [*zip(beats, range(r - 1))], [*zip(beats, others)]))
         k = self.pass_width = max(1, _EVAL_CELLS // (r * len(X)))  # models per pass
         self._logj = np.empty(k * r * len(X))  # flat, so that a short pass is a contiguous prefix
         self._diff = np.empty(k * (r - 1) * sizes.max())  # flat, so that a segment is a contiguous prefix
-        self._wrong = np.empty((2, k * sizes.max()), dtype=bool)
+        self._wrong = np.empty(k * len(X), dtype=bool)  # a pass's wrong rows, (k, M) like its log joint
+        self._tie_or_win = np.empty(k * sizes.max(), dtype=bool)
+        self._starts = np.cumsum(self.m) - self.m  # each dataset's first column
+        self._count_type = np.int32 if len(X) < 2**31 else np.int64  # a pass counts at most M rows; int32 sums faster
 
     def __call__(self, models) -> tuple[np.ndarray, np.ndarray]:
         """(D, K) 0-1 errors, row d on dataset d, and (K,) soft errors of ``models``, fresh arrays.
@@ -527,34 +564,43 @@ class Scorer:
         (K, r), M = models.theta.shape[:2], len(self.order)
         wrong = np.zeros((len(self.m), K), dtype=np.int64)
         post = np.zeros(K)  # sums of the first dataset's true-class posteriors
-        for lo in range(0, K, self.pass_width):
-            k = min(self.pass_width, K - lo)
-            logj, mask = self.rows.log_joint(models[lo : lo + k], self._logj[: k * r * M].reshape(k * r, M))
-            if mask is not None:
-                logj[mask] = 0.0  # finite, so differences make no nan before the mask sets them
-                if (impossible := mask.all(axis=1)).any():  # refused in table order
-                    _require_possible(np.where(impossible[:, np.argsort(self.order)], -inf, 0.0), lo)
-            for d, y, a, b in self.segments:
-                n = b - a
-                L, diff = logj[..., a:b], self._diff[: k * (r - 1) * n].reshape(k, r - 1, n)
-                np.subtract(L[:, :y], L[:, y, None], out=diff[:, :y])
-                np.subtract(L[:, y + 1 :], L[:, y, None], out=diff[:, y:])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing L is formed again; exp(d_c) may overflow
+            weighed = self.rows.weigh(models)
+            for lo in range(0, K, self.pass_width):
+                k = min(self.pass_width, K - lo)
+                hi, out = lo + k, self._logj[: k * r * M].reshape(k * r, M)
+                logj, mask = self.rows.log_joint(models[lo:hi], out, tuple(a[lo:hi] for a in weighed))
                 if mask is not None:
-                    np.copyto(diff, inf, where=mask[:, y, None, a:b])
-                    np.copyto(diff, -inf, where=np.delete(mask[..., a:b], y, axis=1))
-                wrong_row, tie_or_win = (buf[: k * n].reshape(k, n) for buf in self._wrong)
-                beats = [np.greater_equal] * y + [np.greater] * (r - 1 - y)  # a lower class wins a tie
-                beats[0](diff[:, 0], 0.0, out=wrong_row)
-                for j in range(1, r - 1):
-                    wrong_row |= beats[j](diff[:, j], 0.0, out=tie_or_win)
-                wrong[d, lo : lo + k] += np.count_nonzero(wrong_row, axis=1)
-                if d == 0:
-                    with np.errstate(over="ignore"):
+                    logj[mask] = 0.0  # finite, so differences make no nan before the mask sets them
+                    if (impossible := mask.all(axis=1)).any():  # refused in table order
+                        _require_possible(np.where(impossible[:, np.argsort(self.order)], -inf, 0.0), lo)
+                wrong_rows = self._wrong[: k * M].reshape(k, M)
+                for d, y, a, b, soft, by_diff, by_joint in self.segments:
+                    n = b - a
+                    L, wrong_row = logj[..., a:b], wrong_rows[:, a:b]
+                    if soft or mask is not None:  # differences d_c = L_c - L_y, against 0
+                        diff = self._diff[: k * (r - 1) * n].reshape(k, r - 1, n)
+                        if y > 0:
+                            np.subtract(L[:, :y], L[:, y, None], out=diff[:, :y])
+                        if y < r - 1:
+                            np.subtract(L[:, y + 1 :], L[:, y, None], out=diff[:, y:])
+                        if mask is not None:
+                            np.copyto(diff, inf, where=mask[:, y, None, a:b])
+                            np.copyto(diff, -inf, where=np.delete(mask[..., a:b], y, axis=1))
+                        cols, base, tests = diff, 0.0, by_diff
+                    else:  # every L finite: L_c - L_y > 0 iff L_c > L_y, and >= 0 iff L_c >= L_y
+                        cols, base, tests = L, L[:, y], by_joint
+                    (beats, c), *rest = tests
+                    beats(cols[:, c], base, out=wrong_row)
+                    for beats, c in rest:
+                        wrong_row |= beats(cols[:, c], base, out=self._tie_or_win[: k * n].reshape(k, n))
+                    if soft:
                         total = np.exp(diff, out=diff)[:, 0]
-                    for j in range(1, r - 1):
-                        total += diff[:, j]
-                    total += 1.0
-                    post[lo : lo + k] += np.divide(1.0, total, out=total).sum(axis=1)
+                        for j in range(1, r - 1):
+                            total += diff[:, j]
+                        total += 1.0
+                        post[lo:hi] += np.divide(1.0, total, out=total).sum(axis=1)
+                wrong[:, lo:hi] += np.add.reduceat(wrong_rows, self._starts, axis=1, dtype=self._count_type).T
         return wrong / self.m[:, None], 1.0 - post / self.m[0]
 
 

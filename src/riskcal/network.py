@@ -187,7 +187,12 @@ def write_edge_list(graph: Graph, path) -> None:
 
 
 def read_edge_list(path, n: int | None = None) -> Graph:
-    """Inverse of write_edge_list; n defaults to the largest node id seen, so a file of no edges needs it."""
+    """Inverse of write_edge_list; n defaults to the largest node id seen, so a file of no edges needs it.
+
+    A line whose ids are not 1..n, or not >= 1 with no n, is refused by its number.
+    """
+    n = n if n is None else _count("n", n, 1)
+    ids = f"in 1..{n}" if n is not None else ">= 1"
     edges = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = line.strip()
@@ -200,6 +205,8 @@ def read_edge_list(path, n: int | None = None) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: node ids must be integers, got {line!r}") from None
+        if min(u, v) < 1 or n is not None and max(u, v) > n:
+            raise ValueError(f"{path}: line {lineno}: node ids must be {ids}, got {line!r}")
         if u == v:
             raise ValueError(f"{path}: line {lineno}: self-loop {u}")
         edges.append((u, v))

@@ -36,11 +36,11 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    Mutant("model.py", "beats = [np.greater_equal] * y + [np.greater] * (r - 1 - y)",
-           "beats = [np.greater] * (r - 1)", "killed",
+    Mutant("model.py", "beats = [np.greater_equal if c < y else np.greater for c in others]",
+           "beats = [np.greater for c in others]", "killed",
            "a tie between the true class and a lower one counts as right: ties no longer go to the lowest class"),
-    Mutant("model.py", "            logj = _by_class(W, self.phiT, out)",
-           "            logj = W @ self.phiT", "killed",
+    Mutant("model.py", "        logj = _by_class(W, self.phiT, out)",
+           "        logj = W @ self.phiT", "killed",
            "the log joint is a plain GEMM: equal weight rows may round apart on another kernel"),
     Mutant("model.py", "self.c = self.xc.sum(axis=-2, keepdims=True) / max(X.shape[-2], 1)",
            "self.c = 0.0 * self.xc[..., :1, :]", "killed",
@@ -66,9 +66,9 @@ MUTANTS = [
            "averaging is biased by 1e-13 relative"),
     Mutant("sim.py", "dst, src = np.r_[v, own, u], np.r_[u, own, v]", "dst, src = np.r_[u, own, v], np.r_[v, own, u]",
            "killed", "each node adds its higher neighbors before its lower ones: sums round otherwise"),
-    Mutant("model.py", "sound = (np.abs(W) @ self.phi_max[..., None]).max(initial=0.0) <= _CANCEL",
+    Mutant("model.py", "sound = bound.max(initial=0.0) <= _CANCEL",
            "sound = True", "killed", "no (model, row) whose terms cancel or overflow is formed again"),
-    Mutant("model.py", "                if d == 0:", "                if d == len(self.m) - 1:", "killed",
+    Mutant("model.py", "e - n, e, d == 0,", "e - n, e, d == len(datasets) - 1,", "killed",
            "the soft error is read from the last dataset, the test set, not the first"),
     Mutant("model.py", "                    total += 1.0", "                    total += 1.0 + 1e-9", "killed",
            "the true-class posterior's denominator is 1e-9 too large"),
@@ -116,6 +116,16 @@ MUTANTS = [
            "a principal component of exactly two instances is refused"),
     Mutant("network.py", "    if n is None and not edges:", "    if False:", "killed",
            "an edge list of no edges and no n raises numpy's bare zero-size reduction error, naming no file"),
+    Mutant("network.py", "        if min(u, v) < 1 or n is not None and max(u, v) > n:", "        if False:", "killed",
+           "an edge list's id below 1 or above n surfaces Graph's bare refusal, naming no file or line"),
+    Mutant("model.py", "[*zip(beats, others)]",
+           "[(np.greater if b is np.greater_equal else np.greater_equal, c) for b, c in zip(beats, others)]",
+           "killed", "a later dataset's log joint comparison gives a tie to the higher class, and an equal L_c does "
+           "not beat a lower true class"),
+    Mutant("model.py", "if soft or mask is not None:", "if soft:", "killed",
+           "a masked pass compares the log joints of a later dataset, where the mask has set -inf cells to 0"),
+    Mutant("model.py", "if soft or mask is not None:", "if True:", "equivalent",
+           "every dataset compares differences d_c with 0: the same counts as comparing finite log joints"),
     Mutant("model.py", "def _require_possible(top: np.ndarray, first: int = 0)",
            "def _require_possible(top: np.ndarray, first: int = 1)", "killed",
            "a refusal outside Scorer numbers the impossible model one past its place in the stack"),

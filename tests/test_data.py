@@ -1,6 +1,8 @@
 """CSV loading, schema inference, dataset validation and splitting."""
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -22,7 +24,7 @@ from riskcal.data import (
     write_csv,
     write_table,
 )
-from riskcal.model import param_map, posterior_matrix, predict_matrix, prob_stat_map, uniform_init
+from riskcal.model import _feature_map, param_map, posterior_matrix, predict_matrix, prob_stat_map, uniform_init
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -162,6 +164,19 @@ def test_schema_needs_a_feature(tmp_path):
         FeatureSchema((), 2)
     with pytest.raises(DataError, match="need at least one feature"):
         infer_schema(load_csv(write(tmp_path, "y\n1\n2\n1\n"), "y"))  # a label-only CSV
+
+
+def test_equal_schemas_hash_equal_and_share_one_feature_map():
+    # A schema's hash is taken once; equal, copied and unpickled schemas keep looking up one feature map.
+    schema = FeatureSchema((Discrete(3), Continuous(), Discrete(2)), 3)
+    twins = [FeatureSchema((Discrete(3), Continuous(), Discrete(2)), 3), copy.copy(schema), copy.deepcopy(schema),
+             pickle.loads(pickle.dumps(schema))]
+    for twin in twins:
+        assert twin == schema and hash(twin) == hash(schema) == hash((schema.features, 3))
+        assert _feature_map(twin) is _feature_map(schema)
+    other = FeatureSchema((Discrete(3), Continuous(), Discrete(2)), 2)
+    assert other != schema and _feature_map(other) is not _feature_map(schema)
+    assert len({schema, *twins, other}) == 2
 
 
 @pytest.mark.parametrize("features, message", [

@@ -734,6 +734,87 @@ def test_scores_do_not_depend_on_row_order_within_a_dataset(monkeypatch):
     np.testing.assert_allclose(got_soft, soft, rtol=1e-13, atol=0)
 
 
+def tied_models(schema, count, rng):
+    """A stack of models with no zero weight, each class taking one of two rows: classes sharing a row tie exactly."""
+    r = schema.class_cardinality
+    patterns = [[(k >> y) & 1 for y in range(r)] for k in range(2**r)]  # every split of the classes in two
+    return stack_params([NBParams(schema, random_params(schema, rng).theta[:2][patterns[k % 2**r]])
+                         for k in range(count)])
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_exact_ties_on_a_later_dataset_go_to_the_lower_class(r, monkeypatch):
+    # With no -inf weight, the datasets after the first compare log joints, not differences: a true class tied
+    # with a lower class is wrong, tied with a higher one right, as in the argmax of the scoring GEMM.
+    rng = np.random.default_rng(28)
+    schema = FeatureSchema((Discrete(3), Discrete(2), Continuous()), r)
+    train, test = (random_dataset(schema, m, rng) for m in (40, 60))
+    width = few_per_pass(monkeypatch, [train, test])
+    models = tied_models(schema, 2 * width + 3, rng)  # two pass boundaries
+    assert (models.theta[..., : _feature_map(schema).moments] > 0).all()  # no pass is masked
+    want01, want_soft, _ = gemm_reference(models, [train, test], width)
+    assert gemm_reference(models, [test], width)[2] > test.m  # the test rows tie often
+    err01, soft = Scorer([train, test])(models)
+    assert np.array_equal(err01, want01)
+    np.testing.assert_allclose(soft, want_soft, rtol=1e-13, atol=0)
+
+
+def test_a_masked_pass_scores_a_later_dataset_by_its_differences(monkeypatch):
+    # Zero cells and zero priors in the second of three passes give -inf log joints on both datasets: a
+    # masked true class is wrong and a masked other class never wins, between passes that have no mask.
+    rng = np.random.default_rng(29)
+    schema = mixed_schema(3)
+    train, test = (random_dataset(schema, m, rng) for m in (40, 60))
+    width = few_per_pass(monkeypatch, [train, test])
+    positive, zeroed = [random_params(schema, rng) for _ in range(width + 3)], affine_models(schema, width, rng, 1.0, 0.0)
+    post = posterior_matrix(stack_params(zeroed), test.X)
+    assert (np.take_along_axis(post, test.y[None, :, None] - 1, axis=2) == 0).sum() > test.m  # masked true classes
+    models = stack_params(positive[:width] + zeroed + positive[width:])
+    want01, want_soft, _ = gemm_reference(models, [train, test], width)
+    err01, soft = Scorer([train, test])(models)
+    assert np.array_equal(err01, want01)
+    np.testing.assert_allclose(soft, want_soft, rtol=1e-13, atol=0)
+
+
+def test_only_a_pass_holding_an_unsound_model_looks_for_cancelling_terms(monkeypatch):
+    # Soundness is judged per pass, from that pass's models: one model whose terms may cancel (variance 1e-4,
+    # so sum |W| phi_max > _CANCEL) sends its pass alone through _reform, and every pass scores as the oracle.
+    rng = np.random.default_rng(30)
+    schema = mixed_schema(2)
+    train, test = (random_dataset(schema, m, rng) for m in (40, 60))
+    width = few_per_pass(monkeypatch, [train, test])
+    models = stack_params([random_params(schema, rng) for _ in range(2 * width + 3)])
+    models.theta[width + 1, 1, _feature_map(schema).blocks[0].stop - 1] = 1e-4  # a variance of feature 0
+    calls, reform = [], model._Rows._reform
+    monkeypatch.setattr(model._Rows, "_reform", lambda self, pass_, *rest: calls.append(len(pass_)) or reform(
+        self, pass_, *rest))
+    err01, soft = Scorer([train, test])(models)
+    assert calls == [width]
+    models = [models[k] for k in range(len(models))]
+    for got, ds in zip(err01, (train, test)):
+        assert np.array_equal(got, oracle_errors(models, ds)[0])
+    np.testing.assert_allclose(soft, oracle_errors(models, train)[1], rtol=1e-12, atol=0)
+
+
+def test_a_scorer_of_three_datasets_is_the_scoring_gemm(monkeypatch):
+    # Masked and unmasked passes over three datasets: the second and third compare log joints or differences,
+    # and each scores as it does alone.
+    rng = np.random.default_rng(31)
+    schema = mixed_schema(3)
+    datasets = [random_dataset(schema, m, rng) for m in (40, 25, 35)]
+    width = few_per_pass(monkeypatch, datasets)
+    models = stack_params([param_map(uniform_init(schema, 10.0)),
+                           *affine_models(schema, width, rng, 1.0, 0.0),
+                           *(random_params(schema, rng) for _ in range(width + 3))])
+    want01, want_soft, ties = gemm_reference(models, datasets, width)
+    assert ties > sum(ds.m for ds in datasets)
+    err01, soft = Scorer(datasets)(models)
+    assert err01.shape == (3, len(models)) and np.array_equal(err01, want01)
+    np.testing.assert_allclose(soft, want_soft, rtol=1e-13, atol=0)
+    for got, ds in zip(err01[1:], datasets[1:]):
+        assert np.array_equal(got, evaluate_many(models, ds)[0])
+
+
 @pytest.mark.parametrize("r", [2, 3])
 def test_a_true_class_far_below_another_scores_soft_error_one(r):
     # Means -5, 5 (and 0), variance 0.01: a row at another class's mean has a log joint at least

@@ -229,6 +229,22 @@ def test_read_edge_list_errors(tmp_path):
             read_edge_list(p)
 
 
+@pytest.mark.parametrize("text, n, ids, lineno", [
+    ("-1 0\n", None, ">= 1", 1),
+    ("1 2\n0 1\n", None, ">= 1", 2),
+    ("0 3\n", 5, "in 1..5", 1),
+    ("1 2\n2 6\n", 5, "in 1..5", 2),
+])
+def test_read_edge_list_refuses_ids_out_of_range_by_line(tmp_path, text, n, ids, lineno):
+    # Every bad line is named by its file and number, ids below 1 and above a given n too.
+    p = tmp_path / "ids.txt"
+    p.write_text(text)
+    line = text.splitlines()[lineno - 1]
+    message = f"{p}: line {lineno}: node ids must be {ids}, got {line!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_edge_list(p, n)
+
+
 def test_read_edge_list_of_no_edges_needs_n(tmp_path):
     p = tmp_path / "none.txt"
     for text in ("", "\n  \n"):
