@@ -221,6 +221,86 @@ def test_write_table_cell_format(tmp_path):
     assert p.read_bytes() == b"i,i64,s,f,f64,nan\r\n3,-4,ml,0.25,0.1,nan\r\n1,2,a b,-0.0,1e-300,2.0\r\n"
 
 
+class Loud(float):
+    """A float whose text is not its value: the float rule writes repr(float(c)), never str(c)."""
+
+    def __repr__(self):
+        return "loud"
+
+    __str__ = __repr__
+
+
+def reference_bytes(header, rows) -> bytes:
+    """A CSV table written one cell at a time: repr(float(c)) for a float, else str(c), csv-quoted; CRLF."""
+    def cell(c):
+        text = repr(float(c)) if isinstance(c, float) else str(c)
+        return '"' + text.replace('"', '""') + '"' if any(ch in text for ch in ',"\r\n') else text
+    return "".join(",".join(map(cell, row)) + "\r\n" for row in [header, *rows]).encode()
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, float("nan"), float("inf"), -float("inf"), 0.1, 2.5e-7, 1 / 3]
+
+
+def test_write_table_bytes_are_the_per_cell_rule(tmp_path):
+    n = len(EDGE_FLOATS)
+    texts = ["a,b", '"', "line\nbreak", "cr\rhere", 'say "hi"', "plain", " padded ", "é", "", "x"]
+    columns = [
+        EDGE_FLOATS,
+        [np.float64(v) for v in EDGE_FLOATS],
+        list(range(-3, n - 3)),
+        [np.int64(k) for k in range(n)],
+        texts,
+        [7, 0.5, np.float64(1e16), Loud(0.25), "t", np.int64(2), -0.0, 1e-5, True, 5e-324],  # first cell no float
+        [Loud(v) for v in EDGE_FLOATS],
+    ]
+    header = ["f", "f64", "i", "i64", "s,t", "mixed", "sub"]
+    rows = list(zip(*columns))
+    p = tmp_path / "table.csv"
+    write_table(p, header, rows)
+    want = reference_bytes(header, rows)
+    assert p.read_bytes() == want
+    assert b"loud" not in want and b'"a,b"' in want and b'""""' in want and b'"line\nbreak"' in want
+    # a table of one column writes an empty cell as "", as the csv module does for a lone empty field
+    write_table(p, ["s"], [[""], ["x"], [""]])
+    assert p.read_bytes() == b's\r\n""\r\nx\r\n""\r\n'
+    write_table(p, ["a", "b"], [])
+    assert p.read_bytes() == b"a,b\r\n"
+
+
+def test_write_csv_bytes_are_the_per_cell_rule(tmp_path):
+    values = [-0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5e-7, 1 / 3, 123456789012345.6]
+    schema = FeatureSchema((Continuous(), Discrete(3), Continuous()), 3)
+    X = np.column_stack([values, [1, 2, 3, 1, 2, 3, 1, 2], values[::-1]])
+    y = np.array([1, 2, 3, 3, 2, 1, 1, 2], dtype=np.int64)
+    p = tmp_path / "data.csv"
+    write_csv(Dataset(schema, X, y), p)
+    rows = [(a, int(code), b, int(label)) for a, code, b, label in zip(values, X[:, 1], values[::-1], y)]
+    assert p.read_bytes() == reference_bytes(["f1", "f2", "f3", "y"], rows)
+    assert b"\r\n-0.0,1,123456789012345.6,1\r\n" in p.read_bytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b,y\n1,2,1\n1,,2\n1,2,1\n1,2\n", "row 3, column 'b': empty cell"),
+    ("a,b,y\n1,2,1\n1,2\n1,2,1\n1,,2\n", "row 3 has 2 cells, expected 3"),
+    ("a,b,y\n1,2,1\n1,2,  \n,2,1\n", "row 3, column 'y': empty cell"),  # row order, not column order
+    ("a,b,y\n1,2,1\n1,\t,1,5\n", "row 3 has 4 cells, expected 3"),  # ragged before empty within a row
+    ("a,b,y\n\n1,2,1\n\n\n1, ,1\n", "row 6, column 'b': empty cell"),  # blank records are counted
+    ('a,b,y\n1,"x\ny",1\n1,2,"\n"\n', "row 3, column 'y': empty cell"),  # records, not lines
+], ids=["empty-then-ragged", "ragged-then-empty", "row-order", "ragged-first", "blank-records", "quoted-newline"])
+def test_load_csv_reports_the_first_fault_in_row_order(tmp_path, text, message):
+    with pytest.raises(DataError, match=f"{re.escape(message)}$"):
+        load_csv(write(tmp_path, text), "y")
+
+
+@pytest.mark.parametrize("kind, seed", [("blobs", 1), ("categorical", 2), ("mixed", 3)])
+def test_a_generated_file_is_rewritten_byte_for_byte(tmp_path, kind, seed):
+    from riskcal.synth import GENERATORS
+    p, q = tmp_path / "gen.csv", tmp_path / "again.csv"
+    write_csv(GENERATORS[kind](400, rng=np.random.default_rng(seed)), p)
+    write_csv(infer_schema(load_csv(p, "y"))[1], q)
+    assert q.read_bytes() == p.read_bytes()
+
+
 def test_round_trip_write_load(tmp_path):
     rng = np.random.default_rng(3)
     schema = FeatureSchema((Continuous(), Discrete(4)), 3)
