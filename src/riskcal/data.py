@@ -1,7 +1,13 @@
 """Datasets with mixed discrete/continuous features.
 
 CSV loading, schema inference, typed materialization, deterministic
-splits and the argument rules.  Conventions used across the package:
+splits and the argument rules.  Tables are read, typed and written a
+column at a time, with no loop over cells in Python: ``load_csv`` strips
+and checks each column of the parsed records, ``infer_schema`` parses a
+column in one float pass and codes it in one lookup, and ``write_table``
+formats a column in one ``map``.  The bytes written and read are those
+of the csv module's default dialect, cell for cell.  Conventions used
+across the package:
 
 * class labels and discrete feature values are 1-based category codes,
 * a column with at most ``DISCRETE_LIMIT`` distinct values is discrete,
@@ -14,7 +20,10 @@ from __future__ import annotations
 
 import csv
 import numbers
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, islice
 from math import inf, prod
 from pathlib import Path
 
@@ -200,96 +209,119 @@ class Dataset:
 
 @dataclass(frozen=True)
 class RawTable:
-    """Parsed CSV cells, still untyped strings."""
+    """Parsed CSV cells, still untyped strings: one tuple of stripped cells per column, in header order."""
 
     header: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    columns: tuple[tuple[str, ...], ...]
     label_index: int
 
 
+def _first_fault(path, header: tuple[str, ...], records: list[list[str]]) -> DataError:
+    """The fault of the first faulty data record, numbered as the file's records: its length before an empty cell."""
+    for lineno, row in enumerate(islice(records, 1, None), start=2):
+        if row and len(row) != len(header):
+            return DataError(f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}")
+        cells = [c.strip() for c in row]
+        if "" in cells:
+            return DataError(f"{path}: row {lineno}, column {header[cells.index('')]!r}: empty cell")
+    raise AssertionError("no faulty record")
+
+
 def load_csv(path, label_column: int | str) -> RawTable:
-    """Read a CSV file with a header row into string cells.
+    """Read a CSV file with a header row into string cells, a column at a time.
 
     ``label_column`` selects the class column either by 0-based position
-    or by header name.  Every row must have exactly as many cells as the
-    header; empty cells are rejected (missing values are not supported).
+    or by header name.  Header names must be non-empty and distinct.
+    Every row must have exactly as many cells as the header; empty cells
+    are rejected (missing values are not supported).  Blank records are
+    skipped but counted: a fault names the row of its record, the header
+    being row 1, and the first faulty row is the one named.
     """
     p = Path(path)
     if not p.is_file():
         raise DataError(f"no such file: {path}")
+    records: list[list[str]] = []
     with open(p, newline="", encoding="utf-8-sig") as fh:  # -sig drops a leading byte order mark
-        reader = csv.reader(fh)
         try:
-            header = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file, missing header row") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}: row {lineno} has {len(row)} cells, expected {len(header)}")
-            cells = tuple(c.strip() for c in row)
-            if "" in cells:
-                raise DataError(f"{path}: row {lineno}, column {header[cells.index('')]!r}: empty cell")
-            rows.append(cells)
+            records.extend(csv.reader(fh))  # extend keeps the records read before a fault: its row is the next
+        except csv.Error as e:  # a field over csv.field_size_limit(), say
+            raise DataError(f"{path}: row {len(records) + 1}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text: {e.reason} {e.object[e.start]:#04x}") from None
+    if not records:
+        raise DataError(f"{path}: empty file, missing header row")
+    header = tuple(map(str.strip, records[0]))
+    for j, name in enumerate(header):  # a name picks the label column and names a column in messages
+        if not name:
+            raise DataError(f"{path}: header: column {j} has an empty name")
+        if header.index(name) < j:
+            raise DataError(f"{path}: header: column {j} repeats the name {name!r} of column {header.index(name)}")
+    rows = list(filter(None, islice(records, 1, None)))
+    if not set(map(len, rows)) <= {len(header)}:
+        raise _first_fault(path, header, records)
+    columns = tuple(tuple(map(str.strip, column)) for column in zip(*rows))
+    if any("" in column for column in columns):
+        raise _first_fault(path, header, records)
     if not rows:
         raise DataError(f"{path}: no instances after the header row")
 
     if isinstance(label_column, str):
         if label_column not in header:
-            raise DataError(f"label column {label_column!r} not in header {header}")
+            raise DataError(f"label column {label_column!r} not in header {list(header)}")
         label_index = header.index(label_column)
     else:  # a position, by the count rule: a bool or a float is refused
         label_index = _count("label_column", label_column, 0, DataError)
         if label_index >= len(header):
             raise DataError(f"label column {label_index} out of range for {len(header)} columns")
-    return RawTable(tuple(header), tuple(rows), label_index)
+    return RawTable(header, columns, label_index)
 
 
-def _parse_floats(tokens: tuple[str, ...]) -> list[float] | None:
-    # Returns None when any token fails to parse as a number.
+def _parse_floats(tokens: tuple[str, ...]) -> np.ndarray | None:
+    """A column's cells as float64, or None when any fails to parse as a number."""
     try:
-        return [float(t) for t in tokens]
+        return np.fromiter(map(float, tokens), np.float64, len(tokens))
     except ValueError:
         return None
 
 
-def _parse_column(tokens: tuple[str, ...], name: str) -> tuple[list, set, bool]:
-    """Cells as finite floats if all parse, else as strings; their distinct values; whether numeric."""
+def _parse_column(tokens: tuple[str, ...], name: str) -> tuple[np.ndarray | None, Sequence]:
+    """Cells as finite floats, or None if one is not a number; their distinct values, sorted: numerically if numbers."""
     values = _parse_floats(tokens)
     if values is None:
-        return list(tokens), set(tokens), False
+        return None, sorted(set(tokens))
     if not np.isfinite(values).all():
         raise DataError(f"column {name!r}: non-finite value")
-    return values, set(values), True
+    ordered = np.sort(values)  # as np.unique does, without the extra MB of code it pages in
+    return values, ordered[np.append(True, ordered[1:] != ordered[:-1])]
 
 
-def _encode_categories(values: list, distinct: set) -> np.ndarray:
-    # Codes 1..k follow the sorted distinct values: numeric order for numbers.
-    code = {v: k + 1 for k, v in enumerate(sorted(distinct))}
-    return np.array([code[v] for v in values], dtype=np.float64)
+def _encode_categories(tokens: tuple[str, ...], values: np.ndarray | None, distinct: Sequence) -> np.ndarray:
+    """Codes 1..k that follow the sorted distinct values; "1" and "1.0" are one number and share a code."""
+    if values is not None:
+        return np.searchsorted(distinct, values) + 1.0
+    code = {v: float(k) for k, v in enumerate(distinct, start=1)}
+    return np.fromiter(map(code.__getitem__, tokens), np.float64, len(tokens))
 
 
 def _encode_label_column(tokens: tuple[str, ...], name: str) -> tuple[np.ndarray, int]:
-    values, distinct, _ = _parse_column(tokens, name)
+    values, distinct = _parse_column(tokens, name)
     if len(distinct) < 2:
         raise DataError(f"label column {name!r} has a single distinct value")
-    return _encode_categories(values, distinct).astype(np.int64), len(distinct)
+    return _encode_categories(tokens, values, distinct).astype(np.int64), len(distinct)
 
 
 def _encode_feature_column(tokens: tuple[str, ...], name: str) -> tuple[FeatureSpec, np.ndarray]:
-    values, distinct, numeric = _parse_column(tokens, name)
+    values, distinct = _parse_column(tokens, name)
     if len(distinct) == 1:
         raise DataError(f"column {name!r} is constant; constant features are not supported")
     if len(distinct) <= DISCRETE_LIMIT:
-        return Discrete(len(distinct)), _encode_categories(values, distinct)
-    if not numeric:
+        return Discrete(len(distinct)), _encode_categories(tokens, values, distinct)
+    if values is None:
         raise DataError(
             f"column {name!r}: non-numeric value in a column with more than "
             f"{DISCRETE_LIMIT} distinct values (would be continuous)"
         )
-    return Continuous(), np.array(values, dtype=np.float64)
+    return Continuous(), values
 
 
 def infer_schema(table: RawTable) -> tuple[FeatureSchema, Dataset]:
@@ -301,15 +333,14 @@ def infer_schema(table: RawTable) -> tuple[FeatureSchema, Dataset]:
     columns with more than ``DISCRETE_LIMIT`` distinct values must be
     fully numeric.
     """
-    y, r = _encode_label_column(
-        tuple(row[table.label_index] for row in table.rows), table.header[table.label_index]
-    )
+    label = table.label_index
+    y, r = _encode_label_column(table.columns[label], table.header[label])
     specs: list[FeatureSpec] = []
     columns: list[np.ndarray] = []
-    for j, name in enumerate(table.header):
-        if j == table.label_index:
+    for j, (name, tokens) in enumerate(zip(table.header, table.columns)):
+        if j == label:
             continue
-        spec, col = _encode_feature_column(tuple(row[j] for row in table.rows), name)
+        spec, col = _encode_feature_column(tokens, name)
         specs.append(spec)
         columns.append(col)
     schema = FeatureSchema(tuple(specs), r)
@@ -326,30 +357,56 @@ def dataset_from_table(table: RawTable, schema: FeatureSchema) -> Dataset:
     """
     if len(table.header) - 1 != schema.d:
         raise DataError(f"table has {len(table.header) - 1} feature columns, schema has {schema.d}")
-    y_values = _parse_floats(tuple(row[table.label_index] for row in table.rows))
+    y_values = _parse_floats(table.columns[table.label_index])
     if y_values is None:
         raise DataError("label column must hold integer class codes")
-    feature_cols = [j for j in range(len(table.header)) if j != table.label_index]
-    X = np.empty((len(table.rows), schema.d), dtype=np.float64)
-    for i, j in enumerate(feature_cols):
-        values = _parse_floats(tuple(row[j] for row in table.rows))
+    X = np.empty((len(y_values), schema.d), dtype=np.float64)
+    features = (j for j in range(len(table.header)) if j != table.label_index)
+    for i, j in enumerate(features):
+        values = _parse_floats(table.columns[j])
         if values is None:
             raise DataError(f"column {table.header[j]!r}: non-numeric value")
         X[:, i] = values
     return Dataset(schema, X, y_values)
 
 
+# A cell holding any of these is quoted, as the csv module's default dialect quotes it.
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _cells(column, lone: bool) -> list[str]:
+    """One column's cells as text: ``repr(float(c))`` for a float, numpy's included, else ``str(c)`` quoted as the
+    csv module quotes it; in a table of one column (``lone``) an empty cell is quoted too, as csv does."""
+    floats = {issubclass(kind, float) for kind in set(map(type, column))}
+    if floats == {True}:
+        return list(map(float.__repr__, column))
+    if True in floats:
+        cells = [float.__repr__(c) if isinstance(c, float) else str(c) for c in column]
+    else:
+        cells = list(map(str, column))
+    if _QUOTED.search("".join(cells)) or lone and "" in cells:
+        cells = ['"' + c.replace('"', '""') + '"' if _QUOTED.search(c) or lone and not c else c for c in cells]
+    return cells
+
+
 def write_table(path, header, rows) -> None:
-    """Write a CSV table: the one place the package's CSV byte format is set.
+    """Write a CSV table, a column at a time: the one place the package's CSV byte format is set.
 
     Float cells, numpy float64 included, are written as ``repr(float(c))``,
     full precision that reads back exactly; every other cell as the csv
-    module writes it (``str``).  UTF-8 with CRLF line ends.
+    module writes it (``str``, quoted where it holds a comma, a quote or
+    a line break).  UTF-8 with CRLF line ends.  Rows must all be as long
+    as the header; the file is opened only once every cell is formatted.
     """
+    try:  # the header leads every column, so each row must be as long as it
+        columns = list(zip(header, *rows, strict=True))
+    except ValueError as e:  # zip counts the header as argument 1
+        raise ValueError(f"write_table: a row is not as long as the header: {e}") from None
+    lone = len(columns) == 1
+    lines = map(",".join, zip(*(_cells(column[1:], lone) for column in columns)))
+    text = "\r\n".join(chain([",".join(_cells(list(header), lone))], lines))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows)
+        fh.write(text + "\r\n")
 
 
 def write_csv(dataset: Dataset, path) -> None:

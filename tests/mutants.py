@@ -129,6 +129,27 @@ MUTANTS = [
     Mutant("model.py", "def _require_possible(top: np.ndarray, first: int = 0)",
            "def _require_possible(top: np.ndarray, first: int = 1)", "killed",
            "a refusal outside Scorer numbers the impossible model one past its place in the stack"),
+    Mutant("data.py", '''    if any("" in column for column in columns):
+        raise _first_fault(path, header, records)''', '''    for j, column in enumerate(columns):
+        if "" in column:
+            raise DataError(f"{path}: row {column.index('') + 2}, column {header[j]!r}: empty cell")''', "killed",
+           "the empty cell reported is the first in column order, in a row counted without the blank records"),
+    Mutant("data.py", "    if not set(map(len, rows)) <= {len(header)}:", "    if False:", "killed",
+           "a ragged row is not refused: zip truncates every column to the shortest row"),
+    Mutant("data.py", "        if header.index(name) < j:", "        if False:", "killed",
+           "a repeated header name is taken: the label is the first column of that name, the other a feature"),
+    Mutant("data.py", 'raise DataError(f"{path}: row {len(records) + 1}: {e}")',
+           'raise DataError(f"{path}: row {len(records)}: {e}")', "killed",
+           "a csv fault names the row before its record"),
+    Mutant("data.py", "floats = {issubclass(kind, float) for kind in set(map(type, column))}",
+           "floats = {issubclass(type(column[0]), float)} if column else set()", "killed",
+           "a column whose first cell is not a float writes its floats with str, not the float rule"),
+    Mutant("data.py", "    lone = len(columns) == 1", "    lone = False", "killed",
+           "a table of one column writes an empty cell as an empty line, which the csv module writes as \"\""),
+    Mutant("data.py", """_QUOTED = re.compile('[,"\\r\\n]')""", """_QUOTED = re.compile('[,"\\n]')""", "killed",
+           "a cell holding a carriage return is written unquoted and reads back as two records"),
+    Mutant("data.py", "columns = list(zip(header, *rows, strict=True))", "columns = list(zip(header, *rows))", "killed",
+           "a row not as long as the header is cut, or the table cut to its shortest row, without a word"),
 ]
 
 

@@ -541,6 +541,18 @@ def test_main_refuses_with_one_error_line(tmp_path, monkeypatch, capsys, argv, m
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"f1,y\n0.5,1\n" + b"1" * 131073 + b",2\n", "d.csv: row 3: field larger than field limit (131072)"),
+    (b"f1,y\n0.5,1\n1.5,\xff\n", "d.csv: not UTF-8 text: invalid start byte 0xff"),
+], ids=["over-long-field", "not-utf8"])
+def test_run_refuses_an_unreadable_csv_with_one_error_line(tmp_path, monkeypatch, capsys, content, message):
+    monkeypatch.chdir(tmp_path)
+    Path("d.csv").write_bytes(content)
+    assert main(["run", "--dataset", "d.csv", "--outdir", "out"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(Path("out").iterdir())  # nothing is written
+
+
 def test_sweep_bad_axis(tmp_path):
     cfg = tiny_config(tmp_path)
     with pytest.raises(ConfigError, match="axis"):

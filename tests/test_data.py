@@ -38,7 +38,7 @@ def test_load_csv_basic(tmp_path):
     table = load_csv(p, "y")
     assert table.header == ("a", "b", "y")
     assert table.label_index == 2
-    assert table.rows == (("1", "cat", "0"), ("2", "dog", "1"))
+    assert table.columns == (("1", "2"), ("cat", "dog"), ("0", "1"))
 
 
 def test_load_csv_drops_a_byte_order_mark(tmp_path):
@@ -47,7 +47,7 @@ def test_load_csv_drops_a_byte_order_mark(tmp_path):
     table = load_csv(p, "y")
     assert table.header == ("y", "f1", "f2")
     assert table.label_index == 0
-    assert table.rows == (("1", "0.5", "2"), ("2", "1.5", "3"))
+    assert table.columns == (("1", "2"), ("0.5", "1.5"), ("2", "3"))
 
 
 def test_load_csv_label_by_index(tmp_path):
@@ -96,6 +96,32 @@ def test_load_csv_missing_label(tmp_path):
     p = write(tmp_path, "a,b\n1,2\n")
     with pytest.raises(DataError, match="label column"):
         load_csv(p, "y")
+
+
+def test_load_csv_names_the_file_and_row_of_an_over_long_field(tmp_path):
+    p = write(tmp_path, "a,y\n1,1\n\n" + "2" * 131073 + ",2\n")  # past csv's default field limit
+    with pytest.raises(DataError, match=f"^{re.escape(str(p))}: row 4: field larger than field limit"):
+        load_csv(p, "y")
+
+
+def test_load_csv_names_a_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"a,y\n1,\xff\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(p))}: not UTF-8 text: invalid start byte 0xff$"):
+        load_csv(p, "y")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("y,a,y\n1,2,1\n", "header: column 2 repeats the name 'y' of column 0"),
+    ("a,,y\n1,2,1\n", "header: column 1 has an empty name"),
+    ("a, \t,y\n1,2,1\n", "header: column 1 has an empty name"),
+    ("a,b,y,\n1,2,1,\n", "header: column 3 has an empty name"),  # before row 2's empty cell
+    ("a , a,y\n1,2,1\n", "header: column 1 repeats the name 'a' of column 0"),  # names are stripped
+], ids=["repeated-label", "empty", "blank", "trailing-comma", "stripped"])
+def test_load_csv_refuses_an_empty_or_repeated_header_name(tmp_path, text, message):
+    p = write(tmp_path, text)
+    with pytest.raises(DataError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        load_csv(p, 0)
 
 
 def test_infer_schema_mixed_types(tmp_path):
@@ -267,6 +293,15 @@ def test_write_table_bytes_are_the_per_cell_rule(tmp_path):
     assert p.read_bytes() == b"a,b\r\n"
 
 
+@pytest.mark.parametrize("rows", [[(1, 2), (3,)], [(1, 2), (3, 4, 5)], [(1, 2), ()], [(1,), (2,)]],
+                         ids=["short", "long", "empty", "narrow"])
+def test_write_table_refuses_a_row_not_as_long_as_the_header(tmp_path, rows):
+    p = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="^write_table: a row is not as long as the header: zip"):
+        write_table(p, ["a", "b"], rows)
+    assert not p.exists()
+
+
 def test_write_csv_bytes_are_the_per_cell_rule(tmp_path):
     values = [-0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5e-7, 1 / 3, 123456789012345.6]
     schema = FeatureSchema((Continuous(), Discrete(3), Continuous()), 3)
@@ -314,15 +349,15 @@ def test_round_trip_write_load(tmp_path):
     assert np.array_equal(back.y, ds.y)
 
 
-@pytest.mark.parametrize("header, rows, message", [
-    (("f1", "y"), (("1.0", "1"),), "table has 1 feature columns, schema has 2"),
-    (("f1", "f2", "y"), (("1.0", "2", "one"),), "label column must hold integer class codes"),
-    (("f1", "f2", "y"), (("1.0", "two", "1"),), "column 'f2': non-numeric value"),
+@pytest.mark.parametrize("header, columns, message", [
+    (("f1", "y"), (("1.0",), ("1",)), "table has 1 feature columns, schema has 2"),
+    (("f1", "f2", "y"), (("1.0",), ("2",), ("one",)), "label column must hold integer class codes"),
+    (("f1", "f2", "y"), (("1.0",), ("two",), ("1",)), "column 'f2': non-numeric value"),
 ], ids=["feature-count", "label", "feature"])
-def test_dataset_from_table_refuses(header, rows, message):
+def test_dataset_from_table_refuses(header, columns, message):
     schema = FeatureSchema((Continuous(), Discrete(2)), 2)
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-        dataset_from_table(RawTable(header, rows, len(header) - 1), schema)
+        dataset_from_table(RawTable(header, columns, len(header) - 1), schema)
 
 
 def test_dataset_validation():
