@@ -2,12 +2,12 @@
 
 CSV loading, schema inference, typed materialization, deterministic
 splits and the argument rules.  Tables are read, typed and written a
-column at a time, with no loop over cells in Python: ``load_csv`` strips
-and checks each column of the parsed records, ``infer_schema`` parses a
-column in one float pass and codes it in one lookup, and ``write_table``
-formats a column in one ``map``.  The bytes written and read are those
-of the csv module's default dialect, cell for cell.  Conventions used
-across the package:
+column at a time: ``load_csv`` strips and checks each column of the
+parsed records, ``infer_schema`` parses a column in one float pass and
+codes it with one sorted search, and ``write_table`` formats a column in
+one ``map``.  Only the row of a fault, and a column that mixes floats
+with other cells, are handled cell by cell.  The bytes are those of the
+csv module's default dialect.  Conventions used across the package:
 
 * class labels and discrete feature values are 1-based category codes,
 * a column with at most ``DISCRETE_LIMIT`` distinct values is discrete,
@@ -257,10 +257,8 @@ def load_csv(path, label_column: int | str) -> RawTable:
         if header.index(name) < j:
             raise DataError(f"{path}: header: column {j} repeats the name {name!r} of column {header.index(name)}")
     rows = list(filter(None, islice(records, 1, None)))
-    if not set(map(len, rows)) <= {len(header)}:
-        raise _first_fault(path, header, records)
     columns = tuple(tuple(map(str.strip, column)) for column in zip(*rows))
-    if any("" in column for column in columns):
+    if not set(map(len, rows)) <= {len(header)} or any("" in column for column in columns):
         raise _first_fault(path, header, records)
     if not rows:
         raise DataError(f"{path}: no instances after the header row")

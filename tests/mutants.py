@@ -129,12 +129,13 @@ MUTANTS = [
     Mutant("model.py", "def _require_possible(top: np.ndarray, first: int = 0)",
            "def _require_possible(top: np.ndarray, first: int = 1)", "killed",
            "a refusal outside Scorer numbers the impossible model one past its place in the stack"),
-    Mutant("data.py", '''    if any("" in column for column in columns):
-        raise _first_fault(path, header, records)''', '''    for j, column in enumerate(columns):
-        if "" in column:
-            raise DataError(f"{path}: row {column.index('') + 2}, column {header[j]!r}: empty cell")''', "killed",
+    Mutant("data.py", "        raise _first_fault(path, header, records)",
+           "        for j, column in enumerate(columns):\n"
+           "            if '' in column:\n"
+           "                raise DataError(f\"row {column.index('') + 2}, column {header[j]!r}: empty cell\")\n"
+           "        raise _first_fault(path, header, records)", "killed",
            "the empty cell reported is the first in column order, in a row counted without the blank records"),
-    Mutant("data.py", "    if not set(map(len, rows)) <= {len(header)}:", "    if False:", "killed",
+    Mutant("data.py", "if not set(map(len, rows)) <= {len(header)} or", "if", "killed",
            "a ragged row is not refused: zip truncates every column to the shortest row"),
     Mutant("data.py", "        if header.index(name) < j:", "        if False:", "killed",
            "a repeated header name is taken: the label is the first column of that name, the other a feature"),

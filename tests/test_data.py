@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import csv
 import pickle
 import re
 
@@ -98,16 +99,14 @@ def test_load_csv_missing_label(tmp_path):
         load_csv(p, "y")
 
 
-def test_load_csv_names_the_file_and_row_of_an_over_long_field(tmp_path):
-    p = write(tmp_path, "a,y\n1,1\n\n" + "2" * 131073 + ",2\n")  # past csv's default field limit
-    with pytest.raises(DataError, match=f"^{re.escape(str(p))}: row 4: field larger than field limit"):
-        load_csv(p, "y")
-
-
-def test_load_csv_names_a_file_that_is_not_utf8(tmp_path):
-    p = tmp_path / "latin1.csv"
-    p.write_bytes(b"a,y\n1,\xff\n")
-    with pytest.raises(DataError, match=f"^{re.escape(str(p))}: not UTF-8 text: invalid start byte 0xff$"):
+@pytest.mark.parametrize("content, message", [
+    (b"a,y\n1,1\n\n" + b"2" * 131073 + b",2\n", "row 4: field larger than field limit (131072)"),  # csv's limit
+    (b"a,y\n1,\xff\n", "not UTF-8 text: invalid start byte 0xff"),
+], ids=["over-long-field", "not-utf8"])
+def test_load_csv_names_the_file_of_an_unreadable_csv(tmp_path, content, message):
+    p = tmp_path / "data.csv"
+    p.write_bytes(content)
+    with pytest.raises(DataError, match=f"^{re.escape(f'{p}: {message}')}$"):
         load_csv(p, "y")
 
 
@@ -164,6 +163,33 @@ def test_infer_schema_same_numeric_value_once(tmp_path):
     schema, ds = infer_schema(load_csv(p, "y"))
     assert schema.features == (Discrete(2),)
     assert list(ds.X[:, 0]) == [1.0, 1.0, 2.0, 2.0]
+
+
+def test_load_and_infer_match_a_per_cell_reference(tmp_path):
+    # Cells are stripped, quoted cells kept whole and blank records skipped; codes follow the sorted distinct
+    # numbers, so "-0.0" and "0", "10" and "1e1" are one category each, or the sorted strings of a text column.
+    text = ('num, "text" ,y\r\n10,b, 2\n\n-0.0," a,b ",1\n0,"c""",1\n 2 ,b,3\n1e1,b,2.0\n3,"x\ny",3\n'
+            '0.0,c",1\n-7.5,a,2\n')
+    p = write(tmp_path, text)
+    table = load_csv(p, "y")
+    with open(p, newline="", encoding="utf-8") as fh:
+        records = [[c.strip() for c in row] for row in csv.reader(fh)]
+    assert table.header == tuple(records[0])
+    assert table.columns == tuple(zip(*[row for row in records[1:] if row]))
+    schema, ds = infer_schema(table)
+
+    def reference_codes(tokens):
+        try:
+            keys = [float(t) for t in tokens]
+        except ValueError:
+            keys = list(tokens)
+        code = {v: k + 1 for k, v in enumerate(sorted(set(keys)))}
+        return [code[v] for v in keys]
+
+    assert schema == FeatureSchema((Discrete(5), Discrete(5)), 3)
+    assert ds.X.tolist() == [list(pair) for pair in zip(*map(reference_codes, table.columns[:2]))]
+    assert ds.y.tolist() == reference_codes(table.columns[2])
+    assert ds.X[:, 0].tolist() == [5, 2, 2, 3, 5, 4, 2, 1]
 
 
 def test_infer_schema_non_numeric_high_cardinality_rejected(tmp_path):
