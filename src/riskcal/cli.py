@@ -18,7 +18,9 @@ then their aggregate and the config echo.  One repetition is one call
 that splits, partitions, fits the centralized references, runs the
 rounds and writes its five files.  ``baseline`` fits the same references
 of repetition 0 through the same helper.  Every subcommand writes into
---outdir, falling back to RISKCAL_OUTDIR, then ".", created if absent.
+--outdir, falling back to RISKCAL_OUTDIR, then ".", created if absent
+once the command's inputs have loaded and been checked: a refused
+command leaves no directory behind.
 """
 from __future__ import annotations
 
@@ -32,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import ml, rc
-from .data import (DataError, Dataset, _count, _is_int, _is_real, _real, infer_schema, load_csv, train_test_split,
-                   write_csv, write_table)
+from .data import (DataError, Dataset, _count, _is_int, _is_real, _read_text, _real, infer_schema, load_csv,
+                   train_test_split, write_csv, write_table)
 from .model import Scorer, uniform_init
 from .network import RewireSchedule, _neighborhood, _parse_topology, build_topology, write_edge_list
 from .partition import SPLITTERS, global_sample, local_datasets
@@ -164,10 +166,9 @@ def parse_config(path=None, overrides: dict[str, str] | None = None) -> Experime
         values[key] = _parse_value(key, text, where)
 
     if path is not None:
-        p = Path(path)
-        if not p.is_file():
+        if not Path(path).is_file():
             raise ConfigError(f"no such config file: {path}")
-        for lineno, line in enumerate(p.read_text(encoding="utf-8-sig").splitlines(), start=1):
+        for lineno, line in enumerate(_read_text(path, ConfigError).splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -296,8 +297,7 @@ def run_experiment(cfg: ExperimentConfig, outdir=".") -> ExperimentResult:
 
 
 def _write_experiment(cfg: ExperimentConfig, full: Dataset, outdir) -> ExperimentResult:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _made(Path(outdir))
 
     paths: list[Path] = []
     per_rep_metrics: list[list[RoundMetrics]] = []
@@ -360,8 +360,12 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _outdir(args: argparse.Namespace) -> Path:
-    """The output directory, created: --outdir, else $RISKCAL_OUTDIR, else "."."""
-    outdir = Path(args.outdir or os.environ.get(OUTDIR_ENV, "."))
+    """The output directory, not created: --outdir, else $RISKCAL_OUTDIR, else "."."""
+    return Path(args.outdir or os.environ.get(OUTDIR_ENV, "."))
+
+
+def _made(outdir: Path) -> Path:
+    """``outdir``, created if absent; a command makes it only once its inputs have loaded and been checked."""
     outdir.mkdir(parents=True, exist_ok=True)
     return outdir
 
@@ -391,7 +395,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     _, test, _, gtrain, _ = _prepare_repetition(cfg, _load_dataset(cfg), 0)
     models = _references(cfg, args.kind, gtrain)
     (tr01, te01), soft = Scorer([gtrain, test])(models)  # as run scores repetition 0
-    outdir, stem = _outdir(args), f"{config_stem(cfg)}_baseline_{args.kind}"
+    outdir, stem = _made(_outdir(args)), f"{config_stem(cfg)}_baseline_{args.kind}"
     if args.kind == "rc":
         _write_trace(outdir / f"{stem}_trace.csv", soft, tr01)
     params_path = outdir / f"{stem}_params.txt"
@@ -405,7 +409,7 @@ def _cmd_gengraph(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     graph = build_topology(args.topology, args.n, rng)
     topo = args.topology.replace("+", "p")
-    out = Path(args.out) if args.out else _outdir(args) / f"graph_{topo}_n{args.n}_seed{args.seed}.txt"
+    out = Path(args.out) if args.out else _made(_outdir(args)) / f"graph_{topo}_n{args.n}_seed{args.seed}.txt"
     write_edge_list(graph, out)
     print(f"wrote {out} ({len(graph.edges)} edges, sparseness {graph.sparseness():.4f})")
     return 0
@@ -421,7 +425,7 @@ def _cmd_gendata(args: argparse.Namespace) -> int:
         raise ConfigError(f"--kind {args.kind} does not take " + ", ".join(f"--{name}" for name in foreign))
     knobs = {name: getattr(args, name) for name in given}
     ds = generate(args.m, rng=np.random.default_rng(args.seed), **knobs)
-    out = Path(args.out) if args.out else _outdir(args) / f"{args.kind}_m{args.m}_seed{args.seed}.csv"
+    out = Path(args.out) if args.out else _made(_outdir(args)) / f"{args.kind}_m{args.m}_seed{args.seed}.csv"
     write_csv(ds, out)
     print(f"wrote {out} ({ds.m} instances, {ds.schema.d} features, {ds.schema.class_cardinality} classes)")
     return 0

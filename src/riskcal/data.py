@@ -216,6 +216,19 @@ class RawTable:
     label_index: int
 
 
+def _not_utf8(path, e: UnicodeDecodeError) -> str:
+    """The refusal of ``path``, naming why decoding stopped and the byte it stopped at."""
+    return f"{path}: not UTF-8 text: {e.reason} {e.object[e.start]:#04x}"
+
+
+def _read_text(path, error: type[ValueError]) -> str:
+    """The UTF-8 text of ``path``, less a leading byte order mark; other bytes are refused as ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as e:
+        raise error(_not_utf8(path, e)) from None
+
+
 def _first_fault(path, header: tuple[str, ...], records: list[list[str]]) -> DataError:
     """The fault of the first faulty data record, numbered as the file's records: its length before an empty cell."""
     for lineno, row in enumerate(islice(records, 1, None), start=2):
@@ -247,7 +260,7 @@ def load_csv(path, label_column: int | str) -> RawTable:
         except csv.Error as e:  # a field over csv.field_size_limit(), say
             raise DataError(f"{path}: row {len(records) + 1}: {e}") from None
         except UnicodeDecodeError as e:
-            raise DataError(f"{path}: not UTF-8 text: {e.reason} {e.object[e.start]:#04x}") from None
+            raise DataError(_not_utf8(path, e)) from None
     if not records:
         raise DataError(f"{path}: empty file, missing header row")
     header = tuple(map(str.strip, records[0]))

@@ -508,18 +508,17 @@ class Scorer:
     pass of it judges its own soundness and is one GEMM into the log joint
     buffer L.  A row is wrong iff some class c beats its true class y,
     L_c >= L_y with c < y or L_c > L_y with c > y: the argmax, ties to the
-    lowest class.  The first dataset, and every dataset in a pass with a
-    mask (a -inf weight, or terms that may cancel), writes d_c = L_c - L_y,
-    c != y, into one (k, r - 1, n) buffer and compares it with 0, a -inf L
-    giving d_c = -inf as class c and +inf against every other class as the
-    true class; the true-class posterior is 1 / (1 + sum_c exp(d_c)) (0
-    when exp overflows).  The other datasets compare the log joints
-    directly, all finite in a pass with no mask: for finite a and b,
-    a - b > 0 iff a > b and a - b >= 0 iff a >= b.  So a
-    call allocates little besides its results and weights, unless an L is
-    -inf or its terms may cancel.  Error messages number the rows as one
-    table, in dataset order, and the models in the whole stack.  Every
-    dataset must be pooled, X (m, d): a stacked one is refused.
+    lowest class.  Every dataset, in every pass, applies this one test to
+    its log joints, -inf included: a -inf L_y loses to the finite L_c that
+    a possible row has, and a -inf L_c beats no finite L_y.  Only the first
+    dataset forms differences, for its soft error: d_c = L_c - L_y, c != y,
+    in one (k, r - 1, n) buffer, a -inf L_c against a -inf L_y giving
+    d_c = -inf; the true-class posterior is 1 / (1 + sum_c exp(d_c)) (0
+    when exp overflows).  So a call allocates little besides its results
+    and weights, unless an L is -inf or its terms may cancel.  Error
+    messages number the rows as one table, in dataset order, and the
+    models in the whole stack.  Every dataset must be pooled, X (m, d): a
+    stacked one is refused.
     """
 
     def __init__(self, datasets: list[Dataset]) -> None:
@@ -538,18 +537,17 @@ class Scorer:
         self.rows = _Rows(schema, X[self.order])
         sizes = np.bincount(group, minlength=len(datasets) * r)
         # One entry per nonempty segment, dataset d's rows of true class y (columns a:b): whether its soft error
-        # counts, and per other class c, in class order, the test by which c beats y, paired with c's index among
-        # the differences d_c and among the log joints L_c.
+        # counts, and per other class c, in class order, the test by which L_c beats L_y, paired with c.
         self.segments = []
         for s, (n, e) in enumerate(zip(sizes, np.cumsum(sizes))):
             if n:
                 d, y = divmod(s, r)
                 others = [c for c in range(r) if c != y]
                 beats = [np.greater_equal if c < y else np.greater for c in others]  # a lower class wins a tie
-                self.segments.append((d, y, e - n, e, d == 0, [*zip(beats, range(r - 1))], [*zip(beats, others)]))
+                self.segments.append((y, e - n, e, d == 0, [*zip(beats, others)]))
         k = self.pass_width = max(1, _EVAL_CELLS // (r * len(X)))  # models per pass
         self._logj = np.empty(k * r * len(X))  # flat, so that a short pass is a contiguous prefix
-        self._diff = np.empty(k * (r - 1) * sizes.max())  # flat, so that a segment is a contiguous prefix
+        self._diff = np.empty(k * (r - 1) * sizes[:r].max())  # the first dataset's; a segment is a contiguous prefix
         self._wrong = np.empty(k * len(X), dtype=bool)  # a pass's wrong rows, (k, M) like its log joint
         self._tie_or_win = np.empty(k * sizes.max(), dtype=bool)
         self._starts = np.cumsum(self.m) - self.m  # each dataset's first column
@@ -564,37 +562,31 @@ class Scorer:
         (K, r), M = models.theta.shape[:2], len(self.order)
         wrong = np.zeros((len(self.m), K), dtype=np.int64)
         post = np.zeros(K)  # sums of the first dataset's true-class posteriors
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing L is formed again; exp(d_c) may overflow
+        # An overflowing L is formed again; -inf - -inf is nan and exp(d_c) may overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
             weighed = self.rows.weigh(models)
             for lo in range(0, K, self.pass_width):
                 k = min(self.pass_width, K - lo)
                 hi, out = lo + k, self._logj[: k * r * M].reshape(k * r, M)
                 logj, mask = self.rows.log_joint(models[lo:hi], out, tuple(a[lo:hi] for a in weighed))
-                if mask is not None:
-                    logj[mask] = 0.0  # finite, so differences make no nan before the mask sets them
-                    if (impossible := mask.all(axis=1)).any():  # refused in table order
-                        _require_possible(np.where(impossible[:, np.argsort(self.order)], -inf, 0.0), lo)
+                if mask is not None and (impossible := mask.all(axis=1)).any():  # refused in table order
+                    _require_possible(np.where(impossible[:, np.argsort(self.order)], -inf, 0.0), lo)
                 wrong_rows = self._wrong[: k * M].reshape(k, M)
-                for d, y, a, b, soft, by_diff, by_joint in self.segments:
+                for y, a, b, soft, tests in self.segments:
                     n = b - a
                     L, wrong_row = logj[..., a:b], wrong_rows[:, a:b]
-                    if soft or mask is not None:  # differences d_c = L_c - L_y, against 0
+                    (beats, c), *rest = tests
+                    beats(L[:, c], L[:, y], out=wrong_row)
+                    for beats, c in rest:
+                        wrong_row |= beats(L[:, c], L[:, y], out=self._tie_or_win[: k * n].reshape(k, n))
+                    if soft:  # differences d_c = L_c - L_y, c != y
                         diff = self._diff[: k * (r - 1) * n].reshape(k, r - 1, n)
                         if y > 0:
                             np.subtract(L[:, :y], L[:, y, None], out=diff[:, :y])
                         if y < r - 1:
                             np.subtract(L[:, y + 1 :], L[:, y, None], out=diff[:, y:])
-                        if mask is not None:
-                            np.copyto(diff, inf, where=mask[:, y, None, a:b])
-                            np.copyto(diff, -inf, where=np.delete(mask[..., a:b], y, axis=1))
-                        cols, base, tests = diff, 0.0, by_diff
-                    else:  # every L finite: L_c - L_y > 0 iff L_c > L_y, and >= 0 iff L_c >= L_y
-                        cols, base, tests = L, L[:, y], by_joint
-                    (beats, c), *rest = tests
-                    beats(cols[:, c], base, out=wrong_row)
-                    for beats, c in rest:
-                        wrong_row |= beats(cols[:, c], base, out=self._tie_or_win[: k * n].reshape(k, n))
-                    if soft:
+                        if mask is not None:  # -inf - -inf: a -inf L_c loses to a -inf L_y too
+                            np.copyto(diff, -inf, where=np.isnan(diff))
                         total = np.exp(diff, out=diff)[:, 0]
                         for j in range(1, r - 1):
                             total += diff[:, j]

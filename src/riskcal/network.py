@@ -9,11 +9,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .data import _count
+from .data import _count, _read_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +193,7 @@ def read_edge_list(path, n: int | None = None) -> Graph:
     n = n if n is None else _count("n", n, 1)
     ids = f"in 1..{n}" if n is not None else ">= 1"
     edges = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path, ValueError).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

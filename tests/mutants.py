@@ -122,10 +122,13 @@ MUTANTS = [
            "[(np.greater if b is np.greater_equal else np.greater_equal, c) for b, c in zip(beats, others)]",
            "killed", "a later dataset's log joint comparison gives a tie to the higher class, and an equal L_c does "
            "not beat a lower true class"),
-    Mutant("model.py", "if soft or mask is not None:", "if soft:", "killed",
-           "a masked pass compares the log joints of a later dataset, where the mask has set -inf cells to 0"),
-    Mutant("model.py", "if soft or mask is not None:", "if True:", "equivalent",
-           "every dataset compares differences d_c with 0: the same counts as comparing finite log joints"),
+    Mutant("model.py", "np.copyto(diff, -inf, where=np.isnan(diff))", "pass", "killed",
+           "a -inf L_c against a -inf L_y leaves d_c nan: the first dataset's soft error is nan"),
+    Mutant("model.py", "                wrong_rows = self._wrong[: k * M].reshape(k, M)\n",
+           "                if mask is not None:\n"
+           "                    logj[mask] = 0.0\n"
+           "                wrong_rows = self._wrong[: k * M].reshape(k, M)\n", "killed",
+           "a masked pass compares its -inf cells as 0: a -inf L_c beats a negative L_y"),
     Mutant("model.py", "def _require_possible(top: np.ndarray, first: int = 0)",
            "def _require_possible(top: np.ndarray, first: int = 1)", "killed",
            "a refusal outside Scorer numbers the impossible model one past its place in the stack"),

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -534,11 +535,20 @@ def test_sweep_validates_every_value_before_running(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["run", "--config", "absent.cfg"], "no such config file: absent.cfg"),
     (["sweep", "--dataset", "d.csv", "--axis", "n", "--values", ","], "sweep needs at least one value"),
-], ids=["no-config-file", "sweep-no-values"])
+    (["run", "--dataset", "missing.csv"], "no such file: missing.csv"),
+    (["baseline", "--kind", "rc", "--dataset", "missing.csv"], "no such file: missing.csv"),
+    (["sweep", "--dataset", "missing.csv", "--axis", "n", "--values", "4,4"],
+     "sweep values '4' and '4' give one experiment"),
+    (["sweep", "--dataset", "d.csv", "--n", "4", "--test_size", "100", "--axis", "m_v", "--values", "25,200"],
+     "train 800 + test 100 exceeds 400 available instances"),
+], ids=["no-config-file", "sweep-no-values", "run-no-file", "baseline-no-file", "sweep-twice", "sweep-too-few-rows"])
 def test_main_refuses_with_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    # --outdir is made only once the command's inputs have loaded and been checked.
     monkeypatch.chdir(tmp_path)
-    assert main(argv) == 1
+    write_csv(GENERATORS["blobs"](400, rng=np.random.default_rng(1)), "d.csv")
+    assert main([*argv, "--outdir", "out"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("out").exists()
 
 
 @pytest.mark.parametrize("content, message", [
@@ -550,7 +560,18 @@ def test_run_refuses_an_unreadable_csv_with_one_error_line(tmp_path, monkeypatch
     Path("d.csv").write_bytes(content)
     assert main(["run", "--dataset", "d.csv", "--outdir", "out"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not any(Path("out").iterdir())  # nothing is written
+    assert not Path("out").exists()  # nothing is written
+
+
+def test_a_config_file_that_is_not_utf8_is_refused_by_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.cfg").write_bytes(b"n = 4\nm_v = 2\xff\n")
+    message = "bad.cfg: not UTF-8 text: invalid start byte 0xff"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config("bad.cfg", {})
+    assert main(["run", "--config", "bad.cfg", "--outdir", "out"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("out").exists()
 
 
 def test_sweep_bad_axis(tmp_path):

@@ -744,7 +744,7 @@ def tied_models(schema, count, rng):
 
 @pytest.mark.parametrize("r", [2, 3])
 def test_exact_ties_on_a_later_dataset_go_to_the_lower_class(r, monkeypatch):
-    # With no -inf weight, the datasets after the first compare log joints, not differences: a true class tied
+    # With no -inf weight, a dataset after the first compares log joints that tie exactly: a true class tied
     # with a lower class is wrong, tied with a higher one right, as in the argmax of the scoring GEMM.
     rng = np.random.default_rng(28)
     schema = FeatureSchema((Discrete(3), Discrete(2), Continuous()), r)
@@ -759,9 +759,10 @@ def test_exact_ties_on_a_later_dataset_go_to_the_lower_class(r, monkeypatch):
     np.testing.assert_allclose(soft, want_soft, rtol=1e-13, atol=0)
 
 
-def test_a_masked_pass_scores_a_later_dataset_by_its_differences(monkeypatch):
-    # Zero cells and zero priors in the second of three passes give -inf log joints on both datasets: a
-    # masked true class is wrong and a masked other class never wins, between passes that have no mask.
+def test_a_masked_pass_compares_the_log_joints_of_a_later_dataset(monkeypatch):
+    # Zero cells and zero priors in the second of three passes give -inf log joints on both datasets, compared
+    # as they are: a masked true class is wrong and a masked other class never wins, between passes that have
+    # no mask.
     rng = np.random.default_rng(29)
     schema = mixed_schema(3)
     train, test = (random_dataset(schema, m, rng) for m in (40, 60))
@@ -797,8 +798,8 @@ def test_only_a_pass_holding_an_unsound_model_looks_for_cancelling_terms(monkeyp
 
 
 def test_a_scorer_of_three_datasets_is_the_scoring_gemm(monkeypatch):
-    # Masked and unmasked passes over three datasets: the second and third compare log joints or differences,
-    # and each scores as it does alone.
+    # Masked and unmasked passes over three datasets: each compares its log joints, -inf included, and the
+    # second and third score as they do alone.
     rng = np.random.default_rng(31)
     schema = mixed_schema(3)
     datasets = [random_dataset(schema, m, rng) for m in (40, 25, 35)]

@@ -215,6 +215,13 @@ def test_read_edge_list_drops_a_byte_order_mark(tmp_path):
     assert read_edge_list(p).pairs.tolist() == [[1, 2], [2, 3]]
 
 
+def test_read_edge_list_refuses_a_file_that_is_not_utf8_by_name(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"1 2\n2 \xff\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: not UTF-8 text: invalid start byte 0xff$"):
+        read_edge_list(p)
+
+
 def test_read_edge_list_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("1 2 3\n")
