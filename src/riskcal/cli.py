@@ -17,17 +17,19 @@ An experiment (``run``, and each ``sweep`` value) is its repetitions and
 then their aggregate and the config echo.  One repetition is one call
 that splits, partitions, fits the centralized references, runs the
 rounds and writes its five files.  ``baseline`` fits the same references
-of repetition 0 through the same helper.  Every subcommand writes into
---outdir, falling back to RISKCAL_OUTDIR, then ".", created if absent
-once the command's inputs have loaded and been checked: a refused
-command leaves no directory behind.
+of repetition 0 through the same helper.  A subcommand publishes its
+files into --outdir (else RISKCAL_OUTDIR, else "."), created if absent,
+once it has succeeded: a refusal or an interrupt leaves --outdir as it was.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import re
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -222,7 +224,10 @@ def _prepare_repetition(cfg: ExperimentConfig, full: Dataset, rep: int):
         np.random.default_rng(np.random.SeedSequence([cfg.seed, rep, j])) for j in range(3)
     )
     train, test = train_test_split(full, resolved_train_size(cfg), cfg.test_size, split_rng)
-    plan = SPLITTERS[cfg.partition](train, cfg.n, cfg.m_v, part_rng)
+    try:
+        plan = SPLITTERS[cfg.partition](train, cfg.n, cfg.m_v, part_rng)
+    except ValueError as e:
+        raise ValueError(f"repetition {rep}: {cfg.partition}: {e}") from e
     return train, test, plan, global_sample(train, plan), graph_rng
 
 
@@ -285,33 +290,38 @@ def _aggregate_rows(per_rep: list[list[RoundMetrics]]) -> list[list[float]]:
     return [[int(row[0])] + [float(v) for v in row[1:]] for row in mean]
 
 
+@contextmanager
+def _staged(outdir):
+    """A fresh directory for a command's files, each moved into outdir, created if absent, once the block succeeds."""
+    published: list[Path] = []  # their paths in outdir, by name
+    with tempfile.TemporaryDirectory(prefix="riskcal-") as stage:
+        yield Path(stage), published
+        for path in sorted(Path(stage).iterdir()):
+            Path(outdir).mkdir(parents=True, exist_ok=True)
+            published.append(Path(shutil.move(path, Path(outdir) / path.name)))
+
+
 def run_experiment(cfg: ExperimentConfig, outdir=".") -> ExperimentResult:
-    """Run all repetitions of one experiment and write its artifacts.
+    """Run all repetitions of one experiment and publish its artifacts into outdir, all of them or none.
 
     Per repetition: metrics CSV, centralized trace CSV, partition plan
     CSV, baseline errors CSV and final node parameter dump.  Across
     repetitions: the aggregate metrics CSV (per-round means) and the
     exact configuration used.  Fully deterministic given the config.
     """
-    return _write_experiment(cfg, _load_dataset(cfg), outdir)
+    with _staged(outdir) as (stage, published):
+        aggregate, final_metrics = _write_experiment(cfg, _load_dataset(cfg), stage)
+    return ExperimentResult(published, aggregate, final_metrics)
 
 
-def _write_experiment(cfg: ExperimentConfig, full: Dataset, outdir) -> ExperimentResult:
-    outdir = _made(Path(outdir))
-
-    paths: list[Path] = []
-    per_rep_metrics: list[list[RoundMetrics]] = []
-    for rep in range(cfg.repetitions):
-        metrics, rep_paths = _run_repetition(cfg, full, rep, outdir)
-        per_rep_metrics.append(metrics)
-        paths.extend(rep_paths)
-
+def _write_experiment(cfg: ExperimentConfig, full: Dataset, outdir: Path):
+    """Write one experiment's files into outdir; returns its aggregate rows and each repetition's final round."""
+    per_rep_metrics = [_run_repetition(cfg, full, rep, outdir)[0] for rep in range(cfg.repetitions)]
     agg_rows = _aggregate_rows(per_rep_metrics)
     agg_path, cfg_path = (outdir / f"{config_stem(cfg)}_{name}" for name in ("aggregate.csv", "config.txt"))
     write_table(agg_path, METRICS_COLUMNS, agg_rows)
     cfg_path.write_text(config_to_text(cfg), encoding="utf-8")
-    paths.extend([agg_path, cfg_path])
-    return ExperimentResult(paths, agg_rows, [metrics[-1] for metrics in per_rep_metrics])
+    return agg_rows, [metrics[-1] for metrics in per_rep_metrics]
 
 
 def _sweep_variant(cfg: ExperimentConfig, axis: str, text: str) -> ExperimentConfig:
@@ -325,7 +335,7 @@ def _sweep_variant(cfg: ExperimentConfig, axis: str, text: str) -> ExperimentCon
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values: list[str], outdir=".") -> Path:
-    """Check every axis value against config and data, then run one experiment each; summarize final rounds."""
+    """Check every axis value's config, then run one experiment each and publish them with their summary."""
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     if not values:
@@ -336,13 +346,11 @@ def sweep(cfg: ExperimentConfig, axis: str, values: list[str], outdir=".") -> Pa
             first = values[variants.index(variant)]
             raise ConfigError(f"sweep values {first!r} and {values[k]!r} give one experiment")
     full = _load_dataset(cfg)  # no axis changes the dataset
-    for variant in variants:  # data errors (too few rows for a split or plan) come before any run
-        _prepare_repetition(variant, full, 0)
-    rows = [[axis, text] + _write_experiment(variant, full, outdir).aggregate[-1]
-            for text, variant in zip(values, variants)]
-    path = Path(outdir) / f"sweep_{axis}_{config_stem(cfg)}.csv"
-    write_table(path, ["axis", "value", *METRICS_COLUMNS], rows)
-    return path
+    name = f"sweep_{axis}_{config_stem(cfg)}.csv"
+    with _staged(outdir) as (stage, _):
+        rows = [[axis, text] + _write_experiment(v, full, stage)[0][-1] for text, v in zip(values, variants)]
+        write_table(stage / name, ["axis", "value", *METRICS_COLUMNS], rows)
+    return Path(outdir) / name
 
 
 # ---- argument parsing ----
@@ -362,12 +370,6 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
 def _outdir(args: argparse.Namespace) -> Path:
     """The output directory, not created: --outdir, else $RISKCAL_OUTDIR, else "."."""
     return Path(args.outdir or os.environ.get(OUTDIR_ENV, "."))
-
-
-def _made(outdir: Path) -> Path:
-    """``outdir``, created if absent; a command makes it only once its inputs have loaded and been checked."""
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -395,13 +397,13 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
     _, test, _, gtrain, _ = _prepare_repetition(cfg, _load_dataset(cfg), 0)
     models = _references(cfg, args.kind, gtrain)
     (tr01, te01), soft = Scorer([gtrain, test])(models)  # as run scores repetition 0
-    outdir, stem = _made(_outdir(args)), f"{config_stem(cfg)}_baseline_{args.kind}"
-    if args.kind == "rc":
-        _write_trace(outdir / f"{stem}_trace.csv", soft, tr01)
-    params_path = outdir / f"{stem}_params.txt"
-    params_path.write_text(models[-1].to_text(), encoding="utf-8")
+    outdir, stem = _outdir(args), f"{config_stem(cfg)}_baseline_{args.kind}"
+    with _staged(outdir) as (stage, _):
+        if args.kind == "rc":
+            _write_trace(stage / f"{stem}_trace.csv", soft, tr01)
+        (stage / f"{stem}_params.txt").write_text(models[-1].to_text(), encoding="utf-8")
     print(f"{args.kind}: train_err={tr01[-1]:.4f} test_err={te01[-1]:.4f}")
-    print(f"wrote {params_path}")
+    print(f"wrote {outdir / stem}_params.txt")
     return 0
 
 
@@ -409,9 +411,9 @@ def _cmd_gengraph(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     graph = build_topology(args.topology, args.n, rng)
     topo = args.topology.replace("+", "p")
-    out = Path(args.out) if args.out else _made(_outdir(args)) / f"graph_{topo}_n{args.n}_seed{args.seed}.txt"
-    write_edge_list(graph, out)
-    print(f"wrote {out} ({len(graph.edges)} edges, sparseness {graph.sparseness():.4f})")
+    with _staged(_outdir(args)) as (stage, published):  # --out names the file itself: nothing is staged
+        write_edge_list(graph, args.out or stage / f"graph_{topo}_n{args.n}_seed{args.seed}.txt")
+    print(f"wrote {Path(args.out or published[0])} ({len(graph.edges)} edges, sparseness {graph.sparseness():.4f})")
     return 0
 
 
@@ -425,8 +427,9 @@ def _cmd_gendata(args: argparse.Namespace) -> int:
         raise ConfigError(f"--kind {args.kind} does not take " + ", ".join(f"--{name}" for name in foreign))
     knobs = {name: getattr(args, name) for name in given}
     ds = generate(args.m, rng=np.random.default_rng(args.seed), **knobs)
-    out = Path(args.out) if args.out else _made(_outdir(args)) / f"{args.kind}_m{args.m}_seed{args.seed}.csv"
-    write_csv(ds, out)
+    with _staged(_outdir(args)) as (stage, published):  # --out names the file itself: nothing is staged
+        write_csv(ds, args.out or stage / f"{args.kind}_m{args.m}_seed{args.seed}.csv")
+    out = Path(args.out or published[0])
     print(f"wrote {out} ({ds.m} instances, {ds.schema.d} features, {ds.schema.class_cardinality} classes)")
     return 0
 

@@ -154,6 +154,21 @@ MUTANTS = [
            "a cell holding a carriage return is written unquoted and reads back as two records"),
     Mutant("data.py", "columns = list(zip(header, *rows, strict=True))", "columns = list(zip(header, *rows))", "killed",
            "a row not as long as the header is cut, or the table cut to its shortest row, without a word"),
+    Mutant("cli.py", "        yield Path(stage), published\n",
+           "        try:\n"
+           "            yield Path(stage), published\n"
+           "        finally:\n"
+           "            Path(outdir).mkdir(parents=True, exist_ok=True)\n"
+           "            for path in sorted(Path(stage).iterdir()):\n"
+           "                shutil.move(path, Path(outdir) / path.name)\n", "killed",
+           "a refused command publishes what it wrote before the refusal: earlier repetitions, or an empty --outdir"),
+    Mutant("cli.py", "        for path in sorted(Path(stage).iterdir()):\n"
+           "            Path(outdir).mkdir(parents=True, exist_ok=True)\n",
+           "        Path(outdir).mkdir(parents=True, exist_ok=True)\n"
+           "        for path in sorted(Path(stage).iterdir()):\n", "killed",
+           "gendata or gengraph --out FILE, which stages nothing, makes an empty --outdir"),
+    Mutant("cli.py", 'raise ValueError(f"repetition {rep}: {cfg.partition}: {e}") from e', "raise", "killed",
+           "a split refused inside a repetition names neither the repetition nor the partition"),
 ]
 
 

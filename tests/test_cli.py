@@ -266,6 +266,22 @@ def test_gendata_deterministic(tmp_path):
     assert a.read_bytes() == b_path.read_bytes()
 
 
+def test_generators_publish_into_outdir_and_write_out_as_given(tmp_path, monkeypatch, capsys):
+    # --outdir is created to hold the file; --out names the file itself, so no directory is made for it.
+    monkeypatch.chdir(tmp_path)
+    assert main(["gendata", "--kind", "blobs", "--m", "20", "--outdir", "data"]) == 0
+    assert main(["gengraph", "--topology", "tree", "--n", "4", "--outdir", "graphs"]) == 0
+    assert [line.split(" (")[0] for line in capsys.readouterr().out.splitlines()] == [
+        f"wrote {Path('data', 'blobs_m20_seed0.csv')}", f"wrote {Path('graphs', 'graph_tree_n4_seed0.txt')}"]
+    assert [p.name for p in Path("data").iterdir()] == ["blobs_m20_seed0.csv"]
+    assert [p.name for p in Path("graphs").iterdir()] == ["graph_tree_n4_seed0.txt"]
+    for argv in (["gendata", "--kind", "blobs", "--m", "20"], ["gengraph", "--topology", "tree", "--n", "4"]):
+        assert main([*argv, "--out", str(Path("missing", "f")), "--outdir", "unused"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main([*argv, "--out", "f", "--outdir", "unused"]) == 0
+        assert Path("f").is_file() and not Path("missing").exists() and not Path("unused").exists()
+
+
 def test_gengraph_writes_edge_list(tmp_path):
     out = tmp_path / "g.txt"
     assert main(["gengraph", "--topology", "tree+3", "--n", "12", "--seed", "2",
@@ -364,6 +380,9 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a second BLAS thread needs a second core")
+@pytest.mark.xfail(os.environ.get("OPENBLAS_CORETYPE") in ("Prescott", "Nehalem"), strict=True,
+                   reason="ROADMAP.md item 13 (outputs that do not depend on the BLAS kernel): one digit of the "
+                          "aggregate or the rc trace differs between 1 and 2 threads under these kernels")
 def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # Classes a drifted node has not seen keep bitwise equal statistics, so their log joints tie exactly;
     # a GEMM may round equal class rows differently at another thread count, which must not break the tie.
@@ -522,7 +541,7 @@ def test_sweep_validates_every_value_before_running(tmp_path):
         with pytest.raises(ConfigError, match=message):
             sweep(cfg, axis, values, out)
         assert not any(out.iterdir())
-    # Checks against the data run before the first experiment too (the CSV has 900 rows).
+    # A variant refused by the data (the CSV has 900 rows) publishes nothing, not even the variants run before it.
     with pytest.raises(DataError, match="train 1000 \\+ test 200 exceeds 900"):
         sweep(replace(cfg, test_size=200), "m_v", ["25", "250"], out)
     assert not any(out.iterdir())
@@ -543,11 +562,23 @@ def test_sweep_validates_every_value_before_running(tmp_path):
      "train 800 + test 100 exceeds 400 available instances"),
 ], ids=["no-config-file", "sweep-no-values", "run-no-file", "baseline-no-file", "sweep-twice", "sweep-too-few-rows"])
 def test_main_refuses_with_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
-    # --outdir is made only once the command's inputs have loaded and been checked.
+    # A refused command publishes nothing, so --outdir is not made; the sweep refused by its second value ran its first.
     monkeypatch.chdir(tmp_path)
     write_csv(GENERATORS["blobs"](400, rng=np.random.default_rng(1)), "d.csv")
     assert main([*argv, "--outdir", "out"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("out").exists()
+
+
+def test_a_splitter_refusal_names_its_repetition_and_partition(tmp_path, monkeypatch, capsys):
+    # Repetitions 0 and 1 run, then repetition 2 draws two identical rows for a principal component: none is published.
+    monkeypatch.chdir(tmp_path)
+    assert main(["gendata", "--kind", "categorical", "--m", "60", "--seed", "97", "--cardinality", "2",
+                 "--out", "d.csv"]) == 0
+    capsys.readouterr()
+    assert main(["run", "--dataset", "d.csv", "--n", "2", "--m_v", "1", "--test_size", "1", "--partition", "drift_x",
+                 "--repetitions", "5", "--t_max", "2", "--seed", "2", "--outdir", "out"]) == 1
+    assert capsys.readouterr().err == "error: repetition 2: drift_x: zero covariance: all instances identical\n"
     assert not Path("out").exists()
 
 

@@ -81,7 +81,10 @@ def kernel(request, tmp_path_factory):
 
 
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_run_writes_its_reference(run, fresh):
+def test_run_writes_its_reference(run, fresh, request):
+    if (os.environ.get("OPENBLAS_CORETYPE"), run) in KERNEL_FAILS:  # a kernel forced on the whole suite
+        request.applymarker(pytest.mark.xfail(strict=True, reason="a floored run amplifies one ulp: ROADMAP.md item "
+                                                                  "13, outputs that do not depend on the BLAS kernel"))
     _compare(GOLDEN / run, fresh / run)
 
 

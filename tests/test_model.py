@@ -675,7 +675,9 @@ def gemm_reference(models, datasets, width):
     Errors are the argmax and softmax of L.
     Ties go to the lowest class, as with np.argmax; soft errors are
     1 - exp(L_y - top) / sum_c exp(L_c - top) on the first dataset.  Also
-    counts the rows whose top classes tie.
+    counts the rows whose top classes tie.  A GEMM may round bitwise equal
+    weight rows apart, by kernel or thread count, so each class row takes
+    the product of its model's lowest class row with the same bytes.
     """
     fm, (K, r) = _feature_map(models.schema), models.theta.shape[:2]
     X = np.concatenate([ds.X for ds in datasets])
@@ -687,6 +689,8 @@ def gemm_reference(models, datasets, width):
         W, zero = _weights(models[lo : lo + width], c)
         W, zero = W.reshape(-1, W.shape[-1]), zero.reshape(-1, W.shape[-1])
         chunk = W @ phiT
+        for j in range(len(W)):
+            chunk[j] = chunk[next(i for i in range(j - j % r, j + 1) if W[i].tobytes() == W[j].tobytes())]
         chunk[zero.astype(np.float64) @ phiT > 0] = -np.inf
         L[lo : lo + width] = chunk.reshape(-1, r, len(X))
     top = L.max(axis=1, keepdims=True)
