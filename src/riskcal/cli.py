@@ -292,9 +292,13 @@ def _aggregate_rows(per_rep: list[list[RoundMetrics]]) -> list[list[float]]:
 
 @contextmanager
 def _staged(outdir):
-    """A fresh directory for a command's files, each moved into outdir, created if absent, once the block succeeds."""
+    """A fresh directory for a command's files, each moved into outdir, created if absent, once the block succeeds.
+
+    It is made in outdir, else in outdir's nearest existing ancestor, so that each move is a rename.
+    """
     published: list[Path] = []  # their paths in outdir, by name
-    with tempfile.TemporaryDirectory(prefix="riskcal-") as stage:
+    near = next(path for path in (Path(outdir), *Path(outdir).parents) if path.is_dir())
+    with tempfile.TemporaryDirectory(prefix=".riskcal-", dir=near) as stage:
         yield Path(stage), published
         for path in sorted(Path(stage).iterdir()):
             Path(outdir).mkdir(parents=True, exist_ok=True)

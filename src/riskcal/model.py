@@ -44,8 +44,10 @@ every row that meets one gets L = -inf.  Every product over class rows
 equals a lower class's bitwise takes that class's product, so equal
 classes tie exactly, to the lowest class, on any BLAS kernel and thread
 count.  Posteriors are the softmax over the r class rows, P^T itself,
-ready for P^T Phi; zero probabilities yield exact 0/1 posteriors, and an
-instance impossible under every class is refused.
+ready for P^T Phi; zero probabilities yield exact 0/1 posteriors.  The
+log joint keeps its own error state, so no caller sees it round or
+overflow, and refuses a row impossible under every class, naming it as
+a row of the caller's table and, in a stack, its model.
 
 Every mapping also takes a leading node axis (statistics and parameters
 (n, r, w), datasets X (n, m, d)), so one node and n same-size nodes share
@@ -315,24 +317,10 @@ def prob_stat_map(X, params: NBParams) -> StatsVector:
     return _accumulate(params.schema, _posterior(params, _Rows(params.schema, X)), _feature_map(params.schema).phi(X))
 
 
-def _require_possible(top: np.ndarray, first: int = 0) -> np.ndarray:
-    """Refuse an instance whose class maximum ``top`` (..., m) is -inf: zero probability under every class.
-
-    ``first`` numbers the first model of ``top`` in the error message, when
-    ``top`` is one slice of a larger stack.
-    """
-    if top.min(initial=inf) == -inf:
-        *model, row = np.unravel_index(np.argmin(top), top.shape)
-        of = f" of model {first + model[-1]}" if model else ""
-        raise ValueError(f"row {row} has probability zero under every class{of}; its posterior is undefined")
-    return top
-
-
 def _posterior(params: NBParams, rows: _Rows) -> np.ndarray:
     """Class-major posteriors P^T (..., r, m) of ``params`` over ``rows``, in the memory of their log joint."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing or nan L is formed again
-        logj = rows.log_joint(params)[0]
-    logj -= _require_possible(logj.max(axis=-2))[..., None, :]  # a -inf top would make its column 0/0
+    logj = rows.log_joint(params)[0]
+    logj -= logj.max(axis=-2, keepdims=True)  # finite: log_joint refuses a row impossible under every class
     z = np.exp(logj, out=logj)
     z /= z.sum(axis=-2, keepdims=True)
     return z
@@ -350,10 +338,7 @@ def posterior_matrix(params: NBParams, X) -> np.ndarray:
 def predict_matrix(params: NBParams, X) -> np.ndarray:
     """Most probable class per row, ties resolved to the lowest index."""
     X = validate_instances(params.schema, X)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing or nan L is formed again
-        logj = _Rows(params.schema, X).log_joint(params)[0]
-    _require_possible(logj.max(axis=-2))
-    return logj.argmax(axis=-2) + 1
+    return _Rows(params.schema, X).log_joint(params)[0].argmax(axis=-2) + 1
 
 
 def param_map(stats: StatsVector) -> NBParams:
@@ -420,10 +405,14 @@ def _weights(models: NBParams, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Rows:
-    """Validated rows X (..., m, d) as Phi(X - c)^T (..., w, m), c each leading slice's mean (..., 1, q)."""
+    """Validated rows X (..., m, d) as Phi(X - c)^T (..., w, m), c each leading slice's mean (..., 1, q).
 
-    def __init__(self, schema: FeatureSchema, X: np.ndarray) -> None:
+    With ``order``, a permutation of pooled rows X (m, d), column j holds row order[j].
+    """
+
+    def __init__(self, schema: FeatureSchema, X: np.ndarray, order: np.ndarray | None = None) -> None:
         fm = self.fm = _feature_map(schema)
+        self.order, X = order, X if order is None else X[order]
         self.xc = X[..., fm.cont]
         self.c = self.xc.sum(axis=-2, keepdims=True) / max(X.shape[-2], 1)  # 0 over no rows
         with np.errstate(over="ignore"):  # log_joint forms the rows of an infinite (x - c)^2 again
@@ -431,6 +420,7 @@ class _Rows:
         self.phi_max = np.abs(phi).max(axis=-2, initial=0.0)
         self.phiT = np.ascontiguousarray(np.swapaxes(phi, -1, -2))
 
+    @np.errstate(over="ignore", invalid="ignore")  # a bound that overflows only sends its rows to be formed again
     def weigh(self, models: NBParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``_weights`` of ``models`` over these rows, and each model's bound max_c sum |W| phi_max.
 
@@ -440,16 +430,17 @@ class _Rows:
         W, zero = _weights(models, self.c)
         return W, zero, (np.abs(W) @ self.phi_max[..., None]).max(axis=(-2, -1))  # sum |W| |Phi| <= |W| phi_max
 
-    def log_joint(self, models: NBParams, out: np.ndarray | None = None, weighed: tuple | None = None):
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowing or nan L is formed again, not warned of
+    def log_joint(self, models: NBParams, out: np.ndarray | None = None, weighed: tuple | None = None, first: int = 0):
         """Log joint L (..., r, m) of ``models`` over the rows, leading axes broadcast, and its -inf mask or None.
 
         ``out``, over shared rows, is a (K r, m) buffer; ``weighed`` is
         ``weigh(models)`` if already formed.  A (model, row) whose terms
         overflow or cancel, sum |W| |Phi| > _CANCEL (1 + |L|), is formed again
         with the row itself as c, which leaves no continuous terms; only a
-        call whose bound exceeds _CANCEL looks for them.  Call it under
-        ``np.errstate(over="ignore", invalid="ignore")``: an overflowing or
-        nan L is formed again, not warned of.  With no mask, every L is finite.
+        call whose bound exceeds _CANCEL looks for them.  With no mask, every
+        L is finite.  A row -inf under every class is refused by the lowest
+        such model, numbered from ``first`` in a stack, and its lowest row of X.
         """
         W, zero, bound = self.weigh(models) if weighed is None else weighed
         mask = None
@@ -462,7 +453,12 @@ class _Rows:
                 terms = np.abs(W) @ np.abs(self.phiT)
                 loose = ~((terms <= _CANCEL * (1.0 + np.abs(logj))) & (terms < inf))
                 self._reform(models, logj, mask, loose.any(axis=-2))
-        if mask is not None:
+            if (impossible := mask.all(axis=-2)).any():
+                if self.order is not None:  # in the caller's row order
+                    impossible = impossible[..., np.argsort(self.order)]
+                *model, row = np.unravel_index(np.argmax(impossible), impossible.shape)
+                of = f" of model {first + model[-1]}" if model else ""
+                raise ValueError(f"row {row} has probability zero under every class{of}; its posterior is undefined")
             logj[mask] = -inf
         return logj, mask
 
@@ -533,8 +529,7 @@ class Scorer:
         r = schema.class_cardinality
         self.m = np.array([ds.m for ds in datasets])
         group = np.repeat(np.arange(len(datasets)) * r, self.m) + np.concatenate([ds.y for ds in datasets]) - 1
-        self.order = np.argsort(group, kind="stable")  # table row of each scoring column
-        self.rows = _Rows(schema, X[self.order])
+        self.rows = _Rows(schema, X, np.argsort(group, kind="stable"))  # columns grouped by (dataset, class)
         sizes = np.bincount(group, minlength=len(datasets) * r)
         # One entry per nonempty segment, dataset d's rows of true class y (columns a:b): whether its soft error
         # counts, and per other class c, in class order, the test by which L_c beats L_y, paired with c.
@@ -559,18 +554,15 @@ class Scorer:
         ``models`` is one stacked NBParams or a list of single models.
         """
         models = _stacked(models, self.schema)
-        (K, r), M = models.theta.shape[:2], len(self.order)
+        (K, r), M = models.theta.shape[:2], len(self.rows.order)
         wrong = np.zeros((len(self.m), K), dtype=np.int64)
         post = np.zeros(K)  # sums of the first dataset's true-class posteriors
-        # An overflowing L is formed again; -inf - -inf is nan and exp(d_c) may overflow.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # -inf - -inf is nan and exp(d_c) may overflow
             weighed = self.rows.weigh(models)
             for lo in range(0, K, self.pass_width):
                 k = min(self.pass_width, K - lo)
                 hi, out = lo + k, self._logj[: k * r * M].reshape(k * r, M)
-                logj, mask = self.rows.log_joint(models[lo:hi], out, tuple(a[lo:hi] for a in weighed))
-                if mask is not None and (impossible := mask.all(axis=1)).any():  # refused in table order
-                    _require_possible(np.where(impossible[:, np.argsort(self.order)], -inf, 0.0), lo)
+                logj, mask = self.rows.log_joint(models[lo:hi], out, tuple(a[lo:hi] for a in weighed), lo)
                 wrong_rows = self._wrong[: k * M].reshape(k, M)
                 for y, a, b, soft, tests in self.segments:
                     n = b - a

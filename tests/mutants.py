@@ -129,9 +129,21 @@ MUTANTS = [
            "                    logj[mask] = 0.0\n"
            "                wrong_rows = self._wrong[: k * M].reshape(k, M)\n", "killed",
            "a masked pass compares its -inf cells as 0: a -inf L_c beats a negative L_y"),
-    Mutant("model.py", "def _require_possible(top: np.ndarray, first: int = 0)",
-           "def _require_possible(top: np.ndarray, first: int = 1)", "killed",
-           "a refusal outside Scorer numbers the impossible model one past its place in the stack"),
+    Mutant("model.py", "weighed: tuple | None = None, first: int = 0)", "weighed: tuple | None = None, first: int = 1)",
+           "killed", "a refusal outside Scorer numbers the impossible model one past its place in the stack"),
+    Mutant("model.py", "impossible = impossible[..., np.argsort(self.order)]", "impossible = impossible", "killed",
+           "a Scorer's refusal names the lowest impossible column grouped by class, not the lowest row of its table"),
+    Mutant("model.py", "impossible = impossible[..., np.argsort(self.order)]",
+           "impossible = impossible[..., self.order]", "killed",
+           "a Scorer's refusal maps columns to rows by the grouping's inverse: it may name a possible row"),
+    Mutant("model.py", "_CANCEL = 2.0**10", "_CANCEL = 2.0**11", "killed",
+           "a log joint is trusted with twice the cancellation: rows whose terms sum to 1215 to 1352 times 1 + |L| "
+           "keep the GEMM's rounding, about 1e-13"),
+    Mutant("model.py", "_CANCEL * (1.0 + np.abs(logj))", "_CANCEL * (2.0 + np.abs(logj))", "killed",
+           "a log joint near 0 is trusted with up to twice the cancellation"),
+    Mutant("model.py", "_CANCEL = 2.0**10", "_CANCEL = 2.0**9", "equivalent",
+           "half the trusted cancellation only forms more (model, row)s again, each as accurate: where to trust the "
+           "GEMM is a judgement of speed against rounding, and no output the suite checks depends on it"),
     Mutant("data.py", "        raise _first_fault(path, header, records)",
            "        for j, column in enumerate(columns):\n"
            "            if '' in column:\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -280,6 +281,20 @@ def test_generators_publish_into_outdir_and_write_out_as_given(tmp_path, monkeyp
         assert capsys.readouterr().err.startswith("error: ")
         assert main([*argv, "--out", "f", "--outdir", "unused"]) == 0
         assert Path("f").is_file() and not Path("missing").exists() and not Path("unused").exists()
+
+
+def test_files_are_staged_on_the_outdir_path_so_that_publishing_is_a_rename(tmp_path, monkeypatch, capsys):
+    # The stage is made in --outdir if it exists, else in its nearest existing ancestor, and is gone afterwards.
+    monkeypatch.chdir(tmp_path)
+    stages, move = [], shutil.move
+    monkeypatch.setattr(shutil, "move", lambda src, dst: stages.append(Path(src).parent.resolve()) or move(src, dst))
+    Path("kept").mkdir()
+    for outdir in ("kept", str(Path("new", "deeper"))):
+        assert main(["gendata", "--kind", "blobs", "--m", "20", "--outdir", outdir]) == 0
+    assert [stage.parent for stage in stages] == [tmp_path.resolve() / "kept", tmp_path.resolve()]
+    assert all(stage.name.startswith(".riskcal-") and not stage.exists() for stage in stages)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept", "new"]
+    assert [p.name for p in Path("kept").iterdir()] == [p.name for p in Path("new", "deeper").iterdir()]
 
 
 def test_gengraph_writes_edge_list(tmp_path):

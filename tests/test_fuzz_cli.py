@@ -4,14 +4,24 @@ Each case generates one pool with ``gendata`` and runs one ``run``,
 ``sweep`` or ``baseline`` on it, in process through ``main``, with every
 warning an error.  Sizes are drawn so that many cases are refused: a
 pool of 3 rows, more nodes than rows, a graph too small for its extra
-edges, a drifted split of identical rows.
+edges, a drifted split of identical rows.  Every fourth case that publishes
+is run again into a fresh --outdir, and must write the same bytes and
+print the same lines.  A longer fuzz, printing every failing case's
+command lines, runs from the repository root:
+
+    PYTHONPATH=src python tests/test_fuzz_cli.py --cases 1000 --seed 4
 """
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import math
 import random
+import sys
+import tempfile
+import time
+import traceback
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -119,24 +129,39 @@ def _check_published(argv: list[str], stdout: str, made: dict[str, bytes], befor
             _assert_finite(Path(argv[argv.index("--outdir") + 1]) / name)
 
 
-def run_case(rnd: random.Random, where: Path) -> None:
-    """One drawn case in the empty directory ``where``; an AssertionError names its command lines."""
+def _check_rerun(argv: list[str], stdout: str, made: dict[str, bytes], before: dict[str, bytes], again: Path) -> None:
+    """The command run again into the fresh directory ``again`` prints ``stdout`` and writes the files it added."""
+    outdir = argv[argv.index("--outdir") + 1]
+    status, rerun_stdout, stderr = _main([str(again) if arg == outdir else arg for arg in argv])
+    assert (status, stderr) == (0, "")
+    assert rerun_stdout.replace(str(again), outdir) == stdout
+    assert _files(again) == {name: data for name, data in made.items() if name not in before}
+
+
+def run_case(rnd: random.Random, where: Path, rerun: bool) -> None:
+    """One drawn case in the empty directory ``where``, whose published command is run again if ``rerun``.
+
+    Any failure is an AssertionError that names the case's command lines.
+    """
     pool, outdir = where / "pool.csv", where / "out"
     argvs = [_pool_argv(rnd, pool), _command_argv(rnd, pool, outdir)]
     if rnd.random() < 0.25:  # an --outdir that already holds a file keeps it, whatever the command does
         outdir.mkdir()
         (outdir / "kept.txt").write_text(f"{rnd.random()!r}\n")
-    for argv in argvs:
-        before = _files(outdir)
-        status, stdout, stderr = _main(argv)
-        made = _files(outdir)
+    for i, argv in enumerate(argvs):
+        status, stdout, stderr = "not run", "", ""
         try:
+            before = _files(outdir)
+            status, stdout, stderr = _main(argv)
+            made = _files(outdir)
             if status == 0:
                 assert stderr == ""
                 if argv[0] == "gendata":
                     assert pool.is_file()
                 else:
                     _check_published(argv, stdout, made, before)
+                    if rerun:
+                        _check_rerun(argv, stdout, made, before, where / "again")
             else:
                 assert status == 1
                 assert len(stderr.splitlines()) == 1 and stderr.startswith("error: "), stderr
@@ -144,14 +169,44 @@ def run_case(rnd: random.Random, where: Path) -> None:
                 if argv[0] == "gendata":
                     assert not pool.exists()
                 return
+        except Exception as e:
+            lines = "".join(f"riskcal {' '.join(a)}\n" for a in argvs[: i + 1])
+            raise AssertionError(f"{lines}exit {status}\n{stderr}{stdout}") from e
+
+
+def run_cases(seed: int, cases: int, root: Path):
+    """Run ``cases`` drawn cases of ``seed`` under ``root``, every fourth with a rerun; yields each failure."""
+    rnd = random.Random(seed)
+    for case in range(cases):
+        where = root / str(case)
+        where.mkdir()
+        try:
+            run_case(rnd, where, rerun=case % 4 == 0)
         except AssertionError as e:
-            raise AssertionError(f"riskcal {' '.join(argv)}\nexit {status}\n{stderr}{stdout}") from e
+            yield case, e
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_every_command_publishes_whole_or_refuses_in_one_line(tmp_path, seed):
-    rnd = random.Random(seed)
-    for case in range(CASES_PER_SEED):
-        where = tmp_path / str(case)
-        where.mkdir()
-        run_case(rnd, where)
+    for _, failure in run_cases(seed, CASES_PER_SEED, tmp_path):
+        raise failure
+
+
+def _cli(argv: list[str]) -> int:
+    """Run a longer fuzz and print each failing case's command lines; exit 1 if any case fails."""
+    parser = argparse.ArgumentParser(description=_cli.__doc__)
+    parser.add_argument("--cases", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    start, failed = time.perf_counter(), 0
+    with tempfile.TemporaryDirectory(prefix="riskcal_fuzz_") as root:
+        for case, failure in run_cases(args.seed, args.cases, Path(root)):
+            failed += 1
+            where = "".join(traceback.format_exception(failure.__cause__)[-2:])  # the failing line and its error
+            print(f"case {case} failed:\n{failure}\n{where}", flush=True)
+    print(f"{args.cases - failed} of {args.cases} cases passed, seed {args.seed}, {time.perf_counter() - start:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(_cli(sys.argv[1:]))

@@ -4,7 +4,7 @@ from __future__ import annotations
 import re
 import tracemalloc
 import warnings
-from math import exp
+from math import exp, inf, log, pi
 
 import numpy as np
 import pytest
@@ -386,6 +386,27 @@ def test_rows_whose_terms_cancel_below_overflow_are_formed_again():
     want = np.array([scalar_posterior(params, x) for x in X[:-1]])
     np.testing.assert_allclose(post[:-1], want, rtol=1e-12, atol=0)
     assert post[-1].tolist() == [0.0, 1.0]
+
+
+def test_rows_whose_terms_exceed_the_cancel_bound_less_than_twofold_are_formed_again():
+    # Rows in [-0.5, 1.5] under unit-variance classes at 0 and 1, and one far row that puts their mean c at 42:
+    # each row's terms sum to 1215 to 1352 times 1 + |L| under its looser class, above _CANCEL (2^10) but below
+    # 2^11, and to less than 2^10 (2 + |L|) under both.  A GEMM leaves their posteriors about 2e-14 off; formed
+    # again, shifted by themselves, they match the scalar oracle to 2e-15.
+    schema = FeatureSchema((Continuous(),), 2)
+    params = nb_params(schema, np.array([0.5, 0.5]), (np.array([[0.0, 1.0], [1.0, 1.0]]),))
+    near = np.linspace(-0.5, 1.5, 201)
+    X = np.r_[near, 42.0 * (len(near) + 1) - near.sum()][:, None]
+    mu, x, c = np.array([[0.0], [1.0]]), near[None, :], X.mean()
+    L = log(0.5) - 0.5 * (log(2 * pi) + (x - mu) ** 2)
+    terms = abs(log(0.5) - 0.5 * (log(2 * pi) + (mu - c) ** 2)) + abs((mu - c) * (x - c)) + 0.5 * (x - c) ** 2
+    ratio = (terms / (1.0 + abs(L))).max(axis=0)
+    assert 2**10 < ratio.min() and ratio.max() <= 2**11 and (terms <= 2**10 * (2.0 + abs(L))).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        post = posterior_matrix(params, X)
+    want = np.array([scalar_posterior(params, [v]) for v in near])
+    np.testing.assert_allclose(post[:-1], want, rtol=0, atol=2e-15)
 
 
 def test_rows_whose_shifted_square_overflows_are_formed_again():
@@ -858,6 +879,27 @@ def test_a_log_joint_overflowing_in_the_gemm_scores_as_a_zero_probability():
     np.testing.assert_allclose(soft, want_soft, rtol=1e-13, atol=0)
 
 
+def test_bare_log_joint_calls_keep_their_own_error_state():
+    # The rows of the test above, overflowing the weights' bound and the GEMM: weigh and log_joint, called
+    # with no error state of the caller's, warn of neither, and refuse an impossible row by the caller's numbering.
+    schema = FeatureSchema((Continuous(),), 3)
+    params = nb_params(schema, np.full(3, 1.0 / 3), (np.array([[0.0, 1e-6], [0.0, 1e-6], [0.0, 1.0]]),))
+    narrow = nb_params(schema, params.class_probs, (np.array([[0.0, 1e-6]] * 3),))
+    rows = model._Rows(schema, np.array([[-1.0], [1e153], [0.5], [-1e153], [1.0], [-1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = rows.weigh(params)[2]
+        logj, mask = rows.log_joint(params)
+        with pytest.raises(ValueError, match="row 1 has probability zero under every class;"):
+            rows.log_joint(narrow)
+        with pytest.raises(ValueError, match="row 1 has probability zero under every class of model 6;"):
+            rows.log_joint(stack_params([params, narrow]), first=5)
+    assert bound == inf
+    assert np.array_equal(mask, [[False, True, False, True, False, False]] * 2 + [[False] * 6])
+    assert np.isfinite(logj[~mask]).all() and np.array_equal(logj[mask], [-inf] * 4)
+    np.testing.assert_allclose(logj[2, [1, 3]], -5e305, rtol=1e-15, atol=0)  # class 3 formed again
+
+
 def test_a_class_constant_that_overflows_is_a_silent_zero_probability():
     # The row [1e154, 1e154] passes validation.  Alone it is its own shift c, so class 1's constant
     # holds 1/2 sum (mu - x)^2 / var > float max: a -inf weight, with no RuntimeWarning, and class 2 wins.
@@ -892,6 +934,10 @@ def test_refusal_names_the_lowest_impossible_table_row_after_grouping():
     ds, train = Dataset(schema, X, y), Dataset(schema, X[[0, 3]], y[[0, 3]])
     with pytest.raises(ValueError, match="row 1 has probability zero under every class of model 0;"):
         evaluate_many([params], ds)
+    # Impossible rows 0 (class 2) and 3 (class 1) take columns 3 and 2 of the grouping [1, 2, 3, 0]. Row 0 is
+    # named: not the lowest impossible column, 2, nor its row, 3, nor row 1, which the grouping read backwards names.
+    with pytest.raises(ValueError, match="row 0 has probability zero under every class of model 0;"):
+        evaluate_many([params], Dataset(schema, X[[1, 0, 3, 2]], np.array([2, 1, 1, 1])))
     with pytest.raises(ValueError, match=f"row {train.m + 1} has probability zero under every class of model 0;"):
         Scorer([train, ds])([params])
     pooled = Scorer([train, ds])
