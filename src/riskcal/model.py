@@ -58,7 +58,7 @@ call on [params], and item 0 of the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import inf, log, pi, prod
 
 import numpy as np
@@ -453,7 +453,8 @@ class _Rows:
                 terms = np.abs(W) @ np.abs(self.phiT)
                 loose = ~((terms <= _CANCEL * (1.0 + np.abs(logj))) & (terms < inf))
                 self._reform(models, logj, mask, loose.any(axis=-2))
-            if (impossible := mask.all(axis=-2)).any():
+            # mask.all(axis=-2), which is slow over a short class axis and short rows
+            if (impossible := reduce(np.logical_and, np.moveaxis(mask, -2, 0))).any():
                 if self.order is not None:  # in the caller's row order
                     impossible = impossible[..., np.argsort(self.order)]
                 *model, row = np.unravel_index(np.argmax(impossible), impossible.shape)

@@ -79,6 +79,11 @@ def first_principal_component(X) -> np.ndarray:
     Raises on an array that is not 2-d, on fewer than two instances or
     on all-identical instances (zero covariance).
     """
+    return _standardized_component(X)[1]
+
+
+def _standardized_component(X) -> tuple[np.ndarray, np.ndarray]:
+    """``_standardize(X)`` and ``first_principal_component(X)``, which is formed from it."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"a principal component takes a 2-d array of instances, got shape {X.shape}")
@@ -90,7 +95,7 @@ def first_principal_component(X) -> np.ndarray:
         raise ValueError("zero covariance: all instances identical")
     v = np.linalg.eigh(C)[1][:, -1]  # eigenvalues ascend: the last column leads
     j = int(np.argmax(np.abs(v)))
-    return -v if v[j] < 0 else v
+    return Z, -v if v[j] < 0 else v
 
 
 def _draw(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> np.ndarray:
@@ -106,28 +111,59 @@ def split_iid(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> P
 
 def _along_component(dataset: Dataset, take: np.ndarray) -> np.ndarray:
     """``take`` sorted along the first principal component of its rows; ties keep draw order."""
-    proj = _standardize(dataset.X[take]) @ first_principal_component(dataset.X[take])
-    return take[np.argsort(proj, kind="stable")]
+    Z, component = _standardized_component(dataset.X[take])
+    return take[np.argsort(Z @ component, kind="stable")]
 
 
 def _deal_by_class(dataset: Dataset, order: np.ndarray, n: int, m_v: int) -> PartitionPlan:
     """Deal ``order``'s class pools, each in ``order``'s order, into n blocks.
 
     Node v prefers class ((v - 1) mod r) + 1 and tops up cyclically from
-    the next non-empty pool.
+    the next non-empty pool.  Pools are consumed front to back in node
+    order, so until a pool runs short every node takes its whole block from
+    the pool its preference routes to, and consecutive blocks of one pool
+    are consecutive runs of it: a phase, dealt as arrays.  The first node
+    whose pool cannot fill its block takes what is left and tops up, at
+    most r steps, which ends the phase.  Each phase empties a pool, so
+    there are at most r of them.
     """
     r = dataset.schema.class_cardinality
-    labels = dataset.y[order]
-    pools = [order[labels == c] for c in range(1, r + 1)]
-    blocks = np.empty((n, m_v), dtype=np.int64)
-    for v in range(n):
-        c, filled = v % r, 0
-        while filled < m_v:  # take what is left of pool c, then move on to the next pool
-            take, pools[c] = pools[c][: m_v - filled], pools[c][m_v - filled :]
-            blocks[v, filled : filled + len(take)] = take
-            filled += len(take)
-            c = (c + 1) % r
-    return PartitionPlan(blocks)
+    labels = dataset.y[order].astype(np.min_scalar_type(r))  # labels of 8 or 16 bits sort by radix
+    pooled = order[np.argsort(labels, kind="stable")]  # the pools one after another, each in order's order
+    left = np.bincount(labels, minlength=r + 1)[1:].tolist()  # rows still in each pool
+    start = np.cumsum([0, *left[:-1]]).tolist()  # each pool's next row, as a position in pooled
+    first = np.zeros(n, dtype=np.int64)  # the position in pooled of each whole block's first row
+    topped = []  # (node, positions in pooled) of each node that tops up
+    v = 0
+    while v < n:
+        full = [c for c in range(r) if left[c]]
+        # node v + d + k r draws its whole block from the first non-empty pool from its preference on
+        offsets = {c: [] for c in full}  # the d that draw on each pool, in node order
+        for d in range(r):
+            offsets[next((c for c in full if c >= (v + d) % r), full[0])].append(d)
+        end = n  # each pool fills left // m_v more blocks; the node after them ends the phase
+        for c, ds in offsets.items():
+            k, d = divmod(left[c] // m_v, len(ds))
+            end = min(end, v + k * r + ds[d])
+        for c, ds in offsets.items():  # pool c's next blocks go round its ds, one run of m_v rows each
+            took = m_v * sum(len(range(v + d, end, r)) for d in ds)
+            for rank, d in enumerate(ds):
+                first[v + d : end : r] = np.arange(start[c] + m_v * rank, start[c] + took, m_v * len(ds))
+            start[c], left[c] = start[c] + took, left[c] - took
+        if end < n:  # take what is left of the pool, then move on to the next pools
+            c, positions = end % r, []
+            while len(positions) < m_v:
+                take = min(left[c], m_v - len(positions))
+                positions += range(start[c], start[c] + take)
+                start[c], left[c] = start[c] + take, left[c] - take
+                c = (c + 1) % r
+            topped.append((end, positions))
+        v = end + 1
+    at = first[:, None] + np.arange(m_v)
+    for node, positions in topped:
+        at[node] = positions
+    # gathered in place, each cell reading only its own position; the positions are in range, so no bounds buffer
+    return PartitionPlan(np.take(pooled, at, out=at, mode="clip"))
 
 
 def split_drift_x(dataset: Dataset, n: int, m_v: int, rng: np.random.Generator) -> PartitionPlan:

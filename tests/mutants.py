@@ -114,6 +114,19 @@ MUTANTS = [
            "a run without a hook maps every round, not only its last"),
     Mutant("partition.py", "if X.shape[0] < 2:", "if X.shape[0] <= 2:", "killed",
            "a principal component of exactly two instances is refused"),
+    Mutant("partition.py", "                c = (c + 1) % r", "                c = (c - 1) % r", "killed",
+           "a drift split's node whose pool runs short tops up from the previous pool, not the next"),
+    Mutant("partition.py", "        if end < n:  # take what is left", "        if False:  # take what is left",
+           "killed", "the node whose pool runs short skips its top-up: its block is never dealt"),
+    Mutant("partition.py", "pooled = order[np.argsort(labels, kind=\"stable\")]",
+           "pooled = order[np.argsort(labels, kind=\"quicksort\")]", "killed",
+           "the class pools are gathered by an unstable sort: a pool's rows leave the drawn order"),
+    Mutant("partition.py", "labels = dataset.y[order].astype(np.min_scalar_type(r))", "labels = dataset.y[order]",
+           "equivalent", "the class pools are sorted on int64 labels: the same stable order, by merge sort instead "
+           "of radix"),
+    Mutant("model.py", "reduce(np.logical_and, np.moveaxis(mask, -2, 0))",
+           "reduce(np.logical_or, np.moveaxis(mask, -2, 0))", "killed",
+           "a row -inf under any class, not every class, is refused"),
     Mutant("network.py", "    if n is None and not edges:", "    if False:", "killed",
            "an edge list of no edges and no n raises numpy's bare zero-size reduction error, naming no file"),
     Mutant("network.py", "        if min(u, v) < 1 or n is not None and max(u, v) > n:", "        if False:", "killed",

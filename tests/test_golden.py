@@ -25,8 +25,9 @@ from golden_runs import GOLDEN, RUNS, write_runs
 RTOL = 1e-12
 # OpenBLAS kernels of AVX2 (Haswell, Zen), SSE3 (Prescott) and SSE4.2 (Nehalem) CPUs.
 KERNELS = ("Haswell", "Zen", "Prescott", "Nehalem")
-# Round 2 floors a class mass, and the floored run amplifies one ulp of Nehalem's GEMM (feature[0].var[2]).
-KERNEL_FAILS = {("Nehalem", "blobs_m0_10")}
+# Round 2 floors a class mass, and the floored run amplifies one ulp of the Nehalem and Atom GEMMs (feature[0].var[2]);
+# Atom is forced on the whole suite only, so only there does its pair apply.
+KERNEL_FAILS = {("Nehalem", "blobs_m0_10"), ("Atom", "blobs_m0_10")}
 
 
 def _dynamic_arch() -> bool:

@@ -11,6 +11,9 @@ from riskcal.data import Continuous, DataError, Dataset, FeatureSchema
 from riskcal.partition import (
     PartitionPlan,
     SPLITTERS,
+    _along_component,
+    _deal_by_class,
+    _draw,
     _standardize,
     first_principal_component,
     global_sample,
@@ -125,6 +128,73 @@ def test_split_drift_xy_sorts_within_class():
     max_first = max(proj[g] for g in plan.assignment[0])
     min_third = min(proj[g] for g in plan.assignment[2])
     assert max_first <= min_third + 1e-12
+
+
+def _deal_node_by_node(dataset, order, n, m_v) -> np.ndarray:
+    """Reference deal, one node at a time: node v + 1 takes from pool v mod r, then from the next pools cyclically."""
+    r = dataset.schema.class_cardinality
+    labels = dataset.y[order]
+    pools = [order[labels == c] for c in range(1, r + 1)]
+    blocks = np.empty((n, m_v), dtype=np.int64)
+    for v in range(n):
+        c, filled = v % r, 0
+        while filled < m_v:  # take what is left of pool c, then move on to the next pool
+            take, pools[c] = pools[c][: m_v - filled], pools[c][m_v - filled :]
+            blocks[v, filled : filled + len(take)] = take
+            filled += len(take)
+            c = (c + 1) % r
+    return blocks
+
+
+def _labelled(y, r, rng) -> Dataset:
+    y = np.asarray(y)
+    return Dataset(FeatureSchema((Continuous(), Continuous()), r), rng.standard_normal((len(y), 2)) + y[:, None], y)
+
+
+def _assert_drift_splits_deal_node_by_node(ds, n, m_v, seed):
+    order = _draw(ds, n, m_v, np.random.default_rng(seed))
+    want = _deal_node_by_node(ds, order, n, m_v)
+    np.testing.assert_array_equal(_deal_by_class(ds, order, n, m_v).assignment, want)
+    np.testing.assert_array_equal(split_drift_y(ds, n, m_v, np.random.default_rng(seed)).assignment, want)
+    if n * m_v >= 2:  # a principal component needs two instances
+        want = _deal_node_by_node(ds, _along_component(ds, order), n, m_v)
+        np.testing.assert_array_equal(split_drift_xy(ds, n, m_v, np.random.default_rng(seed)).assignment, want)
+
+
+@pytest.mark.parametrize("labels", ["balanced", "skewed", "a class with no rows"])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_the_deal_by_class_matches_the_node_by_node_deal(r, labels):
+    for seed in range(25):
+        rng = np.random.default_rng([r, seed])
+        n, m_v = int(rng.integers(1, 61)), int(rng.integers(1, 13))
+        m = n * m_v + int(rng.integers(0, 3 * m_v))
+        if labels == "balanced":
+            y = rng.permutation(np.arange(m) % r + 1)
+        elif labels == "skewed":
+            y = rng.choice(r, size=m, p=rng.dirichlet(np.full(r, 0.3))) + 1
+        else:
+            y = rng.choice(np.delete(np.arange(1, r + 1), rng.integers(r)), size=m)
+        _assert_drift_splits_deal_node_by_node(_labelled(y, r, rng), n, m_v, seed)
+
+
+def test_a_top_up_may_empty_two_pools():
+    # Pools of 2, 1 and 12 rows, blocks of 5: node 1 takes both rows of class 1, the one of class 2 and two of
+    # class 3; nodes 2 and 3 find their pools empty and fill from class 3.
+    rng = np.random.default_rng(9)
+    ds = _labelled([1, 1, 2] + [3] * 12, 3, rng)
+    order = rng.permutation(15)
+    blocks = _deal_by_class(ds, order, 3, 5).assignment
+    np.testing.assert_array_equal(blocks, _deal_node_by_node(ds, order, 3, 5))
+    assert [ds.y[b].tolist() for b in blocks] == [[1, 1, 2, 3, 3], [3] * 5, [3] * 5]
+    _assert_drift_splits_deal_node_by_node(ds, 3, 5, 10)
+
+
+def test_a_large_drift_y_deal_matches_the_node_by_node_deal():
+    rng = np.random.default_rng(11)
+    n, m_v = 10**5, 5
+    ds = _labelled(rng.integers(1, 4, n * m_v + 1000), 3, rng)
+    want = _deal_node_by_node(ds, _draw(ds, n, m_v, np.random.default_rng(12)), n, m_v)
+    np.testing.assert_array_equal(split_drift_y(ds, n, m_v, np.random.default_rng(12)).assignment, want)
 
 
 def _leading_right_singular_vector(X) -> np.ndarray:
