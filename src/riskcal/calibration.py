@@ -65,7 +65,7 @@ class LocalStep:
         self.schema = local_dataset.schema
         self.phi = _feature_map(self.schema).phi(local_dataset.X)
         self.labelled = _labelled(local_dataset, self.phi)  # refuses an empty dataset and non-finite sums
-        self.rows = _Rows(self.schema, local_dataset.X)
+        self.rows = _Rows(self.schema, local_dataset.X, phi=self.phi)
 
     def expected(self, params: NBParams) -> StatsVector:
         """``prob_stat_map`` of the local rows under ``params``."""

@@ -83,8 +83,8 @@ def _nodes(what: str, held, stacked: bool, hint: str = "", error: type[Exception
 
 
 def _same_schema(what: str, *schemas: FeatureSchema) -> None:
-    """Nothing, unless a schema differs from the first (by ``!=``: cheaper than hashing a schema)."""
-    if any(schema != schemas[0] for schema in schemas[1:]):
+    """Nothing, unless a schema differs from the first: one that is not the first is compared by ``!=``."""
+    if any(schema is not schemas[0] and schema != schemas[0] for schema in schemas[1:]):
         raise ValueError(f"schema mismatch between {what}")
 
 

@@ -58,7 +58,7 @@ call on [params], and item 0 of the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import inf, log, pi, prod
 
 import numpy as np
@@ -134,7 +134,7 @@ class _FeatureMap:
         """
         out = np.zeros(X.shape[:-1] + (self.width,))
         out[..., 0] = 1.0
-        out[..., 1 : self.moments] = X[..., self.cell_feature] == self.cell_code
+        out[..., 1 : self.moments] = (X[..., self.cell_feature] == self.cell_code).view(np.uint8)  # faster than bool
         xc, pairs = X[..., self.cont], self.pairs(out)  # xc is a gathered copy
         if shift is not None:
             xc -= shift
@@ -144,6 +144,31 @@ class _FeatureMap:
 
 
 _feature_map = lru_cache(maxsize=None)(_FeatureMap)
+
+
+# numpy reduces fewer terms than this in order, as a chain of elementwise calls does: it sums 8 or more pairwise.
+_CHAIN = 8
+
+
+def _reduce(ufunc: np.ufunc, A: np.ndarray, axis: int, keepdims: bool = False, initial=None) -> np.ndarray:
+    """``ufunc.reduce(A, axis)``, from ``initial`` if given, as a fresh array, in the same bits.
+
+    numpy reduces a short axis in short inner loops, slowly; fewer than
+    _CHAIN terms are folded instead one elementwise call at a time, from
+    ``initial``, else the ufunc's identity (add's 0.0 + the first term),
+    else the first term, as numpy folds them.  A longer or empty axis is
+    left to ``ufunc.reduce``.  The bits are numpy's but for nan payloads
+    and, along a contiguous last axis, the sign of a zero maximum or
+    minimum, which numpy may take from SIMD lanes.
+    """
+    axis %= A.ndim
+    if not 0 < (n := A.shape[axis]) < _CHAIN:
+        return ufunc.reduce(A, axis=axis, keepdims=keepdims, **({} if initial is None else {"initial": initial}))
+    at, start = (slice(None),) * axis, ufunc.identity if initial is None else initial
+    acc = np.array(A[at + (0,)]) if start is None else np.asarray(ufunc(start, A[at + (0,)]))
+    for i in range(1, n):
+        ufunc(acc, A[at + (i,)], out=acc)
+    return acc.reshape(A.shape[:axis] + (1,) + A.shape[axis + 1 :]) if keepdims else acc
 
 
 def _table(schema: FeatureSchema, A, what: str) -> np.ndarray:
@@ -271,11 +296,14 @@ def _by_class(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np
         P = np.matmul(A.reshape(prod(A.shape[:-1]), k), B, out=out).reshape(A.shape[:-1] + B.shape[-1:])
     else:
         P = np.matmul(A, B, out=out)
-    c0 = A[..., :1]  # equal rows have equal first columns
-    if any(np.count_nonzero(c0[..., j:, :] == c0[..., :-j, :]) for j in range(1, r)):
-        for j in range(1, r):  # each lower class i already holds its lowest equal class's product
-            for i in range(j):
-                np.copyto(P[..., j, :], P[..., i, :], where=(A[..., j, :] == A[..., i, :]).all(axis=-1)[..., None])
+    n = prod(A.shape[:-2])
+    A3, P3 = A.reshape(n, r, k), P.reshape(n, r, P.shape[-1])  # P3 is a view: P is contiguous
+    c0 = A3[..., :1]  # equal rows have equal first columns
+    for j in range(1, r):  # each lower class i already holds its lowest equal class's product
+        for i in range(j):
+            if (at := np.flatnonzero(c0[:, j] == c0[:, i])).size:
+                at = at[(A3[at, j] == A3[at, i]).all(axis=-1)]
+                P3[at, j] = P3[at, i]
     return P
 
 
@@ -314,15 +342,16 @@ def prob_stat_map(X, params: NBParams) -> StatsVector:
     because posteriors sum to one.
     """
     X = validate_instances(params.schema, X)
-    return _accumulate(params.schema, _posterior(params, _Rows(params.schema, X)), _feature_map(params.schema).phi(X))
+    phi = _feature_map(params.schema).phi(X)
+    return _accumulate(params.schema, _posterior(params, _Rows(params.schema, X, phi=phi)), phi)
 
 
 def _posterior(params: NBParams, rows: _Rows) -> np.ndarray:
     """Class-major posteriors P^T (..., r, m) of ``params`` over ``rows``, in the memory of their log joint."""
     logj = rows.log_joint(params)[0]
-    logj -= logj.max(axis=-2, keepdims=True)  # finite: log_joint refuses a row impossible under every class
+    logj -= _reduce(np.maximum, logj, -2, keepdims=True)  # finite: log_joint refuses a row impossible under every class
     z = np.exp(logj, out=logj)
-    z /= z.sum(axis=-2, keepdims=True)
+    z /= _reduce(np.add, z, -2, keepdims=True)
     return z
 
 
@@ -354,7 +383,7 @@ def param_map(stats: StatsVector) -> NBParams:
     # Parameters take the columns of the statistics they come from.
     theta = np.empty_like(S)
     cls = S[..., 0]
-    np.divide(cls, cls.sum(axis=-1, keepdims=True), out=theta[..., 0])
+    np.divide(cls, _reduce(np.add, cls, -1, keepdims=True), out=theta[..., 0])
     cells = S[..., 1 : fm.moments]
     theta[..., 1 : fm.moments] = cells / _by_class(cells, fm.same_feature)
     s0, s, t = S[..., :1], fm.pairs(S), fm.pairs(theta)  # t holds (mu, var) pairs
@@ -396,7 +425,7 @@ def _weights(models: NBParams, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, inv = t[..., 0] - c, 1.0 / t[..., 1]
     with np.errstate(divide="ignore", over="ignore"):
         np.log(W[..., : fm.moments], out=W[..., : fm.moments])  # log p(y) and every log theta
-        W[..., 0] -= 0.5 * (a * a * inv + np.log(t[..., 1]) + _LOG_2PI).sum(axis=-1)
+        W[..., 0] -= 0.5 * _reduce(np.add, a * a * inv + np.log(t[..., 1]) + _LOG_2PI, -1)
     t[..., 0] = a * inv
     t[..., 1] = -0.5 * inv
     zero = W == -inf
@@ -407,18 +436,27 @@ def _weights(models: NBParams, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Rows:
     """Validated rows X (..., m, d) as Phi(X - c)^T (..., w, m), c each leading slice's mean (..., 1, q).
 
-    With ``order``, a permutation of pooled rows X (m, d), column j holds row order[j].
+    With ``order``, a permutation of pooled rows X (m, d), column j holds row order[j].  Without
+    it, ``phi`` may be Phi(X), formed by the caller: only the continuous pairs are formed again, shifted.
     """
 
-    def __init__(self, schema: FeatureSchema, X: np.ndarray, order: np.ndarray | None = None) -> None:
+    def __init__(self, schema: FeatureSchema, X: np.ndarray, order: np.ndarray | None = None,
+                 phi: np.ndarray | None = None) -> None:
         fm = self.fm = _feature_map(schema)
         self.order, X = order, X if order is None else X[order]
         self.xc = X[..., fm.cont]
-        self.c = self.xc.sum(axis=-2, keepdims=True) / max(X.shape[-2], 1)  # 0 over no rows
+        self.c = _reduce(np.add, self.xc, -2, keepdims=True) / max(X.shape[-2], 1)  # 0 over no rows
         with np.errstate(over="ignore"):  # log_joint forms the rows of an infinite (x - c)^2 again
-            phi = fm.phi(X, self.c)
-        self.phi_max = np.abs(phi).max(axis=-2, initial=0.0)
-        self.phiT = np.ascontiguousarray(np.swapaxes(phi, -1, -2))
+            phi = fm.phi(X) if phi is None else phi
+            x = self.xc - self.c
+            x2 = x * x
+        # Phi(x - c) is Phi(x) with the continuous pairs shifted; its constant and one-hot cells are 0 or 1.
+        self.phiT = np.swapaxes(phi, -1, -2).copy()
+        self.phiT[..., fm.moments :: 2, :] = np.swapaxes(x, -1, -2)
+        self.phiT[..., fm.moments + 1 :: 2, :] = np.swapaxes(x2, -1, -2)
+        self.phi_max = _reduce(np.maximum, phi, -2, initial=0.0)  # max |Phi(x - c)| over the rows
+        self.phi_max[..., fm.moments :: 2] = _reduce(np.maximum, np.abs(x), -2, initial=0.0)
+        self.phi_max[..., fm.moments + 1 :: 2] = _reduce(np.maximum, x2, -2, initial=0.0)
 
     @np.errstate(over="ignore", invalid="ignore")  # a bound that overflows only sends its rows to be formed again
     def weigh(self, models: NBParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -428,7 +466,8 @@ class _Rows:
         slice of the three to ``log_joint``.
         """
         W, zero = _weights(models, self.c)
-        return W, zero, (np.abs(W) @ self.phi_max[..., None]).max(axis=(-2, -1))  # sum |W| |Phi| <= |W| phi_max
+        bound = (np.abs(W) @ self.phi_max[..., None])[..., 0]  # sum |W| |Phi| <= |W| phi_max
+        return W, zero, _reduce(np.maximum, bound, -1)
 
     @np.errstate(over="ignore", invalid="ignore")  # an overflowing or nan L is formed again, not warned of
     def log_joint(self, models: NBParams, out: np.ndarray | None = None, weighed: tuple | None = None, first: int = 0):
@@ -453,8 +492,7 @@ class _Rows:
                 terms = np.abs(W) @ np.abs(self.phiT)
                 loose = ~((terms <= _CANCEL * (1.0 + np.abs(logj))) & (terms < inf))
                 self._reform(models, logj, mask, loose.any(axis=-2))
-            # mask.all(axis=-2), which is slow over a short class axis and short rows
-            if (impossible := reduce(np.logical_and, np.moveaxis(mask, -2, 0))).any():
+            if (impossible := _reduce(np.logical_and, mask, -2)).any():
                 if self.order is not None:  # in the caller's row order
                     impossible = impossible[..., np.argsort(self.order)]
                 *model, row = np.unravel_index(np.argmax(impossible), impossible.shape)

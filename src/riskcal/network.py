@@ -52,9 +52,8 @@ class Graph:
         return len(self.pairs) / (self.n * (self.n - 1) / 2)
 
 
-def random_tree(n: int, rng: np.random.Generator) -> Graph:
-    """Uniformly random labelled tree, decoded from a random Pruefer sequence."""
-    n = _count("n", n, 2)
+def _tree_pairs(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Edge rows (min, max), unsorted, of a uniformly random labelled tree, decoded from a random Pruefer sequence."""
     seq = rng.integers(1, n + 1, size=n - 2)
     # Linear-time decode: node seq[i] is joined to leaf[i], the smallest leaf at step i.
     degree = (np.bincount(seq, minlength=n + 1) + 1).tolist()
@@ -68,7 +67,13 @@ def random_tree(n: int, rng: np.random.Generator) -> Graph:
         else:
             ptr = leaf = degree.index(1, ptr + 1)
     leaves.append(leaf)  # the last two nodes left are this leaf and n
-    return Graph(n, np.sort(np.column_stack([leaves, np.r_[seq, n]]), axis=1))  # rows as (min, max)
+    ends = np.r_[seq, n]
+    return np.column_stack([np.minimum(leaves, ends), np.maximum(leaves, ends)])
+
+
+def random_tree(n: int, rng: np.random.Generator) -> Graph:
+    """Uniformly random labelled tree, decoded from a random Pruefer sequence."""
+    return Graph(n, _tree_pairs(_count("n", n, 2), rng))
 
 
 def chain(n: int) -> Graph:
@@ -80,14 +85,13 @@ def full_graph(n: int) -> Graph:
     return Graph(n, np.column_stack(np.triu_indices(n, 1)) + 1)
 
 
-def add_random_edges(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
-    """Add k distinct absent edges chosen uniformly at random."""
-    k, n = _count("k", k, 0), graph.n
+def _absent_pairs(n: int, pairs: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k distinct (u, v) rows, u < v, chosen uniformly at random among those absent from ``pairs``, in any order."""
     # Pick i is the i-th absent pair in lexicographic order, found by rank arithmetic
     # without listing the absent pairs: 0-based (u, v) has rank row_start[u] + v - u - 1.
     row_start = np.arange(n) * (2 * n - np.arange(n) - 1) // 2
-    u, v = graph.pairs.T - 1
-    present = row_start[u] + v - u - 1  # increasing: the pairs are sorted
+    u, v = pairs.T - 1
+    present = np.sort(row_start[u] + v - u - 1)  # the ranks of the pairs, in any order, increasing
     absent = n * (n - 1) // 2 - len(present)
     if k > absent:
         raise ValueError(f"cannot add {k} edges, only {absent} absent")
@@ -95,8 +99,12 @@ def add_random_edges(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
     # present[j] - j absent ranks lie below present[j]: skip those with at most i.
     rank = picked + np.searchsorted(present - np.arange(len(present)), picked, side="right")
     a = np.searchsorted(row_start, rank, side="right") - 1
-    added = np.column_stack([a + 1, rank - row_start[a] + a + 2])
-    return Graph(n, np.concatenate([graph.pairs, added]))
+    return np.column_stack([a + 1, rank - row_start[a] + a + 2])
+
+
+def add_random_edges(graph: Graph, k: int, rng: np.random.Generator) -> Graph:
+    """Add k distinct absent edges chosen uniformly at random."""
+    return Graph(graph.n, np.concatenate([graph.pairs, _absent_pairs(graph.n, graph.pairs, _count("k", k, 0), rng)]))
 
 
 NEIGHBORHOODS = ("open", "closed")  # a node's neighborhood leaves the node itself out, or takes it in
@@ -139,8 +147,8 @@ def build_topology(spec: str, n: int, rng: np.random.Generator) -> Graph:
         return chain(n)
     if base == "full":
         return full_graph(n)
-    tree = random_tree(n, rng)
-    return tree if extra is None else add_random_edges(tree, extra, rng)
+    tree = _tree_pairs(n, rng)  # validated once, as one Graph with any added edges
+    return Graph(n, tree if extra is None else np.concatenate([tree, _absent_pairs(n, tree, extra, rng)]))
 
 
 @dataclass(frozen=True)

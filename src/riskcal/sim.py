@@ -109,15 +109,57 @@ class CRCResult:
         return [CRCResult(StatsVector(schema, s), NBParams(schema, p)) for s, p in tables]
 
 
+class _Plan:
+    """How ``_average`` sums the neighborhoods of one graph, slot by slot; built once per graph.
+
+    Node v adds its lower neighbors by id, itself if closed, then its higher
+    ones by id, to a sum started at 0.0: np.bincount's order, so every run
+    rounds alike.  The sums are kept with the nodes by decreasing degree
+    (``place`` is each node's row), so that slot k, the k-th term of every
+    node of degree above k, is one gather of rows added into a prefix of
+    the sums.
+    """
+
+    def __init__(self, graph: Graph, neighborhood: str) -> None:
+        n, closed = graph.n, neighborhood == "closed"
+        u, v = graph.pairs.T - 1  # sorted by (u, v): each node's higher neighbors are a run, by id
+        lower, higher = np.bincount(v, minlength=n), np.bincount(u, minlength=n)
+        degree = lower + closed + higher
+        for lonely in np.flatnonzero(degree == 0)[:1]:
+            raise ValueError(f"node {lonely + 1} has no neighbors; open aggregation is undefined")
+        top = int(degree.max())
+        # Stable sorts of narrow keys, which numpy sorts by radix: nodes by decreasing degree, pairs by v.
+        order = np.argsort((top - degree).astype(np.min_scalar_type(top)), kind="stable")
+        by_v = np.argsort(v.astype(np.min_scalar_type(n)), kind="stable")  # each node's lower neighbors, by id
+        self.place = np.empty(n, dtype=np.intp)
+        self.place[order] = np.arange(n)
+        sizes = n - np.cumsum(np.bincount(degree, minlength=top + 1))[:-1]  # nodes of degree above k
+        first, run = np.cumsum(sizes) - sizes, np.arange(len(u))
+        slots = np.empty(int(degree.sum()), dtype=np.intp)
+        # Term k of node x, from source s: slots[first[k] + place[x]] = s.
+        slots[first[run - (np.cumsum(lower) - lower)[v[by_v]]] + self.place[v[by_v]]] = u[by_v]
+        if closed:
+            slots[first[lower] + self.place] = np.arange(n)
+        slots[first[lower[u] + closed + run - (np.cumsum(higher) - higher)[u]] + self.place[u]] = v
+        self.graph, self.slots = graph, [slots[a : a + size] for a, size in zip(first.tolist(), sizes.tolist())]
+        self.degree = degree[order, None].astype(np.float64)
+
+    def average(self, S: np.ndarray) -> np.ndarray:
+        """Neighborhood means of S[v - 1], a fresh array; each slot gathers its rows into the result first."""
+        S2 = S.reshape(len(self.place), -1)
+        total = np.empty_like(S2)  # before the result: freed below it, its pages serve the round's next arrays
+        out = np.empty_like(S2)
+        np.add(0.0, np.take(S2, self.slots[0], axis=0, out=out, mode="clip"), out=total)  # slot 0 holds every node
+        for slot in self.slots[1:]:
+            at = total[: len(slot)]
+            np.add(at, np.take(S2, slot, axis=0, out=out[: len(slot)], mode="clip"), out=at)
+        np.divide(total, self.degree, out=total)
+        return np.take(total, self.place, axis=0, out=out, mode="clip").reshape(S.shape)
+
+
 def _average(S: np.ndarray, graph: Graph, neighborhood: str) -> np.ndarray:
     """Neighborhood means of S[v - 1]: v adds its lower neighbors, itself if closed, then its higher ones, by id."""
-    (u, v), own = graph.pairs.T - 1, np.arange(graph.n if neighborhood == "closed" else 0)  # pairs sorted by (u, v)
-    dst, src = np.r_[v, own, u], np.r_[u, own, v]  # bincount adds in index order
-    degree = np.bincount(dst, minlength=graph.n)
-    for lonely in np.flatnonzero(degree == 0)[:1]:
-        raise ValueError(f"node {lonely + 1} has no neighbors; open aggregation is undefined")
-    total = np.stack([np.bincount(dst, col[src], graph.n) for col in S.reshape(graph.n, -1).T], -1)
-    return (total / degree[:, None]).reshape(S.shape)
+    return _Plan(graph, neighborhood).average(S)
 
 
 def _stack_by_size(local_datasets: list[Dataset]) -> tuple[list[np.ndarray], list[Dataset]]:
@@ -172,14 +214,16 @@ def run_crc(
 
     if rng is None:
         rng = np.random.default_rng(0)
-    graph = schedule.initial(n, rng)
+    graph, plan = schedule.initial(n, rng), None
     schema = stacks[0].schema
     steps = [LocalStep(ds) for ds in stacks]
     S = np.tile(uniform_init(schema, m0).values, (n, 1, 1))  # (n, r, w), node v's table at S[v - 1]
 
     for t in range(1, t_max + 1):
         graph = rewire(schedule, t, graph, rng)
-        agg = _average(S, graph, neighborhood)
+        if plan is None or plan.graph is not graph:  # a static graph is planned once
+            plan = _Plan(graph, neighborhood)
+        agg = plan.average(S)
         S = np.empty_like(agg)  # a fresh array: earlier states keep their values
         for g, step in zip(groups, steps):
             S[g] = lrc(StatsVector(schema, agg[g]), step, iterations).values

@@ -42,10 +42,10 @@ MUTANTS = [
     Mutant("model.py", "        logj = _by_class(W, self.phiT, out)",
            "        logj = W @ self.phiT", "killed",
            "the log joint is a plain GEMM: equal weight rows may round apart on another kernel"),
-    Mutant("model.py", "self.c = self.xc.sum(axis=-2, keepdims=True) / max(X.shape[-2], 1)",
+    Mutant("model.py", "self.c = _reduce(np.add, self.xc, -2, keepdims=True) / max(X.shape[-2], 1)",
            "self.c = 0.0 * self.xc[..., :1, :]", "killed",
            "no row shift: (x - c)^2 / var cancels at its full magnitude"),
-    Mutant("model.py", "self.c = self.xc.sum(axis=-2, keepdims=True) / max(X.shape[-2], 1)",
+    Mutant("model.py", "self.c = _reduce(np.add, self.xc, -2, keepdims=True) / max(X.shape[-2], 1)",
            "self.c = self.xc[..., :1, :]", "killed",
            "the rows are shifted by their first row, not by their mean"),
     Mutant("calibration.py", "np.maximum(counts, COUNT_FLOOR, out=counts)", "np.maximum(counts, 0.0, out=counts)",
@@ -59,13 +59,28 @@ MUTANTS = [
            "killed", "ml adds twice its smoothing mass"),
     Mutant("sim.py", "train_err_std=float(tr01.std()),", "train_err_std=float(tr01.std(ddof=1)),", "killed",
            "the spread over nodes is the sample, not the population, standard deviation"),
-    Mutant("sim.py", 'np.arange(graph.n if neighborhood == "closed" else 0)', "np.arange(graph.n)", "killed",
+    Mutant("sim.py", 'n, closed = graph.n, neighborhood == "closed"', "n, closed = graph.n, True", "killed",
            "open neighborhoods average the node itself too"),
-    Mutant("sim.py", "return (total / degree[:, None]).reshape(S.shape)",
-           "return (total / degree[:, None] * (1.0 + 1e-13)).reshape(S.shape)", "killed",
+    Mutant("sim.py", "np.divide(total, self.degree, out=total)",
+           "np.divide(total, self.degree / (1.0 + 1e-13), out=total)", "killed",
            "averaging is biased by 1e-13 relative"),
-    Mutant("sim.py", "dst, src = np.r_[v, own, u], np.r_[u, own, v]", "dst, src = np.r_[u, own, v], np.r_[v, own, u]",
-           "killed", "each node adds its higher neighbors before its lower ones: sums round otherwise"),
+    Mutant("sim.py", "slots[first[run - (np.cumsum(lower) - lower)[v[by_v]]] + self.place[v[by_v]]] = u[by_v]\n"
+           "        if closed:\n"
+           "            slots[first[lower] + self.place] = np.arange(n)\n"
+           "        slots[first[lower[u] + closed + run - (np.cumsum(higher) - higher)[u]] + self.place[u]] = v",
+           "slots[first[higher[v[by_v]] + closed + run - (np.cumsum(lower) - lower)[v[by_v]]] + self.place[v[by_v]]] = "
+           "u[by_v]\n"
+           "        if closed:\n"
+           "            slots[first[higher] + self.place] = np.arange(n)\n"
+           "        slots[first[run - (np.cumsum(higher) - higher)[u]] + self.place[u]] = v",
+           "killed", "the plan adds each node's higher neighbors before its lower ones: sums round otherwise"),
+    Mutant("sim.py", 'np.add(0.0, np.take(S2, self.slots[0], axis=0, out=out, mode="clip"), out=total)',
+           'np.take(S2, self.slots[0], axis=0, out=total, mode="clip")', "killed",
+           "the sums start from the first term, not 0.0 + it: a neighborhood of -0.0 averages to -0.0, not 0.0"),
+    Mutant("sim.py", "if plan is None or plan.graph is not graph:", "if plan is None:", "killed",
+           "a rewired run keeps averaging over its first graph's plan"),
+    Mutant("model.py", "_CHAIN = 8", "_CHAIN = 9", "killed",
+           "a sum of 8 terms is chained in order, not left to numpy's pairwise sum: its bits differ"),
     Mutant("model.py", "sound = bound.max(initial=0.0) <= _CANCEL",
            "sound = True", "killed", "no (model, row) whose terms cancel or overflow is formed again"),
     Mutant("model.py", "e - n, e, d == 0,", "e - n, e, d == len(datasets) - 1,", "killed",
@@ -89,7 +104,7 @@ MUTANTS = [
            "killed", "P^T Phi is a plain GEMM: unseen classes' statistics may round apart on another kernel"),
     Mutant("model.py", "cells / _by_class(cells, fm.same_feature)", "cells / (cells @ fm.same_feature)", "killed",
            "each feature's cell total is a plain GEMM: equal classes' tables may round apart on another kernel"),
-    Mutant("model.py", "np.copyto(P[..., j, :], P[..., i, :], where=", "(", "killed",
+    Mutant("model.py", "                P3[at, j] = P3[at, i]", "                pass", "killed",
            "_by_class copies no product: equal class rows keep whatever rounding the kernel gives them"),
     Mutant("data.py", "    if not _is_real(value):", "    if not (_is_real(value) or isinstance(value, bool)):",
            "killed", "the real rule takes a bool: True reads as 1, a learning rate or mass of one"),
@@ -106,7 +121,7 @@ MUTANTS = [
            "    if X.ndim < 2 or X.shape[-1] != schema.d:", "killed", "a dataset's X may hold a second node axis"),
     Mutant("data.py", "    x = float(value) if not _is_int(value) or -_FLOAT_MAX <= value <= _FLOAT_MAX else",
            "    x = float(value) if True else", "killed", "an int beyond the float range raises a bare OverflowError"),
-    Mutant("data.py", "    if any(schema != schemas[0] for schema in schemas[1:]):", "    if False:", "killed",
+    Mutant("data.py", "schema is not schemas[0] and schema != schemas[0] for", "False for", "killed",
            "the schema rule is a no-op: statistics, models and datasets of other schemas are combined"),
     Mutant("sim.py", "rng = np.random.default_rng(0)", "rng = np.random.default_rng(1)", "killed",
            "run_crc's default graph stream is seed 1, not seed 0"),
@@ -124,8 +139,7 @@ MUTANTS = [
     Mutant("partition.py", "labels = dataset.y[order].astype(np.min_scalar_type(r))", "labels = dataset.y[order]",
            "equivalent", "the class pools are sorted on int64 labels: the same stable order, by merge sort instead "
            "of radix"),
-    Mutant("model.py", "reduce(np.logical_and, np.moveaxis(mask, -2, 0))",
-           "reduce(np.logical_or, np.moveaxis(mask, -2, 0))", "killed",
+    Mutant("model.py", "_reduce(np.logical_and, mask, -2)", "_reduce(np.logical_or, mask, -2)", "killed",
            "a row -inf under any class, not every class, is refused"),
     Mutant("network.py", "    if n is None and not edges:", "    if False:", "killed",
            "an edge list of no edges and no n raises numpy's bare zero-size reduction error, naming no file"),

@@ -1141,3 +1141,62 @@ def test_to_text_refuses_stacked_objects():
             call()
     assert S[1].to_text() == nodes[1].to_text()
     assert P[1].to_text() == param_map(nodes[1]).to_text()
+
+
+def _same_bits(a, b, zero_sign=True) -> bool:
+    """Equal shape, dtype and bits; a nan matches any nan, and a zero any zero unless ``zero_sign``."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    if a.dtype == bool:
+        return np.array_equal(a, b)
+    nan = np.isnan(a)
+    if not np.array_equal(nan, np.isnan(b)):
+        return False
+    if not zero_sign:
+        a, b = a + 0.0, b + 0.0  # -0.0 + 0.0 is 0.0
+    return np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize("ufunc", [np.add, np.maximum, np.minimum, np.logical_and, np.logical_or])
+def test_a_short_axis_reduces_to_numpys_bits(ufunc):
+    # Terms at 1e16 and 1 of both signs round by their order, and signed zeros, infinities and nan
+    # propagate by it.  Every layout numpy reduces differently: along a contiguous or strided last axis,
+    # and along an axis in the middle or in front.  Lengths past the chain's reach take ufunc.reduce.
+    rng = np.random.default_rng(41)
+    values = np.array([1e16, -1e16, 1.0, -1.0, 3.0, 0.0, -0.0, inf, -inf, np.nan])
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, as in numpy
+        _short_axes(ufunc, rng, values)
+    assert _same_bits(model._reduce(np.maximum, np.empty((3, 0)), -1, initial=0.0), np.zeros(3))
+
+
+def _short_axes(ufunc, rng, values):
+    for length in range(1, 13):
+        terms = rng.choice(values, size=(300, length, 2))
+        if ufunc in (np.logical_and, np.logical_or):
+            terms = terms > 0
+        layouts = [(terms[:, :, 0].copy(), -1), (terms[:, :, 0], -1), (terms, -2), (np.moveaxis(terms, 1, 0), 0)]
+        for i, (A, axis) in enumerate(layouts):
+            # numpy's SIMD maximum or minimum along a contiguous last axis may sign a zero otherwise
+            zero_sign = i > 0 or ufunc not in (np.maximum, np.minimum)
+            want = ufunc.reduce(A, axis=axis)
+            assert _same_bits(model._reduce(ufunc, A, axis), want, zero_sign), (length, i)
+            got = model._reduce(ufunc, A, axis, keepdims=True)
+            assert _same_bits(got, ufunc.reduce(A, axis=axis, keepdims=True), zero_sign), (length, i)
+            if ufunc is np.maximum:
+                got = model._reduce(ufunc, A, axis, initial=0.0)
+                assert _same_bits(got, ufunc.reduce(A, axis=axis, initial=0.0), zero_sign), (length, i)
+            assert not np.shares_memory(got, A)
+
+
+def test_sums_of_eight_or_more_terms_are_numpys_pairwise_sums():
+    # numpy sums 8 or more contiguous terms pairwise, so chaining them in order would round otherwise.
+    rng = np.random.default_rng(42)
+    for length in (8, 12):
+        A = rng.choice([1e16, -1e16, 1.0, -1.0, 3.0], size=(300, length))
+        chained = 0.0 + A[:, 0]
+        for column in A.T[1:]:
+            chained = chained + column
+        want = np.add.reduce(A, axis=-1)
+        assert not np.array_equal(chained, want)
+        assert _same_bits(model._reduce(np.add, A, -1), want)

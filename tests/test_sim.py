@@ -19,7 +19,7 @@ from riskcal.model import (
     uniform_init,
 )
 from riskcal.network import Graph, RewireSchedule, build_topology, chain, full_graph, neighbors, rewire
-from riskcal.sim import METRICS_COLUMNS, _average, evaluate_round, m0_heuristic, run_crc
+from riskcal.sim import METRICS_COLUMNS, _average, _Plan, evaluate_round, m0_heuristic, run_crc
 from riskcal.synth import gaussian_blobs
 
 
@@ -207,23 +207,45 @@ def scalar_average(S, graph, neighborhood, higher_first=False):
     return out
 
 
-@pytest.mark.parametrize("topology", ["chain", "tree", "tree+6", "full"])
+@pytest.mark.parametrize("topology", ["chain", "tree", "tree+6", "tree+40", "full"])
 def test_average_sums_each_neighborhood_in_id_order(topology):
     # Values of both signs at 1e16 and 1: a float sum of them depends on its order, so the
-    # average must add exactly as the scalar loop does, bit for bit.
+    # average must add exactly as the scalar loop does, bit for bit, over r·w = 75 columns and
+    # up to 14 terms.  Each sum starts at 0.0, as the loop's does: a cell of -0.0 averages to 0.0.
     rng = np.random.default_rng(31)
-    n = 12
+    n = 14
     graph = build_topology(topology, n, rng)
-    S = rng.choice([1e16, -1e16, 1.0, -1.0, 3.0], size=(n, 2, 5))
+    S = rng.choice([1e16, -1e16, 1.0, -1.0, 3.0, -0.0], size=(n, 3, 25))
+    S[:, 1, 7] = -0.0
     for neighborhood in ("open", "closed"):
         want = scalar_average(S, graph, neighborhood)
         if (topology, neighborhood) != ("chain", "open"):  # two terms add alike in either order
             assert not np.array_equal(want, scalar_average(S, graph, neighborhood, higher_first=True))
         assert _average(S, graph, neighborhood).tobytes() == want.tobytes()
+    assert np.signbit(want[:, 1, 7]).sum() == 0
+    if topology == "full":
+        assert len(graph.pairs) == n * (n - 1) // 2  # every node sums 13 neighbors, 14 terms when closed
     lonely = Graph(4, [(1, 2), (2, 3)])
     assert np.array_equal(_average(S[:4], lonely, "closed")[3], S[3])
     with pytest.raises(ValueError, match="^node 4 has no neighbors; open aggregation is undefined$"):
         _average(S[:4], lonely, "open")
+
+
+@pytest.mark.parametrize("period, plans", [(None, 1), (2, 4), (1, 6)])
+def test_a_graph_is_planned_once(monkeypatch, period, plans):
+    # A static graph is planned for its first round only; a rewired run plans every graph it draws.
+    schema = mixed_schema(2)
+    locals_, _ = make_locals(schema, 6, 10, seed=20)
+    planned = []
+
+    class Counted(_Plan):
+        def __init__(self, graph, neighborhood):
+            planned.append(graph)
+            super().__init__(graph, neighborhood)
+
+    monkeypatch.setattr("riskcal.sim._Plan", Counted)
+    run_crc(locals_, RewireSchedule("tree", period=period), m0=80.0, t_max=6, rng=np.random.default_rng(21))
+    assert len(planned) == plans and len(set(map(id, planned))) == plans
 
 
 def test_rewiring_changes_the_run():
